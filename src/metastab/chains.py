@@ -66,7 +66,8 @@ class ReversibleChain:
         Time convention flag.
 
     Instances are immutable after construction and safe to share; all
-    operations on them are pure functions.
+    operations on them are pure functions.  The one mutable slot is a cache:
+    ``potential`` memoises the solver of the last interior block it factored.
     """
 
     def __init__(self, states, kernel, stationary, discrete_time=True):
@@ -79,6 +80,8 @@ class ReversibleChain:
         self.discrete_time = bool(discrete_time)
         self._validate()
         self._build_conductances()
+        # (interior mask bytes, solve callable), see potential._spd_solver
+        self._interior_solver = None
 
     # -- construction helpers -------------------------------------------------
 

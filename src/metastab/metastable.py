@@ -8,19 +8,22 @@ P_{mu_A}[tau_B < tau_A] = cap(A, B) / mu[A].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .chains import (
     InequalityViolation,
+    SolverNotConverged,
     ValidationError,
     dirichlet_form,
     log_mean,
     subset_mask,
 )
 from .potential import (
+    _solve_potential,
     capacity_dense,
     capacity_scan_context,
     equilibrium_potential,
@@ -109,12 +112,13 @@ def rho_metastability(chain, sets, mode="auto", exact_limit=EXACT_ENUM_LIMIT):
     for m in masks:
         union |= m
     mu = chain.stationary
-    ctx = capacity_scan_context(chain)
 
+    # every numerator pair has the interior ~union, so one factorization
+    # serves them all and the next solve on two of the sets
     num_val, worst = -np.inf, -1
     for i, m in enumerate(masks):
-        rest = union & ~m
-        cap, _ = capacity_dense(ctx, m, rest)
+        h = _solve_potential(chain, m, union & ~m)
+        cap = float(np.dot(h[m], (chain.laplacian @ h)[m]))
         val = cap / mu[m].sum()
         if val > num_val:
             num_val, worst = val, i
@@ -139,6 +143,7 @@ def rho_metastability(chain, sets, mode="auto", exact_limit=EXACT_ENUM_LIMIT):
             raise ValidationError(
                 f"{free.size} free states exceed the exact enumeration limit"
             )
+        ctx = capacity_scan_context(chain)
         den, arg = np.inf, None
         for bits in range(1, 1 << free.size):
             a = np.zeros(chain.n_states, dtype=bool)
@@ -157,8 +162,7 @@ def rho_metastability(chain, sets, mode="auto", exact_limit=EXACT_ENUM_LIMIT):
     elif mode == "singleton":
         # all singleton capacities from one factorization:
         # cap({y}, M) = 1 / (Lap_ff^{-1})_{yy} on the killed interior
-        lap_ff = chain.laplacian[~union][:, ~union].toarray()
-        diag = np.diag(np.linalg.inv(lap_ff))
+        diag = _inverse_diagonal(chain.laplacian[~union][:, ~union])
         vals = 1.0 / (diag * mu[free])
         k_min = int(np.argmin(vals))
         den = float(vals[k_min])
@@ -177,6 +181,21 @@ def rho_metastability(chain, sets, mode="auto", exact_limit=EXACT_ENUM_LIMIT):
         argmin_subset=arg,
         whole_space=False,
     )
+
+
+def _inverse_diagonal(mat):
+    """diag(mat^{-1}) of a sparse SPD matrix from its dense Cholesky factor.
+
+    With mat = C C^T, (mat^{-1})_yy is the squared norm of column y of C^{-1}.
+    """
+    try:
+        c = scipy.linalg.cholesky(mat.toarray(), lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise SolverNotConverged(f"interior Laplacian not positive definite: {exc}")
+    c_inv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SolverNotConverged(f"triangular inverse failed with info={info}")
+    return np.einsum("ij,ij->j", c_inv, c_inv)
 
 
 def metastable_partition(chain, sets):

@@ -8,12 +8,13 @@ and the Cheeger constant from exhaustive subset enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .chains import (
+    SolverNotConverged,
     ValidationError,
     dirichlet_form,
     dirichlet_gradient,
@@ -27,6 +28,8 @@ SPECTRAL_LIMIT = 2**14
 LSI_SIZE_LIMIT = 512
 BRUTE_FORCE_LIMIT = 6
 CHEEGER_LIMIT = 20
+# a spectral gap at most this many n eps max|lambda| carries no digits
+GAP_DIGITS_FACTOR = 64
 
 
 @dataclass
@@ -53,11 +56,15 @@ class LsiReport:
 
 
 def exact_cpi(chain):
-    """Full spectrum of the symmetrized kernel and C_PI = 1/(1 - lambda_2).
+    """All eigenvalues of the symmetrized kernel and C_PI = 1/(1 - lambda_2).
 
     For continuous-time chains the gap is the smallest nonzero eigenvalue of
     the symmetrized -L.  The Poincare constant equals the reciprocal gap
-    because the energy is the quadratic form of I - P (resp. -L).
+    because the energy is the quadratic form of I - P (resp. -L).  Only the
+    lambda_2 eigenvector is computed; in both conventions it belongs to the
+    second-largest eigenvalue of the symmetrized matrix.  A gap within
+    GAP_DIGITS_FACTOR n eps max|lambda| of zero has no trustworthy digits
+    and raises SolverNotConverged.
     """
     n = chain.n_states
     if n > SPECTRAL_LIMIT:
@@ -67,26 +74,31 @@ def exact_cpi(chain):
     dense = chain.kernel.toarray()
     sym = root[:, None] * dense / root[None, :]
     sym = 0.5 * (sym + sym.T)
-    vals, vecs = scipy.linalg.eigh(sym)
+    vals = scipy.linalg.eigh(sym, eigvals_only=True)[::-1]
 
     if chain.discrete_time:
-        order = np.argsort(vals)[::-1]
-        vals = vals[order]
-        vecs = vecs[:, order]
         if abs(vals[0] - 1.0) > 1e-9:
             raise ValidationError(f"leading eigenvalue {vals[0]!r} is not 1")
         if vals[-1] < -1.0 - 1e-9 or vals[0] > 1.0 + 1e-9:
             raise ValidationError("kernel eigenvalue outside [-1, 1]")
         gap = 1.0 - vals[1] if n > 1 else 1.0
-        fiedler = vecs[:, 1] / root if n > 1 else np.zeros(n)
     else:
         # eigenvalues of -L, ascending; lambda_1 = 0 with constant vector
-        vals = -vals[::-1]
-        vecs = vecs[:, ::-1]
+        vals = -vals
         if abs(vals[0]) > 1e-8:
             raise ValidationError(f"generator kernel eigenvalue {vals[0]!r} is not 0")
         gap = vals[1] if n > 1 else 1.0
-        fiedler = vecs[:, 1] / root if n > 1 else np.zeros(n)
+    if n > 1:
+        floor = GAP_DIGITS_FACTOR * n * np.finfo(float).eps * np.max(np.abs(vals))
+        if gap <= floor:
+            raise SolverNotConverged(
+                f"spectral gap {gap:.3e} below the resolution {floor:.3e} "
+                "of the dense eigensolve"
+            )
+        vec = scipy.linalg.eigh(sym, subset_by_index=[n - 2, n - 2])[1][:, 0]
+        fiedler = vec / root
+    else:
+        fiedler = np.zeros(n)
     return SpectralReport(
         eigenvalues=vals,
         c_pi_exact=1.0 / gap,

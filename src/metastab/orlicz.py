@@ -8,8 +8,7 @@ equation E_nu[Psi(g*)] = K, which is monotone in lambda and bisected exactly.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

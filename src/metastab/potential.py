@@ -5,6 +5,21 @@ solved in the mu-symmetrized form: with the weighted graph Laplacian
 Lap = deg - W (W the edge conductances), the interior block of Lap is
 symmetric positive definite and the system reads
 Lap[int, int] h_int = W[int, A] 1.
+
+Every interior solve (potentials, mean hitting times) goes through
+``_spd_solver``, which picks a path by the interior size m:
+
+* m <= DENSE_SOLVE_LIMIT: dense ``np.linalg.solve``;
+* m <= DIRECT_SOLVE_LIMIT: sparse LU in SuperLU's symmetric mode (minimum
+  degree ordering on A^T + A, diagonal pivots), which needs no pivoting
+  since the block is an SPD M-matrix;
+* larger: Jacobi-preconditioned conjugate gradients.
+
+The chain memoises one entry, the solver of the interior it saw last, so the
+pairs (A, B) and (B, A), and a capacity after a potential on the same pair,
+share one factorization.  Whatever the path, ``equilibrium_potential`` still
+checks the harmonicity residual, the [0, 1] range and the agreement of
+sum mu e with the Dirichlet energy before it returns.
 """
 
 from __future__ import annotations
@@ -16,13 +31,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chains import (
-    MetastabError,
     SolverNotConverged,
     ValidationError,
     dirichlet_form,
     subset_mask,
 )
 
+DENSE_SOLVE_LIMIT = 400
 DIRECT_SOLVE_LIMIT = 10_000
 RESIDUAL_TOL = 1e-10
 OVERSHOOT_TOL = 1e-9
@@ -146,9 +161,7 @@ def mean_hitting_time(chain, start, target):
 
     free = ~t
     w = np.zeros(chain.n_states)
-    w[free] = _solve_spd(
-        chain.laplacian[free][:, free].tocsc(), chain.stationary[free]
-    )
+    w[free] = _spd_solver(chain, free)(chain.stationary[free])
     return float(np.dot(start, w))
 
 
@@ -207,25 +220,52 @@ def _solve_potential(chain, a, b):
     h[a] = 1.0
     interior = ~(a | b)
     if interior.any():
-        lap = chain.laplacian
         rhs = np.asarray(chain.conductance[interior][:, a].sum(axis=1)).ravel()
-        h[interior] = _solve_spd(lap[interior][:, interior].tocsc(), rhs)
+        h[interior] = _spd_solver(chain, interior)(rhs)
     return h
 
 
-def _solve_spd(mat, rhs):
+def _spd_solver(chain, free):
+    """Solve callable for Lap[free, free] x = rhs, memoised on the chain.
+
+    The memo holds one entry keyed by the mask bytes; a new interior
+    replaces it.  The entry is an immutable tuple read once, so a thread
+    sharing the chain sees either the old or the new entry whole.
+    """
+    key = free.tobytes()
+    memo = chain._interior_solver
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    mat = chain.laplacian[free][:, free]
     m = mat.shape[0]
-    if m == 0:
-        return np.zeros(0)
-    if m <= DIRECT_SOLVE_LIMIT:
-        if m <= 400:
-            return np.linalg.solve(mat.toarray(), rhs)
-        return spla.spsolve(mat.tocsc(), rhs)
-    precond = sp.diags(1.0 / mat.diagonal())
-    x, info = spla.cg(mat, rhs, rtol=1e-12, atol=0.0, maxiter=20 * m, M=precond)
-    if info != 0:
-        raise SolverNotConverged(f"conjugate gradient stopped with info={info}")
-    return x
+    if m <= DENSE_SOLVE_LIMIT:
+        dense = mat.toarray()
+
+        def solve(rhs):
+            return np.linalg.solve(dense, rhs)
+
+    elif m <= DIRECT_SOLVE_LIMIT:
+        solve = spla.splu(
+            mat.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        ).solve
+    else:
+        precond = sp.diags(1.0 / mat.diagonal())
+
+        def solve(rhs):
+            x, info = spla.cg(
+                mat, rhs, rtol=1e-12, atol=0.0, maxiter=20 * m, M=precond
+            )
+            if info != 0:
+                raise SolverNotConverged(
+                    f"conjugate gradient stopped with info={info}"
+                )
+            return x
+
+    chain._interior_solver = (key, solve)
+    return solve
 
 
 def capacity_scan_context(chain):

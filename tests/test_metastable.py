@@ -14,7 +14,9 @@ from metastab import (
     metastable_partition,
     pi_lsi_estimates,
     rho_metastability,
+    subset_mask,
 )
+from metastab import rfcw
 from metastab.metastable import c_mass_constant, local_pi_constant
 from metastab.oracle import cheeger_constant, exact_cpi
 from metastab.potential import capacity_dense, capacity_scan_context
@@ -374,3 +376,37 @@ def test_singleton_mode_green_identity(double_well):
         a[y] = True
         cap = equilibrium_potential(chain, a, union).capacity
         assert cap == pytest.approx(1.0 / diag[k], rel=1e-10)
+
+
+def _singleton_rho_reference(chain, masks):
+    """The dense-inverse singleton ratio: capacity_dense numerator and
+    diag(inv(Lap_ff)) denominator."""
+    mu = chain.stationary
+    union = np.logical_or.reduce(masks)
+    ctx = capacity_scan_context(chain)
+    num = len(masks) * max(
+        capacity_dense(ctx, m, union & ~m)[0] / mu[m].sum() for m in masks
+    )
+    lap_ff = chain.laplacian[~union][:, ~union].toarray()
+    diag = np.diag(np.linalg.inv(lap_ff))
+    den = np.min(1.0 / (diag * mu[~union])) / chain.n_states
+    return num, den
+
+
+def test_singleton_rho_matches_dense_inverse(double_well):
+    model = rfcw.build_model(9, 2.0, "uniform:0.2", seed=4, materialize=True)
+    land = rfcw.coarse_grain(model, 2)
+    minima = rfcw.find_minima_and_order(model, land).minima
+    cases = [
+        (double_well[1.0], ["x0"], ["x10"]),
+        (double_well[2.0], ["x0"], ["x10"]),
+        (double_well[3.0], ["x0", "x1"], ["x9", "x10"]),
+        (model.chain, land.fiber_mask([minima[0]]), land.fiber_mask([minima[1]])),
+    ]
+    for chain, s1, s2 in cases:
+        masks = [subset_mask(chain, s1), subset_mask(chain, s2)]
+        cert = rho_metastability(chain, masks, mode="singleton")
+        num, den = _singleton_rho_reference(chain, masks)
+        assert cert.numerator == pytest.approx(num, rel=1e-12)
+        assert cert.denominator == pytest.approx(den, rel=1e-12)
+        assert cert.rho == pytest.approx(num / den, rel=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from metastab import (
+    SolverNotConverged,
     ValidationError,
     build_chain,
     dirichlet_form,
@@ -10,6 +11,7 @@ from metastab import (
     variance,
 )
 from metastab.oracle import (
+    GAP_DIGITS_FACTOR,
     brute_force_orlicz,
     cheeger_constant,
     estimate_clsi,
@@ -19,7 +21,11 @@ from metastab.oracle import (
 )
 from metastab.orlicz import entropy_pair, l1_pair, muckenhoupt_constant
 from metastab.potential import birth_death_generator_chain, equilibrium_potential
-from metastab.sampling import random_probability, random_reversible_chain
+from metastab.sampling import (
+    double_well_chain,
+    random_probability,
+    random_reversible_chain,
+)
 
 
 def test_exact_cpi_two_state(two_state):
@@ -180,3 +186,71 @@ def test_gradient_checks(two_state):
     assert gradient_check("entropy", chain, g) < 1e-4
     with pytest.raises(ValidationError):
         gradient_check("unknown", chain, f)
+
+
+def _symmetrized(chain):
+    root = np.sqrt(chain.stationary)
+    sym = root[:, None] * chain.kernel.toarray() / root[None, :]
+    return 0.5 * (sym + sym.T), root
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+def test_exact_cpi_spectrum_and_lambda2_vector(kind):
+    rng = np.random.default_rng(83)
+    if kind == "discrete":
+        chain = random_reversible_chain(rng, 40)
+    else:
+        mu = rng.uniform(0.2, 2.0, size=30)
+        chain = birth_death_generator_chain(mu / mu.sum())
+    rep = exact_cpi(chain)
+    sym, root = _symmetrized(chain)
+    want = np.linalg.eigvalsh(sym)[::-1]
+    if kind == "continuous":
+        want = -want
+    assert np.allclose(rep.eigenvalues, want, rtol=0.0, atol=1e-12)
+    # maximizer / sqrt(mu)-weighting is a unit eigenvector of sym for the
+    # second-largest eigenvalue, whatever its sign
+    v = rep.maximizer * root
+    lam2 = 1.0 - rep.spectral_gap if kind == "discrete" else -rep.spectral_gap
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(sym @ v - lam2 * v) <= 1e-10
+    assert rep.c_pi_exact == pytest.approx(1.0 / rep.spectral_gap, rel=1e-15)
+
+
+def test_exact_cpi_refuses_gap_without_digits():
+    eps = np.finfo(float).eps
+    for beta in (1.0, 2.0, 3.0, 4.0):
+        chain = double_well_chain(beta)
+        sym, _ = _symmetrized(chain)
+        want = 1.0 - np.linalg.eigvalsh(sym)[-2]
+        rep = exact_cpi(chain)
+        assert rep.spectral_gap > GAP_DIGITS_FACTOR * chain.n_states * eps
+        assert rep.spectral_gap == pytest.approx(want, rel=1e-9, abs=1e-14)
+    for beta in (5.0, 6.0, 8.0):
+        with pytest.raises(SolverNotConverged):
+            exact_cpi(double_well_chain(beta))
+
+
+# c_lsi_lower of the clsi chains in the benchmark pool (seed 1), frozen
+# from the full-eigenvector implementation of exact_cpi
+CLSI_POOL_GOLDEN = [
+    1810775.4864762672,
+    757.1573918066856,
+    236.25601058617323,
+    866.1130796828851,
+    289.13195712827314,
+    226.46515828912243,
+    1090.575512957776,
+    209.08561800569993,
+    88.73748960872368,
+]
+
+
+def test_clsi_pool_golden():
+    chains = [double_well_chain(2.0, 11)] + [
+        random_reversible_chain(np.random.default_rng((20170515, 12, v)), 12)
+        for v in range(8)
+    ]
+    for chain, want in zip(chains, CLSI_POOL_GOLDEN):
+        got = estimate_clsi(chain, seed=1).c_lsi_lower
+        assert got == pytest.approx(want, rel=1e-6)

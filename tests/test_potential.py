@@ -9,10 +9,13 @@ from metastab import (
     mean_hitting_time,
     path_capacity_1d,
 )
+from metastab import rfcw
 from metastab.potential import (
+    DENSE_SOLVE_LIMIT,
     DegenerateTarget,
     EmptySet,
     OverlappingSets,
+    _spd_solver,
     birth_death_generator_chain,
 )
 from metastab.sampling import random_reversible_chain
@@ -176,3 +179,54 @@ def test_capacity_symmetry_random(chain_corpus):
         c_ab = equilibrium_potential(chain, a, b).capacity
         c_ba = equilibrium_potential(chain, b, a).capacity
         assert c_ab == pytest.approx(c_ba, rel=1e-10)
+
+
+def _rfcw9_chain():
+    return rfcw.build_model(9, 1.5, "uniform:0.2", seed=3, materialize=True).chain
+
+
+def _dense_potential(chain, a, b):
+    lap = chain.laplacian.toarray()
+    w = chain.conductance.toarray()
+    free = ~(a | b)
+    h = np.zeros(chain.n_states)
+    h[a] = 1.0
+    h[free] = np.linalg.solve(lap[np.ix_(free, free)], w[np.ix_(free, a)].sum(axis=1))
+    return h, float(np.dot(h[a], (lap @ h)[a]))
+
+
+def test_swapped_pair_shares_one_sparse_factor():
+    # 512 states with two singleton boundaries: a 510-state interior, which
+    # takes the sparse symmetric-mode LU path
+    chain = _rfcw9_chain()
+    n = chain.n_states
+    a = np.zeros(n, dtype=bool)
+    a[0] = True
+    b = np.zeros(n, dtype=bool)
+    b[n - 1] = True
+    interior = ~(a | b)
+    assert interior.sum() > DENSE_SOLVE_LIMIT
+
+    ab = equilibrium_potential(chain, a, b)
+    solve = _spd_solver(chain, interior)
+    ba = equilibrium_potential(chain, b, a)
+    assert _spd_solver(chain, interior) is solve  # the swapped pair hit the memo
+    assert np.max(np.abs(ab.potential + ba.potential - 1.0)) <= 1e-12
+    assert ab.capacity == pytest.approx(ba.capacity, rel=1e-12)
+
+    h_ref, cap_ref = _dense_potential(chain, a, b)
+    assert np.allclose(ab.potential, h_ref, rtol=1e-12, atol=0.0)
+    assert ab.capacity == pytest.approx(cap_ref, rel=1e-12)
+
+    # a second pair replaces the memo entry and matches a fresh chain
+    a2 = np.zeros(n, dtype=bool)
+    a2[[1, 2]] = True
+    b2 = np.zeros(n, dtype=bool)
+    b2[[5, n - 3, n - 2]] = True
+    again = equilibrium_potential(chain, a2, b2)
+    fresh = equilibrium_potential(_rfcw9_chain(), a2, b2)
+    assert np.array_equal(again.potential, fresh.potential)
+    assert again.capacity == fresh.capacity
+    h_ref, cap_ref = _dense_potential(chain, a2, b2)
+    assert np.allclose(again.potential, h_ref, rtol=1e-12, atol=0.0)
+    assert again.capacity == pytest.approx(cap_ref, rel=1e-12)
