@@ -23,7 +23,7 @@ from .chains import (
     subset_mask,
 )
 from .potential import (
-    _solve_potential,
+    _solve_potentials,
     capacity_dense,
     capacity_scan_context,
     equilibrium_potential,
@@ -114,11 +114,14 @@ def rho_metastability(chain, sets, mode="auto", exact_limit=EXACT_ENUM_LIMIT):
     mu = chain.stationary
 
     # every numerator pair has the interior ~union, so one factorization
-    # serves them all and the next solve on two of the sets
+    # serves them all and the next solve on two of the sets;
+    # cap(M_i, U - M_i) is the flux into M_i of 1 - h_i, taken as the sum of
+    # the other potentials, which keeps the digits that 1 - h_i would lose
+    pots = _solve_potentials(chain, masks)
     num_val, worst = -np.inf, -1
     for i, m in enumerate(masks):
-        h = _solve_potential(chain, m, union & ~m)
-        cap = float(np.dot(h[m], (chain.laplacian @ h)[m]))
+        rest = np.delete(pots, i, axis=1).sum(axis=1)
+        cap = -float((chain.laplacian @ rest)[m].sum())
         val = cap / mu[m].sum()
         if val > num_val:
             num_val, worst = val, i

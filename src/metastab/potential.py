@@ -17,9 +17,12 @@ Every interior solve (potentials, mean hitting times) goes through
 
 The chain memoises one entry, the solver of the interior it saw last, so the
 pairs (A, B) and (B, A), and a capacity after a potential on the same pair,
-share one factorization.  Whatever the path, ``equilibrium_potential`` still
-checks the harmonicity residual, the [0, 1] range and the agreement of
-sum mu e with the Dirichlet energy before it returns.
+share one factorization.  ``equilibrium_potential`` solves h_{A,B} and
+h_{B,A} together and takes e on A from h_{B,A}: at low temperature h_{A,B}
+is 1 up to tiny terms next to A, and e computed from it as (Lap h) / mu
+keeps only the digits of those terms.  Whatever the path, it still checks
+the harmonicity residual, the [0, 1] range and the agreement of sum mu e
+with the Dirichlet energy before it returns.
 """
 
 from __future__ import annotations
@@ -80,22 +83,25 @@ def equilibrium_potential(chain, A, B, residual_tol=RESIDUAL_TOL):
     a = subset_mask(chain, A)
     b = subset_mask(chain, B)
     _check_pair(a, b)
-    h = _solve_potential(chain, a, b)
+    pots = _solve_potentials(chain, [a, b])
 
     mu = chain.stationary
-    lap_h = chain.laplacian @ h
+    lap = chain.laplacian @ pots
     interior = ~(a | b)
     if interior.any():
-        resid = np.max(np.abs(lap_h[interior] / mu[interior]))
+        resid = np.max(np.abs(lap[interior] / mu[interior, None]))
         if resid > residual_tol:
             raise SolverNotConverged(f"harmonicity residual {resid:.3e}")
-    lo, hi = h.min(), h.max()
+    lo, hi = pots.min(), pots.max()
     if lo < -OVERSHOOT_TOL or hi > 1.0 + OVERSHOOT_TOL:
         raise SolverNotConverged(f"potential overshoot: range [{lo}, {hi}]")
-    h = np.clip(h, 0.0, 1.0)
+    h = np.clip(pots[:, 0], 0.0, 1.0)
 
+    # e(x) = sum_y p(x, y) h_{B,A}(y) on A: a sum of nonnegative terms,
+    # where (Lap h)(x) would subtract the neighbours' h ~ 1 from deg(x)
+    # and keep only the digits of h that differ from 1
     e = np.zeros_like(h)
-    e[a] = lap_h[a] / mu[a]
+    e[a] = -lap[a, 1] / mu[a]
     if np.any(e[a] < -1e-12):
         raise SolverNotConverged("negative escape probability on A")
     e[a] = np.maximum(e[a], 0.0)
@@ -214,19 +220,30 @@ def _check_pair(a, b):
         raise OverlappingSets("A and B must be disjoint")
 
 
-def _solve_potential(chain, a, b):
-    n = chain.n_states
-    h = np.zeros(n)
-    h[a] = 1.0
-    interior = ~(a | b)
+def _solve_potentials(chain, masks):
+    """Columns h_i = h_{M_i, U - M_i} for disjoint masks M_i with union U.
+
+    One call of the interior solver takes all right-hand sides.  The
+    columns sum to 1, but each is solved for itself: near M_i, where h_i is
+    close to 1, the other columns hold 1 - h_i to full relative precision.
+    """
+    h = np.zeros((chain.n_states, len(masks)))
+    union = np.zeros(chain.n_states, dtype=bool)
+    for i, m in enumerate(masks):
+        h[m, i] = 1.0
+        union |= m
+    interior = ~union
     if interior.any():
-        rhs = np.asarray(chain.conductance[interior][:, a].sum(axis=1)).ravel()
+        w = chain.conductance[interior]
+        rhs = np.column_stack([np.asarray(w[:, m].sum(axis=1)).ravel() for m in masks])
         h[interior] = _spd_solver(chain, interior)(rhs)
     return h
 
 
 def _spd_solver(chain, free):
     """Solve callable for Lap[free, free] x = rhs, memoised on the chain.
+
+    ``rhs`` is a vector or a matrix of right-hand-side columns.
 
     The memo holds one entry keyed by the mask bytes; a new interior
     replaces it.  The entry is an immutable tuple read once, so a thread
@@ -255,6 +272,8 @@ def _spd_solver(chain, free):
         precond = sp.diags(1.0 / mat.diagonal())
 
         def solve(rhs):
+            if rhs.ndim == 2:
+                return np.column_stack([solve(col) for col in rhs.T])
             x, info = spla.cg(
                 mat, rhs, rtol=1e-12, atol=0.0, maxiter=20 * m, M=precond
             )
@@ -276,13 +295,20 @@ def capacity_scan_context(chain):
 
 
 def capacity_dense(ctx, a, b):
-    """Capacity via a dense solve, for enumeration loops; masks required."""
+    """Capacity and h_{A,B} via a dense solve, for enumeration loops.
+
+    Masks required.  Like ``equilibrium_potential`` it solves h_{B,A} in the
+    same call and sums the flux out of A of h_{B,A}, which keeps its
+    digits where h_{A,B} is 1 up to tiny terms next to A.
+    """
     lap, w, mu = ctx
     n = mu.size
-    h = np.zeros(n)
-    h[a] = 1.0
+    h = np.zeros((n, 2))
+    h[a, 0] = 1.0
+    h[b, 1] = 1.0
     interior = ~(a | b)
     if interior.any():
-        rhs = w[np.ix_(interior, a)].sum(axis=1)
+        # columns W[int, A] 1 and W[int, B] 1 in one product
+        rhs = w[interior] @ h
         h[interior] = np.linalg.solve(lap[np.ix_(interior, interior)], rhs)
-    return float(np.dot(h[a], (lap @ h)[a])), h
+    return float((w @ h[:, 1])[a].sum()), h[:, 0]

@@ -19,6 +19,7 @@ from metastab.oracle import (
     gradient_check,
     hardy_exact_constant,
 )
+from metastab import oracle as oracle_mod
 from metastab.orlicz import entropy_pair, l1_pair, muckenhoupt_constant
 from metastab.potential import birth_death_generator_chain, equilibrium_potential
 from metastab.sampling import (
@@ -217,7 +218,14 @@ def test_exact_cpi_spectrum_and_lambda2_vector(kind):
     assert rep.c_pi_exact == pytest.approx(1.0 / rep.spectral_gap, rel=1e-15)
 
 
-def test_exact_cpi_refuses_gap_without_digits():
+# spectral gaps of the 11-state well, from a 60-digit symmetric eigensolve of
+# the chain's own conductances (mpmath); the dense float eigensolve resolves
+# only about 1e-13 here
+WELL_GAP_GOLDEN = {5.0: 1.2127669959236109e-14, 6.0: 2.4389012541681088e-17,
+                   8.0: 9.4416438237428967e-23}
+
+
+def test_exact_cpi_resolves_metastable_gaps():
     eps = np.finfo(float).eps
     for beta in (1.0, 2.0, 3.0, 4.0):
         chain = double_well_chain(beta)
@@ -226,9 +234,28 @@ def test_exact_cpi_refuses_gap_without_digits():
         rep = exact_cpi(chain)
         assert rep.spectral_gap > GAP_DIGITS_FACTOR * chain.n_states * eps
         assert rep.spectral_gap == pytest.approx(want, rel=1e-9, abs=1e-14)
-    for beta in (5.0, 6.0, 8.0):
-        with pytest.raises(SolverNotConverged):
-            exact_cpi(double_well_chain(beta))
+    # below the dense resolution the refined gap keeps its relative digits
+    for beta, want in WELL_GAP_GOLDEN.items():
+        chain = double_well_chain(beta)
+        rep = exact_cpi(chain)
+        assert rep.spectral_gap < GAP_DIGITS_FACTOR * chain.n_states * eps
+        assert rep.spectral_gap == pytest.approx(want, rel=1e-12)
+        assert rep.c_pi_exact == pytest.approx(1.0 / want, rel=1e-12)
+
+
+def test_exact_cpi_refinement_guards(monkeypatch):
+    chain = double_well_chain(2.0)
+    # the refined gap must stay within the dense resolution of the dense gap
+    refine = oracle_mod._refine_gap
+    monkeypatch.setattr(oracle_mod, "_refine_gap",
+                        lambda ch, f: (2.0 * refine(ch, f)[0], f))
+    with pytest.raises(SolverNotConverged):
+        exact_cpi(chain)
+    monkeypatch.undo()
+    # an inverse iteration that has not settled raises instead of returning
+    monkeypatch.setattr(oracle_mod, "REFINE_STEPS", 1)
+    with pytest.raises(SolverNotConverged):
+        exact_cpi(chain)
 
 
 # c_lsi_lower of the clsi chains in the benchmark pool (seed 1), frozen

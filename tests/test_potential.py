@@ -17,8 +17,10 @@ from metastab.potential import (
     OverlappingSets,
     _spd_solver,
     birth_death_generator_chain,
+    capacity_dense,
+    capacity_scan_context,
 )
-from metastab.sampling import random_reversible_chain
+from metastab.sampling import double_well_chain, random_reversible_chain
 
 
 def test_two_state_solution(two_state):
@@ -230,3 +232,22 @@ def test_swapped_pair_shares_one_sparse_factor():
     h_ref, cap_ref = _dense_potential(chain, a2, b2)
     assert np.allclose(again.potential, h_ref, rtol=1e-12, atol=0.0)
     assert again.capacity == pytest.approx(cap_ref, rel=1e-12)
+
+
+def test_capacity_keeps_digits_at_low_temperature():
+    # cap(x0, x10) of the well against the series formula: h_{A,B} is 1 up to
+    # terms below 1e-10 next to x0, so sum mu e taken from it would keep only
+    # their digits (and fail the energy cross-check from beta = 4 on); the
+    # dense enumeration path takes the same route
+    for beta in (2.0, 4.0, 6.0, 8.0):
+        chain = double_well_chain(beta)
+        w = chain.conductance.toarray()
+        series, _ = path_capacity_1d(np.array([w[i, i + 1] for i in range(10)]))
+        sol = equilibrium_potential(chain, ["x0"], ["x10"])
+        assert sol.capacity == pytest.approx(series, rel=1e-13)
+        assert sol.capacity_from_energy == pytest.approx(series, rel=1e-13)
+        assert sol.last_exit[0] == 1.0
+        ctx = capacity_scan_context(chain)
+        cap, h = capacity_dense(ctx, sol.set_a, sol.set_b)
+        assert cap == pytest.approx(series, rel=1e-13)
+        assert np.allclose(h, sol.potential, rtol=0.0, atol=1e-15)
