@@ -291,8 +291,22 @@ def cmd_rfcw(args):
     }
 
 
+def _check_couple_args(args):
+    for flag, value, least in (
+        ("--runs", args.runs, 1),
+        ("--dynamics-runs", args.dynamics_runs, 1),
+        ("--M", args.M, 0),
+        ("--T", args.T, 0),
+    ):
+        if value is not None and value < least:
+            raise ValidationError(f"{flag} must be at least {least}, got {value}")
+    if args.dynamics_runs is not None and args.dynamics_runs > args.runs:
+        raise ValidationError("--dynamics-runs must not exceed --runs")
+
+
 def cmd_couple(args):
     _need_seed(args)
+    _check_couple_args(args)
     model = rfcw_mod.build_model(args.N, args.beta, args.field, seed=args.seed)
     land = rfcw_mod.coarse_grain(model, args.n)
     M = args.M if args.M is not None else args.N
@@ -328,9 +342,12 @@ def cmd_couple(args):
         out["hitting_bound"] = coupling_mod.hitting_lower_bound_check(
             model, land, [ordering.minima[0]], [ordering.minima[1]], seed=args.seed
         )
-        out["eta"] = coupling_mod.eta_from_coupling(
-            model, land, ordering.minima[0], ordering.minima[1]
-        )
+        try:
+            out["eta"] = coupling_mod.eta_from_coupling(
+                model, land, ordering.minima[0], ordering.minima[1]
+            )
+        except coupling_mod.BoundOutOfRange as exc:
+            out["eta_skipped"] = str(exc)
     if not report["p_A_within_3sigma"]:
         raise InequalityViolation("gate-event frequency outside three sigma")
     return out

@@ -376,7 +376,8 @@ def mean_exit_asymptotics(chain, structure, i):
 
     B collects the metastable sets at least as heavy as M_i.  The reported
     gap is the relative difference; delta and C_ratio parametrize the
-    reported error form O(delta + rho ln(C_ratio / rho)).
+    reported error form O(delta + rho ln(C_ratio / rho)), None where that
+    term is undefined (rho outside (0, C_ratio)).
     """
     k = structure.n_sets
     heavier = [
@@ -399,14 +400,15 @@ def mean_exit_asymptotics(chain, structure, i):
     )
     c_ratio = max(structure.mu_parts[j] / structure.mu_parts[i] for j in heavier)
     rho = structure.rho
-    err = delta + (rho * np.log(c_ratio / rho) if 0.0 < rho < c_ratio else np.nan)
+    # rho ln(C_ratio / rho) is the error term only while 0 < rho < C_ratio
+    err = float(delta + rho * np.log(c_ratio / rho)) if 0.0 < rho < c_ratio else None
     return {
         "main_term": float(main),
         "exact": float(exact),
         "relative_error": float(abs(exact - main) / exact),
         "delta": float(delta),
         "c_ratio": float(c_ratio),
-        "error_form": float(err),
+        "error_form": err,
         "target": heavier,
     }
 

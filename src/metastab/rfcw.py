@@ -82,13 +82,21 @@ def parse_field_spec(spec):
     if spec == "zero":
         return {"kind": "explicit", "values": None, "zero": True}
     kind, _, rest = str(spec).partition(":")
+    if kind not in ("uniform", "discrete", "values"):
+        raise ValidationError(f"unknown field spec {spec!r}")
+    try:
+        values = [float(v) for v in rest.split(",")]
+    except ValueError:
+        raise ValidationError(f"field spec {spec!r} has a non-numeric value") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"field spec {spec!r} has a non-finite value")
     if kind == "uniform":
-        return {"kind": "uniform", "h_inf": float(rest)}
+        if len(values) != 1:
+            raise ValidationError(f"field spec {spec!r} needs one bound")
+        return {"kind": "uniform", "h_inf": values[0]}
     if kind == "discrete":
-        return {"kind": "discrete", "values": [float(v) for v in rest.split(",")]}
-    if kind == "values":
-        return {"kind": "explicit", "values": [float(v) for v in rest.split(",")]}
-    raise ValidationError(f"unknown field spec {spec!r}")
+        return {"kind": "discrete", "values": values}
+    return {"kind": "explicit", "values": values}
 
 
 def build_model(n_spins, beta, field_spec, seed=None, materialize=True):
@@ -221,6 +229,23 @@ class MesoscopicLandscape:
     def point_of(self, key):
         return self.index[tuple(int(v) for v in key)]
 
+    def site_block(self):
+        """Block index of every site."""
+        blk = np.zeros(self.n_spins, dtype=np.intp)
+        for l, b in enumerate(self.blocks):
+            blk[b] = l
+        return blk
+
+    def point_weights(self):
+        """Site weights w such that ``(spins > 0) @ w`` indexes ``points``.
+
+        The points list the block sums in mixed radix, last block fastest,
+        and the digit of block l is its number of up spins.
+        """
+        radix = self.block_sizes + 1
+        strides = np.append(np.cumprod(radix[:0:-1])[::-1], 1)
+        return strides[self.site_block()].astype(np.int64)
+
 
 def coarse_grain(model, n):
     """Partition the field range into n equal intervals and coarse grain.
@@ -269,13 +294,7 @@ def coarse_grain(model, n):
         beta=model.beta,
     )
     if model.materialized:
-        sums = np.zeros((model.spins.shape[0], n), dtype=int)
-        for l, b in enumerate(blocks):
-            if b.size:
-                sums[:, l] = model.spins[:, b].sum(axis=1)
-        land.rho_of_config = np.array(
-            [index[tuple(row)] for row in sums], dtype=int
-        )
+        land.rho_of_config = (model.spins > 0) @ land.point_weights()
         land.mu_meso = np.bincount(
             land.rho_of_config, weights=model.gibbs, minlength=land.n_points
         )
@@ -877,9 +896,6 @@ def _fiber_edge_ratio(model, land, fiber):
     pi_m = 1.0 / idx.size
     mu = model.gibbs
     spins = model.spins
-    site_block = np.zeros(model.n_spins, dtype=int)
-    for l, b in enumerate(land.blocks):
-        site_block[b] = l
     worst = 0.0
     members = set(int(c) for c in idx)
     for c in idx:

@@ -228,3 +228,72 @@ def test_config_round_trip():
     rebuilt = ["capineq", "--samples", str(args.samples), "--seed", str(args.seed)]
     again = parser.parse_args(rebuilt)
     assert vars(args) == vars(again)
+
+
+COUPLE = ["couple", "--N", "6", "--beta", "1.0", "--field", "uniform:0.2", "--n", "2",
+          "--seed", "3"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--runs", "0"],
+        ["--dynamics-runs", "0"],
+        ["--runs", "-3"],
+        ["--M", "-1"],
+        ["--T", "-5"],
+        ["--dynamics-runs", "-1"],
+        ["--runs", "10", "--dynamics-runs", "20"],
+    ],
+)
+def test_couple_rejects_bad_counts(capsys, extra):
+    code, out, err = run_cli(capsys, COUPLE + extra)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["kind"] == "validation"
+
+
+@pytest.mark.parametrize("field", ["uniform:abc", "uniform:nan", "values:0.1,x", "uniform:"])
+def test_couple_rejects_bad_field(capsys, field):
+    argv = list(COUPLE)
+    argv[argv.index("--field") + 1] = field
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["kind"] == "validation"
+
+
+def test_couple_without_gates(capsys):
+    code, out, _ = run_cli(
+        capsys, COUPLE + ["--runs", "200", "--dynamics-runs", "20", "--M", "0"]
+    )
+    assert code == 0
+    exp = json.loads(out)["experiment"]
+    assert exp["M"] == 0 and exp["p_A_empirical"]["value"] == 1.0
+    assert exp["sync_violations"] == 0
+
+
+def test_couple_skips_eta_out_of_float_range(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["couple", "--N", "8", "--beta", "2.0", "--field", "uniform:0.2", "--n", "2",
+         "--runs", "100", "--dynamics-runs", "5", "--seed", "0"],
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert "eta" not in rep and "hitting_bound" in rep
+    assert "float range" in rep["eta_skipped"]
+
+
+def test_analyze_without_error_term(capsys, tmp_path):
+    # {x0}, {x1} of the 11-state well at beta = 1 are not metastable: rho
+    # exceeds C_ratio and the error form is undefined
+    chain = tmp_path / "dw11.json"
+    save_chain(double_well_chain(1.0), chain)
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"sets": [["x0"], ["x1"]]}))
+    code, out, _ = run_cli(
+        capsys,
+        ["analyze", "--chain", str(chain), "--sets", str(sets), "--exact", "--seed", "1"],
+    )
+    assert code == 0
+    exits = json.loads(out)["mean_exit"]
+    assert [e["error_form"] for e in exits.values() if e is not None] == [None]

@@ -410,3 +410,12 @@ def test_singleton_rho_matches_dense_inverse(double_well):
         assert cert.numerator == pytest.approx(num, rel=1e-12)
         assert cert.denominator == pytest.approx(den, rel=1e-12)
         assert cert.rho == pytest.approx(num / den, rel=1e-12)
+
+
+def test_mean_exit_error_form_undefined_outside_regime():
+    # {x0}, {x1} of the 11-state well at beta = 1: rho >= C_ratio
+    chain = double_well_chain(1.0)
+    st = build_structure(chain, [["x0"], ["x1"]], mode="exact", seed=1)
+    rep = mean_exit_asymptotics(chain, st, 1)
+    assert st.rho >= rep["c_ratio"]
+    assert rep["error_form"] is None

@@ -280,3 +280,20 @@ def test_micro_meso_chain_inequality(rfcw_spread):
         a[rng.choice(free, size=size, replace=False)] = True
         cap = equilibrium_potential(model.chain, a, b_mask).capacity
         assert cap / mu[a].sum() >= factor * floor * (1.0 - 1e-9)
+
+
+def test_point_index_matches_block_sums():
+    # rho_of_config reads the point index off the spins; it must agree with
+    # looking the block sums up in the landscape's index
+    for spec, blocks in (("uniform:0.2", (1, 2, 3)), ("zero", (1, 2))):
+        model = rfcw.build_model(8, 1.0, spec, seed=5)
+        for n in blocks:
+            land = rfcw.coarse_grain(model, n)
+            sums = np.array(
+                [[row[b].sum() if b.size else 0 for b in land.blocks] for row in model.spins]
+            )
+            ref = [land.index[tuple(int(v) for v in row)] for row in sums]
+            assert land.rho_of_config.tolist() == ref
+            assert land.site_block().tolist() == [
+                next(l for l, b in enumerate(land.blocks) if i in b) for i in range(8)
+            ]
