@@ -176,6 +176,18 @@ class ReversibleChain:
         return out
 
 
+def _bit_indices(bits):
+    """Positions of the set bits of the integer ``bits``, ascending."""
+    out = []
+    k = 0
+    while bits:
+        if bits & 1:
+            out.append(k)
+        bits >>= 1
+        k += 1
+    return np.asarray(out, dtype=int)
+
+
 def subset_mask(chain, subset):
     """Normalize a subset specification to a boolean membership mask.
 

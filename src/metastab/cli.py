@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -74,11 +75,25 @@ def _need_seed(args):
         raise ValidationError(f"command {args.command!r} requires --seed")
 
 
+def _number(flag, text):
+    """``text`` as a finite float; a ValidationError naming ``flag`` otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{flag} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{flag} must be finite, got {text!r}")
+    return value
+
+
 def _sets_from_file(chain, path):
     with open(path) as fh:
         data = json.load(fh)
-    sets = data["sets"] if isinstance(data, dict) else data
-    return [subset_mask(chain, s) for s in sets]
+    if isinstance(data, dict):
+        if "sets" not in data:
+            raise ValidationError(f"sets file {path!r} has no 'sets' key")
+        data = data["sets"]
+    return [subset_mask(chain, s) for s in data]
 
 
 def _mask_to_ids(chain, mask):
@@ -161,7 +176,7 @@ def cmd_orlicz(args):
     chain = load_chain(args.chain)
     b = subset_mask(chain, args.B.split(","))
     pair = orlicz_mod.get_pair(args.pair)
-    k_val = float(np.exp(2.0)) if args.K == "e2" else float(args.K)
+    k_val = float(np.exp(2.0)) if args.K == "e2" else _number("--K", args.K)
     scan = orlicz_mod.measure_capacity_constant(
         chain, chain.stationary, b, pair, k_val
     )
@@ -234,7 +249,7 @@ def cmd_oracle(args):
 
 
 def cmd_rfcw(args):
-    betas = [float(b) for b in str(args.beta).split(",")]
+    betas = [_number("--beta", b) for b in str(args.beta).split(",")]
     spec = rfcw_mod.parse_field_spec(args.field)
     if spec.get("kind") in ("uniform", "discrete"):
         _need_seed(args)
@@ -266,17 +281,10 @@ def cmd_rfcw(args):
             ],
         }
         if model.materialized and not ordering.degenerate:
-            cert = meta_mod.rho_metastability(
-                model.chain,
-                [land.fiber_mask([k]) for k in ordering.minima[:2]],
-                mode="singleton",
-            )
+            sets = [land.fiber_mask([k]) for k in ordering.minima[:2]]
+            cert = meta_mod.rho_metastability(model.chain, sets, mode="singleton")
             entry["rho"] = tagged(cert.rho, "bound")
-            sol = equilibrium_potential(
-                model.chain,
-                land.fiber_mask([ordering.minima[0]]),
-                land.fiber_mask([ordering.minima[1]]),
-            )
+            sol = equilibrium_potential(model.chain, *sets)
             entry["cap_m1_m2"] = tagged(sol.capacity, "exact")
             spec_rep = oracle_mod.exact_cpi(model.chain)
             entry["spectral_gap"] = tagged(spec_rep.spectral_gap, "exact")

@@ -185,10 +185,7 @@ def _coupled_steps(model, land, sig0, var0, T, gates, rngs, B_points=None, count
     delta = gate_probability(model, land)
     blk = land.site_block()
     rng, rng_partner = rngs
-    in_b = None
-    if B_points is not None:
-        in_b = np.zeros(land.n_points, dtype=bool)
-        in_b[np.asarray(B_points, dtype=int)] = True
+    in_b = None if B_points is None else land.point_mask(B_points)
     if counts is not None:
         bits = np.int64(1) << np.arange(n, dtype=np.int64)
         code_sig = (sig > 0) @ bits
@@ -563,6 +560,20 @@ def flip_rate_floor(model):
     return math.exp(-2.0 * model.beta * (1.0 + model.h_inf))
 
 
+def _tail_rate(model, s):
+    """alpha, s, I_alpha(s - 1) and the tail bound exp(-I_alpha(s - 1) N).
+
+    alpha is the flip-rate floor and s defaults to 2 / alpha; with alpha = 1
+    the rate is +inf and the tail bound 0.
+    """
+    alpha = flip_rate_floor(model)
+    if s is None:
+        s = 2.0 / alpha if alpha < 1.0 else 2.0
+    rate = negative_binomial_rate(alpha, s) if alpha < 1.0 else math.inf
+    tail = math.exp(-rate * model.n_spins) if math.isfinite(rate) else 0.0
+    return alpha, s, rate, tail
+
+
 def _glauber_step(table, spins, m, u):
     """One Glauber update of every row in place, from uniforms u[:, :2].
 
@@ -581,21 +592,15 @@ def _glauber_step(table, spins, m, u):
 def tail_bound_check(model, s=None, samples=2000, seed=0, start=None):
     """Monte-Carlo check of P[N_attempts > s N] <= exp(-I_alpha(s-1) N).
 
-    Each replica also simulates the negative-binomial comparison process on
-    shared uniforms and asserts the pathwise domination
-    N_attempts <= R + N on every run.  All replicas step together until
-    each has flipped every site once; the comparison trials still missing
-    after that are one negative-binomial draw per replica.
+    Each replica also runs the negative-binomial comparison process on
+    shared uniforms: a first attempt at a site succeeds in the comparison
+    when its accept uniform falls below alpha.  The pathwise domination
+    N_attempts <= comparison trials holds when every comparison success also
+    flips the site; ``domination_ok`` reports that no success failed to flip.
+    All replicas step together until each has flipped every site once.
     """
     n = model.n_spins
-    alpha = flip_rate_floor(model)
-    if s is None:
-        if alpha >= 1.0:
-            s = 2.0
-        else:
-            s = 2.0 / alpha
-    rate = negative_binomial_rate(alpha, s) if alpha < 1.0 else math.inf
-    bound = math.exp(-rate * n) if math.isfinite(rate) else 0.0
+    alpha, s, rate, bound = _tail_rate(model, s)
     rng = np.random.default_rng((seed, 37))
     table = _flip_table(model)
     if start is None:
@@ -605,24 +610,19 @@ def tail_bound_check(model, s=None, samples=2000, seed=0, start=None):
     pending = np.ones((samples, n), dtype=bool)
     live = np.arange(samples)
     attempts = np.zeros(samples, dtype=np.int64)
-    succ = np.zeros(samples, dtype=np.int64)
+    missed = 0
     while live.size:
         u = rng.random((live.size, 2))
         i, flip, _ = _glauber_step(table, sig, m, u)
         rows = np.arange(live.size)
         first = pending[rows, i]
         attempts[live] += first
-        succ[live] += first & (u[:, 1] < alpha)
+        missed += int(np.count_nonzero(first & (u[:, 1] < alpha) & ~flip))
         new = first & flip
         pending[rows[new], i[new]] = False
         keep = pending.any(axis=1)
         if not keep.all():
             live, sig, m, pending = live[keep], sig[keep], m[keep], pending[keep]
-    need = np.maximum(n - succ, 0)
-    trials = attempts + need
-    more = need > 0
-    trials[more] += rng.negative_binomial(need[more], alpha)
-    dominated = bool(np.all(attempts <= trials))
     emp = int(np.sum(attempts > s * n)) / samples
     sigma = math.sqrt(max(bound * (1.0 - bound), emp * (1.0 - emp), 1e-12) / samples)
     ok = emp <= bound + 3.0 * sigma
@@ -635,7 +635,7 @@ def tail_bound_check(model, s=None, samples=2000, seed=0, start=None):
         "samples": samples,
         "sigma": sigma,
         "within_3sigma": ok,
-        "domination_ok": dominated,
+        "domination_ok": missed == 0,
     }
 
 
@@ -647,10 +647,8 @@ def _mc_hitting(model, land, start, a_points, b_points, runs, seed, cap=10_000_0
     count as misses.
     """
     w = land.point_weights()
-    in_a = np.zeros(land.n_points, dtype=bool)
-    in_a[np.asarray(a_points, dtype=int)] = True
-    in_b = np.zeros(land.n_points, dtype=bool)
-    in_b[np.asarray(b_points, dtype=int)] = True
+    in_a = land.point_mask(a_points)
+    in_b = land.point_mask(b_points)
     table = _flip_table(model)
     rng = np.random.default_rng(seed)
     sig = np.tile(np.asarray(start, dtype=np.int8), (runs, 1))
@@ -678,28 +676,18 @@ def hitting_lower_bound_check(model, land, a_points, b_points, s=None, runs=0, s
     slack.  Optional Monte Carlo corroboration on the worst fiber.
     """
     n = model.n_spins
-    alpha = flip_rate_floor(model)
-    if s is None:
-        s = 2.0 / alpha if alpha < 1.0 else 2.0
+    alpha, s, rate, correction = _tail_rate(model, s)
     if alpha < 1.0 and s <= 1.0 / alpha:
         raise ValidationError("s must exceed 1/alpha")
-    rate = negative_binomial_rate(alpha, s) if alpha < 1.0 else math.inf
     a = land.fiber_mask(a_points)
     b = land.fiber_mask(b_points)
     vals = hitting_value_function(model.chain, a, b)
     factor = math.exp(-4.0 * model.beta * land.eps_n * s * n)
-    correction = math.exp(-rate * n) if math.isfinite(rate) else 0.0
-    worst_margin = math.inf
-    worst_fiber = None
-    spread = 0.0
-    for k in range(land.n_points):
-        fib = land.rho_of_config == k
-        v = vals[fib]
-        margin = float(v.min() - factor * (v.max() - correction))
-        spread = max(spread, float(v.max() - v.min()))
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_fiber = k
+    lo, hi = land.fiber_range(vals)
+    margins = lo - factor * (hi - correction)
+    worst_fiber = int(np.argmin(margins))
+    worst_margin = float(margins[worst_fiber])
+    spread = float(np.max(hi - lo))
     report = {
         "factor": factor,
         "correction": correction,
@@ -713,7 +701,7 @@ def hitting_lower_bound_check(model, land, a_points, b_points, s=None, runs=0, s
             f"hitting-probability comparison violated: margin {worst_margin!r}"
         )
     if runs > 0:
-        fib = np.flatnonzero(land.rho_of_config == worst_fiber)
+        fib = np.flatnonzero(land.fiber_mask([worst_fiber]))
         v = vals[fib]
         hi_state = model.spins[fib[int(np.argmax(v))]]
         lo_state = model.spins[fib[int(np.argmin(v))]]
@@ -739,10 +727,7 @@ def eta_from_coupling(model, land, i_point, j_point, s=None):
     raises ``BoundOutOfRange`` when the bound exceeds the float range.
     """
     n = model.n_spins
-    alpha = flip_rate_floor(model)
-    if s is None:
-        s = 2.0 / alpha if alpha < 1.0 else 2.0
-    rate = negative_binomial_rate(alpha, s) if alpha < 1.0 else math.inf
+    _, s, rate, _ = _tail_rate(model, s)
     a = land.fiber_mask([i_point])
     b = land.fiber_mask([j_point])
     sol = equilibrium_potential(model.chain, a, b)

@@ -1,4 +1,4 @@
-"""Metastability diagnostics: the escape-ratio definition, valley partitions,
+"""Metastability diagnostics: the metastability ratio, valley partitions,
 regularity and mass constants, mean-exit asymptotics and the sharp
 Poincare / log-Sobolev main terms.
 
@@ -18,6 +18,7 @@ from .chains import (
     InequalityViolation,
     SolverNotConverged,
     ValidationError,
+    _bit_indices,
     dirichlet_form,
     log_mean,
     subset_mask,
@@ -77,12 +78,6 @@ class MetastableStructure:
     @property
     def n_sets(self):
         return len(self.sets)
-
-
-def escape_ratio(chain, A, B):
-    """P_{mu_A}[tau_B < tau_A] = cap(A, B) / mu[A]."""
-    sol = equilibrium_potential(chain, A, B)
-    return sol.capacity / chain.mass(sol.set_a)
 
 
 def _check_sets(chain, sets):
@@ -150,13 +145,7 @@ def rho_metastability(chain, sets, mode="auto", exact_limit=EXACT_ENUM_LIMIT):
         den, arg = np.inf, None
         for bits in range(1, 1 << free.size):
             a = np.zeros(chain.n_states, dtype=bool)
-            sel = bits
-            j = 0
-            while sel:
-                if sel & 1:
-                    a[free[j]] = True
-                sel >>= 1
-                j += 1
+            a[free[_bit_indices(bits)]] = True
             cap, _ = capacity_dense(ctx, a, union)
             val = cap / mu[a].sum()
             if val < den:
@@ -358,17 +347,6 @@ def build_structure(chain, sets, mode="auto", seed=0, compute_local=True):
         cpi_M=float(max(1.0, np.dot(mu_sets, cpi_local))),
         clsi_M=float(max(1.0, np.dot(mu_sets, clsi_local))),
     )
-
-
-def constants_report(chain, structure):
-    """Aggregated mass and local mixing constants of the structure."""
-    return {
-        "c_mass": structure.c_mass,
-        "cpi_local": structure.cpi_local.tolist(),
-        "clsi_local": structure.clsi_local.tolist(),
-        "cpi_M": structure.cpi_M,
-        "clsi_M": structure.clsi_M,
-    }
 
 
 def mean_exit_asymptotics(chain, structure, i):

@@ -13,7 +13,13 @@ from typing import Callable
 
 import numpy as np
 
-from .chains import InequalityViolation, ValidationError, dirichlet_form
+from .chains import (
+    InequalityViolation,
+    ValidationError,
+    _bit_indices,
+    dirichlet_form,
+    subset_mask,
+)
 from .potential import capacity_dense, capacity_scan_context, equilibrium_potential
 
 E2 = float(np.exp(2.0))
@@ -91,8 +97,8 @@ def entropy_pair():
 
 def p_pair(p):
     """Power pair Phi_p(r) = r^p / p with conjugate exponent p* = p/(p-1)."""
-    if p <= 1.0:
-        raise ValidationError("p must exceed 1; use l1_pair() for the limit")
+    if not 1.0 < p < np.inf:
+        raise ValidationError(f"p must be finite and exceed 1, got {p!r}")
     q = p / (p - 1.0)
 
     return YoungPair(
@@ -122,7 +128,11 @@ def get_pair(spec):
     if spec == "ent":
         return entropy_pair()
     if spec.startswith("p:"):
-        return p_pair(float(spec[2:]))
+        try:
+            p = float(spec[2:])
+        except ValueError:
+            raise ValidationError(f"Young pair {spec!r} needs a numeric p") from None
+        return p_pair(p)
     raise ValidationError(f"unknown Young pair {spec!r}")
 
 
@@ -217,14 +227,6 @@ class PiecewiseLinearYoung:
     def near_jump(self, t):
         return np.abs(np.asarray(t, dtype=float) - self._psi_knots_v[-1]) <= 1e-12
 
-    def as_pair(self):
-        return YoungPair(
-            name="piecewise-linear",
-            phi=self.phi,
-            psi=self.psi,
-            psi_inverse=self.psi_inverse,
-        )
-
 
 def random_young_pair(rng):
     """Random piecewise-linear Young function for property tests."""
@@ -305,14 +307,14 @@ def orlicz_norm(f, nu, pair, K):
 
 
 def capacitary_integral(chain, f, B, assert_bound=True):
-    """Exact value of the层 integral int_0^inf 2t cap(A_t, B) dt.
+    """Exact value of the layer-cake integral int_0^inf 2t cap(A_t, B) dt.
 
     The super level-sets A_t = {|f| > t} are piecewise constant in t, so the
     integral is a finite sum over the sorted distinct values of |f|.  Returns
     the integral together with 4 E(f); the capacitary inequality
     integral <= 4 E(f) is asserted unless disabled.
     """
-    b = _mask(chain, B)
+    b = subset_mask(chain, B)
     if not b.any():
         raise ValidationError("B must be nonempty")
     f = np.asarray(f, dtype=float)
@@ -345,7 +347,7 @@ def measure_capacity_constant(chain, nu, B, pair, K, exact_limit=20):
     restricted scan over singletons and super level-sets of the equilibrium
     potential seeded at the best singleton, labeled as a lower bound.
     """
-    b = _mask(chain, B)
+    b = subset_mask(chain, B)
     if b.all():
         raise ValidationError("B must leave at least one state free")
     if not b.any():
@@ -459,23 +461,6 @@ def universal_mixed_constants(chain, nu, threshold=0.5, pair_limit=10):
         "argmax_var": arg_var,
         "argmax_ent": arg_ent,
     }
-
-
-def _bit_indices(bits):
-    out = []
-    k = 0
-    while bits:
-        if bits & 1:
-            out.append(k)
-        bits >>= 1
-        k += 1
-    return np.asarray(out, dtype=int)
-
-
-def _mask(chain, subset):
-    from .chains import subset_mask
-
-    return subset_mask(chain, subset)
 
 
 def _measure(chain, nu):

@@ -46,7 +46,6 @@ class RFCWModel:
     field_provenance: dict
     chain: ReversibleChain | None = None
     spins: np.ndarray | None = None          # (2^N, N) in {-1, +1}
-    magnetization: np.ndarray | None = None  # integer row sums
     hamiltonian: np.ndarray | None = None
     flip_index: np.ndarray | None = None     # (2^N, N) flipped-config indices
     flip_probs: np.ndarray | None = None     # (2^N, N) single-flip probabilities
@@ -55,11 +54,6 @@ class RFCWModel:
     @property
     def materialized(self):
         return self.chain is not None
-
-    def hamiltonian_of(self, sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        m = sigma.sum()
-        return -m * m / (2.0 * self.n_spins) - float(np.dot(self.field, sigma))
 
     def flip_probability(self, sigma, m, i):
         """nu_{i,sigma}[-sigma_i], the accept probability of flipping site i.
@@ -107,8 +101,8 @@ def build_model(n_spins, beta, field_spec, seed=None, materialize=True):
     """
     if n_spins < 1:
         raise ValidationError("need at least one spin")
-    if beta < 0.0:
-        raise ValidationError("beta must be nonnegative")
+    if not 0.0 <= beta < math.inf:
+        raise ValidationError(f"beta must be finite and nonnegative, got {beta!r}")
     spec = parse_field_spec(field_spec)
     kind = spec.get("kind")
     rng = None
@@ -155,43 +149,50 @@ def build_model(n_spins, beta, field_spec, seed=None, materialize=True):
 
 def _materialize(model):
     n = model.n_spins
-    size = 1 << n
-    configs = np.arange(size, dtype=np.int64)
+    configs = np.arange(1 << n, dtype=np.int64)
     bits = (configs[:, None] >> np.arange(n)[None, :]) & 1
     spins = (2 * bits - 1).astype(np.int8)
     m = spins.sum(axis=1).astype(np.int64)
     ham = -m.astype(float) ** 2 / (2.0 * n) - spins @ model.field
 
     flip_index = configs[:, None] ^ (1 << np.arange(n))[None, :]
-    dh = ham[flip_index] - ham[:, None]
-    flip_probs = np.exp(-model.beta * np.maximum(dh, 0.0)) / n
+    states = ["".join("+" if b else "-" for b in row) for row in bits]
+    model.chain, model.flip_probs, model.gibbs = _glauber_chain(
+        states, ham, flip_index, model.beta
+    )
+    model.spins = spins
+    model.hamiltonian = ham
+    model.flip_index = flip_index
 
-    weights = np.exp(-model.beta * (ham - ham.min()))
+
+def _glauber_chain(states, ham, flip_index, beta):
+    """Single-flip Metropolis chain of the energy ``ham`` on the hypercube.
+
+    p(sigma, sigma^i) = (1/N) exp(-beta [ham(sigma^i) - ham(sigma)]_+), where
+    ``flip_index[sigma, i]`` is the index of sigma^i; the chain is reversible
+    for the Gibbs weights exp(-beta ham).  Returns (chain, flip_probs, gibbs).
+    """
+    size, n = flip_index.shape
+    dh = ham[flip_index] - ham[:, None]
+    flip_probs = np.exp(-beta * np.maximum(dh, 0.0)) / n
+    weights = np.exp(-beta * (ham - ham.min()))
     gibbs = weights / weights.sum()
 
-    rows = np.repeat(configs, n)
-    cols = flip_index.ravel()
-    vals = flip_probs.ravel()
-    diag = 1.0 - flip_probs.sum(axis=1)
-    diag = np.maximum(diag, 0.0)
+    configs = np.arange(size, dtype=np.int64)
+    diag = np.maximum(1.0 - flip_probs.sum(axis=1), 0.0)
+    held = configs[diag > 0.0]
     kernel = sp.csr_matrix(
         (
-            np.concatenate([vals, diag[diag > 0.0]]),
+            np.concatenate([flip_probs.ravel(), diag[held]]),
             (
-                np.concatenate([rows, configs[diag > 0.0]]),
-                np.concatenate([cols, configs[diag > 0.0]]),
+                np.concatenate([np.repeat(configs, n), held]),
+                np.concatenate([flip_index.ravel(), held]),
             ),
         ),
         shape=(size, size),
     )
-    states = ["".join("+" if b else "-" for b in row) for row in bits]
-    model.chain = ReversibleChain(states, kernel, gibbs, discrete_time=True)
-    model.spins = spins
-    model.magnetization = m
-    model.hamiltonian = ham
-    model.flip_index = flip_index
-    model.flip_probs = flip_probs
-    model.gibbs = gibbs
+    chain = ReversibleChain(states, kernel, gibbs, discrete_time=True)
+    return chain, flip_probs, gibbs
 
 
 # -- coarse graining -------------------------------------------------------------
@@ -219,12 +220,24 @@ class MesoscopicLandscape:
     def n_points(self):
         return len(self.point_ids)
 
+    def point_mask(self, point_indices):
+        """Mask over the mesoscopic points selecting ``point_indices``."""
+        sel = np.zeros(self.n_points, dtype=bool)
+        sel[np.asarray(point_indices, dtype=int)] = True
+        return sel
+
     def fiber_mask(self, point_indices):
         if self.rho_of_config is None:
             raise ValidationError("landscape was built without a micro chain")
-        sel = np.zeros(self.n_points, dtype=bool)
-        sel[np.asarray(point_indices, dtype=int)] = True
-        return sel[self.rho_of_config]
+        return self.point_mask(point_indices)[self.rho_of_config]
+
+    def fiber_range(self, values):
+        """Minimum and maximum of per-configuration ``values`` on every fiber."""
+        lo = np.full(self.n_points, np.inf)
+        hi = np.full(self.n_points, -np.inf)
+        np.minimum.at(lo, self.rho_of_config, values)
+        np.maximum.at(hi, self.rho_of_config, values)
+        return lo, hi
 
     def point_of(self, key):
         return self.index[tuple(int(v) for v in key)]
@@ -608,20 +621,30 @@ def mesoscopic_rates_and_chain(model, land):
     r(x, y) = (1/mu(x)) sum_{sigma in fiber x} mu(sigma) p(sigma, fiber y).
     """
     _need_materialized(model, land)
+    return _lump(land, model.flip_index, model.flip_probs, model.gibbs)
+
+
+def _lump(land, flip_index, flip_probs, mu):
+    """Single-flip chain aggregated onto the mesoscopic points under ``mu``.
+
+    ``flip_probs[sigma, i]`` is the probability of moving to
+    ``flip_index[sigma, i]``; the lumped measure is the fiber sum of ``mu``.
+    """
     P = land.n_points
     rho = land.rho_of_config
-    n = model.n_spins
-    rows = np.repeat(rho, n)
-    cols = rho[model.flip_index.ravel()]
-    w = (model.gibbs[:, None] * model.flip_probs).ravel()
-    flow = sp.coo_matrix((w, (rows, cols)), shape=(P, P)).tocsr()
-    diag_w = model.gibbs * (1.0 - model.flip_probs.sum(axis=1))
+    n = flip_index.shape[1]
+    w = (mu[:, None] * flip_probs).ravel()
+    flow = sp.coo_matrix(
+        (w, (np.repeat(rho, n), rho[flip_index.ravel()])), shape=(P, P)
+    ).tocsr()
     flow = flow + sp.csr_matrix(
-        (np.maximum(diag_w, 0.0), (rho, rho)), shape=(P, P)
+        (np.maximum(mu * (1.0 - flip_probs.sum(axis=1)), 0.0), (rho, rho)),
+        shape=(P, P),
     )
-    mu = land.mu_meso
-    kernel = sp.diags(1.0 / mu) @ flow
-    return ReversibleChain(land.point_ids, kernel, mu, discrete_time=True)
+    mu_lumped = np.bincount(rho, weights=mu, minlength=P)
+    return ReversibleChain(
+        land.point_ids, sp.diags(1.0 / mu_lumped) @ flow, mu_lumped, discrete_time=True
+    )
 
 
 def mesoscopic_dominance(model, land, meso_chain, a_points, b_points, tol=1e-12):
@@ -629,11 +652,9 @@ def mesoscopic_dominance(model, land, meso_chain, a_points, b_points, tol=1e-12)
     micro = equilibrium_potential(
         model.chain, land.fiber_mask(a_points), land.fiber_mask(b_points)
     ).capacity
-    sel_a = np.zeros(land.n_points, dtype=bool)
-    sel_a[np.asarray(a_points, dtype=int)] = True
-    sel_b = np.zeros(land.n_points, dtype=bool)
-    sel_b[np.asarray(b_points, dtype=int)] = True
-    meso = equilibrium_potential(meso_chain, sel_a, sel_b).capacity
+    meso = equilibrium_potential(
+        meso_chain, land.point_mask(a_points), land.point_mask(b_points)
+    ).capacity
     if micro > meso + tol + 1e-9 * meso:
         raise InequalityViolation(
             f"mesoscopic capacity bound violated: micro {micro!r} > meso {meso!r}"
@@ -651,32 +672,12 @@ def barred_chain(model, land):
     """
     _need_materialized(model, land)
     n = model.n_spins
-    size = model.gibbs.size
     point_e = np.array(
         [meso_energy(land, land.points[k] / n) for k in range(land.n_points)]
     )
     ham_bar = n * point_e[land.rho_of_config]
-    dh = ham_bar[model.flip_index] - ham_bar[:, None]
-    flip_bar = np.exp(-model.beta * np.maximum(dh, 0.0)) / n
-    wts = np.exp(-model.beta * (ham_bar - ham_bar.min()))
-    mu_bar = wts / wts.sum()
-
-    configs = np.arange(size)
-    rows = np.repeat(configs, n)
-    cols = model.flip_index.ravel()
-    diag = np.maximum(1.0 - flip_bar.sum(axis=1), 0.0)
-    kernel = sp.csr_matrix(
-        (
-            np.concatenate([flip_bar.ravel(), diag[diag > 0.0]]),
-            (
-                np.concatenate([rows, configs[diag > 0.0]]),
-                np.concatenate([cols, configs[diag > 0.0]]),
-            ),
-        ),
-        shape=(size, size),
-    )
-    barred = ReversibleChain(
-        model.chain.states, kernel, mu_bar, discrete_time=True
+    barred, flip_bar, mu_bar = _glauber_chain(
+        model.chain.states, ham_bar, model.flip_index, model.beta
     )
 
     eps = land.eps_n
@@ -690,27 +691,13 @@ def barred_chain(model, land):
     if np.max(ratio_log) > p_bound:
         raise InequalityViolation("p_bar / p outside the exp(2 beta eps) band")
 
-    # exact lumping: aggregate like the mesoscopic rates but under mu_bar
-    P = land.n_points
-    rho = land.rho_of_config
-    w = (mu_bar[:, None] * flip_bar).ravel()
-    flow = sp.coo_matrix((w, (rho[rows], rho[cols])), shape=(P, P)).tocsr()
-    flow = flow + sp.csr_matrix(
-        (np.maximum(mu_bar * (1.0 - flip_bar.sum(axis=1)), 0.0), (rho, rho)),
-        shape=(P, P),
-    )
-    mu_meso_bar = np.bincount(rho, weights=mu_bar, minlength=P)
-    lumped = ReversibleChain(
-        land.point_ids,
-        sp.diags(1.0 / mu_meso_bar) @ flow,
-        mu_meso_bar,
-        discrete_time=True,
-    )
+    # ham_bar is constant on every fiber, so the barred chain lumps exactly
+    lumped = _lump(land, model.flip_index, flip_bar, mu_bar)
     return {
         "barred": barred,
         "lumped": lumped,
         "mu_bar": mu_bar,
-        "mu_meso_bar": mu_meso_bar,
+        "mu_meso_bar": lumped.stationary,
         "max_log_mu_ratio": float(np.max(mu_log)),
         "mu_ratio_bound": 2.0 * beta * eps * n,
         "max_log_p_ratio": float(np.max(ratio_log)),
@@ -732,12 +719,8 @@ def lumpability_certificate(model, land, barred, a_points, b_points, tol=1e-10):
     """
     a = land.fiber_mask(a_points)
     b = land.fiber_mask(b_points)
-    vals = hitting_value_function(barred["barred"], a, b)
-    worst = 0.0
-    for k in range(land.n_points):
-        fib = land.rho_of_config == k
-        v = vals[fib]
-        worst = max(worst, float(v.max() - v.min()))
+    lo, hi = land.fiber_range(hitting_value_function(barred["barred"], a, b))
+    worst = float(np.max(hi - lo))
     if worst > tol:
         raise InequalityViolation(
             f"lumpability residual {worst!r} exceeds {tol}"
@@ -747,11 +730,9 @@ def lumpability_certificate(model, land, barred, a_points, b_points, tol=1e-10):
     factor = math.exp(-2.0 * beta * eps * (n + 1))
     cap = equilibrium_potential(model.chain, a, b).capacity
     cap_bar = equilibrium_potential(barred["barred"], a, b).capacity
-    sel_a = np.zeros(land.n_points, dtype=bool)
-    sel_a[np.asarray(a_points, dtype=int)] = True
-    sel_b = np.zeros(land.n_points, dtype=bool)
-    sel_b[np.asarray(b_points, dtype=int)] = True
-    cap_lumped = equilibrium_potential(barred["lumped"], sel_a, sel_b).capacity
+    cap_lumped = equilibrium_potential(
+        barred["lumped"], land.point_mask(a_points), land.point_mask(b_points)
+    ).capacity
     if cap / cap_bar < factor * (1.0 - 1e-9):
         raise InequalityViolation("cap / cap_bar below the comparison factor")
     if abs(cap_bar - cap_lumped) > 1e-9 * cap_bar:

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import metastab
 from metastab import (
     BadRowSum,
     DetailedBalanceViolation,
@@ -193,3 +195,9 @@ def test_chain_dict_round_trip_random():
         back = chain_from_dict(json.loads(json.dumps(chain_to_dict(chain))))
         assert (back.kernel != chain.kernel).nnz == 0
         assert np.array_equal(back.stationary, chain.stationary)
+
+
+def test_package_sources_are_ascii():
+    src = Path(metastab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        path.read_bytes().decode("ascii")

@@ -297,3 +297,29 @@ def test_analyze_without_error_term(capsys, tmp_path):
     assert code == 0
     exits = json.loads(out)["mean_exit"]
     assert [e["error_form"] for e in exits.values() if e is not None] == [None]
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["analyze", "--chain", "{chain}", "--sets", "{nosets}", "--seed", "1"], "'sets'"),
+        (["orlicz", "--chain", "{chain}", "--B", "b", "--pair", "p:abc"], "p:abc"),
+        (["orlicz", "--chain", "{chain}", "--B", "b", "--K", "abc"], "--K"),
+        (["orlicz", "--chain", "{chain}", "--B", "b", "--K", "inf"], "--K"),
+        (["rfcw", "--N", "6", "--beta", "1,abc"], "--beta"),
+        (["rfcw", "--N", "6", "--beta", "nan"], "--beta"),
+        (["rfcw", "--N", "6", "--beta", "inf"], "--beta"),
+        (COUPLE[:4] + ["nan"] + COUPLE[5:], "beta must be finite"),
+        (COUPLE[:4] + ["inf"] + COUPLE[5:], "beta must be finite"),
+    ],
+    ids=["no-sets-key", "pair", "K", "K-inf", "beta-list", "beta-nan", "beta-inf",
+         "couple-nan", "couple-inf"],
+)
+def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, names):
+    nosets = tmp_path / "nosets.json"
+    nosets.write_text(json.dumps({"set": [["a"], ["b"]]}))
+    argv = [a.format(chain=two_state_file, nosets=nosets) for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and names in error["message"]

@@ -182,6 +182,17 @@ def test_tail_bound_generic(small_pair):
     assert rep["domination_ok"]
 
 
+def test_tail_bound_domination_detects_a_false_floor(monkeypatch):
+    # the true floor at N = 8, beta = 1.5, h_inf = 0.2 is exp(-3.6) = 0.027; a
+    # claimed floor of 0.9 has comparison successes that do not flip
+    from metastab import coupling
+
+    model = build_model(8, 1.5, "uniform:0.2", seed=3, materialize=False)
+    assert tail_bound_check(model, samples=200, seed=0)["domination_ok"]
+    monkeypatch.setattr(coupling, "flip_rate_floor", lambda model: 0.9)
+    assert not tail_bound_check(model, samples=200, seed=0)["domination_ok"]
+
+
 def test_hitting_bound_exact_lumpable(rfcw_two_valued):
     model, land = rfcw_two_valued
     order = find_minima_and_order(model, land)

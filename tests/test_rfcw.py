@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from metastab import ValidationError, equilibrium_potential
+from metastab.coupling import hitting_lower_bound_check
 from metastab.oracle import exact_cpi
 from metastab import rfcw
 from metastab.rfcw import (
@@ -297,3 +299,91 @@ def test_point_index_matches_block_sums():
             assert land.site_block().tolist() == [
                 next(l for l, b in enumerate(land.blocks) if i in b) for i in range(8)
             ]
+
+
+def test_fiber_range_and_point_mask_match_per_point_loop():
+    model = rfcw.build_model(8, 1.0, "uniform:0.2", seed=5)
+    land = rfcw.coarse_grain(model, 3)
+    values = np.random.default_rng(0).normal(size=model.gibbs.size)
+    lo, hi = land.fiber_range(values)
+    for k in range(land.n_points):
+        fiber = values[land.rho_of_config == k]
+        assert (lo[k], hi[k]) == (fiber.min(), fiber.max())
+    picks = [0, land.n_points - 1]
+    assert np.flatnonzero(land.point_mask(picks)).tolist() == picks
+    assert np.array_equal(land.fiber_mask(picks), np.isin(land.rho_of_config, picks))
+
+
+# sha256 of the lab objects for the field "uniform:0.2", seed 7, n = 2; frozen
+# from the separate assemblies and lumpings that the shared ones replaced, so
+# they must come out bit for bit; the bits depend on numpy's exp and BLAS
+LAB_GOLDENS = {
+    (8, 1.5): {
+        "micro": "bbf545e00abd8bd46e6aa9fdd5ed0bfc1ff2ef0f6e13763ad1f5d4901d28163a",
+        "meso": "58d35520030b33c8a223583e464cb29c83350414d3b161251acaf9cdc1eb545f",
+        "barred": "98fe62c6d766be2a5f63d2e9c21c9f79c2fad4c253b69578975e914d167f811a",
+        "lumped": "76841f349ba614b3d2c428dbfae4c65164f68ca72831a75979e04a0d747881e0",
+        "dominance": "829c09cafccfbe7a5f4f68152e489a307e9e89dc5c6b7f9c69e4fb929d4c7d0e",
+        "lumpability": "2aa56e531b82ed6f3d8f0d1663d10b23c2acd0b97dceab7828c370a548a2fdd7",
+        "hitting": "a65fdfa05cf63f05b8bacd7381ad6cd9ed33e66e2fab7123cd9d1cdfc683e8a7",
+    },
+    (8, 6.0): {
+        "micro": "e3b2311206a58c9c5aa93cd10cab112cf157f299820a97376da857dc24433270",
+        "meso": "85e5eeca02e5fb0098e3d86425d0da42c5b1b37f7021864b340b4406c18a4b1a",
+        "barred": "352493a493777c4b8739b3d56943f719e551c07771c87e62161f3da6f2d276a7",
+        "lumped": "8fa6ff706aceed96b503978279c5ed9e3a95022a59742450296f2d10567e546a",
+        "dominance": "d1ac1fd99273a14645d5d562b15d0d08b52867babb91ff39497567fc7374ba76",
+        "lumpability": "0439f570e9b0def3fff0306fec459ea6d3ab8e1202a3f1feaf7121d66d4052e9",
+        "hitting": "d0b8051d4dd259324a2473b42fd85e014a949ba286d39fe1f3a0329201d0055b",
+    },
+    (10, 1.5): {
+        "micro": "7523ec32e6a05372fff6fbab9df3dddb0c2c24143d210acc80a2907d84815203",
+        "meso": "462f73d61262f86c4ff86852b747492a384d74bfc08180e0a97ffb6af725c0dd",
+        "barred": "d3468f98b913e158c3e1df48d11737df318290ffd92546ce4d6c0d604e555506",
+        "lumped": "96c505ebc64edd6a982545bf2cf1f8dc0cd919a884b9871f60d3bc0a84bd69f1",
+        "dominance": "2664bd9758d3b322f9a6f98aa3e6f102bcf586fe694bc91b62aa4fa9cbd0abe0",
+        "lumpability": "ab472a3e415badb4cec5d281326a95b171b805d22f8399593aeee541e48d6fee",
+        "hitting": "073a9bcdb1681e58ba4ef09a9e46dddcc7cd779c2073b1336be381c8a40130dd",
+    },
+    (10, 6.0): {
+        "micro": "12c058067616f6f14fa1e6390a214b73f7abe5339e919c523662f43b9285dc44",
+        "meso": "75fb30741a0c480f620f7b14a45162216f3dec3e8304188795de5ce45183b247",
+        "barred": "b477348e8c07f086e85f18cf7609278012b733fb8ff28835875803106afdeb0a",
+        "lumped": "b5b9713c93bfdd392eed39e01ffc064ba37f88df378fc8c91ee6043b76a5e1ae",
+        "dominance": "d0c2fa3604f5d6358a49218470eea01a479ace874f6117a9b793a97d5008c0c2",
+        "lumpability": "1f39fd3f57bf7f55b6f53037668925226f33e2187c8622a495fb37ff3a969976",
+        "hitting": "a0f6c3c5aeb98872e12ea3bf76195cbb19bba1be8f484a5ad3b7e139260f947f",
+    },
+}
+
+
+def _chain_sha(chain):
+    h = hashlib.sha256()
+    k = chain.kernel
+    for arr in (k.data, k.indices, k.indptr, chain.stationary):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _repr_sha(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n_spins,beta", sorted(LAB_GOLDENS))
+def test_lab_objects_match_frozen_hashes(n_spins, beta):
+    model = build_model(n_spins, beta, "uniform:0.2", seed=7)
+    land = coarse_grain(model, 2)
+    order = find_minima_and_order(model, land, refine=False)
+    a, b = [order.minima[0]], [order.minima[1]]
+    meso = mesoscopic_rates_and_chain(model, land)
+    bar = barred_chain(model, land)
+    got = {
+        "micro": _chain_sha(model.chain),
+        "meso": _chain_sha(meso),
+        "barred": _chain_sha(bar["barred"]),
+        "lumped": _chain_sha(bar["lumped"]),
+        "dominance": _repr_sha(mesoscopic_dominance(model, land, meso, a, b)),
+        "lumpability": _repr_sha(lumpability_certificate(model, land, bar, a, b)),
+        "hitting": _repr_sha(hitting_lower_bound_check(model, land, a, b)),
+    }
+    assert got == LAB_GOLDENS[(n_spins, beta)]
