@@ -176,18 +176,6 @@ class ReversibleChain:
         return out
 
 
-def _bit_indices(bits):
-    """Positions of the set bits of the integer ``bits``, ascending."""
-    out = []
-    k = 0
-    while bits:
-        if bits & 1:
-            out.append(k)
-        bits >>= 1
-        k += 1
-    return np.asarray(out, dtype=int)
-
-
 def subset_mask(chain, subset):
     """Normalize a subset specification to a boolean membership mask.
 
@@ -470,10 +458,13 @@ def chain_to_dict(chain):
 
 def chain_from_dict(d):
     try:
-        states = d["states"]
+        states = list(d["states"])
         edges = [(x, y, p) for x, y, p in d["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed chain spec: {exc}") from exc
+    for s in states + [v for x, y, _ in edges for v in (x, y)]:
+        if isinstance(s, (list, dict)):  # JSON arrays and objects are unhashable
+            raise ValidationError(f"state identifier {s!r} is not a string or number")
     return build_chain(states, edges, d.get("mu"), d.get("time", "discrete"))
 
 

@@ -18,14 +18,15 @@ from .chains import (
     InequalityViolation,
     SolverNotConverged,
     ValidationError,
-    _bit_indices,
     dirichlet_form,
     log_mean,
     subset_mask,
 )
 from .potential import (
+    _masses,
+    _scan_capacities,
     _solve_potentials,
-    capacity_dense,
+    _subset_masks,
     capacity_scan_context,
     equilibrium_potential,
     mean_hitting_time,
@@ -143,13 +144,12 @@ def rho_metastability(chain, sets, mode="auto", exact_limit=EXACT_ENUM_LIMIT):
             )
         ctx = capacity_scan_context(chain)
         den, arg = np.inf, None
-        for bits in range(1, 1 << free.size):
-            a = np.zeros(chain.n_states, dtype=bool)
-            a[free[_bit_indices(bits)]] = True
-            cap, _ = capacity_dense(ctx, a, union)
-            val = cap / mu[a].sum()
-            if val < den:
-                den, arg = val, a
+        for masks in _subset_masks(free, chain.n_states):
+            caps, _ = _scan_capacities(ctx, masks, union)
+            vals = caps / _masses(mu, masks)
+            i = int(np.argmin(vals))  # first minimum: ties go to the lowest bits
+            if vals[i] < den:
+                den, arg = vals[i], masks[i]
         rho = numerator / den
     elif mode == "singleton":
         # all singleton capacities from one factorization:

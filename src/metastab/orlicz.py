@@ -16,11 +16,16 @@ import numpy as np
 from .chains import (
     InequalityViolation,
     ValidationError,
-    _bit_indices,
     dirichlet_form,
     subset_mask,
 )
-from .potential import capacity_dense, capacity_scan_context, equilibrium_potential
+from .potential import (
+    _masses,
+    _scan_capacities,
+    _subset_masks,
+    capacity_scan_context,
+    equilibrium_potential,
+)
 
 E2 = float(np.exp(2.0))
 
@@ -326,18 +331,15 @@ def capacitary_integral(chain, f, B, assert_bound=True):
     four_energy = 4.0 * dirichlet_form(chain, f)
     if levels.size == 0:
         return 0.0, four_energy
-    ctx = capacity_scan_context(chain)
-    thresholds = np.concatenate([[0.0], levels])
-    total = 0.0
-    for lo, hi in zip(thresholds[:-1], thresholds[1:]):
-        a = af > lo
-        cap, _ = capacity_dense(ctx, a, b)
-        total += (hi * hi - lo * lo) * cap
+    lo = np.concatenate([[0.0], levels[:-1]])
+    caps, _ = _scan_capacities(capacity_scan_context(chain), af > lo[:, None], b)
+    # cumsum adds the terms left to right, one at a time
+    total = float(np.cumsum((levels * levels - lo * lo) * caps)[-1])
     if assert_bound and total > four_energy + 1e-10:
         raise InequalityViolation(
             f"capacitary inequality violated: {total!r} > {four_energy!r}"
         )
-    return float(total), four_energy
+    return total, four_energy
 
 
 def measure_capacity_constant(chain, nu, B, pair, K, exact_limit=20):
@@ -345,49 +347,50 @@ def measure_capacity_constant(chain, nu, B, pair, K, exact_limit=20):
 
     Exact subset enumeration up to ``exact_limit`` free states; beyond that a
     restricted scan over singletons and super level-sets of the equilibrium
-    potential seeded at the best singleton, labeled as a lower bound.
+    potential seeded at the best singleton, labeled as a lower bound.  Ties
+    go to the first candidate: in bit order, singletons before level sets.
     """
     b = subset_mask(chain, B)
     if b.all():
         raise ValidationError("B must leave at least one state free")
     if not b.any():
         raise ValidationError("B must be nonempty")
+    if K <= 0.0:
+        raise ValidationError("K must be positive")
     nu = _measure(chain, nu)
+    n = chain.n_states
     free = np.flatnonzero(~b)
     ctx = capacity_scan_context(chain)
-
-    def ratio(mask):
-        mass = float(nu[mask].sum())
-        if mass <= 0.0:
-            return None
-        cap, _ = capacity_dense(ctx, mask, b)
-        return indicator_orlicz_norm(mass, pair, K) / cap
-
     best, best_mask = -np.inf, None
+
+    def scan(masks):
+        # fold the first largest ratio among ``masks`` into the best so far
+        nonlocal best, best_mask
+        mass = _masses(nu, masks)
+        masks, mass = masks[mass > 0.0], mass[mass > 0.0]
+        if mass.size == 0:
+            return
+        caps, _ = _scan_capacities(ctx, masks, b)
+        approx = mass * pair.psi_inverse(K / mass) / caps
+        # array powers may differ from scalar ones in the last bit; the first
+        # maximum of the scalar ratios lies within 1e-15 of the array maximum
+        top = np.flatnonzero(approx >= approx.max() * (1.0 - 1e-15))
+        vals = [indicator_orlicz_norm(mass[i], pair, K) / caps[i] for i in top]
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_mask = vals[i], masks[top[i]]
+
     if free.size <= exact_limit:
         mode = "exact"
-        for bits in range(1, 1 << free.size):
-            mask = np.zeros(chain.n_states, dtype=bool)
-            mask[free[_bit_indices(bits)]] = True
-            r = ratio(mask)
-            if r is not None and r > best:
-                best, best_mask = r, mask
+        for masks in _subset_masks(free, n):
+            scan(masks)
     else:
         mode = "lower_bound"
-        cands = []
-        for x in free:
-            m = np.zeros(chain.n_states, dtype=bool)
-            m[x] = True
-            cands.append(m)
-        singles = [(ratio(m), m) for m in cands]
-        singles = [(r, m) for r, m in singles if r is not None]
-        best, best_mask = max(singles, key=lambda t: t[0])
+        scan(np.eye(n, dtype=bool)[free])
+        if best_mask is None:
+            raise ValidationError("no candidate set carries nu-mass")
         h = equilibrium_potential(chain, best_mask, b).potential
-        for t in np.unique(h[h > 0.0]):
-            m = (h >= t) & ~b
-            r = ratio(m)
-            if r is not None and r > best:
-                best, best_mask = r, m
+        scan((h >= np.unique(h[h > 0.0])[:, None]) & ~b)
     if best_mask is None:
         raise ValidationError("no candidate set carries nu-mass")
     return {"c_psi": float(best), "argmax": best_mask, "mode": mode}
@@ -416,50 +419,44 @@ def universal_mixed_constants(chain, nu, threshold=0.5, pair_limit=10):
     """Universal-split constants C_var and C_Ent.
 
     Maxima over disjoint (A, B) with nu[A] <= 1/2 <= nu[B] of nu[A]/cap(A,B)
-    and nu[A] ln(1 + e^2/nu[A]) / cap(A,B).  Exhaustive over the 3^n pairs.
+    and nu[A] ln(1 + e^2/nu[A]) / cap(A,B).  Exhaustive over the 3^n pairs;
+    ties go to the first pair with A in increasing and B in decreasing bit
+    order.
     """
     nu = _measure(chain, nu)
     n = chain.n_states
     if n > pair_limit:
         raise ValidationError(f"pair enumeration limited to {pair_limit} states")
     ctx = capacity_scan_context(chain)
-    best_var, best_ent = -np.inf, -np.inf
-    arg_var = arg_ent = None
+    bits = np.arange(1, 1 << n)
     full = (1 << n) - 1
+    subsets = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)  # row bits - 1
+    mass = _masses(nu, subsets)
+    pairs_a, pairs_b = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     found = False
-    for a_bits in range(1, full):
-        a_idx = _bit_indices(a_bits)
-        a_mass = float(nu[a_idx].sum())
-        if a_mass > threshold:
-            continue
+    for a_bits in bits[:-1][mass[:-1] <= threshold]:
         rest = full & ~a_bits
-        b_bits = rest
-        while b_bits:
-            b_idx = _bit_indices(b_bits)
-            if float(nu[b_idx].sum()) >= threshold:
-                found = True
-                if a_mass > 0.0:
-                    a = np.zeros(n, dtype=bool)
-                    a[a_idx] = True
-                    b = np.zeros(n, dtype=bool)
-                    b[b_idx] = True
-                    cap, _ = capacity_dense(ctx, a, b)
-                    rv = a_mass / cap
-                    re = a_mass * np.log1p(E2 / a_mass) / cap
-                    if rv > best_var:
-                        best_var, arg_var = rv, (a, b)
-                    if re > best_ent:
-                        best_ent, arg_ent = re, (a, b)
-            b_bits = (b_bits - 1) & rest
+        b_bits = bits[(bits & ~rest) == 0][::-1]
+        b_bits = b_bits[mass[b_bits - 1] >= threshold]
+        found = found or b_bits.size > 0
+        if mass[a_bits - 1] > 0.0:
+            pairs_a.append(np.full(b_bits.size, a_bits - 1))
+            pairs_b.append(b_bits - 1)
     if not found:
         raise ValidationError("no admissible median split")
-    if arg_var is None:
+    pairs_a, pairs_b = np.concatenate(pairs_a), np.concatenate(pairs_b)
+    if pairs_a.size == 0:
         raise ValidationError("every admissible A has zero nu-mass")
+    caps, _ = _scan_capacities(ctx, subsets[pairs_a], subsets[pairs_b])
+    a_mass = mass[pairs_a]
+    rv = a_mass / caps
+    re = a_mass * np.log1p(E2 / a_mass) / caps
+    i, j = int(np.argmax(rv)), int(np.argmax(re))
     return {
-        "c_var": float(best_var),
-        "c_ent": float(best_ent),
-        "argmax_var": arg_var,
-        "argmax_ent": arg_ent,
+        "c_var": float(rv[i]),
+        "c_ent": float(re[j]),
+        "argmax_var": (subsets[pairs_a[i]], subsets[pairs_b[i]]),
+        "argmax_ent": (subsets[pairs_a[j]], subsets[pairs_b[j]]),
     }
 
 

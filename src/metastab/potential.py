@@ -22,7 +22,26 @@ h_{B,A} together and takes e on A from h_{B,A}: at low temperature h_{A,B}
 is 1 up to tiny terms next to A, and e computed from it as (Lap h) / mu
 keeps only the digits of those terms.  Whatever the path, it still checks
 the harmonicity residual, the [0, 1] range and the agreement of sum mu e
-with the Dirichlet energy before it returns.
+with the Dirichlet energy before it returns.  A dense block that LAPACK
+finds exactly singular raises ``SolverNotConverged``.
+
+Subset scans (the measure-capacity constant, the capacitary integral, the
+universal split constants and the exact metastability ratio) need up to
+2^20 capacities of small pairs and take them from one batched kernel,
+``_scan_capacities``, on a dense ``capacity_scan_context``:
+
+* pairs are grouped by (|A|, |interior|), and each group gathers its
+  interior blocks into one stack for one ``np.linalg.solve`` call, at most
+  SCAN_BATCH_BYTES of gathered blocks at a time;
+* the subsets come from ``_subset_masks`` in bit order, SCAN_CHUNK masks at
+  a time, so memory stays bounded up to the 20-state exact limit;
+* every step repeats the arithmetic of one pair: gesv per block, gemm for
+  the right-hand sides, gemv for the flux of h_{B,A}, a contiguous sum on
+  A, and masses summed like nu[mask].sum().  The capacities therefore have
+  the bits of the pair solved alone, which ``capacity_dense`` (the kernel's
+  k = 1 call) does, and ties resolve to the first subset in bit order;
+* a singular block, or a capacity that is not positive and finite, raises
+  ``SolverNotConverged`` before any caller divides by it.
 """
 
 from __future__ import annotations
@@ -45,6 +64,8 @@ DIRECT_SOLVE_LIMIT = 10_000
 RESIDUAL_TOL = 1e-10
 OVERSHOOT_TOL = 1e-9
 CAP_AGREE_RTOL = 1e-8
+SCAN_CHUNK = 512
+SCAN_BATCH_BYTES = 1 << 23
 
 
 class OverlappingSets(ValidationError):
@@ -259,7 +280,10 @@ def _spd_solver(chain, free):
         dense = mat.toarray()
 
         def solve(rhs):
-            return np.linalg.solve(dense, rhs)
+            try:
+                return np.linalg.solve(dense, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SolverNotConverged(f"singular interior block: {exc}") from None
 
     elif m <= DIRECT_SOLVE_LIMIT:
         solve = spla.splu(
@@ -295,20 +319,84 @@ def capacity_scan_context(chain):
 
 
 def capacity_dense(ctx, a, b):
-    """Capacity and h_{A,B} via a dense solve, for enumeration loops.
+    """Capacity and h_{A,B} of one mask pair: the k = 1 call of the scan kernel."""
+    caps, pots = _scan_capacities(ctx, a[None], b)
+    return float(caps[0]), pots[0]
 
-    Masks required.  Like ``equilibrium_potential`` it solves h_{B,A} in the
-    same call and sums the flux out of A of h_{B,A}, which keeps its
-    digits where h_{A,B} is 1 up to tiny terms next to A.
+
+def _scan_capacities(ctx, a, b):
+    """cap(A_i, B_i) and h_{A_i,B_i} for stacked disjoint masks of shape (k, n).
+
+    ``b`` may also be one mask shared by every row.  The module docstring
+    says how rows are grouped and batched, and why each capacity has the
+    bits of its pair solved alone.
     """
-    lap, w, mu = ctx
-    n = mu.size
-    h = np.zeros((n, 2))
-    h[a, 0] = 1.0
-    h[b, 1] = 1.0
+    lap, w, _ = ctx
+    k, n = a.shape
     interior = ~(a | b)
-    if interior.any():
-        # columns W[int, A] 1 and W[int, B] 1 in one product
-        rhs = w[interior] @ h
-        h[interior] = np.linalg.solve(lap[np.ix_(interior, interior)], rhs)
-    return float((w @ h[:, 1])[a].sum()), h[:, 0]
+    key = a.sum(axis=1) * (n + 1) + interior.sum(axis=1)
+    caps = np.empty(k)
+    pots = np.empty((k, n))
+    for group in np.unique(key):
+        s_a, m = divmod(int(group), n + 1)
+        rows = np.flatnonzero(key == group)
+        # a row gathers m (n + m) floats of W and Lap, plus its h and flux
+        step = max(1, SCAN_BATCH_BYTES // (8 * (m + 1) * (m + n)))
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
+            g = r.size
+            at = np.arange(g)[:, None]
+            h = np.zeros((g, n, 2))
+            h[:, :, 0] = a[r]
+            h[:, :, 1] = ~(a[r] | interior[r])  # B
+            if m:
+                i_idx = np.nonzero(interior[r])[1].reshape(g, m)
+                # columns W[int, A] 1 and W[int, B] 1, one gemm per row
+                rhs = w[i_idx] @ h
+                blocks = lap[i_idx[:, :, None], i_idx[:, None, :]]
+                try:
+                    h[at, i_idx] = np.linalg.solve(blocks, rhs)
+                except np.linalg.LinAlgError as exc:
+                    raise SolverNotConverged(
+                        f"singular interior block in a capacity scan: {exc}"
+                    ) from None
+            flux = np.matvec(w, h[:, :, 1])
+            caps[r] = flux[at, np.nonzero(a[r])[1].reshape(g, s_a)].sum(axis=1)
+            pots[r] = h[:, :, 0]
+    bad = ~(np.isfinite(caps) & (caps > 0.0))
+    if bad.any():
+        raise SolverNotConverged(
+            f"capacity {caps[np.argmax(bad)]!r} of a scanned set is not "
+            "positive and finite"
+        )
+    return caps, pots
+
+
+def _subset_masks(free, n):
+    """Masks of the nonempty subsets of the states ``free``, chunk by chunk.
+
+    Bit j of the pattern selects free[j]; the patterns 1, 2, ..., 2^f - 1
+    come in order, at most SCAN_CHUNK rows per (rows, n) chunk, so the
+    memory stays bounded however many subsets there are.
+    """
+    shifts = np.arange(free.size)
+    for lo in range(1, 1 << free.size, SCAN_CHUNK):
+        bits = np.arange(lo, min(lo + SCAN_CHUNK, 1 << free.size))
+        masks = np.zeros((bits.size, n), dtype=bool)
+        masks[:, free] = (bits[:, None] >> shifts) & 1
+        yield masks
+
+
+def _masses(nu, masks):
+    """nu[mask].sum() for every row of ``masks``, bit for bit.
+
+    Rows are grouped by size, so each sum is over one contiguous gather in
+    index order, the summation order of nu[mask].sum().
+    """
+    sizes = masks.sum(axis=1)
+    out = np.empty(masks.shape[0])
+    for s in np.unique(sizes):
+        rows = np.flatnonzero(sizes == s)
+        cols = np.nonzero(masks[rows])[1].reshape(rows.size, s)
+        out[rows] = nu[cols].sum(axis=1)
+    return out

@@ -23,6 +23,16 @@ def path3():
 
 
 @pytest.fixture(scope="session")
+def ring4():
+    """Uniform 4-cycle: its mirror images have bit-equal capacities."""
+    edges = []
+    for i in range(4):
+        j = (i + 1) % 4
+        edges += [(f"r{i}", f"r{j}", 0.25), (f"r{j}", f"r{i}", 0.25)]
+    return build_chain([f"r{i}" for i in range(4)], edges)
+
+
+@pytest.fixture(scope="session")
 def double_well():
     return {beta: double_well_chain(beta) for beta in (1.0, 2.0, 3.0)}
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from metastab import save_chain
 from metastab.chains import InequalityViolation
 from metastab.cli import build_parser, main
-from metastab.sampling import double_well_chain
+from metastab.sampling import double_well_chain, random_reversible_chain
 
 
 @pytest.fixture()
@@ -311,15 +312,94 @@ def test_analyze_without_error_term(capsys, tmp_path):
         (["rfcw", "--N", "6", "--beta", "inf"], "--beta"),
         (COUPLE[:4] + ["nan"] + COUPLE[5:], "beta must be finite"),
         (COUPLE[:4] + ["inf"] + COUPLE[5:], "beta must be finite"),
+        (["capacity", "--chain", "{liststate}", "--A", "b", "--B", "c"], "['a']"),
+        (["capacity", "--chain", "{objedge}", "--A", "a", "--B", "b"], "{'x': 1}"),
     ],
     ids=["no-sets-key", "pair", "K", "K-inf", "beta-list", "beta-nan", "beta-inf",
-         "couple-nan", "couple-inf"],
+         "couple-nan", "couple-inf", "list-state", "object-endpoint"],
 )
 def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, names):
     nosets = tmp_path / "nosets.json"
     nosets.write_text(json.dumps({"set": [["a"], ["b"]]}))
-    argv = [a.format(chain=two_state_file, nosets=nosets) for a in argv]
+    liststate = tmp_path / "liststate.json"
+    liststate.write_text(json.dumps(
+        {"states": [["a"], "b", "c"], "edges": [["b", "c", 0.5], ["c", "b", 0.5]]}
+    ))
+    objedge = tmp_path / "objedge.json"
+    objedge.write_text(json.dumps(
+        {"states": ["a", "b"], "edges": [[{"x": 1}, "b", 0.3], ["b", "a", 0.1]]}
+    ))
+    argv = [
+        a.format(chain=two_state_file, nosets=nosets, liststate=liststate, objedge=objedge)
+        for a in argv
+    ]
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "validation" and names in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,chain",
+    [
+        (["orlicz", "--chain", "{chain}", "--B", "x10"], (40.0, 11)),
+        (["analyze", "--chain", "{chain}", "--sets", "{sets}", "--exact", "--seed", "1"],
+         (8.0, 11)),
+        (["analyze", "--chain", "{chain}", "--sets", "{sets}", "--exact", "--seed", "1"],
+         (2.0, 15)),
+    ],
+    ids=["orlicz-scan", "analyze-hitting-time-dw11", "analyze-hitting-time-dw15"],
+)
+def test_singular_interior_block_exits_1(capsys, tmp_path, argv, chain):
+    # the well's interior blocks turn exactly singular in double precision:
+    # in the capacity scan (beta = 40) and in the mean hitting time
+    path = tmp_path / "dw.json"
+    save_chain(double_well_chain(*chain), path)
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"sets": [["x0"], [f"x{chain[1] - 1}"]]}))
+    code, out, err = run_cli(capsys, [a.format(chain=path, sets=sets) for a in argv])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and "singular interior block" in error["message"]
+
+
+REPORT_CHAINS = {
+    "dw11-b1": lambda: double_well_chain(1.0),
+    "dw11-b3": lambda: double_well_chain(3.0),
+    "dw15-b0.5": lambda: double_well_chain(0.5, 15),
+    "rc13-v0": lambda: random_reversible_chain(np.random.default_rng((20170515, 13, 0)), 13),
+}
+
+# sha256 of the stdout of each command, frozen from the per-pair scans
+# before the batched kernel; the kernel keeps every capacity's bits
+REPORT_GOLDENS = {
+    ("analyze", "dw11-b1"): "94a03382a187859ed65214ec55165253cf81001b768023f58498b5153582959e",
+    ("analyze", "dw11-b3"): "8c499b3511f6221e05c69bde76b038132e19b8414ed7cb1cde45af331cceae1e",
+    ("analyze", "dw15-b0.5"): "b025268f5c9898d9c701d62a16a05f91dfc31de2d79bec919a6bc6abf1ebbdb1",
+    ("analyze", "rc13-v0"): "fa48dd6a17581769b7a27f2ae8651d71f41afaf0de8b5ca476a687af6502c0da",
+    ("capineq", "5"): "9e9226edce4875e0d56b93cb63ae90aa4dc20048dba1eab92e6f1c21fcab11b6",
+    ("orlicz", "dw11-b1"): "7ebefcecbf46261ab8f5bbde0acaebb0da66de5fea0d7556bcc215d6fae62933",
+    ("orlicz", "dw11-b3"): "9c7d4035382fb6eb54785ee251a1eb591524c1a9429313bb66aeb18ec7c34bbf",
+    ("orlicz", "dw15-b0.5"): "89087fe683dcbe92930e66813aa2a60ca1732325548c80a5b925b1b0499d60ef",
+    ("orlicz", "rc13-v0"): "1d2aceccafb6efd5ad17e6be0a9f76cd99e351b7675aaa2245c5922a34c757db",
+}
+
+
+def _report_argv(tmp_path, cmd, name):
+    if cmd == "capineq":
+        return ["capineq", "--samples", "100", "--seed", name]
+    chain = REPORT_CHAINS[name]()
+    path = tmp_path / "chain.json"
+    save_chain(chain, path)
+    if cmd == "orlicz":
+        return ["orlicz", "--chain", str(path), "--B", chain.states[-1]]
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"sets": [[chain.states[0]], [chain.states[-1]]]}))
+    return ["analyze", "--chain", str(path), "--sets", str(sets), "--exact", "--seed", "1"]
+
+
+@pytest.mark.parametrize("cmd,name", sorted(REPORT_GOLDENS))
+def test_scan_reports_match_frozen_hashes(capsys, tmp_path, cmd, name):
+    code, out, _ = run_cli(capsys, _report_argv(tmp_path, cmd, name))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDENS[(cmd, name)]

@@ -16,7 +16,7 @@ from metastab import (
     rho_metastability,
     subset_mask,
 )
-from metastab import rfcw
+from metastab import potential, rfcw
 from metastab.metastable import c_mass_constant, local_pi_constant
 from metastab.oracle import cheeger_constant, exact_cpi
 from metastab.potential import capacity_dense, capacity_scan_context
@@ -419,3 +419,23 @@ def test_mean_exit_error_form_undefined_outside_regime():
     rep = mean_exit_asymptotics(chain, st, 1)
     assert st.rho >= rep["c_ratio"]
     assert rep["error_form"] is None
+
+
+def test_exact_rho_takes_the_first_minimum(monkeypatch, ring4):
+    # {r1}, {r3} and {r1, r3} tie for the denominator; with one subset per
+    # chunk each sits in its own chunk, and the first in bit order wins
+    monkeypatch.setattr(potential, "SCAN_CHUNK", 1)
+    union = subset_mask(ring4, ["r0", "r2"])
+    free = np.flatnonzero(~union)
+    ctx = capacity_scan_context(ring4)
+    vals = []
+    for bits in range(1, 1 << free.size):
+        a = np.zeros(4, dtype=bool)
+        a[[free[k] for k in range(free.size) if bits >> k & 1]] = True
+        vals.append((capacity_dense(ctx, a, union)[0] / ring4.stationary[a].sum(), a))
+    den = min(v for v, _ in vals)
+    ties = [a for v, a in vals if v == den]
+    assert len(ties) > 1
+    cert = rho_metastability(ring4, [["r0"], ["r2"]], mode="exact")
+    assert cert.denominator == den
+    assert np.array_equal(cert.argmin_subset, ties[0])

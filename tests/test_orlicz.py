@@ -9,6 +9,7 @@ from metastab import (
     dirichlet_form,
     entropy,
     entropy_pair,
+    equilibrium_potential,
     indicator_orlicz_norm,
     l1_pair,
     measure_capacity_constant,
@@ -17,8 +18,10 @@ from metastab import (
     p_pair,
     universal_mixed_constants,
 )
+from metastab import potential
 from metastab.orlicz import PiecewiseLinearYoung, builtin_pairs, random_young_pair
 from metastab.oracle import brute_force_orlicz
+from metastab.potential import capacity_dense, capacity_scan_context
 from metastab.sampling import random_probability, random_reversible_chain
 
 E2 = float(np.exp(2.0))
@@ -321,3 +324,136 @@ def test_capacitary_inequality_continuous_time():
         f[b] = 0.0
         lhs, rhs = capacitary_integral(chain, f, b)
         assert lhs <= rhs + 1e-10
+
+
+def _scalar_scan(chain, b, pair, k_val):
+    """(ratio, A) of every subset A of the complement of B, in bit order,
+    from one scalar norm and one capacity per subset."""
+    ctx = capacity_scan_context(chain)
+    free = np.flatnonzero(~b)
+    out = []
+    for bits in range(1, 1 << free.size):
+        a = np.zeros(chain.n_states, dtype=bool)
+        a[[free[k] for k in range(free.size) if bits >> k & 1]] = True
+        norm = indicator_orlicz_norm(float(chain.stationary[a].sum()), pair, k_val)
+        out.append((norm / capacity_dense(ctx, a, b)[0], a))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [2, 512])
+def test_measure_capacity_constant_takes_the_first_maximum(monkeypatch, ring4, chunk):
+    # {r1, r2} and {r2, r3} tie; with 2 subsets per chunk they fall in
+    # different chunks, with 512 in one, and either way the first wins
+    monkeypatch.setattr(potential, "SCAN_CHUNK", chunk)
+    b = np.zeros(4, dtype=bool)
+    b[0] = True
+    vals = _scalar_scan(ring4, b, entropy_pair(), E2)
+    best = max(v for v, _ in vals)
+    ties = [a for v, a in vals if v == best]
+    assert len(ties) > 1
+    res = measure_capacity_constant(ring4, ring4.stationary, b, entropy_pair(), E2)
+    assert res["c_psi"] == best
+    assert np.array_equal(res["argmax"], ties[0])
+
+
+def test_measure_capacity_constant_keeps_the_scalar_norm_bits():
+    # at this chain's maximizer numpy's array power and its scalar power
+    # differ in the last bit; the scan reports the scalar value
+    chain = random_reversible_chain(np.random.default_rng(11), 7)
+    b = np.zeros(7, dtype=bool)
+    b[0] = True
+    vals = _scalar_scan(chain, b, p_pair(2.5), 1.5)
+    best = max(v for v, _ in vals)
+    res = measure_capacity_constant(chain, chain.stationary, b, p_pair(2.5), 1.5)
+    assert res["c_psi"] == best
+    assert np.array_equal(res["argmax"], next(a for v, a in vals if v == best))
+
+
+def test_lower_bound_scan_matches_the_candidate_loop(ring4):
+    # the restricted scan against its per-candidate loop: best singleton
+    # first, then the level sets of its potential, strict > throughout
+    rng = np.random.default_rng(97)
+    chains = [ring4] + [random_reversible_chain(rng, 9) for _ in range(4)]
+    for chain, pair, k_val in zip(chains, [entropy_pair(), p_pair(2.5)] * 3, [E2, 1.5] * 3):
+        b = np.zeros(chain.n_states, dtype=bool)
+        b[0] = True
+        ctx = capacity_scan_context(chain)
+        nu = chain.stationary
+
+        def ratio(m):
+            norm = indicator_orlicz_norm(float(nu[m].sum()), pair, k_val)
+            return norm / capacity_dense(ctx, m, b)[0]
+
+        singles = [np.arange(chain.n_states) == x for x in np.flatnonzero(~b)]
+        best, arg = max(((ratio(m), m) for m in singles), key=lambda t: t[0])
+        h = equilibrium_potential(chain, arg, b).potential
+        for t in np.unique(h[h > 0.0]):
+            m = (h >= t) & ~b
+            if ratio(m) > best:
+                best, arg = ratio(m), m
+        res = measure_capacity_constant(chain, nu, b, pair, k_val, exact_limit=2)
+        assert res["mode"] == "lower_bound"
+        assert res["c_psi"] == best and np.array_equal(res["argmax"], arg)
+
+
+def _universal_loop_reference(chain, nu, threshold=0.5):
+    """The pair loop ``universal_mixed_constants`` ran before the batched scan."""
+    ctx = capacity_scan_context(chain)
+    n = chain.n_states
+    best_var = best_ent = -np.inf
+    arg_var = arg_ent = None
+    full = (1 << n) - 1
+    for a_bits in range(1, full):
+        a_idx = [k for k in range(n) if a_bits >> k & 1]
+        a_mass = float(nu[a_idx].sum())
+        if a_mass > threshold:
+            continue
+        rest = full & ~a_bits
+        b_bits = rest
+        while b_bits:
+            b_idx = [k for k in range(n) if b_bits >> k & 1]
+            if float(nu[b_idx].sum()) >= threshold and a_mass > 0.0:
+                a = np.zeros(n, dtype=bool)
+                a[a_idx] = True
+                b = np.zeros(n, dtype=bool)
+                b[b_idx] = True
+                cap, _ = capacity_dense(ctx, a, b)
+                rv = a_mass / cap
+                re = a_mass * np.log1p(E2 / a_mass) / cap
+                if rv > best_var:
+                    best_var, arg_var = rv, (a, b)
+                if re > best_ent:
+                    best_ent, arg_ent = re, (a, b)
+            b_bits = (b_bits - 1) & rest
+    return best_var, best_ent, arg_var, arg_ent
+
+
+def test_universal_constants_match_the_pair_loop(ring4):
+    # on the tree, eight pairs tie for each maximum: every B that contains
+    # the states next to A has the same capacity, so the order of B matters
+    tree = random_reversible_chain(np.random.default_rng(0), 6, extra_edges=0)
+    for c in (ring4, tree):
+        res = universal_mixed_constants(c, c.stationary)
+        best_var, best_ent, arg_var, arg_ent = _universal_loop_reference(c, c.stationary)
+        assert res["c_var"] == best_var and res["c_ent"] == best_ent
+        for got, want in ((res["argmax_var"], arg_var), (res["argmax_ent"], arg_ent)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_capacitary_integral_matches_the_level_loop():
+    # the terms are added left to right as in the per-level loop, also past
+    # 8 levels, where a pairwise sum would group them differently
+    rng = np.random.default_rng(89)
+    for _ in range(10):
+        n = int(rng.integers(12, 30))
+        chain = random_reversible_chain(rng, n)
+        b = np.zeros(n, dtype=bool)
+        b[int(rng.integers(n))] = True
+        f = rng.normal(size=n)
+        f[b] = 0.0
+        ctx = capacity_scan_context(chain)
+        thresholds = np.concatenate([[0.0], np.unique(np.abs(f))[1:]])
+        total = 0.0
+        for lo, hi in zip(thresholds[:-1], thresholds[1:]):
+            total += (hi * hi - lo * lo) * capacity_dense(ctx, np.abs(f) > lo, b)[0]
+        assert capacitary_integral(chain, f, b)[0] == total

@@ -9,13 +9,17 @@ from metastab import (
     mean_hitting_time,
     path_capacity_1d,
 )
-from metastab import rfcw
+from metastab import SolverNotConverged, rfcw
+from metastab import potential
 from metastab.potential import (
     DENSE_SOLVE_LIMIT,
     DegenerateTarget,
     EmptySet,
     OverlappingSets,
+    _masses,
+    _scan_capacities,
     _spd_solver,
+    _subset_masks,
     birth_death_generator_chain,
     capacity_dense,
     capacity_scan_context,
@@ -251,3 +255,84 @@ def test_capacity_keeps_digits_at_low_temperature():
         cap, h = capacity_dense(ctx, sol.set_a, sol.set_b)
         assert cap == pytest.approx(series, rel=1e-13)
         assert np.allclose(h, sol.potential, rtol=0.0, atol=1e-15)
+
+
+def _capacity_loop_reference(ctx, a, b):
+    """The per-pair dense capacity the scans used before the batched kernel."""
+    lap, w, mu = ctx
+    h = np.zeros((mu.size, 2))
+    h[a, 0] = 1.0
+    h[b, 1] = 1.0
+    interior = ~(a | b)
+    if interior.any():
+        rhs = w[interior] @ h
+        h[interior] = np.linalg.solve(lap[np.ix_(interior, interior)], rhs)
+    return float((w @ h[:, 1])[a].sum()), h[:, 0]
+
+
+SCAN_CHAINS = {
+    "dw11-b1": lambda: double_well_chain(1.0),
+    "dw11-b3": lambda: double_well_chain(3.0),
+    "dw11-b8": lambda: double_well_chain(8.0),
+    "dw15-b0.25": lambda: double_well_chain(0.25, 15),
+    # the benchmark's random chains, pool variant 0
+    "rc14": lambda: random_reversible_chain(np.random.default_rng((20170515, 14, 0)), 14),
+    "rc16": lambda: random_reversible_chain(np.random.default_rng((20170515, 16, 0)), 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CHAINS))
+def test_scan_kernel_matches_pairwise_bit_for_bit(monkeypatch, name):
+    # every subset A of the free states against B = the last state: batched
+    # capacities, potentials and masses equal the per-pair ones exactly;
+    # small chunks and batches put many boundaries inside the scan
+    chain = SCAN_CHAINS[name]()
+    monkeypatch.setattr(potential, "SCAN_CHUNK", 100)
+    monkeypatch.setattr(potential, "SCAN_BATCH_BYTES", 1 << 14)
+    n = chain.n_states
+    b = np.zeros(n, dtype=bool)
+    b[-1] = True
+    free = np.flatnonzero(~b)
+    chunks = list(_subset_masks(free, n))
+    assert max(len(c) for c in chunks) == 100
+    masks = np.concatenate(chunks)
+    bits = np.arange(1, 1 << free.size)
+    expected = np.zeros((bits.size, n), dtype=bool)
+    expected[:, free] = (bits[:, None] >> np.arange(free.size)) & 1
+    assert np.array_equal(masks, expected)
+
+    ctx = capacity_scan_context(chain)
+    caps, pots = zip(*(_scan_capacities(ctx, c, b) for c in chunks))
+    caps, pots = np.concatenate(caps), np.concatenate(pots)
+    masses = _masses(chain.stationary, masks)
+    for i, a in enumerate(masks):
+        cap, h = capacity_dense(ctx, a, b)
+        ref_cap, ref_h = _capacity_loop_reference(ctx, a, b)
+        assert caps[i] == cap == ref_cap
+        assert np.array_equal(pots[i], h) and np.array_equal(h, ref_h)
+        assert masses[i] == chain.stationary[a].sum()
+
+
+def test_scan_kernel_raises_instead_of_dividing():
+    # a singular interior block (the 11-state well at beta = 40) and a
+    # capacity that is not positive both raise SolverNotConverged
+    b = np.zeros(11, dtype=bool)
+    b[10] = True
+    ctx = capacity_scan_context(double_well_chain(40.0))
+    with pytest.raises(SolverNotConverged, match="singular"):
+        for masks in _subset_masks(np.arange(10), 11):
+            _scan_capacities(ctx, masks, b)
+    lap, w, mu = capacity_scan_context(double_well_chain(1.0))
+    masks = np.eye(11, dtype=bool)[:10]
+    with pytest.raises(SolverNotConverged, match="not positive"):
+        _scan_capacities((lap, np.zeros_like(w), mu), masks, b)
+
+
+def test_dense_interior_solve_maps_singular_blocks():
+    # the well's mean hitting time at beta = 8 meets an exactly singular
+    # block in the dense path
+    chain = double_well_chain(8.0)
+    start = np.zeros(11)
+    start[10] = 1.0
+    with pytest.raises(SolverNotConverged, match="singular interior block"):
+        mean_hitting_time(chain, start, ["x0"])
