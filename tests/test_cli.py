@@ -368,31 +368,45 @@ REPORT_CHAINS = {
     "dw11-b3": lambda: double_well_chain(3.0),
     "dw15-b0.5": lambda: double_well_chain(0.5, 15),
     "rc13-v0": lambda: random_reversible_chain(np.random.default_rng((20170515, 13, 0)), 13),
+    "dw11-b2": lambda: double_well_chain(2.0),
 }
 
-# sha256 of the stdout of each command, frozen from the per-pair scans
-# before the batched kernel; the kernel keeps every capacity's bits
+# sha256 of the stdout of each command.  The analyze, capineq and orlicz
+# entries were frozen from the per-pair scans before the batched kernel,
+# which keeps every capacity's bits; the couple, rfcw and oracle entries pin
+# the coupling, RFCW and LSI-ascent reports.
 REPORT_GOLDENS = {
     ("analyze", "dw11-b1"): "94a03382a187859ed65214ec55165253cf81001b768023f58498b5153582959e",
     ("analyze", "dw11-b3"): "8c499b3511f6221e05c69bde76b038132e19b8414ed7cb1cde45af331cceae1e",
     ("analyze", "dw15-b0.5"): "b025268f5c9898d9c701d62a16a05f91dfc31de2d79bec919a6bc6abf1ebbdb1",
     ("analyze", "rc13-v0"): "fa48dd6a17581769b7a27f2ae8651d71f41afaf0de8b5ca476a687af6502c0da",
     ("capineq", "5"): "9e9226edce4875e0d56b93cb63ae90aa4dc20048dba1eab92e6f1c21fcab11b6",
+    ("couple", "N8"): "459caa34a9b106135c43263ec201f2aff2b35015ef96103493e2dcb8aebf5780",
+    ("oracle", "dw11-b2"): "39f2d1690bcc5d9163f94f53173d1abe5a2cca601cf29fa64c6b6d3f06fb3ce7",
     ("orlicz", "dw11-b1"): "7ebefcecbf46261ab8f5bbde0acaebb0da66de5fea0d7556bcc215d6fae62933",
     ("orlicz", "dw11-b3"): "9c7d4035382fb6eb54785ee251a1eb591524c1a9429313bb66aeb18ec7c34bbf",
     ("orlicz", "dw15-b0.5"): "89087fe683dcbe92930e66813aa2a60ca1732325548c80a5b925b1b0499d60ef",
     ("orlicz", "rc13-v0"): "1d2aceccafb6efd5ad17e6be0a9f76cd99e351b7675aaa2245c5922a34c757db",
+    ("rfcw", "N8"): "7e4a822a870082b79362b27db9efaf6f37e26eb33e5aca513295b5edab3c12c4",
 }
 
 
 def _report_argv(tmp_path, cmd, name):
     if cmd == "capineq":
         return ["capineq", "--samples", "100", "--seed", name]
+    if cmd == "couple":
+        return ["couple", "--N", "8", "--beta", "1.0", "--field", "uniform:0.2", "--n", "2",
+                "--runs", "2000", "--dynamics-runs", "100", "--seed", "5"]
+    if cmd == "rfcw":
+        return ["rfcw", "--N", "8", "--beta", "1.5,3", "--field", "uniform:0.2", "--n", "2",
+                "--materialize", "--seed", "7"]
     chain = REPORT_CHAINS[name]()
     path = tmp_path / "chain.json"
     save_chain(chain, path)
     if cmd == "orlicz":
         return ["orlicz", "--chain", str(path), "--B", chain.states[-1]]
+    if cmd == "oracle":
+        return ["oracle", "--chain", str(path), "--what", "clsi", "--seed", "1"]
     sets = tmp_path / "sets.json"
     sets.write_text(json.dumps({"sets": [[chain.states[0]], [chain.states[-1]]]}))
     return ["analyze", "--chain", str(path), "--sets", str(sets), "--exact", "--seed", "1"]
