@@ -98,8 +98,8 @@ class ReversibleChain:
         if not np.all(np.isfinite(self.kernel.data)):
             raise ValidationError("kernel has non-finite entries")
         mu = self.stationary
-        if np.any(mu <= 0.0):
-            raise ValidationError("stationary measure must be strictly positive")
+        if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
+            raise ValidationError("stationary measure must be finite and positive")
         if abs(mu.sum() - 1.0) > MASS_TOL:
             raise ValidationError(
                 f"stationary measure sums to {mu.sum()!r}, not 1 within {MASS_TOL}"
@@ -219,15 +219,18 @@ def build_chain(states, edges, stationary=None, time="discrete"):
     idx = {s: i for i, s in enumerate(states)}
     if len(idx) != n:
         raise ValidationError("duplicate state identifiers")
-    discrete = {"discrete": True, "continuous": False}.get(time)
-    if discrete is None:
+    if time not in ("discrete", "continuous"):  # compared by ==, safe for lists
         raise ValidationError(f"unknown time convention {time!r}")
+    discrete = time == "discrete"
 
     entries = {}
     for x, y, p in edges:
         if x not in idx or y not in idx:
             raise ValidationError(f"edge ({x!r}, {y!r}) references unknown state")
-        p = float(p)
+        try:
+            p = float(p)
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge ({x!r}, {y!r}) has no numeric weight") from None
         key = (idx[x], idx[y])
         if key in entries:
             raise ValidationError(f"duplicate edge ({x!r}, {y!r})")
@@ -285,9 +288,12 @@ def build_chain(states, edges, stationary=None, time="discrete"):
             )
         stationary = _solve_stationary(kernel.toarray(), discrete)
     else:
-        stationary = np.array(stationary, dtype=float)
-        if np.any(stationary <= 0.0):
-            raise ValidationError("stationary measure must be strictly positive")
+        try:
+            stationary = np.array(stationary, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError("stationary measure has a non-numeric entry") from None
+        if not np.all(np.isfinite(stationary)) or np.any(stationary <= 0.0):
+            raise ValidationError("stationary measure must be finite and positive")
         total = stationary.sum()
         if abs(total - 1.0) > MASS_TOL:  # keep normalized input bit-exact
             stationary = stationary / total
@@ -462,9 +468,14 @@ def chain_from_dict(d):
         edges = [(x, y, p) for x, y, p in d["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed chain spec: {exc}") from exc
+    # reports are JSON objects keyed by state with sorted keys, so the ids
+    # must be finite and all strings or all numbers
     for s in states + [v for x, y, _ in edges for v in (x, y)]:
-        if isinstance(s, (list, dict)):  # JSON arrays and objects are unhashable
-            raise ValidationError(f"state identifier {s!r} is not a string or number")
+        bad_float = isinstance(s, float) and not math.isfinite(s)
+        if bad_float or not isinstance(s, (str, int, float)):
+            raise ValidationError(f"state identifier {s!r} is not a string or finite number")
+    if len({isinstance(s, str) for s in states}) > 1:
+        raise ValidationError("state identifiers mix strings and numbers")
     return build_chain(states, edges, d.get("mu"), d.get("time", "discrete"))
 
 

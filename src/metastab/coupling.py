@@ -110,9 +110,7 @@ class CouplingTrace:
     merged: bool
     merge_time: int | None
     matched_at_frak_t: bool | None
-    tau_B_sigma: int | None
     sync_violations: int
-    partner_failures: int
     censored: bool
     sigma_final: np.ndarray | None = None
     varsigma_final: np.ndarray | None = None
@@ -153,7 +151,7 @@ def _streams(key, k):
     return [np.random.default_rng(s) for s in kids]
 
 
-def _coupled_steps(model, land, sig0, var0, T, gates, rngs, B_points=None, counts=None):
+def _coupled_steps(model, land, sig0, var0, T, gates, rngs, counts=None):
     """Advance R coupled pairs of Glauber paths T steps in lockstep.
 
     ``sig0``/``var0`` are (R, N) starting configurations, each pair inside one
@@ -185,7 +183,6 @@ def _coupled_steps(model, land, sig0, var0, T, gates, rngs, B_points=None, count
     delta = gate_probability(model, land)
     blk = land.site_block()
     rng, rng_partner = rngs
-    in_b = None if B_points is None else land.point_mask(B_points)
     if counts is not None:
         bits = np.int64(1) << np.arange(n, dtype=np.int64)
         code_sig = (sig > 0) @ bits
@@ -202,7 +199,6 @@ def _coupled_steps(model, land, sig0, var0, T, gates, rngs, B_points=None, count
     xi = np.zeros(R, dtype=bool)
     frak_t = np.full(R, -1, dtype=np.int64)
     matched = np.zeros(R, dtype=bool)
-    tau_b = np.full(R, -1, dtype=np.int64)
     # merged pairs step synchronously and stay merged, so counting the steps
     # that begin merged gives the merge time
     n_merged = np.zeros(R, dtype=np.int64)
@@ -273,8 +269,6 @@ def _coupled_steps(model, land, sig0, var0, T, gates, rngs, B_points=None, count
         # synchrony is the invariant of the gated phase: a coupled step whose
         # gate passed (or a merged step) must keep the block sums equal
         sync += coupled & ~xi & (pt_sig != pt_var)
-        if in_b is not None:
-            tau_b[(tau_b < 0) & in_b[pt_sig]] = t + 1
 
     return {
         "first_flip": first_flip,
@@ -282,7 +276,6 @@ def _coupled_steps(model, land, sig0, var0, T, gates, rngs, B_points=None, count
         "attempts": attempts,
         "matched": matched,
         "merge_time": np.where(n_merged > 0, T - n_merged, np.where(merged_at_start, 0, -1)),
-        "tau_B": tau_b,
         "xi": xi,
         "gates_used": gates_used,
         "sync_violations": sync,
@@ -325,12 +318,11 @@ def _gated_draw(a, b, delta, gate, u1, u2):
 
 
 def _event_b(out, M):
-    """Rows where sigma flipped every site within M attempts, by tau_B if B was hit."""
-    frak, tau = out["frak_t"], out["tau_B"]
-    return (frak >= 0) & (out["attempts"] <= M) & ((tau < 0) | (frak <= tau))
+    """Rows where sigma flipped every site within M attempts."""
+    return (out["frak_t"] >= 0) & (out["attempts"] <= M)
 
 
-def run_coupling(model, land, sigma0, varsigma0, T, M, seed=None, gates=None, B_points=None):
+def run_coupling(model, land, sigma0, varsigma0, T, M, seed=None, gates=None):
     """Execute one coupled trajectory of the two Glauber paths.
 
     Both starting configurations must share their mesoscopic value.  Set
@@ -355,12 +347,9 @@ def run_coupling(model, land, sigma0, varsigma0, T, M, seed=None, gates=None, B_
         gates = np.asarray(gates, dtype=bool)
         if gates.shape != (M,):
             raise ValidationError("gate array must have length M")
-    out = _coupled_steps(
-        model, land, sig[None], var[None], T, gates[None], rngs, B_points=B_points
-    )
+    out = _coupled_steps(model, land, sig[None], var[None], T, gates[None], rngs)
     frak_t = int(out["frak_t"][0])
     merge_time = int(out["merge_time"][0])
-    tau_b = int(out["tau_B"][0])
     return CouplingTrace(
         gates=gates,
         gates_used=int(out["gates_used"][0]),
@@ -373,9 +362,7 @@ def run_coupling(model, land, sigma0, varsigma0, T, M, seed=None, gates=None, B_
         merged=merge_time >= 0,
         merge_time=merge_time if merge_time >= 0 else None,
         matched_at_frak_t=bool(out["matched"][0]) if frak_t >= 0 else None,
-        tau_B_sigma=tau_b if tau_b >= 0 else None,
         sync_violations=int(out["sync_violations"][0]),
-        partner_failures=0,
         censored=frak_t < 0,
         sigma_final=out["sigma"][0],
         varsigma_final=out["varsigma"][0],
@@ -404,23 +391,13 @@ def richest_fiber(land):
     return int(np.argmax(counts))
 
 
-def coupling_experiment(
-    model,
-    land,
-    runs,
-    seed,
-    M,
-    T,
-    start_point=None,
-    B_points=None,
-    dynamics_runs=None,
-):
+def coupling_experiment(model, land, runs, seed, M, T, dynamics_runs=None):
     """Replicated coupling runs with the gate-event statistic.
 
     Gate blocks are drawn for every replica (the event A depends on them
     alone, so its frequency is estimated across all ``runs``); full dynamics
-    execute on the first ``dynamics_runs`` replicas and feed the synchrony,
-    containment and partner-set statistics.
+    execute on the first ``dynamics_runs`` replicas, started in the richest
+    fiber, and feed the synchrony, containment and partner-set statistics.
     """
     delta = gate_probability(model, land)
     root = np.random.SeedSequence(entropy=(int(seed), 9060))
@@ -431,14 +408,13 @@ def coupling_experiment(
 
     if dynamics_runs is None:
         dynamics_runs = min(runs, 2000)
-    if start_point is None:
-        start_point = richest_fiber(land)
+    start_point = richest_fiber(land)
     rng_pick = np.random.default_rng((seed, 17))
 
     def replicas(count, replica_gates, key):
         s0, v0 = mismatched_pair_in_fiber(model, land, start_point, rng_pick, size=count)
         rngs = _streams((int(seed), key), 2)
-        out = _coupled_steps(model, land, s0, v0, T, replica_gates, rngs, B_points=B_points)
+        out = _coupled_steps(model, land, s0, v0, T, replica_gates, rngs)
         contained = replica_gates.all(axis=1) & _event_b(out, replica_gates.shape[1])
         return out, int(contained.sum()), int((contained & ~out["matched"]).sum())
 
@@ -470,20 +446,21 @@ def coupling_experiment(
     }
 
 
-def marginal_chi_square(model, land, runs, steps, seed, start_point=None, alpha=0.01):
+def marginal_chi_square(model, land, runs, steps, seed):
     """Chi-square goodness of fit of both coupled marginals.
 
     Pools one-step transition counts over many replicas started from a
-    mismatched pair, tests each sufficiently visited state against its exact
-    Glauber row and Bonferroni-corrects over the tested states.
+    mismatched pair in the richest fiber, tests each sufficiently visited
+    state against its exact Glauber row and Bonferroni-corrects the level
+    0.01 over the tested states.
     """
     from scipy.stats import chi2
 
-    if start_point is None:
-        start_point = richest_fiber(land)
     rng_pick = np.random.default_rng((seed, 23))
     n = model.n_spins
-    s0, v0 = mismatched_pair_in_fiber(model, land, start_point, rng_pick, size=runs)
+    s0, v0 = mismatched_pair_in_fiber(
+        model, land, richest_fiber(land), rng_pick, size=runs
+    )
     rng_gates, *rngs = _streams((int(seed), 7777), 3)
     gates = rng_gates.random((runs, n)) < gate_probability(model, land)
     counts = ([], [])
@@ -524,7 +501,7 @@ def marginal_chi_square(model, land, runs, steps, seed, start_point=None, alpha=
             pval = float(chi2.sf(stat, obs_k.size - 1))
             n_tested += 1
             min_p = min(min_p, pval)
-        threshold = alpha / max(n_tested, 1)
+        threshold = 0.01 / max(n_tested, 1)
         results.append(
             {
                 "path": "sigma" if side == 0 else "varsigma",
@@ -560,15 +537,14 @@ def flip_rate_floor(model):
     return math.exp(-2.0 * model.beta * (1.0 + model.h_inf))
 
 
-def _tail_rate(model, s):
+def _tail_rate(model):
     """alpha, s, I_alpha(s - 1) and the tail bound exp(-I_alpha(s - 1) N).
 
-    alpha is the flip-rate floor and s defaults to 2 / alpha; with alpha = 1
-    the rate is +inf and the tail bound 0.
+    alpha is the flip-rate floor and s = 2 / alpha (2 when alpha = 1, where
+    the rate is +inf and the tail bound 0).
     """
     alpha = flip_rate_floor(model)
-    if s is None:
-        s = 2.0 / alpha if alpha < 1.0 else 2.0
+    s = 2.0 / alpha if alpha < 1.0 else 2.0
     rate = negative_binomial_rate(alpha, s) if alpha < 1.0 else math.inf
     tail = math.exp(-rate * model.n_spins) if math.isfinite(rate) else 0.0
     return alpha, s, rate, tail
@@ -589,8 +565,10 @@ def _glauber_step(table, spins, m, u):
     return i, flip, s
 
 
-def tail_bound_check(model, s=None, samples=2000, seed=0, start=None):
+def tail_bound_check(model, samples=2000, seed=0):
     """Monte-Carlo check of P[N_attempts > s N] <= exp(-I_alpha(s-1) N).
+
+    Every replica starts from the all-up configuration.
 
     Each replica also runs the negative-binomial comparison process on
     shared uniforms: a first attempt at a site succeeds in the comparison
@@ -600,12 +578,10 @@ def tail_bound_check(model, s=None, samples=2000, seed=0, start=None):
     All replicas step together until each has flipped every site once.
     """
     n = model.n_spins
-    alpha, s, rate, bound = _tail_rate(model, s)
+    alpha, s, rate, bound = _tail_rate(model)
     rng = np.random.default_rng((seed, 37))
     table = _flip_table(model)
-    if start is None:
-        start = np.ones(n, dtype=np.int8)
-    sig = np.tile(np.asarray(start, dtype=np.int8), (samples, 1))
+    sig = np.ones((samples, n), dtype=np.int8)
     m = sig.sum(axis=1, dtype=np.int64)
     pending = np.ones((samples, n), dtype=bool)
     live = np.arange(samples)
@@ -639,11 +615,11 @@ def tail_bound_check(model, s=None, samples=2000, seed=0, start=None):
     }
 
 
-def _mc_hitting(model, land, start, a_points, b_points, runs, seed, cap=10_000_000):
+def _mc_hitting(model, land, start, a_points, b_points, runs, seed):
     """Fraction of ``runs`` Glauber paths from ``start`` that reach B before A.
 
     All paths step together; a path leaves the batch when its mesoscopic
-    point enters B (a hit) or A, and paths still running after ``cap`` steps
+    point enters B (a hit) or A, and paths still running after 10^7 steps
     count as misses.
     """
     w = land.point_weights()
@@ -655,7 +631,7 @@ def _mc_hitting(model, land, start, a_points, b_points, runs, seed, cap=10_000_0
     m = sig.sum(axis=1, dtype=np.int64)
     pt = (sig > 0) @ w
     hits = 0
-    for _ in range(cap):
+    for _ in range(10_000_000):
         if not sig.shape[0]:
             break
         i, flip, s = _glauber_step(table, sig, m, rng.random((sig.shape[0], 2)))
@@ -668,7 +644,7 @@ def _mc_hitting(model, land, start, a_points, b_points, runs, seed, cap=10_000_0
     return hits / runs
 
 
-def hitting_lower_bound_check(model, land, a_points, b_points, s=None, runs=0, seed=0):
+def hitting_lower_bound_check(model, land, a_points, b_points, runs=0, seed=0):
     """Fiberwise check of the coupling hitting-probability comparison.
 
     For every mesoscopic fiber the exact values P_x[tau_B < tau_A] satisfy
@@ -676,9 +652,7 @@ def hitting_lower_bound_check(model, land, a_points, b_points, s=None, runs=0, s
     slack.  Optional Monte Carlo corroboration on the worst fiber.
     """
     n = model.n_spins
-    alpha, s, rate, correction = _tail_rate(model, s)
-    if alpha < 1.0 and s <= 1.0 / alpha:
-        raise ValidationError("s must exceed 1/alpha")
+    _, s, _, correction = _tail_rate(model)
     a = land.fiber_mask(a_points)
     b = land.fiber_mask(b_points)
     vals = hitting_value_function(model.chain, a, b)
@@ -717,7 +691,7 @@ def hitting_lower_bound_check(model, land, a_points, b_points, s=None, runs=0, s
     return report
 
 
-def eta_from_coupling(model, land, i_point, j_point, s=None):
+def eta_from_coupling(model, land, i_point, j_point):
     """Exact last-exit regularity versus the coupling-derived bound.
 
     The exact side is Var_{mu_A}[nu_{A,B}/mu_A] cap / mu[A] assembled from
@@ -727,7 +701,7 @@ def eta_from_coupling(model, land, i_point, j_point, s=None):
     raises ``BoundOutOfRange`` when the bound exceeds the float range.
     """
     n = model.n_spins
-    _, s, rate, _ = _tail_rate(model, s)
+    _, s, rate, _ = _tail_rate(model)
     a = land.fiber_mask([i_point])
     b = land.fiber_mask([j_point])
     sol = equilibrium_potential(model.chain, a, b)

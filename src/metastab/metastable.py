@@ -18,10 +18,10 @@ from .chains import (
     InequalityViolation,
     SolverNotConverged,
     ValidationError,
-    dirichlet_form,
     log_mean,
     subset_mask,
 )
+from . import potential
 from .potential import (
     _masses,
     _scan_capacities,
@@ -32,7 +32,6 @@ from .potential import (
     mean_hitting_time,
 )
 
-EXACT_ENUM_LIMIT = 20
 TIE_TOL = 1e-12
 
 
@@ -95,11 +94,12 @@ def _check_sets(chain, sets):
     return masks
 
 
-def rho_metastability(chain, sets, mode="auto", exact_limit=EXACT_ENUM_LIMIT):
+def rho_metastability(chain, sets, mode="auto"):
     """Metastability ratio |M| max / min with a witness certificate.
 
     Exact mode enumerates every nonempty subset of the complement of the
-    metastable sets (including disconnected ones); singleton mode uses the
+    metastable sets (including disconnected ones), up to
+    ``potential.EXACT_ENUM_LIMIT`` free states; singleton mode uses the
     reversibility relaxation and is an upper bound up to the |S| factor.
     """
     masks = _check_sets(chain, sets)
@@ -135,10 +135,11 @@ def rho_metastability(chain, sets, mode="auto", exact_limit=EXACT_ENUM_LIMIT):
             whole_space=True,
         )
 
+    limit = potential.EXACT_ENUM_LIMIT
     if mode == "auto":
-        mode = "exact" if free.size <= exact_limit else "singleton"
+        mode = "exact" if free.size <= limit else "singleton"
     if mode == "exact":
-        if free.size > exact_limit:
+        if free.size > limit:
             raise ValidationError(
                 f"{free.size} free states exceed the exact enumeration limit"
             )
@@ -265,7 +266,7 @@ def local_pi_constant(chain, M):
     return float(vals[-1])
 
 
-def local_lsi_constant(chain, M, seed=0, max_iter=300):
+def local_lsi_constant(chain, M, seed=0):
     """Ascent lower bound on C_LSI,i = sup{Ent_{mu_M}[f^2] : E(f) = 1}."""
     from .oracle import entropy_ratio_ascent
 
@@ -281,7 +282,7 @@ def local_lsi_constant(chain, M, seed=0, max_iter=300):
     seeds.append(bump)
     for _ in range(8):
         seeds.append(rng.normal(size=chain.n_states))
-    best, _, _, _ = entropy_ratio_ascent(chain, weight, seeds, max_iter)
+    best, _, _, _ = entropy_ratio_ascent(chain, weight, seeds, max_iter=300)
     return max(best, 0.0)
 
 
@@ -296,7 +297,7 @@ def c_mass_constant(chain, partition):
     return worst
 
 
-def build_structure(chain, sets, mode="auto", seed=0, compute_local=True):
+def build_structure(chain, sets, mode="auto", seed=0):
     """Assemble the full metastable structure for the given candidate sets."""
     masks = _check_sets(chain, sets)
     k = len(masks)
@@ -319,14 +320,8 @@ def build_structure(chain, sets, mode="auto", seed=0, compute_local=True):
     mu_sets = np.array([chain.mass(m) for m in masks])
     mu_parts = np.array([chain.mass(p) for p in partition])
 
-    if compute_local:
-        cpi_local = np.array([local_pi_constant(chain, m) for m in masks])
-        clsi_local = np.array(
-            [local_lsi_constant(chain, m, seed=seed) for m in masks]
-        )
-    else:
-        cpi_local = np.zeros(k)
-        clsi_local = np.zeros(k)
+    cpi_local = np.array([local_pi_constant(chain, m) for m in masks])
+    clsi_local = np.array([local_lsi_constant(chain, m, seed=seed) for m in masks])
 
     return MetastableStructure(
         sets=masks,

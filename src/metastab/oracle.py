@@ -16,6 +16,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .chains import (
+    MetastabError,
     SolverNotConverged,
     ValidationError,
     dirichlet_form,
@@ -25,10 +26,13 @@ from .chains import (
     variance,
     variance_gradient,
 )
+from .potential import equilibrium_potential
 
 SPECTRAL_LIMIT = 2**14
 LSI_SIZE_LIMIT = 512
 BRUTE_FORCE_LIMIT = 6
+LSI_MULTISTARTS = 32
+LSI_ASCENT_STEPS = 400
 CHEEGER_LIMIT = 20
 # resolution of the dense eigensolve: GAP_DIGITS_FACTOR n eps max|lambda|
 GAP_DIGITS_FACTOR = 64
@@ -158,7 +162,7 @@ def _refine_gap(chain, f):
     )
 
 
-def estimate_clsi(chain, multistarts=32, seed=0, max_iter=400):
+def estimate_clsi(chain, seed=0):
     """Certified lower bound on C_LSI by ascent of Ent_mu[f^2] / E(f).
 
     Seeds include the spectral-gap eigenvector, near-constant perturbations
@@ -179,23 +183,21 @@ def estimate_clsi(chain, multistarts=32, seed=0, max_iter=400):
     for eps in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0):
         seeds.append(1.0 + eps * v2)
         seeds.append(1.0 - eps * v2)
-    try:
-        from .potential import equilibrium_potential
-
-        hi = int(np.argmax(v2))
-        lo = int(np.argmin(v2))
-        if hi != lo:
+    hi = int(np.argmax(v2))
+    lo = int(np.argmin(v2))
+    if hi != lo:
+        try:
             h = equilibrium_potential(chain, [hi], [lo]).potential
-            seeds.append(h)
-            seeds.append(1.0 + h)
-    except Exception:
-        pass
+        except MetastabError:
+            pass  # the other seeds still give a lower bound
+        else:
+            seeds += [h, 1.0 + h]
     rng = np.random.default_rng(seed)
-    while len(seeds) < max(multistarts, len(seeds)):
+    while len(seeds) < LSI_MULTISTARTS:
         seeds.append(rng.normal(size=n))
 
     best_val, best_f, n_conv, best_start = entropy_ratio_ascent(
-        chain, mu, seeds, max_iter
+        chain, mu, seeds, LSI_ASCENT_STEPS
     )
     return LsiReport(
         c_lsi_lower=float(best_val),
@@ -207,7 +209,7 @@ def estimate_clsi(chain, multistarts=32, seed=0, max_iter=400):
     )
 
 
-def entropy_ratio_ascent(chain, weight, seeds, max_iter=400):
+def entropy_ratio_ascent(chain, weight, seeds, max_iter):
     """Best Ent_weight[f^2] / E(f) found over ascent runs from the seeds.
 
     ``weight`` can be any probability vector (in particular a conditional
@@ -262,7 +264,7 @@ def _ascend(chain, mu, f, max_iter):
     return f, val, converged
 
 
-def brute_force_orlicz(f, nu, pair, K, grid=7, depth=30):
+def brute_force_orlicz(f, nu, pair, K):
     """Grid search with box refinement for the K-Orlicz norm, plus a
     coordinate/pairwise polish.  Always returns the objective at a feasible
     point, hence a lower bound; on <= 6 states it lands within 1e-4 of the
@@ -294,8 +296,8 @@ def brute_force_orlicz(f, nu, pair, K, grid=7, depth=30):
     width = gmax / 2.0
     best_g = np.zeros(n)
     best_val = 0.0
-    axes = np.linspace(-1.0, 1.0, grid)
-    for _ in range(depth):
+    axes = np.linspace(-1.0, 1.0, 7)
+    for _ in range(30):
         pts = [np.clip(center[d] + width * axes, 0.0, None) for d in range(n)]
         mesh = np.stack(np.meshgrid(*pts, indexing="ij"), axis=-1).reshape(-1, n)
         budget = np.zeros(len(mesh))
@@ -324,6 +326,8 @@ def _psi_sup(psi, budget, hi):
     lo, up = 0.0, hi
     for _ in range(200):
         mid = 0.5 * (lo + up)
+        if mid == lo or mid == up:  # float resolution: no step moves lo again
+            break
         if psi(mid) <= budget:
             lo = mid
         else:

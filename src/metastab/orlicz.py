@@ -19,6 +19,7 @@ from .chains import (
     dirichlet_form,
     subset_mask,
 )
+from . import potential
 from .potential import (
     _masses,
     _scan_capacities,
@@ -342,13 +343,14 @@ def capacitary_integral(chain, f, B, assert_bound=True):
     return total, four_energy
 
 
-def measure_capacity_constant(chain, nu, B, pair, K, exact_limit=20):
+def measure_capacity_constant(chain, nu, B, pair, K):
     """C_Psi = max over A in S \\ B of nu[A] Psi^{-1}(K/nu[A]) / cap(A, B).
 
-    Exact subset enumeration up to ``exact_limit`` free states; beyond that a
-    restricted scan over singletons and super level-sets of the equilibrium
-    potential seeded at the best singleton, labeled as a lower bound.  Ties
-    go to the first candidate: in bit order, singletons before level sets.
+    Exact subset enumeration up to ``potential.EXACT_ENUM_LIMIT`` free states;
+    beyond that a restricted scan over singletons and super level-sets of the
+    equilibrium potential seeded at the best singleton, labeled as a lower
+    bound.  Ties go to the first candidate: in bit order, singletons before
+    level sets.
     """
     b = subset_mask(chain, B)
     if b.all():
@@ -380,7 +382,7 @@ def measure_capacity_constant(chain, nu, B, pair, K, exact_limit=20):
         if vals[i] > best:
             best, best_mask = vals[i], masks[top[i]]
 
-    if free.size <= exact_limit:
+    if free.size <= potential.EXACT_ENUM_LIMIT:
         mode = "exact"
         for masks in _subset_masks(free, n):
             scan(masks)
@@ -415,18 +417,18 @@ def muckenhoupt_constant(mu_weights, nu_weights):
     return float(np.max(resist * tails[1:]))
 
 
-def universal_mixed_constants(chain, nu, threshold=0.5, pair_limit=10):
+def universal_mixed_constants(chain, nu):
     """Universal-split constants C_var and C_Ent.
 
     Maxima over disjoint (A, B) with nu[A] <= 1/2 <= nu[B] of nu[A]/cap(A,B)
-    and nu[A] ln(1 + e^2/nu[A]) / cap(A,B).  Exhaustive over the 3^n pairs;
-    ties go to the first pair with A in increasing and B in decreasing bit
-    order.
+    and nu[A] ln(1 + e^2/nu[A]) / cap(A,B).  Exhaustive over the 3^n pairs,
+    n <= 10; ties go to the first pair with A in increasing and B in
+    decreasing bit order.
     """
     nu = _measure(chain, nu)
     n = chain.n_states
-    if n > pair_limit:
-        raise ValidationError(f"pair enumeration limited to {pair_limit} states")
+    if n > 10:
+        raise ValidationError("pair enumeration limited to 10 states")
     ctx = capacity_scan_context(chain)
     bits = np.arange(1, 1 << n)
     full = (1 << n) - 1
@@ -434,10 +436,10 @@ def universal_mixed_constants(chain, nu, threshold=0.5, pair_limit=10):
     mass = _masses(nu, subsets)
     pairs_a, pairs_b = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     found = False
-    for a_bits in bits[:-1][mass[:-1] <= threshold]:
+    for a_bits in bits[:-1][mass[:-1] <= 0.5]:
         rest = full & ~a_bits
         b_bits = bits[(bits & ~rest) == 0][::-1]
-        b_bits = b_bits[mass[b_bits - 1] >= threshold]
+        b_bits = b_bits[mass[b_bits - 1] >= 0.5]
         found = found or b_bits.size > 0
         if mass[a_bits - 1] > 0.0:
             pairs_a.append(np.full(b_bits.size, a_bits - 1))

@@ -34,7 +34,8 @@ universal split constants and the exact metastability ratio) need up to
   interior blocks into one stack for one ``np.linalg.solve`` call, at most
   SCAN_BATCH_BYTES of gathered blocks at a time;
 * the subsets come from ``_subset_masks`` in bit order, SCAN_CHUNK masks at
-  a time, so memory stays bounded up to the 20-state exact limit;
+  a time, so memory stays bounded up to EXACT_ENUM_LIMIT free states, the
+  one limit of exhaustive enumeration (callers read it at call time);
 * every step repeats the arithmetic of one pair: gesv per block, gemm for
   the right-hand sides, gemv for the flux of h_{B,A}, a contiguous sum on
   A, and masses summed like nu[mask].sum().  The capacities therefore have
@@ -65,6 +66,7 @@ RESIDUAL_TOL = 1e-10
 OVERSHOOT_TOL = 1e-9
 CAP_AGREE_RTOL = 1e-8
 SCAN_CHUNK = 512
+EXACT_ENUM_LIMIT = 20
 SCAN_BATCH_BYTES = 1 << 23
 
 
@@ -99,7 +101,7 @@ class EquilibriumSolution:
     set_b: np.ndarray
 
 
-def equilibrium_potential(chain, A, B, residual_tol=RESIDUAL_TOL):
+def equilibrium_potential(chain, A, B):
     """Solve the equilibrium-potential boundary value problem for (A, B)."""
     a = subset_mask(chain, A)
     b = subset_mask(chain, B)
@@ -111,7 +113,7 @@ def equilibrium_potential(chain, A, B, residual_tol=RESIDUAL_TOL):
     interior = ~(a | b)
     if interior.any():
         resid = np.max(np.abs(lap[interior] / mu[interior, None]))
-        if resid > residual_tol:
+        if resid > RESIDUAL_TOL:
             raise SolverNotConverged(f"harmonicity residual {resid:.3e}")
     lo, hi = pots.min(), pots.max()
     if lo < -OVERSHOOT_TOL or hi > 1.0 + OVERSHOOT_TOL:

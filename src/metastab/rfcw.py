@@ -26,7 +26,6 @@ from .chains import (
     InequalityViolation,
     ReversibleChain,
     ValidationError,
-    dirichlet_form,
 )
 from .potential import equilibrium_potential
 
@@ -474,13 +473,14 @@ class MinimaOrdering:
     refined: list             # continuous critical-point refinements
 
 
-def find_minima_and_order(model, land, refine=True):
+def find_minima_and_order(model, land):
     """Local minima of F on the lattice, ordered by decreasing depth.
 
     Strict neighbor comparison with plateau components grouped by flood
     fill; the labels satisfy the greedy depth recursion
     Delta_{k-1} = Phi(m_k, M_{k-1}) - F(m_k), picked smallest-first from the
-    top label downward, ties broken by lexicographic state order.
+    top label downward, ties broken by lexicographic state order.  Every
+    minimum also gets its continuous critical-point refinement.
     """
     if land.free_energy is None:
         raise ValidationError("free energy unavailable (beta = 0?)")
@@ -540,11 +540,6 @@ def find_minima_and_order(model, land, refine=True):
     labels = remaining + labels_rev[::-1]
     deltas = np.array(deltas_rev[::-1])
     degenerate = K < 2
-
-    refined = []
-    if refine:
-        for c in labels:
-            refined.append(_refine_minimum(model, land, reps[c]))
     return MinimaOrdering(
         components=[components[c] for c in labels],
         minima=[reps[c] for c in labels],
@@ -552,7 +547,7 @@ def find_minima_and_order(model, land, refine=True):
         deltas=deltas,
         phi=phi[np.ix_(labels, labels)],
         degenerate=degenerate,
-        refined=refined,
+        refined=[_refine_minimum(model, land, reps[c]) for c in labels],
     )
 
 
@@ -749,13 +744,13 @@ def lumpability_certificate(model, land, barred, a_points, b_points, tol=1e-10):
 # -- Bernoulli-Laplace and two-step comparison -------------------------------------
 
 
-def bernoulli_laplace_constants(block_size, occupancy, c_bl=1.0, materialize=True):
+def bernoulli_laplace_constants(block_size, occupancy):
     """Closed-form Poincare and log-Sobolev constants of the exchange block.
 
     C_PI = k(L-k)/L for the uniform occupied-vacant swap chain; the
     log-Sobolev constant divides by c_bl ln(L^2 / (k(L-k))) with the
-    universal constant c_bl left as a configuration input.  For L <= 8 the
-    exchange chain is materialized and checked against the spectral oracle.
+    universal constant c_bl = 1.  For L <= 8 the exchange chain is
+    materialized and checked against the spectral oracle.
     """
     L, k = int(block_size), int(occupancy)
     if not 0 < k < L:
@@ -763,9 +758,9 @@ def bernoulli_laplace_constants(block_size, occupancy, c_bl=1.0, materialize=Tru
     c_pi = k * (L - k) / L
     if c_pi > L / 4.0 + 1e-12:
         raise InequalityViolation("k(L-k)/L exceeded L/4")
-    c_lsi = c_pi / (c_bl * math.log(L * L / (k * (L - k))))
-    out = {"c_pi_bl": c_pi, "c_lsi_bl": c_lsi, "L": L, "k": k, "c_bl": c_bl}
-    if materialize and L <= 8:
+    c_lsi = c_pi / math.log(L * L / (k * (L - k)))
+    out = {"c_pi_bl": c_pi, "c_lsi_bl": c_lsi, "L": L, "k": k, "c_bl": 1.0}
+    if L <= 8:
         out["chain"] = _bl_chain(L, k)
         from .oracle import exact_cpi
 
@@ -824,11 +819,11 @@ def two_step_comparison(chain, n_samples=100, seed=0):
     return {"max_energy_ratio": worst, "spectral_margin": margin}
 
 
-def bl_comparison_report(model, land, ordering, c_bl=1.0):
+def bl_comparison_report(model, land, ordering):
     """Local-constant ceiling and the edgewise Bernoulli-Laplace comparison.
 
     The ceiling N^3/2 exp(2 beta (eps N + 2 + 2 h_inf)) bounds both C_PI,M
-    and 2 ln2 c_bl C_LSI,M; the edgewise rate-ratio factor
+    and 2 ln2 c_bl C_LSI,M with c_bl = 1; the edgewise rate-ratio factor
     N^2 exp(beta (eps N + 4 + 4 h_inf)) is asserted on every exchange edge of
     every minimum fiber against the two-step kernel.
     """
@@ -852,7 +847,7 @@ def bl_comparison_report(model, land, ordering, c_bl=1.0):
     clsi_M = max(1.0, float(np.dot(mu_sets, clsis)))
     if cpi_M > ceiling + 1e-9:
         raise InequalityViolation("C_PI,M exceeded the comparison ceiling")
-    if 2.0 * LN2 * c_bl * clsi_M > ceiling + 1e-9:
+    if 2.0 * LN2 * clsi_M > ceiling + 1e-9:
         raise InequalityViolation("C_LSI,M exceeded the comparison ceiling")
     if worst_edge > edge_bound * (1.0 + 1e-9):
         raise InequalityViolation("edgewise rate-ratio bound violated")

@@ -41,6 +41,13 @@ def test_bad_row_sum():
         build_chain(["a", "b"], [("a", "b", 0.8), ("a", "a", 0.5), ("b", "a", 0.1)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_stationary_measure(two_state, bad):
+    mu = np.array([bad, 0.75])
+    with pytest.raises(ValidationError, match="finite"):
+        metastab.ReversibleChain(two_state.states, two_state.kernel, mu)
+
+
 def test_detailed_balance_violation():
     with pytest.raises(DetailedBalanceViolation):
         build_chain(

@@ -1,8 +1,14 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metastab import save_chain
 from metastab.chains import InequalityViolation
@@ -337,6 +343,125 @@ def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, name
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "validation" and names in error["message"]
+
+
+# a three-state path; mu(x) p(x, y) = mu(y) p(y, x) on both edges
+CHAIN_SPEC = {
+    "states": ["a", "b", "c"],
+    "edges": [["a", "b", 0.3], ["b", "a", 0.1], ["b", "c", 0.2], ["c", "b", 0.4]],
+    "mu": [2.0 / 11.0, 6.0 / 11.0, 3.0 / 11.0],
+    "time": "discrete",
+}
+
+
+def _run_on_spec(argv, spec):
+    """Exit code, stdout and stderr of ``main`` on ``spec`` written as JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.json"
+        path.write_text(json.dumps(spec))  # NaN and Infinity as JSON extensions
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.format(chain=path) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(code, out, err):
+    if code == 0:
+        json.loads(out)
+    else:
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["kind"] == "validation"
+
+
+CAPACITY = ["capacity", "--chain", "{chain}", "--A", "a", "--B", "b"]
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("edges", 0, 2), "x"),
+        (("edges", 0, 2), None),
+        (("mu", 0), "x"),
+        (("mu", 0), None),
+        (("mu", 0), float("nan")),
+        (("mu", 0), float("inf")),
+        (("time",), [1]),
+    ],
+    ids=["edge-string", "edge-null", "mu-string", "mu-null", "mu-nan", "mu-inf",
+         "time-list"],
+)
+def test_malformed_chain_spec_exits_1(path, value):
+    spec = copy.deepcopy(CHAIN_SPEC)
+    _mutate(spec, "set", path, value)
+    code, out, err = _run_on_spec(CAPACITY, spec)
+    assert code == 1
+    _assert_exit_contract(code, out, err)
+
+
+def _spec_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            yield from _spec_paths(child, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.text(max_size=3)
+    | st.sampled_from(["a", "b", "c", "continuous", "0.5"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+MUTATIONS = st.tuples(
+    st.sampled_from(["set", "drop", "rename"]),
+    st.sampled_from(list(_spec_paths(CHAIN_SPEC))[1:]),
+    JSON_VALUES,
+)
+
+
+def _mutate(spec, kind, path, value):
+    """Apply one mutation in place; paths that no longer exist are skipped."""
+    if kind == "rename":  # the state named at ``path`` is renamed everywhere
+        states, edges = spec.get("states"), spec.get("edges")
+        if len(path) != 2 or path[0] != "states" or not isinstance(states, list):
+            return
+        old = CHAIN_SPEC["states"][path[1]]
+        edges = [e for e in edges if isinstance(e, list)] if isinstance(edges, list) else []
+        for node in [states] + edges:
+            for i, v in enumerate(node):
+                if v == old:
+                    node[i] = value
+        return
+    node = spec
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    key = path[-1]
+    if not isinstance(node, (dict, list)) or (isinstance(node, list) and key >= len(node)):
+        return
+    if kind == "set":
+        node[key] = value
+    elif isinstance(node, list) or key in node:
+        del node[key]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(MUTATIONS, min_size=1, max_size=3),
+       st.sampled_from([CAPACITY, ["oracle", "--chain", "{chain}", "--what", "cpi"]]))
+def test_mutated_chain_specs_take_the_exit_contract(mutations, argv):
+    spec = copy.deepcopy(CHAIN_SPEC)
+    for kind, path, value in mutations:
+        _mutate(spec, kind, path, value)
+    _assert_exit_contract(*_run_on_spec(argv, spec))
 
 
 @pytest.mark.parametrize(

@@ -88,7 +88,6 @@ def test_run_coupling_sync_invariant(small_pair):
         s0, v0 = mismatched_pair_in_fiber(model, land, start, rng)
         trace = run_coupling(model, land, s0, v0, T=150, M=8, seed=100 + r)
         assert trace.sync_violations == 0
-        assert trace.partner_failures == 0
         if trace.merged and trace.merge_time is not None:
             assert np.array_equal(trace.sigma_final, trace.varsigma_final)
 

@@ -54,6 +54,14 @@ def test_rho_singleton_mode_upper_bound(double_well):
     assert single.rho >= exact.rho
 
 
+def test_rho_reads_the_enumeration_limit_at_call_time(double_well, monkeypatch):
+    # {x0}, {x10} leave 9 free states of the 11-state well
+    monkeypatch.setattr(potential, "EXACT_ENUM_LIMIT", 8)
+    assert rho_metastability(double_well[1.0], [["x0"], ["x10"]]).mode == "singleton"
+    with pytest.raises(ValidationError, match="enumeration limit"):
+        rho_metastability(double_well[1.0], [["x0"], ["x10"]], mode="exact")
+
+
 def test_partition_symmetric_tie(double_well):
     valleys, parts, assign, ties = metastable_partition(
         double_well[2.0], [["x0"], ["x10"]]

@@ -212,15 +212,14 @@ def test_measure_capacity_two_state(two_state):
     assert res_ent["c_psi"] == pytest.approx(11.398561364684474, rel=1e-10)
 
 
-def test_measure_capacity_restricted_scan():
+def test_measure_capacity_restricted_scan(monkeypatch):
     rng = np.random.default_rng(71)
     chain = random_reversible_chain(rng, 10)
     b = np.zeros(10, dtype=bool)
     b[0] = True
     exact = measure_capacity_constant(chain, chain.stationary, b, l1_pair(), 1.0)
-    lower = measure_capacity_constant(
-        chain, chain.stationary, b, l1_pair(), 1.0, exact_limit=3
-    )
+    monkeypatch.setattr(potential, "EXACT_ENUM_LIMIT", 3)
+    lower = measure_capacity_constant(chain, chain.stationary, b, l1_pair(), 1.0)
     assert lower["mode"] == "lower_bound"
     assert lower["c_psi"] <= exact["c_psi"] + 1e-12
 
@@ -369,9 +368,10 @@ def test_measure_capacity_constant_keeps_the_scalar_norm_bits():
     assert np.array_equal(res["argmax"], next(a for v, a in vals if v == best))
 
 
-def test_lower_bound_scan_matches_the_candidate_loop(ring4):
+def test_lower_bound_scan_matches_the_candidate_loop(ring4, monkeypatch):
     # the restricted scan against its per-candidate loop: best singleton
     # first, then the level sets of its potential, strict > throughout
+    monkeypatch.setattr(potential, "EXACT_ENUM_LIMIT", 2)
     rng = np.random.default_rng(97)
     chains = [ring4] + [random_reversible_chain(rng, 9) for _ in range(4)]
     for chain, pair, k_val in zip(chains, [entropy_pair(), p_pair(2.5)] * 3, [E2, 1.5] * 3):
@@ -391,7 +391,7 @@ def test_lower_bound_scan_matches_the_candidate_loop(ring4):
             m = (h >= t) & ~b
             if ratio(m) > best:
                 best, arg = ratio(m), m
-        res = measure_capacity_constant(chain, nu, b, pair, k_val, exact_limit=2)
+        res = measure_capacity_constant(chain, nu, b, pair, k_val)
         assert res["mode"] == "lower_bound"
         assert res["c_psi"] == best and np.array_equal(res["argmax"], arg)
 

@@ -373,7 +373,7 @@ def _repr_sha(obj):
 def test_lab_objects_match_frozen_hashes(n_spins, beta):
     model = build_model(n_spins, beta, "uniform:0.2", seed=7)
     land = coarse_grain(model, 2)
-    order = find_minima_and_order(model, land, refine=False)
+    order = find_minima_and_order(model, land)
     a, b = [order.minima[0]], [order.minima[1]]
     meso = mesoscopic_rates_and_chain(model, land)
     bar = barred_chain(model, land)
