@@ -378,16 +378,19 @@ def entropy(mu, fsq):
 
 
 def entropy_gradient(mu, f):
-    """Gradient of f -> Ent_mu[f^2]: entrywise 2 mu f ln(f^2 / E_mu[f^2])."""
+    """Gradient of f -> Ent_mu[f^2]: entrywise 2 mu f ln(f^2 / E_mu[f^2]).
+
+    ``f`` may also stack functions as the rows of a 2-d array; E_mu[f^2] is
+    then a row-wise sum, so each row's gradient ignores the other rows.
+    """
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     fsq = f * f
-    m = float(np.dot(mu, fsq))
+    m = (mu * fsq).sum(axis=-1, keepdims=True)
     out = np.zeros_like(f)
-    if m <= 0.0:
-        return out
-    nz = fsq > 0.0
-    out[nz] = 2.0 * mu[nz] * f[nz] * np.log(fsq[nz] / m)
+    nz = (fsq > 0.0) & (m > 0.0)
+    ratio = fsq / np.where(m > 0.0, m, 1.0)
+    out[nz] = (2.0 * mu * f)[nz] * np.log(ratio[nz])
     return out
 
 

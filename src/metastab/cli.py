@@ -139,7 +139,7 @@ def cmd_analyze(args):
     for i in range(structure.n_sets):
         try:
             exits[str(i)] = meta_mod.mean_exit_asymptotics(chain, structure, i)
-        except ValidationError:
+        except MetastabError:
             exits[str(i)] = None
     report = {
         "provenance": _provenance(args, mode=structure.rho_certificate.mode),

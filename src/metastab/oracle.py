@@ -19,6 +19,7 @@ from .chains import (
     MetastabError,
     SolverNotConverged,
     ValidationError,
+    _phi_xlogx,
     dirichlet_form,
     dirichlet_gradient,
     entropy,
@@ -213,55 +214,104 @@ def entropy_ratio_ascent(chain, weight, seeds, max_iter):
     """Best Ent_weight[f^2] / E(f) found over ascent runs from the seeds.
 
     ``weight`` can be any probability vector (in particular a conditional
-    measure supported on a subset).  Deterministic reduction: best by value,
-    ties by seed index.
+    measure supported on a subset).  All seeds ascend together in
+    ``_lockstep_ascent``.  Deterministic reduction: best by value, ties by
+    seed index.  The value returned is recomputed with ``entropy`` and
+    ``dirichlet_form`` at the returned f, so it is the ratio at an explicit
+    function.
     """
-    best_val, best_f, best_start = -np.inf, None, -1
-    n_conv = 0
-    for k, f0 in enumerate(seeds):
-        f, val, conv = _ascend(chain, weight, np.array(f0, dtype=float), max_iter)
-        n_conv += int(conv)
-        if val > best_val:
-            best_val, best_f, best_start = val, f, k
-    return best_val, best_f, n_conv, best_start
+    F, val, converged = _lockstep_ascent(
+        chain, np.asarray(weight, dtype=float), np.array(seeds, dtype=float), max_iter
+    )
+    n_conv = int(converged.sum())
+    best = int(np.argmax(val))
+    if val[best] == -np.inf:
+        return -np.inf, None, n_conv, -1
+    f = F[best]
+    return entropy(weight, f * f) / dirichlet_form(chain, f), f, n_conv, best
 
 
-def _ascend(chain, mu, f, max_iter):
-    """Projected gradient ascent of Ent[f^2] on the sphere E(f) = 1."""
-    e = dirichlet_form(chain, f)
-    if e <= 0.0:
-        return f, -np.inf, True
-    f = f / np.sqrt(e)
-    val = entropy(mu, f * f)
-    step = 0.5
-    converged = False
-    for _ in range(max_iter):
-        g = entropy_gradient(mu, f)
-        ge = dirichlet_gradient(chain, f)
-        denom = float(np.dot(ge, ge))
-        if denom > 0.0:
-            g = g - (float(np.dot(g, ge)) / denom) * ge
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-13 * max(1.0, abs(val)):
-            converged = True
-            break
-        improved = False
-        while step > 1e-14:
-            cand = f + step * g
-            ec = dirichlet_form(chain, cand)
-            if ec > 0.0:
-                cand = cand / np.sqrt(ec)
-                cval = entropy(mu, cand * cand)
-                if cval > val + 1e-16:
-                    f, val = cand, cval
-                    improved = True
-                    step *= 1.5
-                    break
-            step *= 0.5
-        if not improved:
-            converged = True
-            break
-    return f, val, converged
+def _lockstep_ascent(chain, weight, F, max_iter):
+    """Projected gradient ascent of Ent_weight[f^2] on E(f) = 1 from each
+    row of F; returns the final rows, their values and converged flags.
+
+    Each row keeps its own step in a backtracking line search that grows
+    the step by 1.5 on success and halves it on failure, and stops at a
+    flat projected gradient, at a step below 1e-14 or after ``max_iter``
+    gradients; a row with E = 0 has value -inf and counts as converged.
+    All rows step in lockstep: each tick takes the gradient of the rows that
+    just moved and tries one candidate for every live row.  Every reduction
+    is a row-wise sum over a C-ordered array, which numpy sums pairwise
+    within the row, so a row follows the same arithmetic whichever other
+    rows are in the batch.  F is updated in place.
+    """
+    S = len(F)
+    val = np.full(S, -np.inf)
+    e = _energy_rows(chain, F)
+    live = e > 0.0
+    converged = ~live  # E = 0: the ratio is -inf, nothing to ascend
+    F[live] /= np.sqrt(e[live])[:, None]
+    val[live] = _entropy_rows(weight, F[live] * F[live])
+    step = np.full(S, 0.5)
+    grads = np.zeros(S, dtype=int)
+    moved = live.copy()
+    G = np.zeros_like(F)
+    while live.any():
+        idx = np.flatnonzero(moved)
+        spent = grads[idx] >= max_iter
+        live[idx[spent]] = moved[idx[spent]] = False
+        idx = idx[~spent]
+        if idx.size:
+            f = F[idx]
+            g = entropy_gradient(weight, f)
+            ge = 2.0 * np.ascontiguousarray((chain.laplacian @ f.T).T)
+            denom = (ge * ge).sum(axis=1)
+            coef = np.zeros(idx.size)
+            np.divide((g * ge).sum(axis=1), denom, out=coef, where=denom > 0.0)
+            g = g - coef[:, None] * ge
+            gnorm = np.sqrt((g * g).sum(axis=1))
+            flat = idx[gnorm <= 1e-13 * np.maximum(1.0, np.abs(val[idx]))]
+            converged[flat], live[flat], moved[idx] = True, False, False
+            G[idx] = g
+            grads[idx] += 1
+
+        idx = np.flatnonzero(live)
+        stuck = idx[step[idx] <= 1e-14]
+        converged[stuck], live[stuck] = True, False
+        idx = np.flatnonzero(live)
+        cand = F[idx] + step[idx, None] * G[idx]
+        ec = _energy_rows(chain, cand)
+        cval = np.full(idx.size, -np.inf)
+        pos = ec > 0.0
+        cand[pos] /= np.sqrt(ec[pos])[:, None]
+        cval[pos] = _entropy_rows(weight, cand[pos] * cand[pos])
+        up = cval > val[idx] + 1e-16
+        F[idx[up]] = cand[up]
+        val[idx[up]] = cval[up]
+        step[idx] *= np.where(up, 1.5, 0.5)
+        moved[idx[up]] = True
+    return F, val, converged
+
+
+def _energy_rows(chain, F):
+    """dirichlet_form of each row of F, by row-wise sums.
+
+    The public one-vector forms keep their dot products, whose bits the
+    spectral-gap and report goldens pin.
+    """
+    d = F.take(chain._edge_i, axis=1) - F.take(chain._edge_j, axis=1)  # C order
+    return (chain._edge_w * (d * d)).sum(axis=1)
+
+
+def _entropy_rows(weight, fsq):
+    """entropy(weight, row) of each row of fsq (rows of squares), by
+    row-wise sums."""
+    m = (weight * fsq).sum(axis=1)
+    pos = m > 0.0
+    out = np.zeros(len(fsq))
+    mp = m[pos]
+    out[pos] = mp * (weight * _phi_xlogx(fsq[pos] / mp[:, None])).sum(axis=1)
+    return np.maximum(out, 0.0)
 
 
 def brute_force_orlicz(f, nu, pair, K):

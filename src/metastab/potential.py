@@ -168,6 +168,8 @@ def mean_hitting_time(chain, start, target):
     Solves the absorbed system (I - P) w = 1 off the target (mu-symmetrized
     as Lap w = mu).  The start measure must vanish on the target; for
     start = nu_{A,B} and target = B this equals E_mu[h_{A,B}] / cap(A, B).
+    A solve that is not entrywise positive and finite has lost its digits
+    and raises SolverNotConverged.
     """
     t = subset_mask(chain, target)
     if not t.any():
@@ -191,6 +193,10 @@ def mean_hitting_time(chain, start, target):
     free = ~t
     w = np.zeros(chain.n_states)
     w[free] = _spd_solver(chain, free)(chain.stationary[free])
+    # Lap_ff is a nonsingular M-matrix and mu > 0, so w is positive and finite
+    if not np.all((w[free] > 0.0) & (w[free] < np.inf)):
+        worst = float(np.min(w[free]))
+        raise SolverNotConverged(f"mean hitting time solve is not positive: {worst!r}")
     return float(np.dot(start, w))
 
 

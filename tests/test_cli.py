@@ -466,26 +466,36 @@ def test_mutated_chain_specs_take_the_exit_contract(mutations, argv):
 
 @pytest.mark.parametrize(
     "argv,chain",
-    [
-        (["orlicz", "--chain", "{chain}", "--B", "x10"], (40.0, 11)),
-        (["analyze", "--chain", "{chain}", "--sets", "{sets}", "--exact", "--seed", "1"],
-         (8.0, 11)),
-        (["analyze", "--chain", "{chain}", "--sets", "{sets}", "--exact", "--seed", "1"],
-         (2.0, 15)),
-    ],
-    ids=["orlicz-scan", "analyze-hitting-time-dw11", "analyze-hitting-time-dw15"],
+    [(["orlicz", "--chain", "{chain}", "--B", "x10"], (40.0, 11))],
+    ids=["orlicz-scan"],
 )
 def test_singular_interior_block_exits_1(capsys, tmp_path, argv, chain):
-    # the well's interior blocks turn exactly singular in double precision:
-    # in the capacity scan (beta = 40) and in the mean hitting time
+    # the well's interior blocks turn exactly singular in double precision
+    # in the capacity scan at beta = 40
     path = tmp_path / "dw.json"
     save_chain(double_well_chain(*chain), path)
-    sets = tmp_path / "sets.json"
-    sets.write_text(json.dumps({"sets": [["x0"], [f"x{chain[1] - 1}"]]}))
-    code, out, err = run_cli(capsys, [a.format(chain=path, sets=sets) for a in argv])
+    code, out, err = run_cli(capsys, [a.format(chain=path) for a in argv])
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "validation" and "singular interior block" in error["message"]
+
+
+@pytest.mark.parametrize("beta,n,unsolved", [(8.0, 11, ["0", "1"]), (2.0, 15, ["1"])],
+                         ids=["dw11", "dw15"])
+def test_analyze_keeps_partial_report(capsys, tmp_path, beta, n, unsolved):
+    # a mean exit time whose solve is singular or loses its sign becomes null;
+    # the rest of the report, computed before it, is kept
+    path = tmp_path / "dw.json"
+    save_chain(double_well_chain(beta, n), path)
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"sets": [["x0"], [f"x{n - 1}"]]}))
+    code, out, _ = run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets),
+                                    "--exact", "--seed", "1"])
+    assert code == 0
+    rep = json.loads(out)
+    assert [k for k, v in rep["mean_exit"].items() if v is None] == unsolved
+    assert rep["rho"]["value"] > 0.0 and rep["capacities"][0][1] > 0.0
+    assert rep["pi_lsi"]["pi_lower"]["value"] > 0.0
 
 
 REPORT_CHAINS = {
@@ -499,7 +509,9 @@ REPORT_CHAINS = {
 # sha256 of the stdout of each command.  The analyze, capineq and orlicz
 # entries were frozen from the per-pair scans before the batched kernel,
 # which keeps every capacity's bits; the couple, rfcw and oracle entries pin
-# the coupling, RFCW and LSI-ascent reports.
+# the coupling, RFCW and LSI-ascent reports.  The oracle entry was frozen
+# again for the lockstep ascent, whose row-wise sums moved c_lsi_lower from
+# 1810775.4864646776 to 1810775.4864734244.
 REPORT_GOLDENS = {
     ("analyze", "dw11-b1"): "94a03382a187859ed65214ec55165253cf81001b768023f58498b5153582959e",
     ("analyze", "dw11-b3"): "8c499b3511f6221e05c69bde76b038132e19b8414ed7cb1cde45af331cceae1e",
@@ -507,7 +519,7 @@ REPORT_GOLDENS = {
     ("analyze", "rc13-v0"): "fa48dd6a17581769b7a27f2ae8651d71f41afaf0de8b5ca476a687af6502c0da",
     ("capineq", "5"): "9e9226edce4875e0d56b93cb63ae90aa4dc20048dba1eab92e6f1c21fcab11b6",
     ("couple", "N8"): "459caa34a9b106135c43263ec201f2aff2b35015ef96103493e2dcb8aebf5780",
-    ("oracle", "dw11-b2"): "39f2d1690bcc5d9163f94f53173d1abe5a2cca601cf29fa64c6b6d3f06fb3ce7",
+    ("oracle", "dw11-b2"): "94fb2966370f5478c20fb6db17468996dcad98d69ed4a4ba59c53a6e50205ec5",
     ("orlicz", "dw11-b1"): "7ebefcecbf46261ab8f5bbde0acaebb0da66de5fea0d7556bcc215d6fae62933",
     ("orlicz", "dw11-b3"): "9c7d4035382fb6eb54785ee251a1eb591524c1a9429313bb66aeb18ec7c34bbf",
     ("orlicz", "dw15-b0.5"): "89087fe683dcbe92930e66813aa2a60ca1732325548c80a5b925b1b0499d60ef",

@@ -17,7 +17,7 @@ from metastab import (
     subset_mask,
 )
 from metastab import potential, rfcw
-from metastab.metastable import c_mass_constant, local_pi_constant
+from metastab.metastable import c_mass_constant, local_lsi_constant, local_pi_constant
 from metastab.oracle import cheeger_constant, exact_cpi
 from metastab.potential import capacity_dense, capacity_scan_context
 from metastab.sampling import double_well_chain, random_reversible_chain
@@ -142,6 +142,23 @@ def test_c_mass_uniform_blocks():
     )
     assert np.log1p(4.0 * E2) == pytest.approx(3.41963, abs=1e-4)
     assert np.log1p(2.0 * E2) == pytest.approx(2.75864, abs=1e-4)
+
+
+# local_lsi_constant on multi-state sets, frozen from the per-start ascent
+# that ran each seed alone
+LOCAL_LSI_GOLDEN = [
+    (lambda: double_well_chain(2.0), range(4), 21.231661094496268),
+    (lambda: double_well_chain(1.0, 15), range(9, 15), 76.96115687354757),
+    (lambda: random_reversible_chain(np.random.default_rng(7), 12), [0, 2, 3, 5, 8],
+     271.6326613486908),
+]
+
+
+@pytest.mark.parametrize("make,members,want", LOCAL_LSI_GOLDEN, ids=["dw11", "dw15", "rc12"])
+def test_local_lsi_constant_matches_per_start_ascent(make, members, want):
+    chain = make()
+    got = local_lsi_constant(chain, [chain.states[i] for i in members], seed=0)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_local_pi_constant_attained():

@@ -20,6 +20,7 @@ from metastab.oracle import (
     hardy_exact_constant,
 )
 from metastab import oracle as oracle_mod
+from metastab.chains import entropy_gradient
 from metastab.orlicz import entropy_pair, l1_pair, muckenhoupt_constant
 from metastab.potential import birth_death_generator_chain, equilibrium_potential
 from metastab.sampling import (
@@ -281,3 +282,101 @@ def test_clsi_pool_golden():
     for chain, want in zip(chains, CLSI_POOL_GOLDEN):
         got = estimate_clsi(chain, seed=1).c_lsi_lower
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def _ascent_seeds(chain):
+    rng = np.random.default_rng(3)
+    v2 = exact_cpi(chain).maximizer
+    seeds = [v2, 1.0 + 1e-3 * v2, 1.0 - 0.1 * v2]
+    return np.array(seeds + [rng.normal(size=chain.n_states) for _ in range(13)])
+
+
+def _ascend_one(chain, mu, f, max_iter):
+    # one start as a scalar loop: the reference rules of the lockstep kernel
+    e = dirichlet_form(chain, f)
+    if e <= 0.0:
+        return f, -np.inf, True
+    f = f / np.sqrt(e)
+    val = entropy(mu, f * f)
+    step = 0.5
+    for _ in range(max_iter):
+        g = entropy_gradient(mu, f)
+        ge = 2.0 * (chain.laplacian @ f)
+        if np.dot(ge, ge) > 0.0:
+            g = g - (np.dot(g, ge) / np.dot(ge, ge)) * ge
+        if np.linalg.norm(g) <= 1e-13 * max(1.0, abs(val)):
+            return f, val, True
+        while step > 1e-14:
+            cand = f + step * g
+            ec = dirichlet_form(chain, cand)
+            if ec > 0.0:
+                cand = cand / np.sqrt(ec)
+                cval = entropy(mu, cand * cand)
+                if cval > val + 1e-16:
+                    f, val = cand, cval
+                    step *= 1.5
+                    break
+            step *= 0.5
+        else:
+            return f, val, True
+    return f, val, False
+
+
+ASCENT_CHAINS = {
+    "dw11-b2": lambda: double_well_chain(2.0),
+    "rc12-v3": lambda: random_reversible_chain(np.random.default_rng((20170515, 12, 3)), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASCENT_CHAINS))
+def test_lockstep_rows_match_single_runs_bit_for_bit(name):
+    chain = ASCENT_CHAINS[name]()
+    seeds = _ascent_seeds(chain)
+    F, val, conv = oracle_mod._lockstep_ascent(chain, chain.stationary, seeds.copy(), 400)
+    for k in range(len(seeds)):
+        f1, v1, c1 = oracle_mod._lockstep_ascent(
+            chain, chain.stationary, seeds[k : k + 1].copy(), 400
+        )
+        assert v1[0] == val[k] and c1[0] == conv[k]
+        assert np.array_equal(f1[0], F[k])
+
+
+def test_lockstep_rows_follow_the_scalar_rules():
+    # on the stiff dw11 well, rows still climbing at 400 steps take other
+    # line-search turns after a last-bit change, so only rc12 compares rows
+    chain = ASCENT_CHAINS["rc12-v3"]()
+    seeds = _ascent_seeds(chain)
+    _, val, conv = oracle_mod._lockstep_ascent(chain, chain.stationary, seeds.copy(), 400)
+    for k, f0 in enumerate(seeds):
+        _, want, want_conv = _ascend_one(chain, chain.stationary, f0, 400)
+        assert val[k] == pytest.approx(want, rel=1e-9)
+        assert conv[k] == want_conv
+    assert 0 < conv.sum() < len(seeds)  # rows stop at different ticks
+
+
+def test_constant_seed_is_minus_inf_and_converged():
+    chain = ASCENT_CHAINS["rc12-v3"]()
+    mu = chain.stationary
+    seeds = _ascent_seeds(chain)
+    mixed = np.insert(seeds, 2, np.full(chain.n_states, 3.0), axis=0)
+    _, val, conv = oracle_mod._lockstep_ascent(chain, mu, mixed.copy(), 400)
+    assert val[2] == -np.inf and conv[2]
+    _, live_val, _ = oracle_mod._lockstep_ascent(chain, mu, seeds.copy(), 400)
+    assert np.array_equal(np.delete(val, 2), live_val)
+    best, _, n_conv, start = oracle_mod.entropy_ratio_ascent(chain, mu, mixed, 400)
+    want, _, want_conv, want_start = oracle_mod.entropy_ratio_ascent(chain, mu, seeds, 400)
+    assert (best, n_conv) == (want, want_conv + 1)
+    assert start == want_start + (want_start >= 2)
+    only = oracle_mod.entropy_ratio_ascent(chain, mu, [np.ones(chain.n_states)], 400)
+    assert only == (-np.inf, None, 1, -1)
+
+
+@pytest.mark.parametrize("name", sorted(ASCENT_CHAINS))
+def test_ascent_value_is_the_ratio_at_its_function(name):
+    chain = ASCENT_CHAINS[name]()
+    rep = estimate_clsi(chain, seed=1)
+    f = rep.maximizer
+    assert rep.c_lsi_lower == entropy(chain.stationary, f * f) / dirichlet_form(chain, f)
+    weight = chain.conditional(np.arange(chain.n_states) < 5)
+    val, f, _, _ = oracle_mod.entropy_ratio_ascent(chain, weight, _ascent_seeds(chain), 300)
+    assert val == entropy(weight, f * f) / dirichlet_form(chain, f)

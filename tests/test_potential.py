@@ -153,6 +153,17 @@ def test_mean_hitting_time_degenerate(two_state):
         mean_hitting_time(two_state, np.array([0.0, 1.0]), ["b"])
 
 
+def test_mean_hitting_time_without_sign_raises():
+    # at beta = 8 the solve of Lap w = mu loses every digit and used to
+    # come back as -3.3e19; w must be positive and finite or the call raises
+    chain = double_well_chain(8.0)
+    start = np.zeros(chain.n_states)
+    start[0] = 1.0
+    with pytest.raises(SolverNotConverged, match="not positive"):
+        mean_hitting_time(chain, start, ["x10"])
+    assert mean_hitting_time(double_well_chain(5.0), start, ["x10"]) > 0.0
+
+
 def test_path_capacity_closed_form():
     cap, profile = path_capacity_1d([0.5, 0.25])
     assert cap == pytest.approx(1.0 / 6.0, rel=1e-14)
