@@ -82,11 +82,9 @@ from .rfcw import (
     two_step_comparison,
 )
 from .coupling import (
-    CouplingTrace,
     eta_from_coupling,
     hitting_lower_bound_check,
     negative_binomial_rate,
     optimal_two_point_coupling,
-    run_coupling,
     tail_bound_check,
 )

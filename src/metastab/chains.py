@@ -183,7 +183,10 @@ def subset_mask(chain, subset):
     of integer indices.
     """
     n = chain.n_states
-    arr = np.asarray(subset)
+    try:
+        arr = np.asarray(subset)
+    except ValueError:  # ragged nesting: no mask, and no hashable state id
+        raise ValidationError(f"unknown state in {subset!r}") from None
     if arr.dtype == bool:
         if arr.shape != (n,):
             raise ValidationError("membership mask has wrong length")
@@ -197,7 +200,7 @@ def subset_mask(chain, subset):
         else:
             try:
                 mask[chain.index[s]] = True
-            except KeyError:
+            except (KeyError, TypeError):  # TypeError: an unhashable id
                 raise ValidationError(f"unknown state {s!r}") from None
     return mask
 

@@ -93,6 +93,8 @@ def _sets_from_file(chain, path):
         if "sets" not in data:
             raise ValidationError(f"sets file {path!r} has no 'sets' key")
         data = data["sets"]
+    if not isinstance(data, list) or not all(isinstance(s, list) for s in data):
+        raise ValidationError(f"sets file {path!r} must hold a list of lists of states")
     return [subset_mask(chain, s) for s in data]
 
 
@@ -194,6 +196,7 @@ def cmd_orlicz(args):
 
 def cmd_capineq(args):
     _need_seed(args)
+    _check_counts(("--samples", args.samples, 1))
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     violations = 0
@@ -299,22 +302,23 @@ def cmd_rfcw(args):
     }
 
 
-def _check_couple_args(args):
-    for flag, value, least in (
-        ("--runs", args.runs, 1),
-        ("--dynamics-runs", args.dynamics_runs, 1),
-        ("--M", args.M, 0),
-        ("--T", args.T, 0),
-    ):
+def _check_counts(*limits):
+    """Raise for the first (flag, value, least) whose value is below ``least``."""
+    for flag, value, least in limits:
         if value is not None and value < least:
             raise ValidationError(f"{flag} must be at least {least}, got {value}")
-    if args.dynamics_runs is not None and args.dynamics_runs > args.runs:
-        raise ValidationError("--dynamics-runs must not exceed --runs")
 
 
 def cmd_couple(args):
     _need_seed(args)
-    _check_couple_args(args)
+    _check_counts(
+        ("--runs", args.runs, 1),
+        ("--dynamics-runs", args.dynamics_runs, 1),
+        ("--M", args.M, 0),
+        ("--T", args.T, 0),
+    )
+    if args.dynamics_runs is not None and args.dynamics_runs > args.runs:
+        raise ValidationError("--dynamics-runs must not exceed --runs")
     model = rfcw_mod.build_model(args.N, args.beta, args.field, seed=args.seed)
     land = rfcw_mod.coarse_grain(model, args.n)
     M = args.M if args.M is not None else args.N
@@ -361,29 +365,39 @@ def cmd_couple(args):
     return out
 
 
+def _tagged_value(node, key):
+    """``node[key]["value"]``, a number; None where ``key`` is absent or null."""
+    tag = node.get(key)
+    if tag is None:
+        return None
+    if not isinstance(tag, dict) or not isinstance(tag.get("value"), (int, float)):
+        raise ValidationError(f"report entry {key!r} is not a tagged number")
+    return tag["value"]
+
+
 def cmd_export(args):
     with open(args.report) as fh:
         report = json.load(fh)
-    rows = []
-    if args.what == "landscape":
-        runs = report.get("runs") or []
-        if not runs:
-            raise ValidationError("report carries no landscape data")
-        entry = runs[0]
-        header = ["x", "F"]
-        for key in sorted(entry["free_energy"]):
-            rows.append([key, repr(entry["free_energy"][key]["value"])])
-    elif args.what == "trend":
-        runs = report.get("runs") or []
-        if not runs:
-            raise ValidationError("report carries no trend data")
-        header = ["beta", "rho", "gap"]
-        for entry in runs:
-            rho = entry.get("rho", {}).get("value")
-            gap = entry.get("spectral_gap", {}).get("value")
-            rows.append([repr(entry["beta"]), repr(rho), repr(gap)])
-    else:
+    if args.what not in ("landscape", "trend"):
         raise ValidationError(f"unknown export key {args.what!r}")
+    runs = report.get("runs") if isinstance(report, dict) else None
+    if not runs or not isinstance(runs, list) or not all(isinstance(e, dict) for e in runs):
+        raise ValidationError(f"report carries no {args.what} data")
+    if args.what == "landscape":
+        free_energy = runs[0].get("free_energy")
+        if not isinstance(free_energy, dict):
+            raise ValidationError("report entry 'free_energy' is not an object")
+        header = ["x", "F"]
+        rows = [[key, repr(_tagged_value(free_energy, key))] for key in sorted(free_energy)]
+    else:
+        header = ["beta", "rho", "gap"]
+        rows = []
+        for entry in runs:
+            if not isinstance(entry.get("beta"), (int, float)):
+                raise ValidationError("report entry 'beta' is not a number")
+            rho = _tagged_value(entry, "rho")
+            gap = _tagged_value(entry, "spectral_gap")
+            rows.append([repr(entry["beta"]), repr(rho), repr(gap)])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

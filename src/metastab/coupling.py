@@ -12,21 +12,15 @@ All Monte Carlo runs R replicas in lockstep.  ``_coupled_steps`` advances R
 coupled pairs at once on (R, N) int8 spins, with per-row magnetizations,
 mesoscopic point indices, gate counters and phase masks; every step reads
 flip probabilities from one table of ``flip_probability`` (``_accept``).
-``run_coupling`` is its R = 1 call; ``coupling_experiment`` makes one call
-for the dynamics replicas and one for the conditional probe, and
+It is the only trajectory path: ``coupling_experiment`` makes one call for
+the dynamics replicas and one for the conditional probe, and
 ``marginal_chi_square`` one call whose transition counts are keyed by an
 integer code of the pre-state.  ``tail_bound_check`` and ``_mc_hitting``
 step all live single-path replicas together (``_glauber_step``).
 
-Streams.  The gate array of ``coupling_experiment`` keeps its stream, so
-``p_A_empirical`` is unchanged for a seed; every other purpose of a call
-(start pairs, kernel steps, partner keys, tail-check steps) has one stream
-of its own, shared by all replicas, drawn in blocks.  The law of each
-replica is the one of the step-by-step construction, but the draws differ
-from the former per-replica streams: for a given seed the ``couple`` fields
-``merged_fraction``, ``mean_attempts``, ``containment_checked``,
-``censored`` and ``tail_bound.empirical`` can change; all others are
-unchanged.
+Streams.  The gate array of ``coupling_experiment`` has a stream of its
+own; every other purpose of a call (start pairs, kernel steps, partner keys,
+tail-check steps) has one stream, shared by all replicas and drawn in blocks.
 """
 
 from __future__ import annotations
@@ -38,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import InequalityViolation, MetastabError, ValidationError
+from .metastable import exit_variance
 from .potential import equilibrium_potential
 from .rfcw import hitting_value_function
 
@@ -97,25 +92,6 @@ def optimal_two_point_coupling(nu, nu_prime, delta):
     return TwoPointCoupling(np.asarray(nu, float), np.asarray(nu_prime, float), delta)
 
 
-@dataclass
-class CouplingTrace:
-    gates: np.ndarray
-    gates_used: int
-    xi: int
-    first_flip: np.ndarray
-    frak_t: int | None
-    attempts: int
-    event_A: bool
-    event_B: bool
-    merged: bool
-    merge_time: int | None
-    matched_at_frak_t: bool | None
-    sync_violations: int
-    censored: bool
-    sigma_final: np.ndarray | None = None
-    varsigma_final: np.ndarray | None = None
-
-
 def gate_probability(model, land):
     """delta = exp(-4 beta eps(n)), the gate success probability."""
     return math.exp(-4.0 * model.beta * land.eps_n)
@@ -143,6 +119,17 @@ def _flip_table(model):
 def _accept(table, s, m, sites):
     """Flip probability of ``sites`` carrying spins ``s`` at magnetizations ``m``."""
     return table[sites, s + 1, m + (table.shape[2] >> 1)]
+
+
+def _flip_rows(table, codes):
+    """P(flip site i) = accept / N in each state of ``codes``, one row per state.
+
+    Bit i of a code is set where site i carries spin +1, as in the kernel's
+    transition counts.
+    """
+    n = table.shape[0]
+    spins = np.where((codes[:, None] >> np.arange(n)) & 1, 1, -1)
+    return _accept(table, spins, spins.sum(axis=1, keepdims=True), np.arange(n)) / n
 
 
 def _streams(key, k):
@@ -322,67 +309,18 @@ def _event_b(out, M):
     return (out["frak_t"] >= 0) & (out["attempts"] <= M)
 
 
-def run_coupling(model, land, sigma0, varsigma0, T, M, seed=None, gates=None):
-    """Execute one coupled trajectory of the two Glauber paths.
+def mismatched_pair_in_fiber(model, land, rng, size):
+    """Two (size, N) arrays of independent pairs of distinct configurations.
 
-    Both starting configurations must share their mesoscopic value.  Set
-    memberships for the mismatched-partner draw are read before any update of
-    the step.  After the gated phase ends (xi = 1 or the gate budget is
-    spent) the two paths evolve from independent uniforms; once the paths
-    have merged they are updated synchronously so they stay identical.  This
-    is the R = 1 call of the lockstep kernel.
+    Both rows of a pair lie in the fiber of ``richest_fiber(land)``.
     """
-    n = model.n_spins
-    sig = np.asarray(sigma0, dtype=np.int8)
-    var = np.asarray(varsigma0, dtype=np.int8)
-    if sig.shape != (n,) or var.shape != (n,):
-        raise ValidationError("configurations must have one spin per site")
-    if seed is None:
-        raise ValidationError("run_coupling needs a seed")
-    # one stream per purpose: gates, kernel steps, partner keys
-    rng_gates, *rngs = _streams((int(seed),), 3)
-    if gates is None:
-        gates = rng_gates.random(M) < gate_probability(model, land)
-    else:
-        gates = np.asarray(gates, dtype=bool)
-        if gates.shape != (M,):
-            raise ValidationError("gate array must have length M")
-    out = _coupled_steps(model, land, sig[None], var[None], T, gates[None], rngs)
-    frak_t = int(out["frak_t"][0])
-    merge_time = int(out["merge_time"][0])
-    return CouplingTrace(
-        gates=gates,
-        gates_used=int(out["gates_used"][0]),
-        xi=int(out["xi"][0]),
-        first_flip=out["first_flip"][0],
-        frak_t=frak_t if frak_t >= 0 else None,
-        attempts=int(out["attempts"][0]),
-        event_A=bool(gates.all()),
-        event_B=bool(_event_b(out, M)[0]),
-        merged=merge_time >= 0,
-        merge_time=merge_time if merge_time >= 0 else None,
-        matched_at_frak_t=bool(out["matched"][0]) if frak_t >= 0 else None,
-        sync_violations=int(out["sync_violations"][0]),
-        censored=frak_t < 0,
-        sigma_final=out["sigma"][0],
-        varsigma_final=out["varsigma"][0],
-    )
-
-
-def mismatched_pair_in_fiber(model, land, point_index, rng, size=None):
-    """Two distinct configurations sharing the given mesoscopic point.
-
-    With ``size`` given, returns two (size, N) arrays of independent pairs.
-    """
-    fiber = np.flatnonzero(land.fiber_mask([point_index]))
+    fiber = np.flatnonzero(land.fiber_mask([richest_fiber(land)]))
     if fiber.size < 2:
         raise ValidationError("fiber has a single configuration")
-    k = 1 if size is None else size
-    a = rng.integers(fiber.size, size=k)
-    b = rng.integers(fiber.size - 1, size=k)
+    a = rng.integers(fiber.size, size=size)
+    b = rng.integers(fiber.size - 1, size=size)
     b += b >= a
-    sig, var = model.spins[fiber[a]], model.spins[fiber[b]]
-    return (sig[0], var[0]) if size is None else (sig, var)
+    return model.spins[fiber[a]], model.spins[fiber[b]]
 
 
 def richest_fiber(land):
@@ -408,11 +346,10 @@ def coupling_experiment(model, land, runs, seed, M, T, dynamics_runs=None):
 
     if dynamics_runs is None:
         dynamics_runs = min(runs, 2000)
-    start_point = richest_fiber(land)
     rng_pick = np.random.default_rng((seed, 17))
 
     def replicas(count, replica_gates, key):
-        s0, v0 = mismatched_pair_in_fiber(model, land, start_point, rng_pick, size=count)
+        s0, v0 = mismatched_pair_in_fiber(model, land, rng_pick, count)
         rngs = _streams((int(seed), key), 2)
         out = _coupled_steps(model, land, s0, v0, T, replica_gates, rngs)
         contained = replica_gates.all(axis=1) & _event_b(out, replica_gates.shape[1])
@@ -458,13 +395,12 @@ def marginal_chi_square(model, land, runs, steps, seed):
 
     rng_pick = np.random.default_rng((seed, 23))
     n = model.n_spins
-    s0, v0 = mismatched_pair_in_fiber(
-        model, land, richest_fiber(land), rng_pick, size=runs
-    )
+    s0, v0 = mismatched_pair_in_fiber(model, land, rng_pick, runs)
     rng_gates, *rngs = _streams((int(seed), 7777), 3)
     gates = rng_gates.random((runs, n)) < gate_probability(model, land)
     counts = ([], [])
     _coupled_steps(model, land, s0, v0, steps, gates, rngs, counts=counts)
+    table = _flip_table(model)
     results = []
     for side, parts in enumerate(counts):
         keys = np.concatenate(parts or [np.zeros(0, dtype=np.int64)])
@@ -476,16 +412,8 @@ def marginal_chi_square(model, land, runs, steps, seed):
         busy = outcomes.sum(axis=1) >= 50
         n_tested = 0
         min_p = 1.0
-        for code, obs in zip(codes[busy], outcomes[busy]):
+        for obs, flip in zip(outcomes[busy], _flip_rows(table, codes[busy])):
             visits = int(obs.sum())
-            sigma = np.where((code >> np.arange(n)) & 1, 1, -1).astype(np.int8)
-            m = int(sigma.sum())
-            flip = np.array(
-                [
-                    model.flip_probability(sigma, m, i) / model.n_spins
-                    for i in range(model.n_spins)
-                ]
-            )
             # categories: flip at site i, or hold; rare cells pooled so every
             # expected count is at least 5
             probs = np.concatenate([flip, [1.0 - flip.sum()]])
@@ -706,9 +634,7 @@ def eta_from_coupling(model, land, i_point, j_point):
     b = land.fiber_mask([j_point])
     sol = equilibrium_potential(model.chain, a, b)
     mass = model.chain.mass(a)
-    dens = sol.equilibrium_measure[a] * mass / sol.capacity
-    w = model.chain.stationary[a] / mass
-    var_exact = float(np.dot(w, (dens - 1.0) ** 2))
+    var_exact = exit_variance(model.chain, sol)
     grow = 4.0 * model.beta * land.eps_n * s * n
     # log(expm1(grow) + tail) decides whether the bound is a float at all
     log_head = grow + math.log(-math.expm1(-grow)) if grow > 0.0 else -math.inf

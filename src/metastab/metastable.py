@@ -29,7 +29,6 @@ from .potential import (
     _subset_masks,
     capacity_scan_context,
     equilibrium_potential,
-    mean_hitting_time,
 )
 
 TIE_TOL = 1e-12
@@ -223,21 +222,27 @@ def metastable_partition(chain, sets):
     return valleys, partition, assignment, ties
 
 
+def exit_variance(chain, sol):
+    """Var_{mu_A}[nu_{A,B} / mu_A] for the pair (A, B) of ``sol``.
+
+    The density nu_{A,B} / mu_A = e_{A,B} mu[A] / cap(A, B) has mu_A-mean 1
+    by construction, so the mean is taken as exactly 1.
+    """
+    a = sol.set_a
+    mass = chain.mass(a)
+    dens = sol.equilibrium_measure[a] * mass / sol.capacity
+    w = chain.stationary[a] / mass
+    return float(np.dot(w, (dens - 1.0) ** 2))
+
+
 def eta_regularity(chain, M_i, M_j):
     """Smallest eta making the last-exit regularity bound an equality.
 
     Var_{mu_{M_i}}[nu_{M_i,M_j} / mu_{M_i}] * cap(M_i, M_j) / mu[M_i]; zero
     for singletons and whenever the escape probability is constant on M_i.
     """
-    a = subset_mask(chain, M_i)
-    b = subset_mask(chain, M_j)
-    sol = equilibrium_potential(chain, a, b)
-    mass = chain.mass(a)
-    dens = sol.equilibrium_measure[a] * mass / sol.capacity
-    w = chain.stationary[a] / mass
-    mean = float(np.dot(w, dens))  # equals 1 by construction
-    var = float(np.dot(w, (dens - mean) ** 2))
-    return var * sol.capacity / mass
+    sol = equilibrium_potential(chain, M_i, M_j)
+    return exit_variance(chain, sol) * sol.capacity / chain.mass(sol.set_a)
 
 
 def local_pi_constant(chain, M):
@@ -365,7 +370,9 @@ def mean_exit_asymptotics(chain, structure, i):
         b |= structure.sets[j]
     sol = equilibrium_potential(chain, structure.sets[i], b)
     main = structure.mu_parts[i] / sol.capacity
-    exact = mean_hitting_time(chain, sol.last_exit, b)
+    # E_{nu_{A,B}}[tau_B] = E_mu[h_{A,B}] / cap(A, B): no second solve, whose
+    # Lap w = mu loses its digits at low temperature
+    exact = float(np.dot(chain.stationary, sol.potential)) / sol.capacity
     others = [j for j in range(k) if j != i and j not in heavier]
     delta = max(
         (structure.mu_parts[j] / structure.mu_parts[i] for j in others),

@@ -38,6 +38,28 @@ def double_well():
 
 
 @pytest.fixture(scope="session")
+def exit_time_series():
+    """E_{x_0}[tau_{x_{n-1}}] (or the reverse) of a birth-death chain, 60 digits.
+
+    sum_k mu[0..k] / w(k, k + 1) over the chain's own float mu and
+    conductances, as an mpmath number.
+    """
+    mp = pytest.importorskip("mpmath").mp
+
+    def series(chain, forward=True):
+        with mp.workdps(60):
+            n = chain.n_states
+            mu = [mp.mpf(float(x)) for x in chain.stationary]
+            w = chain.conductance.toarray()
+            cond = [mp.mpf(float(w[k, k + 1])) for k in range(n - 1)]
+            if not forward:
+                mu, cond = mu[::-1], cond[::-1]
+            return sum(mp.fsum(mu[: k + 1]) / cond[k] for k in range(n - 1))
+
+    return series
+
+
+@pytest.fixture(scope="session")
 def chain_corpus():
     """Shared random corpus: 100 chains up to 64 states with (A, B) picks."""
     rng = np.random.default_rng(20240811)

@@ -306,39 +306,48 @@ def test_analyze_without_error_term(capsys, tmp_path):
     assert [e["error_form"] for e in exits.values() if e is not None] == [None]
 
 
+SETS_DOC = ["analyze", "--chain", "{chain}", "--sets", "{doc}", "--seed", "1"]
+LANDSCAPE_DOC = ["export", "--report", "{doc}", "--what", "landscape", "--out", "{dir}/x.csv"]
+TREND_DOC = LANDSCAPE_DOC[:4] + ["trend"] + LANDSCAPE_DOC[5:]
+
+
 @pytest.mark.parametrize(
-    "argv,names",
+    "argv,doc,names",
     [
-        (["analyze", "--chain", "{chain}", "--sets", "{nosets}", "--seed", "1"], "'sets'"),
-        (["orlicz", "--chain", "{chain}", "--B", "b", "--pair", "p:abc"], "p:abc"),
-        (["orlicz", "--chain", "{chain}", "--B", "b", "--K", "abc"], "--K"),
-        (["orlicz", "--chain", "{chain}", "--B", "b", "--K", "inf"], "--K"),
-        (["rfcw", "--N", "6", "--beta", "1,abc"], "--beta"),
-        (["rfcw", "--N", "6", "--beta", "nan"], "--beta"),
-        (["rfcw", "--N", "6", "--beta", "inf"], "--beta"),
-        (COUPLE[:4] + ["nan"] + COUPLE[5:], "beta must be finite"),
-        (COUPLE[:4] + ["inf"] + COUPLE[5:], "beta must be finite"),
-        (["capacity", "--chain", "{liststate}", "--A", "b", "--B", "c"], "['a']"),
-        (["capacity", "--chain", "{objedge}", "--A", "a", "--B", "b"], "{'x': 1}"),
+        (SETS_DOC, {"set": [["a"], ["b"]]}, "'sets'"),
+        (["orlicz", "--chain", "{chain}", "--B", "b", "--pair", "p:abc"], None, "p:abc"),
+        (["orlicz", "--chain", "{chain}", "--B", "b", "--K", "abc"], None, "--K"),
+        (["orlicz", "--chain", "{chain}", "--B", "b", "--K", "inf"], None, "--K"),
+        (["rfcw", "--N", "6", "--beta", "1,abc"], None, "--beta"),
+        (["rfcw", "--N", "6", "--beta", "nan"], None, "--beta"),
+        (["rfcw", "--N", "6", "--beta", "inf"], None, "--beta"),
+        (COUPLE[:4] + ["nan"] + COUPLE[5:], None, "beta must be finite"),
+        (COUPLE[:4] + ["inf"] + COUPLE[5:], None, "beta must be finite"),
+        (["capacity", "--chain", "{doc}", "--A", "b", "--B", "c"],
+         {"states": [["a"], "b", "c"], "edges": [["b", "c", 0.5], ["c", "b", 0.5]]}, "['a']"),
+        (["capacity", "--chain", "{doc}", "--A", "a", "--B", "b"],
+         {"states": ["a", "b"], "edges": [[{"x": 1}, "b", 0.3], ["b", "a", 0.1]]}, "{'x': 1}"),
+        (SETS_DOC, [[["a"]], ["b"]], "unknown state ['a']"),
+        (SETS_DOC, {"sets": 5}, "list of lists"),
+        (SETS_DOC, {"sets": None}, "list of lists"),
+        (SETS_DOC, [1, 2], "list of lists"),
+        (SETS_DOC, None, "list of lists"),
+        (SETS_DOC, 5, "list of lists"),
+        (LANDSCAPE_DOC, {"runs": 5}, "no landscape data"),
+        (TREND_DOC, [1, 2], "no trend data"),
+        (LANDSCAPE_DOC, {"runs": [{"free_energy": 3}]}, "'free_energy'"),
+        (TREND_DOC, {"runs": [{"beta": 1, "rho": 5}]}, "'rho'"),
+        (["capineq", "--samples", "-1", "--seed", "1"], None, "--samples"),
     ],
     ids=["no-sets-key", "pair", "K", "K-inf", "beta-list", "beta-nan", "beta-inf",
-         "couple-nan", "couple-inf", "list-state", "object-endpoint"],
+         "couple-nan", "couple-inf", "list-state", "object-endpoint", "sets-nested",
+         "sets-int", "sets-null", "sets-int-list", "sets-doc-null", "sets-doc-int",
+         "runs-int", "report-list", "free-energy-int", "rho-int", "samples-negative"],
 )
-def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, names):
-    nosets = tmp_path / "nosets.json"
-    nosets.write_text(json.dumps({"set": [["a"], ["b"]]}))
-    liststate = tmp_path / "liststate.json"
-    liststate.write_text(json.dumps(
-        {"states": [["a"], "b", "c"], "edges": [["b", "c", 0.5], ["c", "b", 0.5]]}
-    ))
-    objedge = tmp_path / "objedge.json"
-    objedge.write_text(json.dumps(
-        {"states": ["a", "b"], "edges": [[{"x": 1}, "b", 0.3], ["b", "a", 0.1]]}
-    ))
-    argv = [
-        a.format(chain=two_state_file, nosets=nosets, liststate=liststate, objedge=objedge)
-        for a in argv
-    ]
+def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, doc, names):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [a.format(chain=two_state_file, doc=path, dir=tmp_path) for a in argv]
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
@@ -354,14 +363,19 @@ CHAIN_SPEC = {
 }
 
 
-def _run_on_spec(argv, spec):
-    """Exit code, stdout and stderr of ``main`` on ``spec`` written as JSON."""
+def _run_on_spec(argv, spec, doc=None):
+    """Exit code, stdout and stderr of ``main`` on ``spec`` and ``doc`` written as JSON.
+
+    ``{chain}`` and ``{doc}`` in ``argv`` name the two files, ``{dir}`` their
+    directory.
+    """
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "chain.json"
-        path.write_text(json.dumps(spec))  # NaN and Infinity as JSON extensions
+        paths = {"chain": Path(tmp) / "chain.json", "doc": Path(tmp) / "doc.json"}
+        paths["chain"].write_text(json.dumps(spec))  # NaN and Infinity as JSON extensions
+        paths["doc"].write_text(json.dumps(doc))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([a.format(chain=path) for a in argv])
+            code = main([a.format(dir=tmp, **paths) for a in argv])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -464,6 +478,39 @@ def test_mutated_chain_specs_take_the_exit_contract(mutations, argv):
     _assert_exit_contract(*_run_on_spec(argv, spec))
 
 
+REPORT_SPEC = {"runs": [{"beta": 1.0, "free_energy": {"1": {"value": -0.5, "mode": "exact"}},
+                         "rho": {"value": 0.01, "mode": "bound"},
+                         "spectral_gap": {"value": 0.1, "mode": "exact"}}]}
+# a valid sets file and export report, each with a command that reads it
+DOC_CASES = [({"sets": [["a"], ["c"]]}, SETS_DOC), (REPORT_SPEC, LANDSCAPE_DOC),
+             (REPORT_SPEC, TREND_DOC)]
+
+
+def _mutated(base):
+    """A whole JSON value, or ``base`` after 0-3 mutations."""
+    mutations = st.lists(
+        st.tuples(st.sampled_from(["set", "drop"]),
+                  st.sampled_from(list(_spec_paths(base))[1:]), JSON_VALUES),
+        max_size=3,
+    )
+
+    def apply(muts):
+        doc = copy.deepcopy(base)
+        for kind, path, value in muts:
+            _mutate(doc, kind, path, value)
+        return doc
+
+    return JSON_VALUES | mutations.map(apply)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(DOC_CASES).flatmap(
+    lambda case: st.tuples(_mutated(case[0]), st.just(case[1]))))
+def test_mutated_sets_files_and_reports_take_the_exit_contract(case):
+    doc, argv = case
+    _assert_exit_contract(*_run_on_spec(argv, CHAIN_SPEC, doc))
+
+
 @pytest.mark.parametrize(
     "argv,chain",
     [(["orlicz", "--chain", "{chain}", "--B", "x10"], (40.0, 11))],
@@ -480,20 +527,22 @@ def test_singular_interior_block_exits_1(capsys, tmp_path, argv, chain):
     assert error["kind"] == "validation" and "singular interior block" in error["message"]
 
 
-@pytest.mark.parametrize("beta,n,unsolved", [(8.0, 11, ["0", "1"]), (2.0, 15, ["1"])],
-                         ids=["dw11", "dw15"])
-def test_analyze_keeps_partial_report(capsys, tmp_path, beta, n, unsolved):
-    # a mean exit time whose solve is singular or loses its sign becomes null;
-    # the rest of the report, computed before it, is kept
+@pytest.mark.parametrize("beta,n", [(8.0, 11), (2.0, 15)], ids=["dw11", "dw15"])
+def test_analyze_keeps_partial_report(capsys, tmp_path, exit_time_series, beta, n):
+    # a second hitting-time solve lost every digit on these wells and their
+    # mean exit times were written as null; E_mu[h] / cap solves both
+    chain = double_well_chain(beta, n)
     path = tmp_path / "dw.json"
-    save_chain(double_well_chain(beta, n), path)
+    save_chain(chain, path)
     sets = tmp_path / "sets.json"
     sets.write_text(json.dumps({"sets": [["x0"], [f"x{n - 1}"]]}))
     code, out, _ = run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets),
                                     "--exact", "--seed", "1"])
     assert code == 0
     rep = json.loads(out)
-    assert [k for k, v in rep["mean_exit"].items() if v is None] == unsolved
+    for key, forward in (("0", True), ("1", False)):
+        want = exit_time_series(chain, forward)
+        assert abs(rep["mean_exit"][key]["exact"] - want) <= 1e-12 * want
     assert rep["rho"]["value"] > 0.0 and rep["capacities"][0][1] > 0.0
     assert rep["pi_lsi"]["pi_lower"]["value"] > 0.0
 
@@ -511,11 +560,16 @@ REPORT_CHAINS = {
 # which keeps every capacity's bits; the couple, rfcw and oracle entries pin
 # the coupling, RFCW and LSI-ascent reports.  The oracle entry was frozen
 # again for the lockstep ascent, whose row-wise sums moved c_lsi_lower from
-# 1810775.4864646776 to 1810775.4864734244.
+# 1810775.4864646776 to 1810775.4864734244.  The three double-well analyze
+# entries were frozen again when the mean exit time became E_mu[h] / cap;
+# only their mean_exit exact and relative_error lines changed, and the new
+# exact values agree with a 60-digit birth-death series to 1e-15 (dw11 beta
+# 3: 746804138.9071395 and 746804142.4775343 became 746804140.3904873 and
+# 746804140.3904874).
 REPORT_GOLDENS = {
-    ("analyze", "dw11-b1"): "94a03382a187859ed65214ec55165253cf81001b768023f58498b5153582959e",
-    ("analyze", "dw11-b3"): "8c499b3511f6221e05c69bde76b038132e19b8414ed7cb1cde45af331cceae1e",
-    ("analyze", "dw15-b0.5"): "b025268f5c9898d9c701d62a16a05f91dfc31de2d79bec919a6bc6abf1ebbdb1",
+    ("analyze", "dw11-b1"): "b922bcd5369d6c194fe4f81307b26d9e94e59b3f96f72f08b253ab14a9d76aa0",
+    ("analyze", "dw11-b3"): "f7a4419faa5d1a3da767079f1c38e3b12314aba4b3f3034ca7fae406f867f9eb",
+    ("analyze", "dw15-b0.5"): "65140a249f922caddb14e9d6f1e5e9006216b06350c390c37d092e4aaa459f58",
     ("analyze", "rc13-v0"): "fa48dd6a17581769b7a27f2ae8651d71f41afaf0de8b5ca476a687af6502c0da",
     ("capineq", "5"): "9e9226edce4875e0d56b93cb63ae90aa4dc20048dba1eab92e6f1c21fcab11b6",
     ("couple", "N8"): "459caa34a9b106135c43263ec201f2aff2b35015ef96103493e2dcb8aebf5780",

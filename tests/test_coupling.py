@@ -11,6 +11,7 @@ from metastab.coupling import (
     _accept,
     _coupled_steps,
     _event_b,
+    _flip_rows,
     _flip_table,
     _gated_draw,
     _streams,
@@ -23,7 +24,6 @@ from metastab.coupling import (
     negative_binomial_rate,
     optimal_two_point_coupling,
     richest_fiber,
-    run_coupling,
     tail_bound_check,
 )
 from metastab.rfcw import build_model, coarse_grain, find_minima_and_order
@@ -64,60 +64,6 @@ def small_pair():
     return model, land
 
 
-def test_run_coupling_merged_at_zero(small_pair):
-    model, land = small_pair
-    sigma = model.spins[17].copy()
-    trace = run_coupling(model, land, sigma, sigma.copy(), T=30, M=6, seed=2)
-    assert trace.merged and trace.merge_time == 0
-    assert np.array_equal(trace.sigma_final, trace.varsigma_final)
-
-
-def test_run_coupling_rejects_meso_mismatch(small_pair):
-    model, land = small_pair
-    up = np.ones(6, dtype=np.int8)
-    down = -up
-    with pytest.raises(ValidationError):
-        run_coupling(model, land, up, down, T=10, M=4, seed=3)
-
-
-def test_run_coupling_sync_invariant(small_pair):
-    model, land = small_pair
-    rng = np.random.default_rng(5)
-    start = richest_fiber(land)
-    for r in range(200):
-        s0, v0 = mismatched_pair_in_fiber(model, land, start, rng)
-        trace = run_coupling(model, land, s0, v0, T=150, M=8, seed=100 + r)
-        assert trace.sync_violations == 0
-        if trace.merged and trace.merge_time is not None:
-            assert np.array_equal(trace.sigma_final, trace.varsigma_final)
-
-
-def test_merge_containment(small_pair):
-    # condition on the all-gates event by forcing the gates; the merge at
-    # frak_t must then hold on every run where B occurs
-    model, land = small_pair
-    rng = np.random.default_rng(7)
-    start = richest_fiber(land)
-    M = 60
-    checked = 0
-    for r in range(300):
-        s0, v0 = mismatched_pair_in_fiber(model, land, start, rng)
-        trace = run_coupling(
-            model,
-            land,
-            s0,
-            v0,
-            T=400,
-            M=M,
-            seed=500 + r,
-            gates=np.ones(M, dtype=bool),
-        )
-        if trace.event_A and trace.event_B:
-            checked += 1
-            assert trace.matched_at_frak_t
-    assert checked > 50
-
-
 def test_gate_event_probability(small_pair):
     model, land = small_pair
     rep = coupling_experiment(
@@ -137,6 +83,25 @@ def test_marginal_chi_square(small_pair):
     for rep in results:
         assert rep["pass"], rep
         assert rep["states_tested"] > 10
+
+
+def test_flip_rows_match_the_per_state_loop(small_pair):
+    # the expected rows of the chi-square test, against flip_probability
+    # called per state and site
+    rng = np.random.default_rng(19)
+    models = [small_pair[0]] + [
+        build_model(n, beta, "uniform:0.2", seed=v)
+        for n, beta, v in ((8, 0.8, 0), (10, 1.5, 3))
+    ]
+    for model in models:
+        n = model.n_spins
+        codes = np.unique(rng.integers(0, 1 << n, size=200))
+        got = _flip_rows(_flip_table(model), codes)
+        for code, row in zip(codes, got):
+            sigma = np.where((code >> np.arange(n)) & 1, 1, -1).astype(np.int8)
+            m = int(sigma.sum())
+            want = [model.flip_probability(sigma, m, i) / n for i in range(n)]
+            assert row.tolist() == want  # bit for bit
 
 
 def test_negative_binomial_rate_values():
@@ -351,13 +316,11 @@ def test_kernel_one_step_joint_law(law_pair, case):
 
 
 def test_kernel_batch_invariants(small_pair):
-    # the per-trajectory invariants of the sync and containment tests, checked
-    # row by row on one batched call
+    # per-trajectory invariants, checked row by row on one batched call: no
+    # sync violation, merged rows end equal, and with every gate forced to
+    # pass the paths are merged at frak_t whenever B occurs
     model, land = small_pair
-    start = richest_fiber(land)
-    s0, v0 = mismatched_pair_in_fiber(
-        model, land, start, np.random.default_rng(5), size=300
-    )
+    s0, v0 = mismatched_pair_in_fiber(model, land, np.random.default_rng(5), 300)
     gates = np.random.default_rng(6).random((300, 8)) < gate_probability(model, land)
     out = _coupled_steps(model, land, s0, v0, 150, gates, _streams((7,), 2))
     assert (out["sync_violations"] == 0).all()
@@ -373,22 +336,33 @@ def test_kernel_batch_invariants(small_pair):
     assert out["matched"][contained].all()
 
 
+def test_kernel_merged_at_zero(small_pair):
+    model, land = small_pair
+    sigma = model.spins[17][None]
+    out = _coupled_steps(
+        model, land, sigma, sigma.copy(), 30, np.ones((1, 6), dtype=bool),
+        _streams((2,), 2),
+    )
+    assert out["merge_time"].tolist() == [0]
+    assert np.array_equal(out["sigma"], out["varsigma"])
+
+
 def test_kernel_rejects_meso_mismatch_and_failed_domination(small_pair):
     model, land = small_pair
-    s0, _ = mismatched_pair_in_fiber(
-        model, land, richest_fiber(land), np.random.default_rng(1)
-    )
+    (s0,), _ = mismatched_pair_in_fiber(model, land, np.random.default_rng(1), 1)
     # move one up spin to another block: same magnetization, other point
     blk = land.site_block()
     i = int(np.flatnonzero(s0 == 1)[0])
     k = next(j for j in range(6) if blk[j] != blk[i] and s0[j] == -1)
     moved = s0.copy()
     moved[i], moved[k] = -1, 1
-    with pytest.raises(ValidationError, match="mesoscopically"):
-        _coupled_steps(
-            model, land, s0[None], moved[None], 1, np.ones((1, 1), dtype=bool),
-            _streams((1,), 2),
-        )
+    up = np.ones(6, dtype=np.int8)
+    for sig, var in ((s0, moved), (up, -up)):
+        with pytest.raises(ValidationError, match="mesoscopically"):
+            _coupled_steps(
+                model, land, sig[None], var[None], 1, np.ones((1, 1), dtype=bool),
+                _streams((1,), 2),
+            )
     # a follower flipping far less often than delta times the driver
     with pytest.raises(MetastabError, match="domination"):
         _gated_draw(

@@ -222,6 +222,19 @@ def test_mean_exit_gap_shrinks(double_well):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+@pytest.mark.parametrize("beta,n", [(1.0, 11), (3.0, 11), (5.0, 11), (8.0, 11),
+                                    (0.5, 15), (2.0, 15)])
+def test_mean_exit_matches_birth_death_series(exit_time_series, beta, n):
+    # at beta 8 (n = 11) and 2 (n = 15) a second solve Lap w = mu has lost
+    # every digit; E_mu[h] / cap keeps them
+    chain = double_well_chain(beta, n)
+    st = build_structure(chain, [["x0"], [f"x{n - 1}"]], mode="singleton", seed=0)
+    for i in (0, 1):
+        want = exit_time_series(chain, forward=i == 0)
+        got = mean_exit_asymptotics(chain, st, i)["exact"]
+        assert abs(got - want) <= 1e-12 * want
+
+
 def test_mean_exit_k3_delta_positive():
     # three wells with a shallow middle: delta > 0 path
     beta = 2.0
