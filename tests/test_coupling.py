@@ -347,6 +347,17 @@ def test_kernel_merged_at_zero(small_pair):
     assert np.array_equal(out["sigma"], out["varsigma"])
 
 
+def test_run_coupling_rejects_meso_mismatch(small_pair):
+    # all up against all down: different magnetizations, so no coupled run
+    model, land = small_pair
+    up = np.ones((1, 6), dtype=np.int8)
+    with pytest.raises(ValidationError, match="mesoscopically"):
+        _coupled_steps(
+            model, land, up, -up, 10, np.ones((1, 4), dtype=bool),
+            _streams((3,), 2),
+        )
+
+
 def test_kernel_rejects_meso_mismatch_and_failed_domination(small_pair):
     model, land = small_pair
     (s0,), _ = mismatched_pair_in_fiber(model, land, np.random.default_rng(1), 1)
@@ -356,13 +367,11 @@ def test_kernel_rejects_meso_mismatch_and_failed_domination(small_pair):
     k = next(j for j in range(6) if blk[j] != blk[i] and s0[j] == -1)
     moved = s0.copy()
     moved[i], moved[k] = -1, 1
-    up = np.ones(6, dtype=np.int8)
-    for sig, var in ((s0, moved), (up, -up)):
-        with pytest.raises(ValidationError, match="mesoscopically"):
-            _coupled_steps(
-                model, land, sig[None], var[None], 1, np.ones((1, 1), dtype=bool),
-                _streams((1,), 2),
-            )
+    with pytest.raises(ValidationError, match="mesoscopically"):
+        _coupled_steps(
+            model, land, s0[None], moved[None], 1, np.ones((1, 1), dtype=bool),
+            _streams((1,), 2),
+        )
     # a follower flipping far less often than delta times the driver
     with pytest.raises(MetastabError, match="domination"):
         _gated_draw(
