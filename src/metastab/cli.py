@@ -414,8 +414,15 @@ def cmd_export(args):
 # -- wiring ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors take the exit-1 JSON path."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metastab",
         description="Potential-theoretic toolkit for metastable reversible chains",
     )
@@ -492,12 +499,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "T", None) is None and args.command == "couple":
-        args.T = 50 * args.N
     try:
-        report = args.handler(args)
+        args = build_parser().parse_args(argv)
+        _check_counts(("--seed", getattr(args, "seed", None), 0))
+        if getattr(args, "T", None) is None and args.command == "couple":
+            args.T = 50 * args.N
+        _emit(args, args.handler(args))
     except InequalityViolation as exc:
         sys.stderr.write(
             json.dumps({"error": {"kind": "inequality", "message": str(exc)}})
@@ -510,7 +517,6 @@ def main(argv=None):
             + "\n"
         )
         return 1
-    _emit(args, report)
     return 0
 
 

@@ -533,7 +533,7 @@ def tail_bound_check(model, samples=2000, seed=0):
     return {
         "alpha": alpha,
         "s": s,
-        "rate": rate,
+        "rate": rate if math.isfinite(rate) else None,  # +inf at alpha = 1
         "bound": bound,
         "empirical": emp,
         "samples": samples,

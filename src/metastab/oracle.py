@@ -1,10 +1,11 @@
 """Independent ground-truth engines used to cross-check every other module.
 
 Nothing here shares a code path with the solvers it certifies: the Poincare
-constant comes from a dense symmetric eigensolve, refined by inverse
-iteration on a sparse factor of its own, the log-Sobolev bound from
-projected gradient ascent, the Orlicz norm from grid search with refinement,
-and the Cheeger constant from exhaustive subset enumeration.
+constant comes from a dense symmetric eigensolve (one Householder
+tridiagonalization shared by all eigenvalues and the lambda_2 vector),
+refined by inverse iteration on a sparse factor of its own, the log-Sobolev
+bound from projected gradient ascent, the Orlicz norm from grid search with
+refinement, and the Cheeger constant from exhaustive subset enumeration.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .chains import (
     MetastabError,
@@ -72,7 +74,9 @@ def exact_cpi(chain):
     the symmetrized -L.  The Poincare constant equals the reciprocal gap
     because the energy is the quadratic form of I - P (resp. -L).  Only the
     lambda_2 eigenvector is computed; in both conventions it belongs to the
-    second-largest eigenvalue of the symmetrized matrix.
+    second-largest eigenvalue of the symmetrized matrix.  The eigenvalues
+    and that eigenvector share one reduction to tridiagonal form
+    (``_sym_spectrum``).
 
     The dense eigenvalues carry an absolute error up to the resolution
     GAP_DIGITS_FACTOR n eps max|lambda|, all the digits a metastable gap
@@ -84,12 +88,15 @@ def exact_cpi(chain):
     n = chain.n_states
     if n > SPECTRAL_LIMIT:
         raise ValidationError(f"{n} states exceeds the dense eigensolve limit")
-    mu = chain.stationary
-    root = np.sqrt(mu)
+    root = np.sqrt(chain.stationary)
     dense = chain.kernel.toarray()
-    sym = root[:, None] * dense / root[None, :]
-    sym = 0.5 * (sym + sym.T)
-    vals = scipy.linalg.eigh(sym, eigvals_only=True)[::-1]
+    dense *= root[:, None]
+    dense /= root[None, :]
+    sym = dense + dense.T
+    del dense
+    sym *= 0.5
+    vals, vec = _sym_spectrum(sym)
+    vals = vals[::-1]
 
     if chain.discrete_time:
         if abs(vals[0] - 1.0) > 1e-9:
@@ -105,7 +112,6 @@ def exact_cpi(chain):
         gap = vals[1] if n > 1 else 1.0
     if n > 1:
         floor = GAP_DIGITS_FACTOR * n * np.finfo(float).eps * np.max(np.abs(vals))
-        vec = scipy.linalg.eigh(sym, subset_by_index=[n - 2, n - 2])[1][:, 0]
         dense_gap = gap
         gap, fiedler = _refine_gap(chain, vec / root)
         if abs(gap - dense_gap) > floor:
@@ -122,6 +128,69 @@ def exact_cpi(chain):
         maximizer=fiedler,
         discrete_time=chain.discrete_time,
     )
+
+
+def _sym_spectrum(sym):
+    """All eigenvalues of the symmetric ``sym``, ascending, and the unit
+    eigenvector of the second-largest; ``sym`` is overwritten.
+
+    These are the LAPACK steps ``dsyevr`` takes for
+    ``eigh(sym, eigvals_only=True)`` and for
+    ``eigh(sym, subset_by_index=[n - 2, n - 2])``, with the same scaling and
+    workspaces, so both results keep eigh's bits; the O(n^3) reduction to
+    tridiagonal form that the two calls would each make is made once.  The
+    eigenvector is None for n = 1.
+    """
+    n = len(sym)
+    anrm = max(sym.max(), -sym.min())
+    if not np.isfinite(anrm):
+        raise ValidationError("symmetrized kernel has non-finite entries")
+    if n == 1:
+        return sym.diagonal().copy(), None
+    work, _, info = lapack.dsyevr_lwork(n, lower=1)
+    _check_lapack("dsyevr_lwork", info)
+    lwork = int(work)
+    # dsyevr scales max|sym| into [rmin, rmax] and the eigenvalues back
+    safmin = np.finfo(float).tiny
+    smlnum = safmin / np.finfo(float).eps
+    rmin = np.sqrt(smlnum)
+    rmax = min(np.sqrt(1.0 / smlnum), 1.0 / np.sqrt(np.sqrt(safmin)))
+    sigma = 1.0
+    if 0.0 < anrm < rmin:
+        sigma = rmin / anrm
+    elif anrm > rmax:
+        sigma = rmax / anrm
+    if sigma != 1.0:
+        sym *= sigma
+    # sym.T is the Fortran-ordered view of the same (symmetric) storage
+    c, d, e, tau, info = lapack.dsytrd(
+        sym.T, lower=1, lwork=lwork - 5 * n, overwrite_a=1
+    )
+    _check_lapack("dsytrd", info)
+    vals, info = lapack.dsterf(d, e)
+    _check_lapack("dsterf", info)
+    _, w, iblock, isplit, info = lapack.dstebz(
+        d, e, 2, 0.0, 1.0, n - 1, n - 1, 0.0, "B"
+    )
+    _check_lapack("dstebz", info)
+    z, info = lapack.dstein(d, e, w[:1], iblock, isplit)
+    _check_lapack("dstein", info)
+    # dormtr, lower: the reflectors below the subdiagonal act on rows 1..n-1
+    zq, _, info = lapack.dormqr(
+        "L", "N", c[1:, : n - 1], tau, z[1:], lwork - 2 * n, overwrite_c=1
+    )
+    _check_lapack("dormqr", info)
+    vec = np.empty(n)
+    vec[0] = z[0, 0]
+    vec[1:] = zq[:, 0]
+    if sigma != 1.0:
+        vals *= 1.0 / sigma
+    return vals, vec
+
+
+def _check_lapack(name, info):
+    if info != 0:
+        raise SolverNotConverged(f"LAPACK {name} failed with info = {info}")
 
 
 def _refine_gap(chain, f):

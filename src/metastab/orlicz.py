@@ -362,6 +362,9 @@ def measure_capacity_constant(chain, nu, B, pair, K):
     nu = _measure(chain, nu)
     n = chain.n_states
     free = np.flatnonzero(~b)
+    light = nu[free][nu[free] > 0.0]
+    if light.size and K / float(light.min()) == np.inf:
+        raise ValidationError(f"K = {K!r} overflows K / nu[A]")
     ctx = capacity_scan_context(chain)
     best, best_mask = -np.inf, None
 

@@ -30,6 +30,8 @@ from .chains import (
 from .potential import equilibrium_potential
 
 MATERIALIZE_LIMIT = 14
+# bound on N (1 + h_inf), beta N (1 + h_inf) and 1/beta, far inside the float range
+SCALE_LIMIT = 1e300
 LN2 = math.log(2.0)
 
 
@@ -86,6 +88,8 @@ def parse_field_spec(spec):
     if kind == "uniform":
         if len(values) != 1:
             raise ValidationError(f"field spec {spec!r} needs one bound")
+        if not 0.0 <= values[0] <= SCALE_LIMIT:
+            raise ValidationError(f"field spec {spec!r} needs a bound in [0, {SCALE_LIMIT:g}]")
         return {"kind": "uniform", "h_inf": values[0]}
     if kind == "discrete":
         return {"kind": "discrete", "values": values}
@@ -128,6 +132,11 @@ def build_model(n_spins, beta, field_spec, seed=None, materialize=True):
         raise ValidationError(f"unknown field kind {kind!r}")
     if np.any(np.abs(h) > h_inf + 1e-12):
         raise ValidationError("field value exceeds the bound h_inf")
+    if n_spins * (1.0 + h_inf) * max(beta, 1.0) > SCALE_LIMIT or 0.0 < beta < 1.0 / SCALE_LIMIT:
+        raise ValidationError(
+            f"beta = {beta!r} with N = {n_spins} and h_inf = {h_inf!r} puts the energies, "
+            f"beta times them or 1/beta beyond {SCALE_LIMIT:g}"
+        )
 
     model = RFCWModel(
         n_spins=int(n_spins),
@@ -267,8 +276,8 @@ def coarse_grain(model, n):
     0.  When the model is materialized the induced measure is aggregated
     exactly from the Gibbs weights.
     """
-    if n < 1:
-        raise ValidationError("need at least one block")
+    if not 1 <= n <= model.n_spins:
+        raise ValidationError(f"need between 1 and N = {model.n_spins} blocks, got {n}")
     h = model.field
     if model.h_inf == 0.0:
         idx = np.zeros(model.n_spins, dtype=int)
@@ -351,7 +360,8 @@ def _block_dual_entropy(land, l, y):
         slope = float(np.mean(np.tanh(t + th)))
         if abs(slope - y) <= 1e-12:
             break
-        deriv = float(np.mean(1.0 / np.cosh(t + th) ** 2))
+        with np.errstate(over="ignore"):  # sech^2 -> 0 where cosh overflows
+            deriv = float(np.mean(1.0 / np.cosh(t + th) ** 2))
         if slope > y:
             hi = t
         else:
@@ -566,7 +576,8 @@ def _refine_minimum(model, land, point_index):
         return v - float(np.mean(np.tanh(beta * (v + h))))
 
     def gprime(v):
-        return 1.0 - beta * float(np.mean(1.0 / np.cosh(beta * (v + h)) ** 2))
+        with np.errstate(over="ignore"):  # sech^2 -> 0 where cosh overflows
+            return 1.0 - beta * float(np.mean(1.0 / np.cosh(beta * (v + h)) ** 2))
 
     lo, hi = z - 1.0, z + 1.0
     for _ in range(200):

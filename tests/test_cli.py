@@ -259,7 +259,8 @@ def test_couple_rejects_bad_counts(capsys, extra):
     assert json.loads(err)["error"]["kind"] == "validation"
 
 
-@pytest.mark.parametrize("field", ["uniform:abc", "uniform:nan", "values:0.1,x", "uniform:"])
+@pytest.mark.parametrize("field", ["uniform:abc", "uniform:nan", "values:0.1,x", "uniform:",
+                                   "uniform:-0.5"])
 def test_couple_rejects_bad_field(capsys, field):
     argv = list(COUPLE)
     argv[argv.index("--field") + 1] = field
@@ -288,6 +289,24 @@ def test_couple_skips_eta_out_of_float_range(capsys):
     rep = json.loads(out)
     assert "eta" not in rep and "hitting_bound" in rep
     assert "float range" in rep["eta_skipped"]
+
+
+def test_couple_at_full_flip_rate_reports_null_rate(capsys):
+    # at beta = 1e-17 every flip is accepted: alpha = 1 and the rate is +inf
+    argv = list(COUPLE)
+    argv[argv.index("--beta") + 1] = "1e-17"
+    code, out, _ = run_cli(capsys, argv + ["--runs", "20", "--dynamics-runs", "5"])
+    assert code == 0
+    tail = json.loads(out)["tail_bound"]
+    assert tail["alpha"] == 1.0 and tail["rate"] is None and tail["bound"] == 0.0
+
+
+def test_rfcw_far_below_the_critical_temperature(capsys):
+    # beta |z + h_i| passes 710, where cosh overflows and sech^2 is 0
+    code, out, _ = run_cli(capsys, ["rfcw", "--N", "4", "--beta", "200", "--field", "uniform:5",
+                                    "--seed", "1"])
+    assert code == 0
+    assert json.loads(out)["runs"][0]["refined_minima"]
 
 
 def test_analyze_without_error_term(capsys, tmp_path):
@@ -338,11 +357,30 @@ TREND_DOC = LANDSCAPE_DOC[:4] + ["trend"] + LANDSCAPE_DOC[5:]
         (LANDSCAPE_DOC, {"runs": [{"free_energy": 3}]}, "'free_energy'"),
         (TREND_DOC, {"runs": [{"beta": 1, "rho": 5}]}, "'rho'"),
         (["capineq", "--samples", "-1", "--seed", "1"], None, "--samples"),
+        (["capineq", "--samples", "1", "--seed", "-1"], None, "--seed"),
+        (["rfcw", "--N", "6", "--beta", "1", "--field", "uniform:0.2", "--seed", "-1"], None,
+         "--seed"),
+        (COUPLE[:-1] + ["-2"], None, "--seed"),
+        (["oracle", "--chain", "{chain}", "--what", "clsi", "--seed", "-1"], None, "--seed"),
+        (SETS_DOC[:-1] + ["-1"], {"sets": [["a"], ["b"]]}, "--seed"),
+        (["rfcw", "--N", "6", "--beta", "1", "--field", "uniform:-1", "--seed", "1"], None,
+         "uniform:-1"),
+        (["rfcw", "--N", "6", "--beta", "1", "--field", "uniform:1e308", "--seed", "1"], None,
+         "uniform:1e308"),
+        (["rfcw", "--N", "6", "--beta", "1e308"], None, "beta = 1e+308"),
+        (["rfcw", "--N", "6", "--beta", "5e-324"], None, "1/beta"),
+        (["orlicz", "--chain", "{chain}", "--B", "b", "--K", "1e308"], None, "overflows"),
+        (["rfcw", "--N", "4", "--beta", "1", "--n", "5"], None, "between 1 and N = 4"),
+        (["rfcw", "--N", "x", "--beta", "1"], None, "--N"),
+        (["rfcw", "--beta", "1"], None, "--N"),
     ],
     ids=["no-sets-key", "pair", "K", "K-inf", "beta-list", "beta-nan", "beta-inf",
          "couple-nan", "couple-inf", "list-state", "object-endpoint", "sets-nested",
          "sets-int", "sets-null", "sets-int-list", "sets-doc-null", "sets-doc-int",
-         "runs-int", "report-list", "free-energy-int", "rho-int", "samples-negative"],
+         "runs-int", "report-list", "free-energy-int", "rho-int", "samples-negative",
+         "capineq-seed", "rfcw-seed", "couple-seed", "oracle-seed", "analyze-seed",
+         "field-negative", "field-huge", "beta-huge", "beta-tiny", "K-huge", "n-above-N", "N-int",
+         "N-missing"],
 )
 def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, doc, names):
     path = tmp_path / "doc.json"
@@ -509,6 +547,75 @@ def _mutated(base):
 def test_mutated_sets_files_and_reports_take_the_exit_contract(case):
     doc, argv = case
     _assert_exit_contract(*_run_on_spec(argv, CHAIN_SPEC, doc))
+
+
+def _count(lo, hi, huge=()):
+    # huge counts only where they are bad input, not a request for a long run
+    return [str(k) for k in range(lo, hi + 1)], ["-1", "-2", "nan", "1e3", "1.5", "x", "", *huge]
+
+
+BAD_REALS = ["-1", "0", "1e308", "-1e308", "5e-324", "nan", "inf", "-inf", "x", "", "1,,2"]
+FIELD = (["zero", "uniform:0.2", "uniform:0", "discrete:-0.3,0.3"],
+         ["uniform:-1", "uniform:-0.5", "uniform:1e308", "uniform:nan", "uniform:x", "uniform:",
+          "discrete:", "values:0.1", "bogus", ""])
+CHAIN_FILE = (["{chain}"], ["{dir}/missing.json"])
+DOC_FILE = (["{doc}"], ["{dir}/missing.json"])
+# flag -> (valid values, bad values) for each subcommand; None marks a
+# switch.  --N stays at most 8, so no run materializes more than 256 states.
+ARGV_FLAGS = {
+    "capacity": {"--chain": CHAIN_FILE, "--A": (["a", "b", "a,b"], ["z", "", "a,a"]),
+                 "--B": (["c", "b", "b,c"], ["z", "", "a,b,c"])},
+    "analyze": {"--chain": CHAIN_FILE, "--sets": DOC_FILE, "--exact": None},
+    "orlicz": {"--chain": CHAIN_FILE, "--B": (["a", "c", "b,c"], ["z", "", "a,b,c"]),
+               "--K": (["e2", "0.5", "2", "10"], BAD_REALS),
+               "--pair": (["ent", "l1", "p:2", "p:1.5"],
+                          ["p:-1", "p:0.5", "p:nan", "p:1e308", "p:x", "bogus", ""])},
+    "capineq": {"--samples": _count(1, 3)},
+    "oracle": {"--chain": CHAIN_FILE, "--what": (["cpi", "clsi", "cheeger"], ["bogus", ""])},
+    "rfcw": {"--N": _count(1, 8), "--beta": (["0.5", "1", "2", "0.5,1.5"], BAD_REALS),
+             "--field": FIELD, "--n": _count(1, 3, [str(10**9)]), "--materialize": None},
+    "couple": {"--N": _count(1, 8), "--beta": (["0.5", "1", "1.5"], BAD_REALS), "--field": FIELD,
+               "--n": _count(1, 3, [str(10**9)]), "--runs": _count(10, 20),
+               "--dynamics-runs": _count(1, 10), "--M": _count(0, 8), "--T": _count(0, 40)},
+    "export": {"--report": DOC_FILE, "--out": (["{dir}/x.csv"], ["{dir}/missing/x.csv"]),
+               "--what": (["landscape", "trend"], ["bogus", ""])},
+}
+SEEDS = ([str(k) for k in range(6)], ["-1", "-3", str(2**70), str(-(2**70)), "nan", "x", ""])
+OUT = ([], ["{dir}/missing/out.json"])  # a report file in place of stdout only as bad input
+
+
+@st.composite
+def _argvs(draw):
+    """A valid ``metastab`` argv with up to two flags spoilt: given a bad
+    value or left out."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    flags = {"--threads": _count(0, 4), "--out": OUT, **ARGV_FLAGS[command], "--seed": SEEDS}
+    spoilt = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = []
+    for flag, values in flags.items():
+        if values is None:
+            argv += [flag] if draw(st.booleans()) else []
+        elif flag in spoilt:
+            # left out, except where the default runs for seconds
+            omit = [None] if flag not in ("--samples", "--runs") else []
+            value = draw(st.sampled_from(values[1] + omit))
+            argv += [] if value is None else [flag, value]
+        elif values[0] and (flag != "--threads" or draw(st.booleans())):
+            argv += [flag, draw(st.sampled_from(values[0]))]
+        if flag == "--threads":
+            argv.append(command)
+    return argv
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_argvs())
+def test_fuzzed_argv_takes_the_exit_contract(argv):
+    doc = REPORT_SPEC if "export" in argv else {"sets": [["a"], ["c"]]}
+    code, out, err = _run_on_spec(argv, CHAIN_SPEC, doc)
+    if code == 2:  # a failed theorem-backed inequality, e.g. a 3-sigma miss
+        assert out == "" and json.loads(err)["error"]["kind"] == "inequality"
+    else:
+        _assert_exit_contract(code, out, err)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+from numpy.testing import assert_array_equal
 
 from metastab import (
     SolverNotConverged,
@@ -20,6 +24,7 @@ from metastab.oracle import (
     hardy_exact_constant,
 )
 from metastab import oracle as oracle_mod
+from metastab import rfcw as rfcw_mod
 from metastab.chains import entropy_gradient
 from metastab.orlicz import entropy_pair, l1_pair, muckenhoupt_constant
 from metastab.potential import birth_death_generator_chain, equilibrium_potential
@@ -196,14 +201,17 @@ def _symmetrized(chain):
     return 0.5 * (sym + sym.T), root
 
 
+def _bd_generator():
+    mu = np.random.default_rng(83).uniform(0.2, 2.0, size=30)
+    return birth_death_generator_chain(mu / mu.sum())
+
+
 @pytest.mark.parametrize("kind", ["discrete", "continuous"])
 def test_exact_cpi_spectrum_and_lambda2_vector(kind):
-    rng = np.random.default_rng(83)
     if kind == "discrete":
-        chain = random_reversible_chain(rng, 40)
+        chain = random_reversible_chain(np.random.default_rng(83), 40)
     else:
-        mu = rng.uniform(0.2, 2.0, size=30)
-        chain = birth_death_generator_chain(mu / mu.sum())
+        chain = _bd_generator()
     rep = exact_cpi(chain)
     sym, root = _symmetrized(chain)
     want = np.linalg.eigvalsh(sym)[::-1]
@@ -257,6 +265,57 @@ def test_exact_cpi_refinement_guards(monkeypatch):
     monkeypatch.setattr(oracle_mod, "REFINE_STEPS", 1)
     with pytest.raises(SolverNotConverged):
         exact_cpi(chain)
+
+
+# (chain, scale of its symmetrized matrix); 1e80 and 1e-200 take max|sym|
+# past the range in which dsyevr leaves the matrix unscaled
+SPECTRUM_CASES = {
+    **{f"dw11-b{b:g}": (lambda b=b: double_well_chain(b), 1.0) for b in (1.0, 2.0, 5.0, 8.0)},
+    "dw15-b0.5": (lambda: double_well_chain(0.5, 15), 1.0),
+    **{f"rc{n}": (lambda n=n: random_reversible_chain(np.random.default_rng((20170515, n, 0)), n),
+                  1.0) for n in (12, 14, 16)},
+    "rfcw-N8": (lambda: rfcw_mod.build_model(8, 1.5, "uniform:0.2", seed=7).chain, 1.0),
+    "bd30-generator": (_bd_generator, 1.0),
+    "bd30-generator-x1e80": (_bd_generator, 1e80),
+    "bd30-generator-x1e-200": (_bd_generator, 1e-200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
+def test_sym_spectrum_keeps_eigh_bits(name):
+    build, scale = SPECTRUM_CASES[name]
+    sym, _ = _symmetrized(build())
+    sym *= scale
+    n = len(sym)
+    want_vals = scipy.linalg.eigh(sym, eigvals_only=True)
+    want_vec = scipy.linalg.eigh(sym, subset_by_index=[n - 2, n - 2])[1][:, 0]
+    vals, vec = oracle_mod._sym_spectrum(sym.copy())
+    assert_array_equal(vals, want_vals)
+    assert_array_equal(vec, want_vec)
+
+
+@pytest.mark.parametrize("routine", ["dsyevr_lwork", "dsytrd", "dsterf", "dstebz", "dstein",
+                                     "dormqr"])
+def test_sym_spectrum_lapack_failure_raises(monkeypatch, routine):
+    real = getattr(oracle_mod.lapack, routine)
+    monkeypatch.setattr(oracle_mod.lapack, routine,
+                        lambda *a, **k: (*real(*a, **k)[:-1], 1))
+    with pytest.raises(SolverNotConverged, match=routine):
+        exact_cpi(double_well_chain(2.0))
+
+
+def test_exact_cpi_holds_two_dense_copies():
+    chain = rfcw_mod.build_model(9, 2.0, "uniform:0.2", seed=3).chain
+    n = chain.n_states
+    exact_cpi(chain)
+    tracemalloc.start()
+    try:
+        exact_cpi(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the kernel and its symmetrization, plus 64 doubles a state of LAPACK work
+    assert peak <= 2 * 8 * n * n + 64 * 8 * n
 
 
 # c_lsi_lower of the clsi chains in the benchmark pool (seed 1), frozen
