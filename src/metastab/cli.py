@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -47,18 +46,9 @@ def _provenance(args, mode=None, tolerances=None):
         "version": __version__,
         "command": args.command,
         "seed": getattr(args, "seed", None),
-        "threads": _threads(args),
         "mode": mode,
         "tolerances": tolerances or {},
     }
-
-
-def _threads(args):
-    # accepted and recorded; module internals run deterministically serial
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("METASTAB_THREADS")
-    return int(env) if env else None
 
 
 def _emit(args, report):
@@ -352,7 +342,7 @@ def cmd_couple(args):
     }
     if not ordering.degenerate:
         out["hitting_bound"] = coupling_mod.hitting_lower_bound_check(
-            model, land, [ordering.minima[0]], [ordering.minima[1]], seed=args.seed
+            model, land, [ordering.minima[0]], [ordering.minima[1]]
         )
         try:
             out["eta"] = coupling_mod.eta_from_coupling(
@@ -426,7 +416,6 @@ def build_parser():
         prog="metastab",
         description="Potential-theoretic toolkit for metastable reversible chains",
     )
-    parser.add_argument("--threads", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed=True, out=True):

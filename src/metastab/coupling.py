@@ -15,8 +15,9 @@ flip probabilities from one table of ``flip_probability`` (``_accept``).
 It is the only trajectory path: ``coupling_experiment`` makes one call for
 the dynamics replicas and one for the conditional probe, and
 ``marginal_chi_square`` one call whose transition counts are keyed by an
-integer code of the pre-state.  ``tail_bound_check`` and ``_mc_hitting``
-step all live single-path replicas together (``_glauber_step``).
+integer code of the pre-state.  ``tail_bound_check`` steps all live
+single-path replicas together.  ``hitting_lower_bound_check`` compares the
+exact hitting probabilities fiber by fiber and simulates nothing.
 
 Streams.  The gate array of ``coupling_experiment`` has a stream of its
 own; every other purpose of a call (start pairs, kernel steps, partner keys,
@@ -478,21 +479,6 @@ def _tail_rate(model):
     return alpha, s, rate, tail
 
 
-def _glauber_step(table, spins, m, u):
-    """One Glauber update of every row in place, from uniforms u[:, :2].
-
-    Returns the proposed sites, the flip mask and the pre-update spins at
-    the sites.
-    """
-    i = (u[:, 0] * spins.shape[1]).astype(np.intp)
-    s = spins[np.arange(i.size), i]
-    flip = u[:, 1] < _accept(table, s, m, i)
-    r = flip.nonzero()[0]
-    spins[r, i[r]] = -s[r]
-    m -= 2 * s * flip
-    return i, flip, s
-
-
 def tail_bound_check(model, samples=2000, seed=0):
     """Monte-Carlo check of P[N_attempts > s N] <= exp(-I_alpha(s-1) N).
 
@@ -517,8 +503,13 @@ def tail_bound_check(model, samples=2000, seed=0):
     missed = 0
     while live.size:
         u = rng.random((live.size, 2))
-        i, flip, _ = _glauber_step(table, sig, m, u)
         rows = np.arange(live.size)
+        i = (u[:, 0] * n).astype(np.intp)
+        spin = sig[rows, i]
+        flip = u[:, 1] < _accept(table, spin, m, i)
+        r = flip.nonzero()[0]
+        sig[r, i[r]] = -spin[r]
+        m -= 2 * spin * flip
         first = pending[rows, i]
         attempts[live] += first
         missed += int(np.count_nonzero(first & (u[:, 1] < alpha) & ~flip))
@@ -543,41 +534,12 @@ def tail_bound_check(model, samples=2000, seed=0):
     }
 
 
-def _mc_hitting(model, land, start, a_points, b_points, runs, seed):
-    """Fraction of ``runs`` Glauber paths from ``start`` that reach B before A.
-
-    All paths step together; a path leaves the batch when its mesoscopic
-    point enters B (a hit) or A, and paths still running after 10^7 steps
-    count as misses.
-    """
-    w = land.point_weights()
-    in_a = land.point_mask(a_points)
-    in_b = land.point_mask(b_points)
-    table = _flip_table(model)
-    rng = np.random.default_rng(seed)
-    sig = np.tile(np.asarray(start, dtype=np.int8), (runs, 1))
-    m = sig.sum(axis=1, dtype=np.int64)
-    pt = (sig > 0) @ w
-    hits = 0
-    for _ in range(10_000_000):
-        if not sig.shape[0]:
-            break
-        i, flip, s = _glauber_step(table, sig, m, rng.random((sig.shape[0], 2)))
-        pt -= s * w[i] * flip
-        hit = in_b[pt]
-        hits += int(hit.sum())
-        keep = ~(hit | in_a[pt])
-        if not keep.all():
-            sig, m, pt = sig[keep], m[keep], pt[keep]
-    return hits / runs
-
-
-def hitting_lower_bound_check(model, land, a_points, b_points, runs=0, seed=0):
+def hitting_lower_bound_check(model, land, a_points, b_points):
     """Fiberwise check of the coupling hitting-probability comparison.
 
     For every mesoscopic fiber the exact values P_x[tau_B < tau_A] satisfy
     min >= exp(-4 beta eps s N) (max - exp(-I N)); the margin is the worst
-    slack.  Optional Monte Carlo corroboration on the worst fiber.
+    slack.
     """
     n = model.n_spins
     _, s, _, correction = _tail_rate(model)
@@ -589,34 +551,18 @@ def hitting_lower_bound_check(model, land, a_points, b_points, runs=0, seed=0):
     margins = lo - factor * (hi - correction)
     worst_fiber = int(np.argmin(margins))
     worst_margin = float(margins[worst_fiber])
-    spread = float(np.max(hi - lo))
-    report = {
-        "factor": factor,
-        "correction": correction,
-        "worst_margin": worst_margin,
-        "worst_fiber": worst_fiber,
-        "max_fiber_spread": spread,
-        "s": s,
-    }
     if worst_margin < -1e-10:
         raise InequalityViolation(
             f"hitting-probability comparison violated: margin {worst_margin!r}"
         )
-    if runs > 0:
-        fib = np.flatnonzero(land.fiber_mask([worst_fiber]))
-        v = vals[fib]
-        hi_state = model.spins[fib[int(np.argmax(v))]]
-        lo_state = model.spins[fib[int(np.argmin(v))]]
-        emp_hi = _mc_hitting(model, land, hi_state, a_points, b_points, runs, (seed, 41))
-        emp_lo = _mc_hitting(model, land, lo_state, a_points, b_points, runs, (seed, 43))
-        sig = math.sqrt(0.25 / runs)
-        report["mc"] = {
-            "emp_max_state": emp_hi,
-            "emp_min_state": emp_lo,
-            "margin": emp_lo - factor * (emp_hi - correction),
-            "three_sigma": 3.0 * sig * (1.0 + factor),
-        }
-    return report
+    return {
+        "factor": factor,
+        "correction": correction,
+        "worst_margin": worst_margin,
+        "worst_fiber": worst_fiber,
+        "max_fiber_spread": float(np.max(hi - lo)),
+        "s": s,
+    }
 
 
 def eta_from_coupling(model, land, i_point, j_point):

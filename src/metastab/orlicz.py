@@ -116,10 +116,10 @@ def p_pair(p):
     )
 
 
-def builtin_pairs(ps=(1.5, 2.0, 3.0)):
-    """Catalog of the built-in Legendre-Fenchel pairs."""
+def builtin_pairs():
+    """Catalog of the built-in Legendre-Fenchel pairs: l1, ent and p = 1.5, 2, 3."""
     pairs = {"l1": l1_pair(), "ent": entropy_pair()}
-    for p in ps:
+    for p in (1.5, 2.0, 3.0):
         pair = p_pair(p)
         pairs[pair.name] = pair
     return pairs

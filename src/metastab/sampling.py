@@ -7,7 +7,7 @@ import numpy as np
 from .chains import build_chain
 
 
-def random_reversible_chain(rng, n_states, extra_edges=None, laziness=0.2, spread=1.0):
+def random_reversible_chain(rng, n_states, extra_edges=None, laziness=0.2):
     """Random reversible chain on a connected weighted graph.
 
     A random spanning tree plus extra edges, log-normal conductances and a
@@ -20,7 +20,7 @@ def random_reversible_chain(rng, n_states, extra_edges=None, laziness=0.2, sprea
     edges = {}
     for i in range(1, n_states):
         j = int(rng.integers(0, i))
-        edges[(j, i)] = float(np.exp(rng.normal(0.0, spread)))
+        edges[(j, i)] = float(np.exp(rng.normal(0.0, 1.0)))
     if extra_edges is None:
         extra_edges = n_states // 2
     for _ in range(extra_edges):
@@ -29,8 +29,8 @@ def random_reversible_chain(rng, n_states, extra_edges=None, laziness=0.2, sprea
             continue
         key = (min(int(i), int(j)), max(int(i), int(j)))
         if key not in edges:
-            edges[key] = float(np.exp(rng.normal(0.0, spread)))
-    mu = np.exp(rng.normal(0.0, spread, size=n_states))
+            edges[key] = float(np.exp(rng.normal(0.0, 1.0)))
+    mu = np.exp(rng.normal(0.0, 1.0, size=n_states))
     mu = mu / mu.sum()
     load = np.zeros(n_states)
     for (i, j), w in edges.items():
@@ -65,8 +65,8 @@ def double_well_chain(beta, n_states=11):
     return build_chain([f"x{x}" for x in range(n_states)], triples, stationary=mu)
 
 
-def random_state_function(rng, chain, scale=1.0):
-    return rng.normal(0.0, scale, size=chain.n_states)
+def random_state_function(rng, chain):
+    return rng.normal(0.0, 1.0, size=chain.n_states)
 
 
 def random_probability(rng, n):

@@ -373,6 +373,7 @@ TREND_DOC = LANDSCAPE_DOC[:4] + ["trend"] + LANDSCAPE_DOC[5:]
         (["rfcw", "--N", "4", "--beta", "1", "--n", "5"], None, "between 1 and N = 4"),
         (["rfcw", "--N", "x", "--beta", "1"], None, "--N"),
         (["rfcw", "--beta", "1"], None, "--N"),
+        (["--threads", "2", "capineq", "--samples", "1", "--seed", "1"], None, "invalid choice"),
     ],
     ids=["no-sets-key", "pair", "K", "K-inf", "beta-list", "beta-nan", "beta-inf",
          "couple-nan", "couple-inf", "list-state", "object-endpoint", "sets-nested",
@@ -380,7 +381,7 @@ TREND_DOC = LANDSCAPE_DOC[:4] + ["trend"] + LANDSCAPE_DOC[5:]
          "runs-int", "report-list", "free-energy-int", "rho-int", "samples-negative",
          "capineq-seed", "rfcw-seed", "couple-seed", "oracle-seed", "analyze-seed",
          "field-negative", "field-huge", "beta-huge", "beta-tiny", "K-huge", "n-above-N", "N-int",
-         "N-missing"],
+         "N-missing", "threads"],
 )
 def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, doc, names):
     path = tmp_path / "doc.json"
@@ -390,6 +391,17 @@ def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, doc,
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "validation" and names in error["message"]
+
+
+def test_threads_variable_is_ignored(capsys, monkeypatch):
+    # the command runs serially; a thread-count variable in the environment,
+    # even a malformed one, changes nothing in the report
+    argv = ["capineq", "--samples", "1", "--seed", "1"]
+    monkeypatch.delenv("METASTAB_THREADS", raising=False)
+    code, want, _ = run_cli(capsys, argv)
+    monkeypatch.setenv("METASTAB_THREADS", "x")
+    assert run_cli(capsys, argv) == (0, want, "")
+    assert code == 0 and "threads" not in want
 
 
 # a three-state path; mu(x) p(x, y) = mu(y) p(y, x) on both edges
@@ -589,9 +601,9 @@ def _argvs(draw):
     """A valid ``metastab`` argv with up to two flags spoilt: given a bad
     value or left out."""
     command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
-    flags = {"--threads": _count(0, 4), "--out": OUT, **ARGV_FLAGS[command], "--seed": SEEDS}
+    flags = {"--out": OUT, **ARGV_FLAGS[command], "--seed": SEEDS}
     spoilt = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
-    argv = []
+    argv = [command]
     for flag, values in flags.items():
         if values is None:
             argv += [flag] if draw(st.booleans()) else []
@@ -600,10 +612,8 @@ def _argvs(draw):
             omit = [None] if flag not in ("--samples", "--runs") else []
             value = draw(st.sampled_from(values[1] + omit))
             argv += [] if value is None else [flag, value]
-        elif values[0] and (flag != "--threads" or draw(st.booleans())):
+        elif values[0]:
             argv += [flag, draw(st.sampled_from(values[0]))]
-        if flag == "--threads":
-            argv.append(command)
     return argv
 
 
@@ -672,20 +682,22 @@ REPORT_CHAINS = {
 # only their mean_exit exact and relative_error lines changed, and the new
 # exact values agree with a 60-digit birth-death series to 1e-15 (dw11 beta
 # 3: 746804138.9071395 and 746804142.4775343 became 746804140.3904873 and
-# 746804140.3904874).
+# 746804140.3904874).  All twelve were frozen again when the provenance
+# block lost its "threads" key: each new hash is the sha256 of the former
+# stdout with its one line '  "threads": null,' removed.
 REPORT_GOLDENS = {
-    ("analyze", "dw11-b1"): "b922bcd5369d6c194fe4f81307b26d9e94e59b3f96f72f08b253ab14a9d76aa0",
-    ("analyze", "dw11-b3"): "f7a4419faa5d1a3da767079f1c38e3b12314aba4b3f3034ca7fae406f867f9eb",
-    ("analyze", "dw15-b0.5"): "65140a249f922caddb14e9d6f1e5e9006216b06350c390c37d092e4aaa459f58",
-    ("analyze", "rc13-v0"): "fa48dd6a17581769b7a27f2ae8651d71f41afaf0de8b5ca476a687af6502c0da",
-    ("capineq", "5"): "9e9226edce4875e0d56b93cb63ae90aa4dc20048dba1eab92e6f1c21fcab11b6",
-    ("couple", "N8"): "459caa34a9b106135c43263ec201f2aff2b35015ef96103493e2dcb8aebf5780",
-    ("oracle", "dw11-b2"): "94fb2966370f5478c20fb6db17468996dcad98d69ed4a4ba59c53a6e50205ec5",
-    ("orlicz", "dw11-b1"): "7ebefcecbf46261ab8f5bbde0acaebb0da66de5fea0d7556bcc215d6fae62933",
-    ("orlicz", "dw11-b3"): "9c7d4035382fb6eb54785ee251a1eb591524c1a9429313bb66aeb18ec7c34bbf",
-    ("orlicz", "dw15-b0.5"): "89087fe683dcbe92930e66813aa2a60ca1732325548c80a5b925b1b0499d60ef",
-    ("orlicz", "rc13-v0"): "1d2aceccafb6efd5ad17e6be0a9f76cd99e351b7675aaa2245c5922a34c757db",
-    ("rfcw", "N8"): "7e4a822a870082b79362b27db9efaf6f37e26eb33e5aca513295b5edab3c12c4",
+    ("analyze", "dw11-b1"): "97efd52455b3f3a37b4dd8e37c606e8b3b6fdff0cb6e53c794be0cdfca9f3f5a",
+    ("analyze", "dw11-b3"): "5c140ac2b40f2669202aca0f239b6e2a60e0916b96fa1e0206b16cbe9e1ab4bd",
+    ("analyze", "dw15-b0.5"): "8f332915371330450662467e789b81aa597245f514ad125ea360e37f70334765",
+    ("analyze", "rc13-v0"): "7003fd046de95b1f4bc9fb1ad10cd758abf02fb3db56416fba77321aee9350f3",
+    ("capineq", "5"): "4166dfaf8a827d3dc2732e93cafe2f6ab3fc15e878a7596e4335f5e2f3b4590d",
+    ("couple", "N8"): "bf7ba8fc905bdf64e412459e0eac6a2657c7a3abeb3b1346eba6582518172ccf",
+    ("oracle", "dw11-b2"): "e9b9b0a9ae9829f5a593c4752ed5d191ffdfba1e2ad92e160ae95894fd65fe26",
+    ("orlicz", "dw11-b1"): "7f3ac1bd1096d1327a7b0b37e7e99cfb343fa61159943c469184583d306f56f7",
+    ("orlicz", "dw11-b3"): "4ee9aa7d737a1f0eb72a9925dbfe4023c21ec5a09dd6121fad2c85fd3c125e97",
+    ("orlicz", "dw15-b0.5"): "bd11b6cdf18d54b21dd8a629245cc826a9071e951511999feaed1ba944f29113",
+    ("orlicz", "rc13-v0"): "6e132543a32ca7430ce6c8b5a83543c6b0b1250afe0f21896051fff4fd98a603",
+    ("rfcw", "N8"): "9849f411a22757f05eb8268c17f6c619d669c526f342985734ab1f306c7c17aa",
 }
 
 

@@ -171,11 +171,8 @@ def test_hitting_bound_exact_lumpable(rfcw_two_valued):
 def test_hitting_bound_spread(rfcw_spread):
     model, land = rfcw_spread
     order = find_minima_and_order(model, land)
-    rep = hitting_lower_bound_check(
-        model, land, [order.minima[0]], [order.minima[1]], runs=200, seed=3
-    )
+    rep = hitting_lower_bound_check(model, land, [order.minima[0]], [order.minima[1]])
     assert rep["worst_margin"] >= -1e-12
-    assert rep["mc"]["margin"] >= -rep["mc"]["three_sigma"]
 
 
 def test_hitting_bound_degenerate_complement(small_pair):

@@ -141,6 +141,37 @@ def test_cheeger_sandwich_random():
         assert cpi <= 8.0 * ch * ch * (1.0 + 1e-10)
 
 
+def _cheeger_loop_reference(chain):
+    """One subset at a time: masses by peeling the lowest bit, first maximum."""
+    n, mu = chain.n_states, chain.stationary
+    size = 1 << n
+    mass = np.zeros(size)
+    for m in range(1, size):
+        mass[m] = mass[m & (m - 1)] + mu[(m & -m).bit_length() - 1]
+    masks = np.arange(size, dtype=np.int64)
+    cut = np.zeros(size)
+    for i, j, w in zip(chain._edge_i, chain._edge_j, chain._edge_w):
+        cut += w * (((masks >> int(i)) ^ (masks >> int(j))) & 1)
+    best, best_mask = -np.inf, 0
+    for m in range(1, size - 1, 2):
+        val = mass[m] * (1.0 - mass[m]) / cut[m]
+        if val > best:
+            best, best_mask = val, m
+    return float(best), np.array([(best_mask >> k) & 1 for k in range(n)], dtype=bool)
+
+
+def test_cheeger_matches_subset_loop_bit_for_bit():
+    chains = [random_reversible_chain(np.random.default_rng((5, n)), n) for n in range(1, 15)]
+    chains += [double_well_chain(beta, n) for n in (11, 13) for beta in (0.25, 2.0, 8.0)]
+    for chain in chains:
+        val, members = cheeger_constant(chain)
+        want, want_members = _cheeger_loop_reference(chain)
+        assert val == want
+        assert_array_equal(members, want_members)
+    val, members = cheeger_constant(chains[0])  # one state: no proper subset
+    assert val == -np.inf and members.tolist() == [False]
+
+
 def test_cheeger_complete_kernel():
     n = 4
     edges = [

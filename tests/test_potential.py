@@ -249,6 +249,38 @@ def test_swapped_pair_shares_one_sparse_factor():
     assert again.capacity == pytest.approx(cap_ref, rel=1e-12)
 
 
+CG_CASES = {
+    "dw15": (lambda: double_well_chain(0.5, 15), ["x0"], ["x14"]),
+    "rc40": (lambda: random_reversible_chain(np.random.default_rng((40, 1)), 40),
+             ["s0", "s1"], ["s39"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CG_CASES))
+def test_conjugate_gradient_path_matches_default(monkeypatch, name):
+    # limits of 0 send every interior solve to Jacobi-preconditioned CG;
+    # fresh chains keep the memo from handing back the default solver
+    make, a, b = CG_CASES[name]
+    ref = equilibrium_potential(make(), a, b)
+    monkeypatch.setattr(potential, "DENSE_SOLVE_LIMIT", 0)
+    monkeypatch.setattr(potential, "DIRECT_SOLVE_LIMIT", 0)
+    calls = []
+    cg = potential.spla.cg
+    monkeypatch.setattr(potential.spla, "cg", lambda *a, **kw: calls.append(1) or cg(*a, **kw))
+    sol = equilibrium_potential(make(), a, b)
+    assert len(calls) == 2  # one CG run per column, h_{A,B} and h_{B,A}
+    assert np.max(np.abs(sol.potential - ref.potential)) <= 1e-12
+    assert sol.capacity == pytest.approx(ref.capacity, rel=1e-9, abs=0.0)
+
+
+def test_conjugate_gradient_failure_raises(monkeypatch):
+    monkeypatch.setattr(potential, "DENSE_SOLVE_LIMIT", 0)
+    monkeypatch.setattr(potential, "DIRECT_SOLVE_LIMIT", 0)
+    monkeypatch.setattr(potential.spla, "cg", lambda mat, rhs, **kw: (np.zeros_like(rhs), 7))
+    with pytest.raises(SolverNotConverged, match="info=7"):
+        equilibrium_potential(double_well_chain(0.5, 15), ["x0"], ["x14"])
+
+
 def test_capacity_keeps_digits_at_low_temperature():
     # cap(x0, x10) of the well against the series formula: h_{A,B} is 1 up to
     # terms below 1e-10 next to x0, so sum mu e taken from it would keep only

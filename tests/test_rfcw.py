@@ -41,7 +41,8 @@ def test_build_model_beta_zero_uniform():
 
 
 def test_build_model_field_bound():
-    with pytest.raises(ValidationError):
+    # a field comes from a spec string alone; a dict is no spec
+    with pytest.raises(ValidationError, match="unknown field spec"):
         build_model(3, 1.0, {"kind": "explicit", "values": [0.3, 0.0, 0.0], "h_inf": 0.2})
     with pytest.raises(ValidationError):
         build_model(3, 1.0, "uniform:0.2")  # missing seed
