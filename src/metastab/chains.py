@@ -78,8 +78,7 @@ class ReversibleChain:
         self.kernel = sp.csr_matrix(kernel)
         self.stationary = np.array(stationary, dtype=float)
         self.discrete_time = bool(discrete_time)
-        self._validate()
-        self._build_conductances()
+        self._build_conductances(*self._validate())
         # (interior mask bytes, solve callable), see potential._spd_solver
         self._interior_solver = None
 
@@ -105,11 +104,16 @@ class ReversibleChain:
                 f"stationary measure sums to {mu.sum()!r}, not 1 within {MASS_TOL}"
             )
 
-        coo = self.kernel.tocoo()
-        off = coo.row != coo.col
-        if np.any(coo.data[off] < 0.0):
+        # one pass over the canonical triplets; row sums as csr.sum(axis=1)
+        rows = _row_sums(self.kernel.data, self.kernel.indptr)
+        kernel = self.kernel if self.kernel.has_canonical_format else self.kernel.copy()
+        kernel.sum_duplicates()  # sorts the copy
+        r = np.repeat(np.arange(n), np.diff(kernel.indptr))
+        off = r != kernel.indices
+        # int64 keys: scipy stores int32 indices, and c * n wraps past 46,340 states
+        r, c, v = r[off], kernel.indices[off].astype(np.int64), kernel.data[off]
+        if np.any(v < 0.0):
             raise BadRowSum("negative off-diagonal kernel entry")
-        rows = np.asarray(self.kernel.sum(axis=1)).ravel()
         target = 1.0 if self.discrete_time else 0.0
         bad = np.abs(rows - target) > ROW_TOL
         if np.any(bad):
@@ -119,11 +123,13 @@ class ReversibleChain:
                 f"(expected {target})"
             )
 
-        # detailed balance, edge by edge, relative tolerance
-        r, c, v = coo.row[off], coo.col[off], coo.data[off]
+        # detailed balance, edge by edge, relative tolerance; reverse entries
+        # are looked up by key and read 0 if absent
+        key, rkey = r * n + c, c * n + r
+        pos = np.searchsorted(key, rkey)
+        found = np.take(key, pos, mode="clip") == rkey
         lhs = mu[r] * v
-        kt = self.kernel.T.tocsr()
-        rev = np.asarray(kt[r, c]).ravel() * mu[c]
+        rev = np.where(found, np.take(lhs, pos, mode="clip"), 0.0)
         gap = np.abs(lhs - rev)
         tol = BALANCE_RTOL * np.maximum(lhs, rev) + 1e-300
         if np.any(gap > tol):
@@ -134,26 +140,29 @@ class ReversibleChain:
                 f"{lhs[k]!r} vs {rev[k]!r}"
             )
 
-        support = sp.csr_matrix((np.ones_like(v), (r, c)), shape=(n, n))
-        ncomp, _ = connected_components(support, directed=True, connection="strong")
+        # self-loops do not change the strong components
+        ncomp, _ = connected_components(kernel, directed=True, connection="strong")
         if ncomp != 1:
             raise NotIrreducible(f"kernel support has {ncomp} strong components")
+        # W = (w + w^T) / 2 with w = mu(x) p(x, y): an edge with no reverse
+        # entry (it passed under the 1e-300 floor) gains its mirror (y, x)
+        return np.append(key, rkey[~found]), np.append(0.5 * (lhs + rev), 0.5 * lhs[~found])
 
-    def _build_conductances(self):
-        coo = self.kernel.tocoo()
-        off = coo.row != coo.col
-        r, c, v = coo.row[off], coo.col[off], coo.data[off]
-        w = sp.csr_matrix((self.stationary[r] * v, (r, c)), shape=self.kernel.shape)
-        # project onto the exactly reversible structure
-        w = 0.5 * (w + w.T)
-        w.eliminate_zeros()
-        self.conductance = w.tocsr()
-        deg = np.asarray(w.sum(axis=1)).ravel()
-        self.laplacian = (sp.diags(deg) - w).tocsr()
-        upper = sp.triu(w, k=1).tocoo()
-        self._edge_i = upper.row
-        self._edge_j = upper.col
-        self._edge_w = upper.data
+    def _build_conductances(self, key, val):
+        keep = np.argsort(key, kind="stable")  # sorted but for appended mirrors
+        keep = keep[val[keep] != 0.0]
+        key, val = key[keep], val[keep]
+        n = self.n_states
+        self.conductance = _csr(val, key, n)
+        # the Laplacian deg - W, each nonzero degree in its column's place
+        diag = np.arange(n) * (n + 1)
+        at = np.searchsorted(key, diag)
+        deg = _row_sums(val, self.conductance.indptr)
+        lkey, lval = np.insert(key, at, diag), np.insert(-val, at, deg)
+        self.laplacian = _csr(lval[lval != 0.0], lkey[lval != 0.0], n)
+        r, c = np.divmod(key, n)
+        upper = c > r
+        self._edge_i, self._edge_j, self._edge_w = r[upper], c[upper], val[upper]
 
     # -- representation -------------------------------------------------------
 
@@ -174,6 +183,20 @@ class ReversibleChain:
             raise ValidationError("conditioning on a zero-mass set")
         out[mask] = self.stationary[mask] / m
         return out
+
+
+def _row_sums(data, indptr):
+    """Row sums of CSR arrays, added in stored order as csr.sum(axis=1) does."""
+    out = np.zeros(indptr.size - 1, dtype=data.dtype)
+    rows = np.flatnonzero(np.diff(indptr))
+    out[rows] = np.add.reduceat(data, indptr[rows])
+    return out
+
+
+def _csr(data, keys, n):
+    """n x n CSR matrix of entries with sorted row-major keys row * n + col."""
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return sp.csr_matrix((data, keys % n, indptr), shape=(n, n))
 
 
 def subset_mask(chain, subset):
@@ -281,7 +304,9 @@ def build_chain(states, edges, stationary=None, time="discrete"):
     jj = np.concatenate([np.asarray(cols, dtype=int), np.arange(n)])
     vv = np.concatenate([np.asarray(vals, dtype=float), diag])
     keep = vv != 0.0
-    kernel = sp.csr_matrix((vv[keep], (ii[keep], jj[keep])), shape=(n, n))
+    key = (ii * n + jj)[keep]
+    order = np.argsort(key)  # the keys are unique
+    kernel = _csr(vv[keep][order], key[order], n)
 
     if stationary is None:
         if n > DENSE_STATIONARY_LIMIT:

@@ -2,13 +2,15 @@
 
 Reports are JSON with a provenance block (version, seed, mode, tolerances)
 and deterministic byte-for-byte given the same arguments and seed.  Exit
-codes: 0 success, 1 validation errors, 2 failed theorem-backed inequalities.
+codes: 0 success, 1 bad input (error kind ``validation``) or a solve that
+failed its checks (kind ``solver``), 2 failed theorem-backed inequalities.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -19,6 +21,7 @@ from . import __version__
 from .chains import (
     InequalityViolation,
     MetastabError,
+    SolverNotConverged,
     ValidationError,
     load_chain,
     subset_mask,
@@ -411,7 +414,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def build_parser():
+    """The one ``metastab`` parser of the process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="metastab",
         description="Potential-theoretic toolkit for metastable reversible chains",
@@ -429,14 +434,12 @@ def build_parser():
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     common(p)
-    p.set_defaults(handler=cmd_capacity)
 
     p = sub.add_parser("analyze")
     p.add_argument("--chain", required=True)
     p.add_argument("--sets", required=True)
     p.add_argument("--exact", action="store_true")
     common(p)
-    p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("orlicz")
     p.add_argument("--chain", required=True)
@@ -444,18 +447,15 @@ def build_parser():
     p.add_argument("--K", default="e2")
     p.add_argument("--B", required=True)
     common(p)
-    p.set_defaults(handler=cmd_orlicz)
 
     p = sub.add_parser("capineq")
     p.add_argument("--samples", type=int, default=1000)
     common(p)
-    p.set_defaults(handler=cmd_capineq)
 
     p = sub.add_parser("oracle")
     p.add_argument("--chain", required=True)
     p.add_argument("--what", choices=["cpi", "clsi", "cheeger"], required=True)
     common(p)
-    p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("rfcw")
     p.add_argument("--N", type=int, required=True)
@@ -464,7 +464,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--materialize", action="store_true")
     common(p)
-    p.set_defaults(handler=cmd_rfcw)
 
     p = sub.add_parser("couple")
     p.add_argument("--N", type=int, required=True)
@@ -476,14 +475,12 @@ def build_parser():
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--dynamics-runs", dest="dynamics_runs", type=int, default=None)
     common(p)
-    p.set_defaults(handler=cmd_couple)
 
     p = sub.add_parser("export")
     p.add_argument("--report", required=True)
     p.add_argument("--what", required=True)
     p.add_argument("--out", required=True)
     common(p, out=False)
-    p.set_defaults(handler=cmd_export)
     return parser
 
 
@@ -493,20 +490,20 @@ def main(argv=None):
         _check_counts(("--seed", getattr(args, "seed", None), 0))
         if getattr(args, "T", None) is None and args.command == "couple":
             args.T = 50 * args.N
-        _emit(args, args.handler(args))
+        # looked up per call, so a rebound handler is the one that runs
+        _emit(args, globals()[f"cmd_{args.command}"](args))
     except InequalityViolation as exc:
-        sys.stderr.write(
-            json.dumps({"error": {"kind": "inequality", "message": str(exc)}})
-            + "\n"
-        )
-        return 2
-    except (ValidationError, MetastabError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": {"kind": "validation", "message": str(exc)}})
-            + "\n"
-        )
-        return 1
+        return _fail("inequality", exc, 2)
+    except SolverNotConverged as exc:
+        return _fail("solver", exc, 1)
+    except (MetastabError, OSError, json.JSONDecodeError) as exc:
+        return _fail("validation", exc, 1)
     return 0
+
+
+def _fail(kind, exc, code):
+    sys.stderr.write(json.dumps({"error": {"kind": kind, "message": str(exc)}}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

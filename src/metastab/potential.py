@@ -17,7 +17,9 @@ Every interior solve (potentials, mean hitting times) goes through
 
 The chain memoises one entry, the solver of the interior it saw last, so the
 pairs (A, B) and (B, A), and a capacity after a potential on the same pair,
-share one factorization.  ``equilibrium_potential`` solves h_{A,B} and
+reuse it.  Above DENSE_SOLVE_LIMIT that is one SuperLU factorization; at or
+below it the entry holds the dense block, which ``np.linalg.solve`` factors
+again on every call.  ``equilibrium_potential`` solves h_{A,B} and
 h_{B,A} together and takes e on A from h_{B,A}: at low temperature h_{A,B}
 is 1 up to tiny terms next to A, and e computed from it as (Lap h) / mu
 keeps only the digits of those terms.  Whatever the path, it still checks
@@ -56,6 +58,7 @@ import scipy.sparse.linalg as spla
 from .chains import (
     SolverNotConverged,
     ValidationError,
+    _row_sums,
     dirichlet_form,
     subset_mask,
 )
@@ -256,16 +259,19 @@ def _solve_potentials(chain, masks):
     columns sum to 1, but each is solved for itself: near M_i, where h_i is
     close to 1, the other columns hold 1 - h_i to full relative precision.
     """
+    w = chain.conductance
     h = np.zeros((chain.n_states, len(masks)))
+    rhs = np.zeros_like(h)
     union = np.zeros(chain.n_states, dtype=bool)
     for i, m in enumerate(masks):
         h[m, i] = 1.0
         union |= m
+        # W[:, M_i] 1 with the bits of csr.sum(axis=1), not of a product
+        sel = m[w.indices]
+        rhs[:, i] = _row_sums(w.data[sel], np.append(0, np.cumsum(sel))[w.indptr])
     interior = ~union
     if interior.any():
-        w = chain.conductance[interior]
-        rhs = np.column_stack([np.asarray(w[:, m].sum(axis=1)).ravel() for m in masks])
-        h[interior] = _spd_solver(chain, interior)(rhs)
+        h[interior] = _spd_solver(chain, interior)(rhs[interior])
     return h
 
 

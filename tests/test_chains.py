@@ -3,7 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import metastab
 from metastab import (
@@ -20,7 +22,10 @@ from metastab import (
     log_mean,
     variance,
 )
-from metastab.sampling import random_reversible_chain
+from metastab.chains import BALANCE_RTOL, MASS_TOL, ROW_TOL
+from metastab.potential import birth_death_generator_chain
+from metastab.rfcw import build_model, coarse_grain, mesoscopic_rates_and_chain
+from metastab.sampling import double_well_chain, random_reversible_chain
 
 
 def test_two_state_stationary(two_state):
@@ -208,3 +213,152 @@ def test_package_sources_are_ascii():
     src = Path(metastab.__file__).parent
     for path in sorted(src.glob("*.py")):
         path.read_bytes().decode("ascii")
+
+
+def _reference_assembly(states, kernel, mu, discrete_time=True):
+    """The scipy.sparse validation and assembly that ReversibleChain replaced.
+
+    Returns (kernel, conductance, laplacian, (edge_i, edge_j, edge_w)), or
+    raises what the old constructor raised.
+    """
+    n = len(states)
+    kernel = sp.csr_matrix(kernel)
+    mu = np.array(mu, dtype=float)
+    if kernel.shape != (n, n):
+        raise ValidationError("kernel shape does not match state count")
+    if mu.shape != (n,):
+        raise ValidationError("stationary measure has wrong length")
+    if not np.all(np.isfinite(kernel.data)):
+        raise ValidationError("kernel has non-finite entries")
+    if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
+        raise ValidationError("stationary measure must be finite and positive")
+    if abs(mu.sum() - 1.0) > MASS_TOL:
+        raise ValidationError(f"stationary measure sums to {mu.sum()!r}, not 1 within {MASS_TOL}")
+    coo = kernel.tocoo()
+    off = coo.row != coo.col
+    if np.any(coo.data[off] < 0.0):
+        raise BadRowSum("negative off-diagonal kernel entry")
+    rows = np.asarray(kernel.sum(axis=1)).ravel()
+    target = 1.0 if discrete_time else 0.0
+    if np.any(np.abs(rows - target) > ROW_TOL):
+        i = int(np.argmax(np.abs(rows - target)))
+        raise BadRowSum(f"row sum {rows[i]!r} at state {states[i]!r} (expected {target})")
+    r, c, v = coo.row[off], coo.col[off], coo.data[off]
+    lhs = mu[r] * v
+    rev = np.asarray(kernel.T.tocsr()[r, c]).ravel() * mu[c]
+    gap = np.abs(lhs - rev)
+    tol = BALANCE_RTOL * np.maximum(lhs, rev) + 1e-300
+    if np.any(gap > tol):
+        k = int(np.argmax(gap - tol))
+        raise DetailedBalanceViolation(
+            f"mu(x)p(x,y) != mu(y)p(y,x) at edge ({states[r[k]]!r}, {states[c[k]]!r}): "
+            f"{lhs[k]!r} vs {rev[k]!r}"
+        )
+    support = sp.csr_matrix((np.ones_like(v), (r, c)), shape=(n, n))
+    ncomp, _ = connected_components(support, directed=True, connection="strong")
+    if ncomp != 1:
+        raise NotIrreducible(f"kernel support has {ncomp} strong components")
+    w = sp.csr_matrix((mu[r] * v, (r, c)), shape=kernel.shape)
+    w = 0.5 * (w + w.T)
+    w.eliminate_zeros()
+    w = w.tocsr()
+    laplacian = (sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w).tocsr()
+    upper = sp.triu(w, k=1).tocoo()
+    return kernel, w, laplacian, (upper.row, upper.col, upper.data)
+
+
+def _assert_same_assembly(states, kernel, mu, discrete_time=True):
+    try:
+        want = _reference_assembly(states, kernel, mu, discrete_time)
+    except ValidationError as exc:
+        with pytest.raises(type(exc)) as info:
+            metastab.ReversibleChain(states, kernel, mu, discrete_time)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    chain = metastab.ReversibleChain(states, kernel, mu, discrete_time)
+    got = (chain.kernel, chain.conductance, chain.laplacian)
+    for mine, ref in zip(got, want[:3]):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mine, attr), getattr(ref, attr)), attr
+    for mine, ref in zip((chain._edge_i, chain._edge_j, chain._edge_w), want[3]):
+        assert np.array_equal(mine, ref)
+
+
+def _lumped_rfcw():
+    model = build_model(8, 1.5, "uniform:0.2", seed=7)
+    return mesoscopic_rates_and_chain(model, coarse_grain(model, 2))
+
+
+def _one_way_edge():
+    # p(a, b) = 1e-305 has no reverse entry, yet mu(a) p(a, b) passes the
+    # balance check's 1e-300 floor, so W + W^T gains the mirror (b, a)
+    kernel = sp.csr_matrix(np.array([[0.5, 1e-305, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]]))
+    return ["a", "b", "c"], kernel, np.full(3, 1.0 / 3.0)
+
+
+def _built_chains():
+    rng = np.random.default_rng(23)
+    wells = [double_well_chain(1.0, 11), double_well_chain(8.0, 11), double_well_chain(2.0, 15)]
+    return wells + [birth_death_generator_chain(np.full(6, 1.0 / 6.0)),  # continuous time
+                    random_reversible_chain(rng, 1),
+                    *(random_reversible_chain(rng, n) for n in range(3, 17))]
+
+
+def test_chain_assembly_matches_the_sparse_reference_bit_for_bit():
+    built = _built_chains()
+    for chain in built:  # build_chain's kernel is the canonical CSR of its triplets
+        ref = sp.csr_matrix(chain.kernel.toarray())
+        assert chain.kernel.has_canonical_format
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(chain.kernel, attr), getattr(ref, attr))
+    lumped = _lumped_rfcw()
+    assert not lumped.kernel.has_canonical_format  # _lump's product leaves rows unsorted
+    for chain in built + [lumped]:
+        _assert_same_assembly(chain.states, chain.kernel, chain.stationary, chain.discrete_time)
+    _assert_same_assembly(*_one_way_edge())
+
+
+def test_chain_assembly_past_int32_keys():
+    # (n - 1) * n passes 2**31 from n = 46,341; scipy's indices are int32
+    chain = birth_death_generator_chain(np.full(50_000, 1.0 / 50_000))
+    assert chain.kernel.indices.dtype == np.int32
+    _assert_same_assembly(chain.states, chain.kernel, chain.stationary, chain.discrete_time)
+
+
+def _spoilt(states, kernel, mu, how):
+    k = kernel.toarray()
+    mu = mu.copy()
+    if how == "shape":
+        k = k[:-1]
+    elif how == "mu-length":
+        mu = mu[:-1]
+    elif how == "nan":
+        k[0, 1] = np.nan
+    elif how == "mu-zero":
+        mu[0] = 0.0
+    elif how == "mass":
+        mu = mu * 1.5
+    elif how == "negative":
+        k[0, 1], k[0, 0] = -k[0, 1], k[0, 0] + 2.0 * k[0, 1]
+    elif how == "row-sum":
+        k[1, 1] += 0.1  # the row sums to 1.1 as reduceat adds, 1.0999999999999999 in order
+    elif how == "balance":
+        k[2, 3] *= 1.5
+        k[2, 2] -= k[2, 3] / 3.0
+    elif how == "reducible":
+        k[:3, 3:] = k[3:, :3] = 0.0
+        k[np.diag_indices_from(k)] = 0.0
+        k[np.diag_indices_from(k)] = 1.0 - k.sum(axis=1)
+    return states, sp.csr_matrix(k), mu
+
+
+@pytest.mark.parametrize(
+    "how",
+    ["shape", "mu-length", "nan", "mu-zero", "mass", "negative", "row-sum", "balance", "reducible"],
+)
+def test_chain_validation_errors_match_the_sparse_reference(how):
+    chain = double_well_chain(1.0, 11)
+    states, kernel, mu = _spoilt(chain.states, chain.kernel, chain.stationary, how)
+    with pytest.raises(ValidationError):
+        _reference_assembly(states, kernel, mu)
+    _assert_same_assembly(states, kernel, mu)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,8 +217,8 @@ def test_orlicz_command(capsys, two_state_file):
 
 
 def test_inequality_violation_maps_to_exit_2(capsys, monkeypatch):
-    # main rebuilds the parser, so the handler global is looked up after the
-    # patch and a failed paper inequality surfaces as exit code 2
+    # main looks the handler global up per call, so the patched one runs and
+    # a failed paper inequality surfaces as exit code 2
     def boom(args):
         raise InequalityViolation("synthetic")
 
@@ -393,6 +394,33 @@ def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, doc,
     assert error["kind"] == "validation" and names in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["rfcw", "--N", str(10**9), "--beta", "1", "--field", "uniform:0.2", "--seed", "1"],
+         "N = 1000000000 spins"),
+        (COUPLE[:2] + [str(10**9)] + COUPLE[3:], "N = 1000000000 spins"),
+        (["rfcw", "--N", "28", "--beta", "1", "--field", "uniform:0.2", "--n", "14", "--seed", "1"],
+         "14 blocks give more than 16384"),
+    ],
+    ids=["rfcw-N", "couple-N", "rfcw-points"],
+)
+def test_size_limits_exit_1_before_allocating(capsys, argv, names):
+    # at 1e9 spins the field alone is 8 GB; the 14 blocks of 28 spins have
+    # 691,200 points, whose landscape took 50 s and 829 MB before the limit
+    build_parser()  # built once per process, outside the measured peak
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and names in error["message"]
+    assert peak < 1 << 20
+
+
 def test_threads_variable_is_ignored(capsys, monkeypatch):
     # the command runs serially; a thread-count variable in the environment,
     # even a malformed one, changes nothing in the report
@@ -434,7 +462,7 @@ def _assert_exit_contract(code, out, err):
         json.loads(out)
     else:
         assert code == 1 and out == ""
-        assert json.loads(err)["error"]["kind"] == "validation"
+        assert json.loads(err)["error"]["kind"] in ("validation", "solver")
 
 
 CAPACITY = ["capacity", "--chain", "{chain}", "--A", "a", "--B", "b"]
@@ -573,7 +601,8 @@ FIELD = (["zero", "uniform:0.2", "uniform:0", "discrete:-0.3,0.3"],
 CHAIN_FILE = (["{chain}"], ["{dir}/missing.json"])
 DOC_FILE = (["{doc}"], ["{dir}/missing.json"])
 # flag -> (valid values, bad values) for each subcommand; None marks a
-# switch.  --N stays at most 8, so no run materializes more than 256 states.
+# switch.  A valid --N is at most 8, so no run materializes more than 256
+# states; 10^9 spins must fail before the field is drawn.
 ARGV_FLAGS = {
     "capacity": {"--chain": CHAIN_FILE, "--A": (["a", "b", "a,b"], ["z", "", "a,a"]),
                  "--B": (["c", "b", "b,c"], ["z", "", "a,b,c"])},
@@ -584,9 +613,9 @@ ARGV_FLAGS = {
                           ["p:-1", "p:0.5", "p:nan", "p:1e308", "p:x", "bogus", ""])},
     "capineq": {"--samples": _count(1, 3)},
     "oracle": {"--chain": CHAIN_FILE, "--what": (["cpi", "clsi", "cheeger"], ["bogus", ""])},
-    "rfcw": {"--N": _count(1, 8), "--beta": (["0.5", "1", "2", "0.5,1.5"], BAD_REALS),
+    "rfcw": {"--N": _count(1, 8, [str(10**9)]), "--beta": (["0.5", "1", "2", "0.5,1.5"], BAD_REALS),
              "--field": FIELD, "--n": _count(1, 3, [str(10**9)]), "--materialize": None},
-    "couple": {"--N": _count(1, 8), "--beta": (["0.5", "1", "1.5"], BAD_REALS), "--field": FIELD,
+    "couple": {"--N": _count(1, 8, [str(10**9)]), "--beta": (["0.5", "1", "1.5"], BAD_REALS), "--field": FIELD,
                "--n": _count(1, 3, [str(10**9)]), "--runs": _count(10, 20),
                "--dynamics-runs": _count(1, 10), "--M": _count(0, 8), "--T": _count(0, 40)},
     "export": {"--report": DOC_FILE, "--out": (["{dir}/x.csv"], ["{dir}/missing/x.csv"]),
@@ -641,7 +670,7 @@ def test_singular_interior_block_exits_1(capsys, tmp_path, argv, chain):
     code, out, err = run_cli(capsys, [a.format(chain=path) for a in argv])
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
-    assert error["kind"] == "validation" and "singular interior block" in error["message"]
+    assert error["kind"] == "solver" and "singular interior block" in error["message"]
 
 
 @pytest.mark.parametrize("beta,n", [(8.0, 11), (2.0, 15)], ids=["dw11", "dw15"])

@@ -18,6 +18,7 @@ from metastab.potential import (
     OverlappingSets,
     _masses,
     _scan_capacities,
+    _solve_potentials,
     _spd_solver,
     _subset_masks,
     birth_death_generator_chain,
@@ -279,6 +280,22 @@ def test_conjugate_gradient_failure_raises(monkeypatch):
     monkeypatch.setattr(potential.spla, "cg", lambda mat, rhs, **kw: (np.zeros_like(rhs), 7))
     with pytest.raises(SolverNotConverged, match="info=7"):
         equilibrium_potential(double_well_chain(0.5, 15), ["x0"], ["x14"])
+
+
+def test_potential_right_hand_sides_keep_the_column_sum_bits():
+    # W[int, M] 1 is added as csr.sum(axis=1) adds it; a product W[int] @ 1_M
+    # groups rows with three or more neighbours in M differently
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        chain = random_reversible_chain(rng, 15, extra_edges=40)
+        perm = rng.permutation(15)
+        a, b = np.isin(np.arange(15), perm[:4]), np.isin(np.arange(15), perm[4:8])
+        interior = ~(a | b)
+        w = chain.conductance[interior]
+        rhs = np.column_stack([np.asarray(w[:, m].sum(axis=1)).ravel() for m in (a, b)])
+        block = chain.laplacian[interior][:, interior].toarray()
+        got = _solve_potentials(chain, [a, b])[interior]
+        assert np.array_equal(got, np.linalg.solve(block, rhs))
 
 
 def test_capacity_keeps_digits_at_low_temperature():
