@@ -167,7 +167,9 @@ def _materialize(model):
     ham = -m.astype(float) ** 2 / (2.0 * n) - spins @ model.field
 
     flip_index = configs[:, None] ^ (1 << np.arange(n))[None, :]
-    states = ["".join("+" if b else "-" for b in row) for row in bits]
+    # one byte per site, read as an n-character label per configuration
+    chars = np.where(bits, ord("+"), ord("-")).astype(np.uint8)
+    states = chars.view(f"S{n}").ravel().astype(str).tolist()
     model.chain, model.flip_probs, model.gibbs = _glauber_chain(
         states, ham, flip_index, model.beta
     )
@@ -596,7 +598,7 @@ def _refine_minimum(model, land, point_index):
         if not lo < cand < hi or gp <= 0.0:
             # fall back onto a local sign-change bracket
             grid = np.linspace(lo, hi, 2001)
-            vals = np.array([g(v) for v in grid])
+            vals = grid - np.mean(np.tanh(beta * (grid[:, None] + h)), axis=1)
             sign = np.signbit(vals)
             flips = np.flatnonzero(sign[:-1] != sign[1:])
             if flips.size == 0:

@@ -1,10 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metastab
 from metastab import ValidationError
+from metastab import coupling as coupling_mod
 from metastab.chains import MetastabError
 from metastab.coupling import (
     BoundOutOfRange,
@@ -297,9 +303,10 @@ def test_kernel_one_step_joint_law(law_pair, case):
         var = sig.copy()
     gate = {"gate_pass": True, "gate_fail": False, "merged": True, "no_gates": None}[case]
     gates = np.full((R, 0 if gate is None else 1), bool(gate))
-    out = _coupled_steps(
-        model, land, np.tile(sig, (R, 1)), np.tile(var, (R, 1)), 1, gates,
-        _streams((5, len(case)), 2),
+    (out,) = _coupled_steps(
+        model, land,
+        [(np.tile(sig, (R, 1)), np.tile(var, (R, 1)), gates, _streams((5, len(case)), 2))],
+        1,
     )
     seen = {}
     for s, v in zip(out["sigma"], out["varsigma"]):
@@ -319,7 +326,7 @@ def test_kernel_batch_invariants(small_pair):
     model, land = small_pair
     s0, v0 = mismatched_pair_in_fiber(model, land, np.random.default_rng(5), 300)
     gates = np.random.default_rng(6).random((300, 8)) < gate_probability(model, land)
-    out = _coupled_steps(model, land, s0, v0, 150, gates, _streams((7,), 2))
+    (out,) = _coupled_steps(model, land, [(s0, v0, gates, _streams((7,), 2))], 150)
     assert (out["sync_violations"] == 0).all()
     merged = out["merge_time"] >= 0
     assert merged.any()
@@ -327,18 +334,128 @@ def test_kernel_batch_invariants(small_pair):
 
     M = 60
     forced = np.ones((300, M), dtype=bool)
-    out = _coupled_steps(model, land, s0, v0, 400, forced, _streams((8,), 2))
+    (out,) = _coupled_steps(model, land, [(s0, v0, forced, _streams((8,), 2))], 400)
     contained = _event_b(out, M)  # every gate passes
     assert contained.sum() > 50
     assert out["matched"][contained].all()
 
 
+@pytest.mark.parametrize("block_steps", [None, 7])
+def test_stacked_kernel_matches_per_group_calls(law_pair, monkeypatch, block_steps):
+    # one call on three stacked groups returns, group by group, the bits of
+    # one call per group: gate widths 4, 60 and 0 (``couple --M 0``), with
+    # partner keys drawn in the first two (blocks of four sites, so a site
+    # can have two candidate partners and the keys decide); a budget of 7
+    # steps of all 75 rows gives each call its own blocking of T = 120, each
+    # with a partial last block
+    if block_steps:
+        monkeypatch.setattr(coupling_mod, "STEP_BLOCK_BYTES", 80 * 75 * block_steps)
+    model, land, _, _ = law_pair
+    rng = np.random.default_rng(21)
+    delta = gate_probability(model, land)
+    groups = []
+    for r, m, key in ((40, 4, 1), (25, 60, 2), (10, 0, 3)):
+        s0, v0 = mismatched_pair_in_fiber(model, land, rng, r)
+        gates = np.ones((r, m), dtype=bool) if key == 2 else rng.random((r, m)) < delta
+        groups.append((s0, v0, gates, key))
+
+    def run(gs):
+        counts = ([], [])
+        outs = _coupled_steps(
+            model, land, [(s, v, g, _streams((31, key), 2)) for s, v, g, key in gs], 120,
+            counts=counts,
+        )
+        return outs, counts
+
+    stacked, stacked_counts = run(groups)
+    singles = [run([g]) for g in groups]
+    for out, ((single,), _) in zip(stacked, singles):
+        assert out.keys() == single.keys()
+        for name in out:
+            assert out[name].dtype == single[name].dtype, name
+            assert np.array_equal(out[name], single[name]), name
+    for side in (0, 1):
+        assert len(stacked_counts[side]) == 120
+        for t, got in enumerate(stacked_counts[side]):
+            want = np.concatenate([counts[side][t] for _, counts in singles])
+            assert np.array_equal(got, want)
+    assert (stacked[0]["gates_used"] > 0).any() and (stacked[1]["gates_used"] > 0).any()
+    assert (stacked[2]["gates_used"] == 0).all()
+
+
+def _chi_square_reference(model, land, runs, steps, seed):
+    """(states tested, min p-value) per path, one ``chi2.sf`` call per state."""
+    from scipy.stats import chi2
+
+    n = model.n_spins
+    s0, v0 = mismatched_pair_in_fiber(model, land, np.random.default_rng((seed, 23)), runs)
+    rng_gates, *rngs = _streams((seed, 7777), 3)
+    gates = rng_gates.random((runs, n)) < gate_probability(model, land)
+    counts = ([], [])
+    _coupled_steps(model, land, [(s0, v0, gates, rngs)], steps, counts=counts)
+    table = _flip_table(model)
+    found = []
+    for parts in counts:
+        keys = np.concatenate(parts)
+        codes, state = np.unique(keys // (n + 1), return_inverse=True)
+        slot = (keys % (n + 1) - 1) % (n + 1)
+        outcomes = np.bincount(state * (n + 1) + slot, minlength=codes.size * (n + 1))
+        outcomes = outcomes.reshape(codes.size, n + 1).astype(float)
+        busy = outcomes.sum(axis=1) >= 50
+        n_tested, min_p = 0, 1.0
+        for obs, flip in zip(outcomes[busy], _flip_rows(table, codes[busy])):
+            exp = int(obs.sum()) * np.concatenate([flip, [1.0 - flip.sum()]])
+            keep = exp >= 5.0
+            if keep.sum() < 2:
+                continue
+            obs_k = np.concatenate([obs[keep], [obs[~keep].sum()]])
+            exp_k = np.concatenate([exp[keep], [exp[~keep].sum()]])
+            if exp_k[-1] < 1e-12:
+                obs_k, exp_k = obs_k[:-1], exp_k[:-1]
+            stat = float(np.sum((obs_k - exp_k) ** 2 / exp_k))
+            n_tested += 1
+            min_p = min(min_p, float(chi2.sf(stat, obs_k.size - 1)))
+        found.append((n_tested, min_p))
+    return found
+
+
+@pytest.mark.parametrize("n_spins,beta,runs,seed", [(6, 1.0, 300, 13), (8, 1.5, 150, 2), (10, 0.8, 120, 5)])
+def test_chi_square_matches_the_per_state_reference(n_spins, beta, runs, seed):
+    model = build_model(n_spins, beta, "uniform:0.2", seed=seed)
+    land = coarse_grain(model, 2)
+    got = marginal_chi_square(model, land, runs=runs, steps=100, seed=seed)
+    want = _chi_square_reference(model, land, runs, 100, seed)
+    assert [(r["states_tested"], r["min_pvalue"]) for r in got] == want  # bit for bit
+    assert all(n_tested > 0 for n_tested, _ in want)
+
+
+def test_monte_carlo_leaves_scipy_stats_unimported():
+    # the chi-square test and ``metastab couple`` need scipy.special only,
+    # not the 0.3 s import of scipy.stats
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from metastab import cli, coupling, rfcw",
+        "model = rfcw.build_model(8, 1.0, 'uniform:0.2', seed=1)",
+        "coupling.marginal_chi_square(model, rfcw.coarse_grain(model, 2), runs=50, steps=40, seed=1)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    rc = cli.main(['couple', '--N', '8', '--beta', '1.0', '--field', 'uniform:0.2',",
+        "                   '--n', '2', '--runs', '200', '--dynamics-runs', '20', '--seed', '5'])",
+        "print(rc, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)",
+    ])
+    src = str(Path(metastab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "True", "False"]
+
+
 def test_kernel_merged_at_zero(small_pair):
     model, land = small_pair
     sigma = model.spins[17][None]
-    out = _coupled_steps(
-        model, land, sigma, sigma.copy(), 30, np.ones((1, 6), dtype=bool),
-        _streams((2,), 2),
+    (out,) = _coupled_steps(
+        model, land, [(sigma, sigma.copy(), np.ones((1, 6), dtype=bool), _streams((2,), 2))], 30
     )
     assert out["merge_time"].tolist() == [0]
     assert np.array_equal(out["sigma"], out["varsigma"])
@@ -350,8 +467,7 @@ def test_run_coupling_rejects_meso_mismatch(small_pair):
     up = np.ones((1, 6), dtype=np.int8)
     with pytest.raises(ValidationError, match="mesoscopically"):
         _coupled_steps(
-            model, land, up, -up, 10, np.ones((1, 4), dtype=bool),
-            _streams((3,), 2),
+            model, land, [(up, -up, np.ones((1, 4), dtype=bool), _streams((3,), 2))], 10
         )
 
 
@@ -366,8 +482,9 @@ def test_kernel_rejects_meso_mismatch_and_failed_domination(small_pair):
     moved[i], moved[k] = -1, 1
     with pytest.raises(ValidationError, match="mesoscopically"):
         _coupled_steps(
-            model, land, s0[None], moved[None], 1, np.ones((1, 1), dtype=bool),
-            _streams((1,), 2),
+            model, land,
+            [(s0[None], moved[None], np.ones((1, 1), dtype=bool), _streams((1,), 2))],
+            1,
         )
     # a follower flipping far less often than delta times the driver
     with pytest.raises(MetastabError, match="domination"):

@@ -388,3 +388,14 @@ def test_lab_objects_match_frozen_hashes(n_spins, beta):
         "hitting": _repr_sha(hitting_lower_bound_check(model, land, a, b)),
     }
     assert got == LAB_GOLDENS[(n_spins, beta)]
+
+
+@pytest.mark.parametrize("n_spins", [1, 8, 10, 11])
+def test_state_labels_match_the_join_loop(n_spins):
+    # the labels come from one byte-array conversion; the per-configuration
+    # join they replaced is the reference
+    model = build_model(n_spins, 1.0, "uniform:0.2", seed=0, materialize=True)
+    bits = (np.arange(1 << n_spins)[:, None] >> np.arange(n_spins)) & 1
+    want = ["".join("+" if b else "-" for b in row) for row in bits]
+    assert list(model.chain.states) == want
+    assert all(type(s) is str for s in model.chain.states)
