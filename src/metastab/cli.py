@@ -282,8 +282,8 @@ def cmd_rfcw(args):
             entry["rho"] = tagged(cert.rho, "bound")
             sol = equilibrium_potential(model.chain, *sets)
             entry["cap_m1_m2"] = tagged(sol.capacity, "exact")
-            spec_rep = oracle_mod.exact_cpi(model.chain)
-            entry["spectral_gap"] = tagged(spec_rep.spectral_gap, "exact")
+            cert = oracle_mod.certified_gap(model.chain, sol.potential)
+            entry["spectral_gap"] = tagged(cert.gap, "exact" if cert.exact else "bound")
         per_beta.append(entry)
     return {
         "provenance": _provenance(args, mode="exact"),

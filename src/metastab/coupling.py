@@ -11,16 +11,17 @@ delta^M with delta = exp(-4 beta eps(n)).
 All Monte Carlo runs R replicas in lockstep.  ``_coupled_steps`` advances R
 coupled pairs at once on (R, N) int8 spins, with per-row magnetizations,
 mesoscopic point indices, gate counters and phase masks; every step reads
-flip probabilities from one table of ``flip_probability`` (``_flip_table``).
-It is the only trajectory path, and each op calls it once: it takes a list
-of row groups, each with its own gate array and streams, and steps all of
-their rows together.  ``coupling_experiment`` stacks the dynamics replicas
-and the conditional probe into one call; ``marginal_chi_square`` makes a
-one-group call whose transition counts are keyed by an integer code of the
-pre-state, then one chi-square tail call (``scipy.special.chdtrc``) for all
-tested states of a path.  ``tail_bound_check`` steps all live single-path
-replicas together.  ``hitting_lower_bound_check`` compares the exact
-hitting probabilities fiber by fiber and simulates nothing.
+flip probabilities from the model's one table of ``flip_probability``
+(``RFCWModel.flip_table``, built on first use).  It is the only trajectory
+path, and each op calls it once: it takes a list of row groups, each with
+its own gate array and streams, and steps all of their rows together.
+``coupling_experiment`` stacks the dynamics replicas and the conditional
+probe into one call; ``marginal_chi_square`` makes a one-group call whose
+transition counts are keyed by an integer code of the pre-state, then one
+chi-square tail call (``scipy.special.chdtrc``) for all tested states of a
+path.  ``tail_bound_check`` steps all live single-path replicas together.
+``hitting_lower_bound_check`` compares the exact hitting probabilities
+fiber by fiber and simulates nothing.
 
 Streams.  The gate array of ``coupling_experiment`` has a stream of its
 own; every other purpose of a call (start pairs, tail-check steps) has one
@@ -106,25 +107,6 @@ def gate_probability(model, land):
     return math.exp(-4.0 * model.beta * land.eps_n)
 
 
-def _flip_table(model):
-    """``flip_probability`` at every (site, spin, magnetization).
-
-    Entry [i, s + 1, m + N] is the accept probability of flipping site i
-    carrying spin s at magnetization m, evaluated by the model's own scalar
-    formula, so lookups reproduce it bit for bit (numpy's vectorized ``exp``
-    differs from ``math.exp`` in the last bit on some arguments).  Entries
-    of a magnetization without the parity of N stay NaN.
-    """
-    n = model.n_spins
-    table = np.full((n, 3, 2 * n + 1), np.nan)
-    for s in (-1, 1):
-        sigma = np.full(n, s, dtype=np.int8)
-        for i in range(n):
-            for m in range(-n, n + 1, 2):
-                table[i, s + 1, m + n] = model.flip_probability(sigma, m, i)
-    return table
-
-
 def _accept(table, s, m, sites):
     """Flip probability of ``sites`` carrying spins ``s`` at magnetizations ``m``."""
     return table[sites, s + 1, m + (table.shape[2] >> 1)]
@@ -197,7 +179,7 @@ def _coupled_steps(model, land, groups, T, counts=None):
     # the flip table with spins innermost: entry [i, s + 1, m + N] sits at
     # 3 (i (2N + 1) + m + N) + 1 + s, the sum of a site part (``ai_blk``,
     # drawn ahead), a magnetization part (``at_sig``, carried per row) and s
-    table = _flip_table(model).transpose(0, 2, 1).ravel()
+    table = model.flip_table.transpose(0, 2, 1).ravel()
     stride = 3 * (2 * n + 1)
     delta = gate_probability(model, land)
     blk = land.site_block()
@@ -465,7 +447,7 @@ def marginal_chi_square(model, land, runs, steps, seed):
     gates = rng_gates.random((runs, n)) < gate_probability(model, land)
     counts = ([], [])
     _coupled_steps(model, land, [(s0, v0, gates, rngs)], steps, counts=counts)
-    table = _flip_table(model)
+    table = model.flip_table
     results = []
     for side, parts in enumerate(counts):
         keys = np.concatenate(parts or [np.zeros(0, dtype=np.int64)])
@@ -559,7 +541,7 @@ def tail_bound_check(model, samples=2000, seed=0):
     n = model.n_spins
     alpha, s, rate, bound = _tail_rate(model)
     rng = np.random.default_rng((seed, 37))
-    table = _flip_table(model)
+    table = model.flip_table
     sig = np.ones((samples, n), dtype=np.int8)
     m = sig.sum(axis=1, dtype=np.int64)
     pending = np.ones((samples, n), dtype=bool)

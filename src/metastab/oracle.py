@@ -6,6 +6,10 @@ tridiagonalization shared by all eigenvalues and the lambda_2 vector),
 refined by inverse iteration on a sparse factor of its own, the log-Sobolev
 bound from projected gradient ascent, the Orlicz norm from grid search with
 refinement, and the Cheeger constant from exhaustive subset enumeration.
+
+``certified_gap`` is the sparse spectral gap that ``metastab rfcw`` reports:
+the same inverse iteration, started from an equilibrium potential, with a
+Kato-Temple interval in place of the dense eigensolve.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
@@ -39,9 +44,24 @@ LSI_ASCENT_STEPS = 400
 CHEEGER_LIMIT = 20
 # resolution of the dense eigensolve: GAP_DIGITS_FACTOR n eps max|lambda|
 GAP_DIGITS_FACTOR = 64
-# inverse iteration stops when the Rayleigh quotient settles to this
+# inverse iteration stops when the Rayleigh quotient settles to this; from
+# an equilibrium potential near the critical temperature it can take a dozen
+# steps, from the dense eigenvector one or two
 REFINE_RTOL = 1e-12
-REFINE_STEPS = 8
+REFINE_STEPS = 32
+# the lambda_3 estimate behind the inertia count: solves on a vector drawn
+# from a fixed seed, so reports stay deterministic
+LAMBDA3_SOLVES = 3
+LAMBDA3_SEED = 0
+# halvings of the shift before the inertia count gives up
+SIGMA_HALVINGS = 4
+# element growth max|U| / max|A| of the shifted LDL^T beyond which its
+# pivot signs are not trusted
+PIVOT_GROWTH_LIMIT = 1e6
+# relative rounding allowance of a computed Rayleigh quotient: its edge sum
+# and the normalization of f each lose a few eps (against 40-digit mpmath
+# the quotient of a converged f sat within 1.5 eps of lambda_2)
+GAP_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -53,6 +73,24 @@ class SpectralReport:
     spectral_gap: float
     maximizer: np.ndarray
     discrete_time: bool
+
+
+@dataclass
+class GapCertificate:
+    """Spectral gap as a Rayleigh quotient with its Kato-Temple interval.
+
+    ``lower <= lambda_2 <= upper`` and ``lambda_3 >= lambda3_floor``, where
+    ``upper`` is ``gap`` plus its rounding allowance.  A step of the
+    certificate that fails leaves ``lower`` at the trivial 0 (and, if it
+    was the inertia count, ``lambda3_floor`` too).  ``exact`` holds when
+    the interval's width is at most REFINE_RTOL ``gap``.
+    """
+
+    gap: float
+    lower: float
+    upper: float
+    lambda3_floor: float
+    exact: bool
 
 
 @dataclass
@@ -196,24 +234,52 @@ def _check_lapack(name, info):
 def _refine_gap(chain, f):
     """Inverse iteration for Lap f = gap mu f from ``f``; returns (gap, f).
 
-    Each step solves the Laplacian grounded at the heaviest state (an SPD
-    M-matrix, factored once), which multiplies the lambda_j component of f
-    by 1 / lambda_j, so one or two steps remove what the dense eigensolve
-    left of the other eigenvectors.  The gap is the Rayleigh quotient
-    E(f) / Var(f) with E summed edge by edge over squared differences: a
-    sum of nonnegative terms, so it keeps its relative precision where the
-    dense eigenvalue only resolves eps max|lambda|.  ``f`` comes back
-    centred with sum mu f^2 = 1.
+    Raises SolverNotConverged unless the Rayleigh quotient settles within
+    REFINE_STEPS steps (``_inverse_iteration``).
     """
-    mu = chain.stationary
+    gap, f, settled = _inverse_iteration(chain, f, *_grounded_factor(chain))
+    if not settled:
+        raise SolverNotConverged(
+            f"inverse iteration for the spectral gap did not settle (last {gap!r})"
+        )
+    return gap, f
+
+
+def _grounded_factor(chain):
+    """The mask of all states but the heaviest, and a SuperLU factor of the
+    Laplacian grounded there (an SPD M-matrix)."""
     free = np.ones(chain.n_states, dtype=bool)
-    free[np.argmax(mu)] = False
+    free[np.argmax(chain.stationary)] = False
     factor = spla.splu(
         chain.laplacian[free][:, free].tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+    return free, factor
+
+
+def _grounded_solve(chain, free, factor, f):
+    """u with Lap u = mu f off the grounded state and u = 0 on it."""
+    u = np.zeros_like(f)
+    u[free] = factor.solve((chain.stationary * f)[free])
+    return u
+
+
+def _inverse_iteration(chain, f, free, factor):
+    """Inverse iteration from ``f``; returns (gap, f, settled).
+
+    Each step solves the grounded Laplacian, which multiplies the lambda_j
+    component of the centred f by 1 / lambda_j, so a few steps remove what
+    the start vector carries of the other eigenvectors.  The gap is
+    the Rayleigh quotient E(f) / Var(f) with E summed edge by edge over
+    squared differences: a sum of nonnegative terms, so it keeps its
+    relative precision where the dense eigenvalue only resolves
+    eps max|lambda|.  It stops when the quotient changes by at most
+    REFINE_RTOL, after REFINE_STEPS steps or at a zero quotient.  ``f``
+    comes back centred with sum mu f^2 = 1.
+    """
+    mu = chain.stationary
     prev = np.inf
     for _ in range(REFINE_STEPS):
         f = f - np.dot(mu, f)
@@ -222,14 +288,116 @@ def _refine_gap(chain, f):
         if not gap > 0.0:
             break
         if abs(gap - prev) <= REFINE_RTOL * gap:
-            return gap, f
+            return gap, f, True
         prev = gap
-        u = np.zeros_like(f)
-        u[free] = factor.solve((mu * f)[free])
-        f = u
-    raise SolverNotConverged(
-        f"inverse iteration for the spectral gap did not settle (last {gap!r})"
+        f = _grounded_solve(chain, free, factor, f)
+    return gap, f, False
+
+
+def certified_gap(chain, f):
+    """Spectral gap by inverse iteration from ``f``, with a Kato-Temple
+    interval whose lambda_3 bound is a Sylvester inertia count.
+
+    1. Inverse iteration (``_inverse_iteration``) from ``f`` gives the
+       centred, normalized f and rho = E(f) / Var(f) >= lambda_2.
+    2. A few solves on the same grounded factor, from a fixed-seed vector
+       kept mu-orthogonal to 1 and to f, estimate lambda_3; sigma is half
+       that estimate.
+    3. ``_lambda3_floor`` certifies lambda_3 >= sigma by counting negative
+       pivots of Lap - sigma diag(mu), halving sigma as needed.
+    4. Kato-Temple: lambda_2 >= rho - eps^2 / (sigma - rho), where
+       eps^2 = sum r^2 / mu and r = Lap f - rho mu f.  Both ends of the
+       interval are widened by GAP_ROUNDING rho, the rounding of rho.
+
+    The metastable start is the equilibrium potential h_{M1,M2}, which is
+    the lambda_2 eigenvector to leading order.  A chain of at most two
+    states has no lambda_3, and its centred f is the eigenvector.  Raises
+    SolverNotConverged only if the quotient is not positive.
+    """
+    mu = chain.stationary
+    n = chain.n_states
+    free, factor = _grounded_factor(chain)
+    gap, f, _ = _inverse_iteration(chain, np.asarray(f, dtype=float), free, factor)
+    if not gap > 0.0:
+        raise SolverNotConverged(f"Rayleigh quotient {gap!r} is not positive")
+    sigma = np.inf
+    if n > 2:
+        g = np.random.default_rng(LAMBDA3_SEED).normal(size=n)
+        for k in range(LAMBDA3_SOLVES + 1):
+            for _ in range(2):  # twice: one pass leaves rounding of a huge f part
+                g = g - np.dot(mu, g)
+                g = g - np.dot(mu * f, g) * f
+            g = g / np.sqrt(np.dot(mu, g * g))
+            if k < LAMBDA3_SOLVES:
+                g = _grounded_solve(chain, free, factor, g)
+        sigma = _lambda3_floor(chain, 0.5 * dirichlet_form(chain, g))
+    upper = gap * (1.0 + GAP_ROUNDING)
+    lower = 0.0
+    if sigma > upper:
+        r = chain.laplacian @ f - gap * (mu * f)
+        eps2 = np.dot(r, r / mu)
+        lower = max(gap * (1.0 - GAP_ROUNDING) - eps2 / (sigma - upper), 0.0)
+    return GapCertificate(
+        gap=gap,
+        lower=lower,
+        upper=upper,
+        lambda3_floor=sigma,
+        exact=bool(upper - lower <= REFINE_RTOL * gap),
     )
+
+
+def _lambda3_floor(chain, sigma):
+    """``sigma``, halved at most SIGMA_HALVINGS times, at which an inertia
+    count shows lambda_3 >= sigma; 0 if none does.
+
+    By Sylvester's law of inertia the pivots of an LDL^T factorization of
+    Lap - sigma diag(mu) have as many negative signs as the pencil
+    (Lap, diag(mu)) has eigenvalues below sigma.  Two negative pivots mean
+    that only lambda_1 = 0 and lambda_2 lie below sigma; more than two halve
+    sigma, fewer than two end the search.  A factorization whose pivots
+    cannot be trusted (``_ldl_pivots`` returns None) halves sigma as well.
+    """
+    mu = chain.stationary
+    lap = chain.laplacian
+    for _ in range(SIGMA_HALVINGS + 1):
+        pivots = _ldl_pivots((lap - sp.diags(sigma * mu)).tocsc())
+        if pivots is not None:
+            negative = np.count_nonzero(pivots < 0.0)
+            if negative == 2:
+                return sigma
+            if negative < 2:
+                return 0.0
+        sigma *= 0.5
+    return 0.0
+
+
+def _ldl_pivots(a):
+    """The pivots D of a symmetric LDL^T factorization of ``a``, or None.
+
+    SuperLU in symmetric mode with ``diag_pivot_thresh=0`` takes each pivot
+    on the diagonal while it is nonzero, so L U is L D L^T with D the
+    diagonal of U.  None if the factorization hit a zero pivot, if a pivot
+    left the diagonal (the row and column permutations differ), or if the
+    element growth max|U| / max|a| passes PIVOT_GROWTH_LIMIT.
+    """
+    try:
+        lu = spla.splu(
+            a,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # an exactly singular factor
+        return None
+    pivots = lu.U.diagonal()
+    growth = np.abs(lu.U.data).max() / np.abs(a.data).max()
+    if (
+        not np.array_equal(lu.perm_r, lu.perm_c)
+        or not np.all(pivots != 0.0)
+        or not growth <= PIVOT_GROWTH_LIMIT
+    ):
+        return None
+    return pivots
 
 
 def estimate_clsi(chain, seed=0):

@@ -14,6 +14,7 @@ has its minima at the mean-field fixed points z = (1/N) sum tanh(beta(z+h_i)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import heapq
 import math
@@ -68,6 +69,29 @@ class RFCWModel:
         dh = (2.0 * sigma[i] * m - 2.0) / self.n_spins
         dh += 2.0 * self.field[i] * sigma[i]
         return math.exp(-self.beta * max(dh, 0.0))
+
+    @functools.cached_property
+    def flip_table(self):
+        """``flip_probability`` at every (site, spin, magnetization).
+
+        Entry [i, s + 1, m + N] is the accept probability of flipping site i
+        carrying spin s at magnetization m, evaluated by the scalar formula
+        above, so lookups reproduce it bit for bit (numpy's vectorized
+        ``exp`` differs from ``math.exp`` in the last bit on some arguments).
+        Entries of a magnetization without the parity of N stay NaN.  Built
+        on first use and kept, read-only, for every later caller;
+        ``build_model`` never builds it, since a landscape-only model of N
+        spins would hold 3 N (2N + 1) doubles.
+        """
+        n = self.n_spins
+        table = np.full((n, 3, 2 * n + 1), np.nan)
+        for s in (-1, 1):
+            sigma = np.full(n, s, dtype=np.int8)
+            for i in range(n):
+                for m in range(-n, n + 1, 2):
+                    table[i, s + 1, m + n] = self.flip_probability(sigma, m, i)
+        table.flags.writeable = False
+        return table
 
 
 def parse_field_spec(spec):

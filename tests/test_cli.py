@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metastab import oracle as oracle_mod
+from metastab import rfcw as rfcw_mod
 from metastab import save_chain
 from metastab.chains import InequalityViolation
 from metastab.cli import build_parser, main
+from metastab.oracle import GAP_DIGITS_FACTOR
 from metastab.sampling import double_well_chain, random_reversible_chain
 
 
@@ -713,7 +716,14 @@ REPORT_CHAINS = {
 # 3: 746804138.9071395 and 746804142.4775343 became 746804140.3904873 and
 # 746804140.3904874).  All twelve were frozen again when the provenance
 # block lost its "threads" key: each new hash is the sha256 of the former
-# stdout with its one line '  "threads": null,' removed.
+# stdout with its one line '  "threads": null,' removed.  The rfcw entry was
+# frozen again when its gap came from inverse iteration started at h_{M1,M2}
+# (``oracle.certified_gap``) instead of at the dense eigenvector: only the
+# two spectral_gap values moved, 0.015230389945650416 -> ...650647 at beta
+# 1.5 and 0.00019986703318970565 -> ...70576 at beta 3.  A 40-digit mpmath
+# eigsy of D^-1/2 Lap D^-1/2 from the chain's conductances gives
+# 0.015230389945650414144 and 0.00019986703318970569188: the new gaps are
+# within 1.5e-14 and 3.5e-16 of it, inside their Kato-Temple intervals.
 REPORT_GOLDENS = {
     ("analyze", "dw11-b1"): "97efd52455b3f3a37b4dd8e37c606e8b3b6fdff0cb6e53c794be0cdfca9f3f5a",
     ("analyze", "dw11-b3"): "5c140ac2b40f2669202aca0f239b6e2a60e0916b96fa1e0206b16cbe9e1ab4bd",
@@ -726,7 +736,7 @@ REPORT_GOLDENS = {
     ("orlicz", "dw11-b3"): "4ee9aa7d737a1f0eb72a9925dbfe4023c21ec5a09dd6121fad2c85fd3c125e97",
     ("orlicz", "dw15-b0.5"): "bd11b6cdf18d54b21dd8a629245cc826a9071e951511999feaed1ba944f29113",
     ("orlicz", "rc13-v0"): "6e132543a32ca7430ce6c8b5a83543c6b0b1250afe0f21896051fff4fd98a603",
-    ("rfcw", "N8"): "9849f411a22757f05eb8268c17f6c619d669c526f342985734ab1f306c7c17aa",
+    ("rfcw", "N8"): "c80040fde06f84d22bda9560ff297f9215b0a7433383c3f0939fb5b72c96d9a9",
 }
 
 
@@ -756,3 +766,27 @@ def test_scan_reports_match_frozen_hashes(capsys, tmp_path, cmd, name):
     code, out, _ = run_cli(capsys, _report_argv(tmp_path, cmd, name))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDENS[(cmd, name)]
+
+
+def test_rfcw_gap_needs_no_dense_eigensolve(capsys, tmp_path, monkeypatch):
+    def dense(chain):
+        raise RuntimeError("the rfcw gap called the dense eigensolve")
+
+    monkeypatch.setattr(oracle_mod, "exact_cpi", dense)
+    code, out, _ = run_cli(capsys, _report_argv(tmp_path, "rfcw", "N8"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDENS[("rfcw", "N8")]
+
+
+def test_rfcw_gap_uncertified_at_low_temperature(capsys):
+    # at beta 20 the residual's rounding leaves the Kato-Temple interval
+    # wider than 1e-12 relative: the gap is a Rayleigh quotient, a bound
+    code, out, _ = run_cli(capsys, ["rfcw", "--N", "10", "--beta", "20", "--field", "zero",
+                                    "--n", "2", "--materialize"])
+    assert code == 0
+    gap = json.loads(out)["runs"][0]["spectral_gap"]
+    assert gap["mode"] == "bound"
+    chain = rfcw_mod.build_model(10, 20.0, "zero", materialize=True).chain
+    dense = oracle_mod.exact_cpi(chain)
+    res = GAP_DIGITS_FACTOR * chain.n_states * np.finfo(float).eps * np.abs(dense.eigenvalues).max()
+    assert gap["value"] >= dense.spectral_gap - res

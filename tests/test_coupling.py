@@ -18,7 +18,6 @@ from metastab.coupling import (
     _coupled_steps,
     _event_b,
     _flip_rows,
-    _flip_table,
     _gated_draw,
     _streams,
     coupling_experiment,
@@ -32,7 +31,8 @@ from metastab.coupling import (
     richest_fiber,
     tail_bound_check,
 )
-from metastab.rfcw import build_model, coarse_grain, find_minima_and_order
+from metastab.cli import main as cli_main
+from metastab.rfcw import RFCWModel, build_model, coarse_grain, find_minima_and_order
 
 
 def test_optimal_coupling_identical_marginals():
@@ -102,12 +102,31 @@ def test_flip_rows_match_the_per_state_loop(small_pair):
     for model in models:
         n = model.n_spins
         codes = np.unique(rng.integers(0, 1 << n, size=200))
-        got = _flip_rows(_flip_table(model), codes)
+        got = _flip_rows(model.flip_table, codes)
         for code, row in zip(codes, got):
             sigma = np.where((code >> np.arange(n)) & 1, 1, -1).astype(np.int8)
             m = int(sigma.sum())
             want = [model.flip_probability(sigma, m, i) / n for i in range(n)]
             assert row.tolist() == want  # bit for bit
+
+
+def test_flip_table_is_built_once_per_op(monkeypatch, capsys):
+    # one build of the table is 2N(N + 1) scalar flip_probability calls
+    calls = []
+    real = RFCWModel.flip_probability
+    monkeypatch.setattr(RFCWModel, "flip_probability",
+                        lambda self, *a: calls.append(1) or real(self, *a))
+    model = build_model(6, 1.0, "uniform:0.2", seed=3)
+    assert "flip_table" not in vars(model)  # build_model leaves it unbuilt
+    marginal_chi_square(model, coarse_grain(model, 2), runs=50, steps=20, seed=1)
+    assert len(calls) == 2 * 6 * 7
+    calls.clear()
+    # a couple op: the kernel and the tail-bound check share one table
+    code = cli_main(["couple", "--N", "6", "--beta", "1.0", "--field", "uniform:0.2",
+                     "--n", "2", "--runs", "200", "--dynamics-runs", "20", "--seed", "5"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 2 * 6 * 7
 
 
 def test_negative_binomial_rate_values():
@@ -228,7 +247,7 @@ def test_accept_matches_flip_probability(small_pair):
     ]
     for model in models:
         n = model.n_spins
-        table = _flip_table(model)
+        table = model.flip_table
         spins = np.where(rng.random((400, n)) < 0.5, 1, -1).astype(np.int8)
         m = spins.sum(axis=1, dtype=np.int64)
         for i in range(n):
@@ -393,7 +412,7 @@ def _chi_square_reference(model, land, runs, steps, seed):
     gates = rng_gates.random((runs, n)) < gate_probability(model, land)
     counts = ([], [])
     _coupled_steps(model, land, [(s0, v0, gates, rngs)], steps, counts=counts)
-    table = _flip_table(model)
+    table = model.flip_table
     found = []
     for parts in counts:
         keys = np.concatenate(parts)

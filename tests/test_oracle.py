@@ -470,3 +470,116 @@ def test_ascent_value_is_the_ratio_at_its_function(name):
     weight = chain.conditional(np.arange(chain.n_states) < 5)
     val, f, _, _ = oracle_mod.entropy_ratio_ascent(chain, weight, _ascent_seeds(chain), 300)
     assert val == entropy(weight, f * f) / dirichlet_form(chain, f)
+
+
+# -- the certified sparse gap of ``metastab rfcw`` ------------------------------
+
+
+def _rfcw_cell(n_spins, beta, field, seed=0):
+    """(chain, h_{M1,M2}) of a materialized RFCW cell, None if degenerate."""
+    model = rfcw_mod.build_model(n_spins, beta, field, seed=seed, materialize=True)
+    land = rfcw_mod.coarse_grain(model, 2)
+    order = rfcw_mod.find_minima_and_order(model, land)
+    if order.degenerate:
+        return None
+    sets = [land.fiber_mask([k]) for k in order.minima[:2]]
+    return model.chain, equilibrium_potential(model.chain, *sets).potential
+
+
+def _dense_gaps(chain):
+    """(lambda_2, lambda_3, resolution) from ``exact_cpi``."""
+    rep = exact_cpi(chain)
+    vals = 1.0 - rep.eigenvalues if rep.discrete_time else rep.eigenvalues
+    floor = GAP_DIGITS_FACTOR * chain.n_states * np.finfo(float).eps
+    return rep.spectral_gap, vals[2], floor * np.max(np.abs(rep.eigenvalues))
+
+
+RFCW_GRID_FIELDS = [("uniform:0.2", s) for s in (0, 1, 2)] + [("zero", 0)]
+
+
+@pytest.mark.parametrize("n_spins", [4, 6, 8, 10])
+def test_certified_gap_agrees_with_the_dense_oracle(n_spins):
+    betas = (1.2, 1.5, 2.0, 3.0, 5.0, 8.0) if n_spins < 10 else (1.2, 3.0, 8.0)
+    for beta in betas:
+        for field, seed in RFCW_GRID_FIELDS:
+            cell = _rfcw_cell(n_spins, beta, field, seed)
+            if cell is None:
+                continue
+            chain, h = cell
+            cert = oracle_mod.certified_gap(chain, h)
+            gap, lam3, res = _dense_gaps(chain)
+            where = (n_spins, beta, field, seed)
+            assert cert.exact, where
+            assert cert.gap == pytest.approx(gap, rel=1e-12), where
+            assert cert.lower <= gap + res and gap - res <= cert.upper, where
+            assert 0.0 < cert.lambda3_floor <= lam3 + res, where
+
+
+def _mp_spectrum(chain, dps=40):
+    """Ascending eigenvalues of D^-1/2 Lap D^-1/2, built in mpmath from the
+    chain's own conductances."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = dps
+    lap = chain.laplacian.tocoo()
+    n = chain.n_states
+    root = [mp.sqrt(mp.mpf(float(m))) for m in chain.stationary]
+    a = mp.matrix(n, n)
+    for i, j, v in zip(lap.row, lap.col, lap.data):
+        if i != j:
+            w = -mp.mpf(float(v))
+            a[i, j] = -w / (root[i] * root[j])
+            a[i, i] += w / (root[i] * root[i])
+    return sorted(mp.eigsy(a, eigvals_only=True))
+
+
+@pytest.mark.parametrize("beta", [12.0, 20.0])
+def test_certified_gap_matches_mpmath(beta):
+    chain, h = _rfcw_cell(6, beta, "uniform:0.2")
+    cert = oracle_mod.certified_gap(chain, h)
+    lam = _mp_spectrum(chain)
+    assert cert.exact
+    assert abs(cert.gap - lam[1]) <= 1e-12 * lam[1]
+    assert cert.lower <= lam[1] <= cert.upper
+    assert cert.lambda3_floor <= lam[2]
+
+
+def test_certified_gap_interval_holds_off_convergence(monkeypatch):
+    # stopped at a settle of 1e-4, rho sits well above lambda_2: the
+    # Kato-Temple interval must be that wide, and still contain lambda_2
+    chain, h = _rfcw_cell(8, 1.5, "uniform:0.2", seed=7)
+    gap, lam3, res = _dense_gaps(chain)
+    monkeypatch.setattr(oracle_mod, "REFINE_RTOL", 1e-4)
+    cert = oracle_mod.certified_gap(chain, h)
+    assert cert.gap > gap * (1.0 + 1e-8)
+    assert gap * (1.0 - 1e-5) < cert.lower <= gap - res
+    assert cert.lambda3_floor <= lam3
+
+
+def test_certified_gap_bound_when_the_count_fails(monkeypatch):
+    chain, h = _rfcw_cell(6, 2.0, "uniform:0.2")
+    gap, _, res = _dense_gaps(chain)
+    # every LDL^T distrusted: no lambda_3 floor, so no lower bound
+    monkeypatch.setattr(oracle_mod, "PIVOT_GROWTH_LIMIT", 0.0)
+    cert = oracle_mod.certified_gap(chain, h)
+    assert not cert.exact
+    assert cert.lower == 0.0 and cert.lambda3_floor == 0.0
+    assert cert.gap >= gap - res
+
+
+def test_lambda3_floor_counts_pivots():
+    chain, _ = _rfcw_cell(6, 2.0, "uniform:0.2")
+    gap, lam3, _ = _dense_gaps(chain)
+    # above lambda_3 the count halves sigma until it falls below
+    assert oracle_mod._lambda3_floor(chain, 3.0 * lam3) == 0.75 * lam3
+    assert oracle_mod._lambda3_floor(chain, 0.5 * lam3) == 0.5 * lam3
+    # below lambda_2 only one pivot is negative: no floor
+    assert oracle_mod._lambda3_floor(chain, 0.5 * gap) == 0.0
+    # past the halvings: no floor
+    assert oracle_mod._lambda3_floor(chain, 2.0 ** (oracle_mod.SIGMA_HALVINGS + 2) * lam3) == 0.0
+
+
+def test_certified_gap_two_states(two_state):
+    cert = oracle_mod.certified_gap(two_state, np.array([1.0, 0.0]))
+    assert cert.exact and cert.lambda3_floor == np.inf
+    assert cert.gap == pytest.approx(0.4, rel=1e-14)
+    assert cert.lower <= 0.4 <= cert.upper
