@@ -66,7 +66,6 @@ from .oracle import (
     cheeger_constant,
     estimate_clsi,
     exact_cpi,
-    gradient_check,
 )
 from .rfcw import (
     MesoscopicLandscape,
@@ -79,7 +78,6 @@ from .rfcw import (
     free_energy_continuous,
     free_energy_point,
     mesoscopic_rates_and_chain,
-    two_step_comparison,
 )
 from .coupling import (
     eta_from_coupling,

@@ -23,10 +23,8 @@ from .chains import (
 )
 from . import potential
 from .potential import (
-    _masses,
-    _scan_capacities,
+    _bounded_scan,
     _solve_potentials,
-    _subset_masks,
     capacity_scan_context,
     equilibrium_potential,
 )
@@ -96,10 +94,13 @@ def _check_sets(chain, sets):
 def rho_metastability(chain, sets, mode="auto"):
     """Metastability ratio |M| max / min with a witness certificate.
 
-    Exact mode enumerates every nonempty subset of the complement of the
+    Exact mode minimizes over every nonempty subset of the complement of the
     metastable sets (including disconnected ones), up to
-    ``potential.EXACT_ENUM_LIMIT`` free states; singleton mode uses the
-    reversibility relaxation and is an upper bound up to the |S| factor.
+    ``potential.EXACT_ENUM_LIMIT`` free states, by a bounded scan: subsets
+    whose singleton-capacity bound cannot reach the minimum are ruled out
+    unsolved, so a singular block there does not raise.  Singleton mode
+    uses the reversibility relaxation and is an upper bound up to the |S|
+    factor.
     """
     masks = _check_sets(chain, sets)
     k = len(masks)
@@ -142,14 +143,12 @@ def rho_metastability(chain, sets, mode="auto"):
             raise ValidationError(
                 f"{free.size} free states exceed the exact enumeration limit"
             )
-        ctx = capacity_scan_context(chain)
-        den, arg = np.inf, None
-        for masks in _subset_masks(free, chain.n_states):
-            caps, _ = _scan_capacities(ctx, masks, union)
-            vals = caps / _masses(mu, masks)
-            i = int(np.argmin(vals))  # first minimum: ties go to the lowest bits
-            if vals[i] < den:
-                den, arg = vals[i], masks[i]
+        masks, mass, caps = _bounded_scan(
+            capacity_scan_context(chain), free, union, mu, lambda m, c: -(c / m)
+        )
+        vals = caps / mass
+        i = int(np.argmin(vals))  # first minimum: ties go to the lowest bits
+        den, arg = vals[i], masks[i]
         rho = numerator / den
     elif mode == "singleton":
         # all singleton capacities from one factorization:

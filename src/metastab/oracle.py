@@ -28,11 +28,8 @@ from .chains import (
     ValidationError,
     _phi_xlogx,
     dirichlet_form,
-    dirichlet_gradient,
     entropy,
     entropy_gradient,
-    variance,
-    variance_gradient,
 )
 from .potential import equilibrium_potential
 
@@ -730,42 +727,3 @@ def hardy_exact_constant(mu_weights, nu_weights):
     nmat = np.diag(nu[1:])
     vals = scipy.linalg.eigh(nmat, a, eigvals_only=True)
     return float(vals[-1])
-
-
-def gradient_check(functional, chain, f):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``functional`` is one of ``dirichlet``, ``variance``, ``entropy``.  The
-    difference step is h = 1e-6.  Entropy coordinates within 10 h of the
-    f = 0 kink are skipped since the analytic gradient is a limit value there.
-    """
-    h = 1e-6
-    f = np.asarray(f, dtype=float)
-    mu = chain.stationary
-    if functional == "dirichlet":
-        fun = lambda g: dirichlet_form(chain, g)
-        grad = dirichlet_gradient(chain, f)
-        skip = np.zeros(f.size, dtype=bool)
-    elif functional == "variance":
-        fun = lambda g: variance(mu, g)
-        grad = variance_gradient(mu, f)
-        skip = np.zeros(f.size, dtype=bool)
-    elif functional == "entropy":
-        fun = lambda g: entropy(mu, g * g)
-        grad = entropy_gradient(mu, f)
-        skip = np.abs(f) < 10.0 * h
-    else:
-        raise ValidationError(f"unknown functional {functional!r}")
-
-    worst = 0.0
-    for i in range(f.size):
-        if skip[i]:
-            continue
-        up = f.copy()
-        dn = f.copy()
-        up[i] += h
-        dn[i] -= h
-        fd = (fun(up) - fun(dn)) / (2.0 * h)
-        scale = max(abs(fd), abs(grad[i]), 1e-8)
-        worst = max(worst, abs(fd - grad[i]) / scale)
-    return worst

@@ -21,9 +21,9 @@ from .chains import (
 )
 from . import potential
 from .potential import (
+    _bounded_scan,
     _masses,
     _scan_capacities,
-    _subset_masks,
     capacity_scan_context,
     equilibrium_potential,
 )
@@ -346,11 +346,13 @@ def capacitary_integral(chain, f, B, assert_bound=True):
 def measure_capacity_constant(chain, nu, B, pair, K):
     """C_Psi = max over A in S \\ B of nu[A] Psi^{-1}(K/nu[A]) / cap(A, B).
 
-    Exact subset enumeration up to ``potential.EXACT_ENUM_LIMIT`` free states;
-    beyond that a restricted scan over singletons and super level-sets of the
-    equilibrium potential seeded at the best singleton, labeled as a lower
-    bound.  Ties go to the first candidate: in bit order, singletons before
-    level sets.
+    Exact up to ``potential.EXACT_ENUM_LIMIT`` free states: a bounded scan
+    solves every subset whose singleton-capacity bound can reach the maximum
+    and rules out the rest unsolved, so a singular block there does not
+    raise.  Beyond the limit, a restricted scan over singletons and super
+    level-sets of the equilibrium potential seeded at the best singleton,
+    labeled as a lower bound.  Ties go to the first candidate: in bit
+    order, singletons before level sets.
     """
     b = subset_mask(chain, B)
     if b.all():
@@ -368,15 +370,15 @@ def measure_capacity_constant(chain, nu, B, pair, K):
     ctx = capacity_scan_context(chain)
     best, best_mask = -np.inf, None
 
-    def scan(masks):
+    def ratio(mass, caps):
+        return mass * pair.psi_inverse(K / mass) / caps
+
+    def fold(masks, mass, caps):
         # fold the first largest ratio among ``masks`` into the best so far
         nonlocal best, best_mask
-        mass = _masses(nu, masks)
-        masks, mass = masks[mass > 0.0], mass[mass > 0.0]
         if mass.size == 0:
             return
-        caps, _ = _scan_capacities(ctx, masks, b)
-        approx = mass * pair.psi_inverse(K / mass) / caps
+        approx = ratio(mass, caps)
         # array powers may differ from scalar ones in the last bit; the first
         # maximum of the scalar ratios lies within 1e-15 of the array maximum
         top = np.flatnonzero(approx >= approx.max() * (1.0 - 1e-15))
@@ -385,10 +387,14 @@ def measure_capacity_constant(chain, nu, B, pair, K):
         if vals[i] > best:
             best, best_mask = vals[i], masks[top[i]]
 
+    def scan(masks):
+        mass = _masses(nu, masks)
+        masks, mass = masks[mass > 0.0], mass[mass > 0.0]
+        fold(masks, mass, _scan_capacities(ctx, masks, b)[0])
+
     if free.size <= potential.EXACT_ENUM_LIMIT:
         mode = "exact"
-        for masks in _subset_masks(free, n):
-            scan(masks)
+        fold(*_bounded_scan(ctx, free, b, nu, ratio))
     else:
         mode = "lower_bound"
         scan(np.eye(n, dtype=bool)[free])

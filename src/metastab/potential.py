@@ -35,9 +35,17 @@ universal split constants and the exact metastability ratio) need up to
 * pairs are grouped by (|A|, |interior|), and each group gathers its
   interior blocks into one stack for one ``np.linalg.solve`` call, at most
   SCAN_BATCH_BYTES of gathered blocks at a time;
-* the subsets come from ``_subset_masks`` in bit order, SCAN_CHUNK masks at
-  a time, so memory stays bounded up to EXACT_ENUM_LIMIT free states, the
-  one limit of exhaustive enumeration (callers read it at call time);
+* the exact scans (the measure-capacity constant, the metastability ratio)
+  go through ``_bounded_scan`` up to EXACT_ENUM_LIMIT free states, the one
+  limit of exhaustive enumeration (callers read it at call time).  Capacity
+  is monotone in A, so f singleton solves bound every subset's objective
+  through its mass and max_{x in A} cap({x}, B), computed over the bit
+  patterns 2^16 at a time; the mass is widened and the bound raised by
+  SCAN_MARGIN to cover rounding.  Subsets are solved SCAN_BLOCK at a time,
+  largest bound first, until no bound left reaches the best value, and come
+  back in bit order.  Memory is two 2^16-pattern tables plus the bounds
+  that pass the best singleton.  A subset ruled out is never solved and
+  cannot raise;
 * every step repeats the arithmetic of one pair: gesv per block, gemm for
   the right-hand sides, gemv for the flux of h_{B,A}, a contiguous sum on
   A, and masses summed like nu[mask].sum().  The capacities therefore have
@@ -68,9 +76,10 @@ DIRECT_SOLVE_LIMIT = 10_000
 RESIDUAL_TOL = 1e-10
 OVERSHOOT_TOL = 1e-9
 CAP_AGREE_RTOL = 1e-8
-SCAN_CHUNK = 512
 EXACT_ENUM_LIMIT = 20
 SCAN_BATCH_BYTES = 1 << 23
+SCAN_BLOCK = 256
+SCAN_MARGIN = 1e-6
 
 
 class OverlappingSets(ValidationError):
@@ -386,19 +395,66 @@ def _scan_capacities(ctx, a, b):
     return caps, pots
 
 
-def _subset_masks(free, n):
-    """Masks of the nonempty subsets of the states ``free``, chunk by chunk.
+def _bounded_scan(ctx, free, b, weight, score):
+    """Masks, masses and capacities, in bit order, of every subset A of
+    ``free`` that may maximize score(weight[A], cap(A, B)).
 
-    Bit j of the pattern selects free[j]; the patterns 1, 2, ..., 2^f - 1
-    come in order, at most SCAN_CHUNK rows per (rows, n) chunk, so the
-    memory stays bounded however many subsets there are.
+    ``score`` maps arrays of masses and capacities to the objective; it must
+    be nondecreasing in the mass and nonincreasing in the capacity.  Subsets
+    of zero mass are skipped, and masses have the bits of
+    weight[mask].sum().  The module docstring gives the bound and the order.
     """
-    shifts = np.arange(free.size)
-    for lo in range(1, 1 << free.size, SCAN_CHUNK):
-        bits = np.arange(lo, min(lo + SCAN_CHUNK, 1 << free.size))
+    n, f = ctx[0].shape[0], free.size
+    w = weight[free]
+    shifts = np.arange(f)
+    found = []
+
+    def solve(bits):
+        # solve the subsets ``bits`` and return their best score
         masks = np.zeros((bits.size, n), dtype=bool)
         masks[:, free] = (bits[:, None] >> shifts) & 1
-        yield masks
+        mass = _masses(weight, masks)
+        caps, _ = _scan_capacities(ctx, masks, b)
+        found.append((bits, masks, mass, caps))
+        return score(mass, caps).max(initial=-np.inf)
+
+    def patterns(v, op):
+        # op-fold of v over the set bits of every pattern 0 .. 2^len(v) - 1
+        out = np.zeros(1 << v.size)
+        for j, x in enumerate(v):
+            out[1 << j : 2 << j] = op(out[: 1 << j], x)
+        return out
+
+    best = solve(1 << np.flatnonzero(w > 0.0))
+    single = np.zeros(f)
+    single[w > 0.0] = found[0][3]
+    # bound the patterns in slices: low bits from one table, high bits added
+    k = min(f, 16)
+    lo_mass, lo_cap = patterns(w[:k], np.add), patterns(single[:k], np.maximum)
+    hi_mass, hi_cap = patterns(w[k:], np.add), patterns(single[k:], np.maximum)
+    keep, bound = [], []
+    for h in range(hi_mass.size):
+        mass = lo_mass + hi_mass[h]
+        pos = np.flatnonzero(mass > 0.0)
+        ub = score(mass[pos] * (1.0 + SCAN_MARGIN), np.maximum(lo_cap, hi_cap[h])[pos])
+        ub += SCAN_MARGIN * np.abs(ub)
+        bits = (h << k) + pos
+        # singletons are solved already
+        live = (ub >= best) & ((bits & (bits - 1)) != 0)
+        keep.append(bits[live])
+        bound.append(ub[live])
+    keep, bound = np.concatenate(keep), np.concatenate(bound)
+    while True:
+        live = bound >= best
+        keep, bound = keep[live], bound[live]
+        if keep.size == 0:
+            break
+        head = np.argpartition(-bound, min(SCAN_BLOCK, keep.size) - 1)[:SCAN_BLOCK]
+        best = max(best, solve(keep[head]))
+        bound[head] = -np.inf
+    bits, masks, mass, caps = (np.concatenate(x) for x in zip(*found))
+    order = np.argsort(bits)
+    return masks[order], mass[order], caps[order]
 
 
 def _masses(nu, masks):

@@ -831,37 +831,6 @@ def _bl_chain(L, k):
     return ReversibleChain(names, kernel, mu, discrete_time=True)
 
 
-def two_step_comparison(chain, n_samples=100, seed=0):
-    """Certificates for the two-step Dirichlet form E_2(f) <= 2 E(f).
-
-    Checked on random functions and on the whole spectrum via the identity
-    1 - lambda^2 <= 2 (1 - lambda) on [-1, 1].
-    """
-    if not chain.discrete_time:
-        raise ValidationError("two-step comparison needs a discrete-time chain")
-    rng = np.random.default_rng(seed)
-    mu = chain.stationary
-    worst = -np.inf
-    for _ in range(n_samples):
-        f = rng.normal(size=chain.n_states)
-        pf = chain.kernel @ f
-        ppf = chain.kernel @ pf
-        e1 = float(np.dot(mu * f, f - pf))
-        e2 = float(np.dot(mu * f, f - ppf))
-        if e2 > 2.0 * e1 + 1e-10:
-            raise InequalityViolation("two-step energy exceeded twice the energy")
-        if e1 > 0.0:
-            worst = max(worst, e2 / e1)
-    from .oracle import exact_cpi
-
-    spec = exact_cpi(chain)
-    lam = spec.eigenvalues
-    margin = float(np.max((1.0 - lam**2) - 2.0 * (1.0 - lam)))
-    if margin > 1e-12:
-        raise InequalityViolation("spectral two-step identity violated")
-    return {"max_energy_ratio": worst, "spectral_margin": margin}
-
-
 def bl_comparison_report(model, land, ordering):
     """Local-constant ceiling and the edgewise Bernoulli-Laplace comparison.
 

@@ -461,8 +461,8 @@ def test_mean_exit_error_form_undefined_outside_regime():
 
 def test_exact_rho_takes_the_first_minimum(monkeypatch, ring4):
     # {r1}, {r3} and {r1, r3} tie for the denominator; with one subset per
-    # chunk each sits in its own chunk, and the first in bit order wins
-    monkeypatch.setattr(potential, "SCAN_CHUNK", 1)
+    # block each is solved in its own block, and the first in bit order wins
+    monkeypatch.setattr(potential, "SCAN_BLOCK", 1)
     union = subset_mask(ring4, ["r0", "r2"])
     free = np.flatnonzero(~union)
     ctx = capacity_scan_context(ring4)

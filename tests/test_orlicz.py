@@ -339,11 +339,11 @@ def _scalar_scan(chain, b, pair, k_val):
     return out
 
 
-@pytest.mark.parametrize("chunk", [2, 512])
-def test_measure_capacity_constant_takes_the_first_maximum(monkeypatch, ring4, chunk):
-    # {r1, r2} and {r2, r3} tie; with 2 subsets per chunk they fall in
-    # different chunks, with 512 in one, and either way the first wins
-    monkeypatch.setattr(potential, "SCAN_CHUNK", chunk)
+@pytest.mark.parametrize("block", [2, 512])
+def test_measure_capacity_constant_takes_the_first_maximum(monkeypatch, ring4, block):
+    # {r1, r2} and {r2, r3} tie; with 2 subsets per block they may be solved
+    # in different blocks, with 512 in one, and either way the first wins
+    monkeypatch.setattr(potential, "SCAN_BLOCK", block)
     b = np.zeros(4, dtype=bool)
     b[0] = True
     vals = _scalar_scan(ring4, b, entropy_pair(), E2)

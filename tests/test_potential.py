@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from metastab import (
+    SolverNotConverged,
     ValidationError,
+    builtin_pairs,
     dirichlet_form,
+    entropy_pair,
     equilibrium_potential,
     hitting_probability_from_equilibrium,
+    indicator_orlicz_norm,
     mean_hitting_time,
+    measure_capacity_constant,
     path_capacity_1d,
+    rfcw,
+    rho_metastability,
+    subset_mask,
 )
-from metastab import SolverNotConverged, rfcw
 from metastab import potential
+from metastab.orlicz import E2
 from metastab.potential import (
     DENSE_SOLVE_LIMIT,
     DegenerateTarget,
@@ -20,12 +28,15 @@ from metastab.potential import (
     _scan_capacities,
     _solve_potentials,
     _spd_solver,
-    _subset_masks,
     birth_death_generator_chain,
     capacity_dense,
     capacity_scan_context,
 )
-from metastab.sampling import double_well_chain, random_reversible_chain
+from metastab.sampling import (
+    double_well_chain,
+    random_probability,
+    random_reversible_chain,
+)
 
 
 def test_two_state_solution(two_state):
@@ -330,6 +341,16 @@ def _capacity_loop_reference(ctx, a, b):
     return float((w @ h[:, 1])[a].sum()), h[:, 0]
 
 
+def _bit_mask_chunks(free, n, chunk):
+    """Masks of the subsets of ``free`` for the bit patterns 1 .. 2^f - 1,
+    ``chunk`` rows at a time; bit j selects free[j]."""
+    bits = np.arange(1, 1 << free.size)
+    for lo in range(0, bits.size, chunk):
+        masks = np.zeros((bits[lo : lo + chunk].size, n), dtype=bool)
+        masks[:, free] = (bits[lo : lo + chunk, None] >> np.arange(free.size)) & 1
+        yield masks
+
+
 SCAN_CHAINS = {
     "dw11-b1": lambda: double_well_chain(1.0),
     "dw11-b3": lambda: double_well_chain(3.0),
@@ -347,13 +368,12 @@ def test_scan_kernel_matches_pairwise_bit_for_bit(monkeypatch, name):
     # capacities, potentials and masses equal the per-pair ones exactly;
     # small chunks and batches put many boundaries inside the scan
     chain = SCAN_CHAINS[name]()
-    monkeypatch.setattr(potential, "SCAN_CHUNK", 100)
     monkeypatch.setattr(potential, "SCAN_BATCH_BYTES", 1 << 14)
     n = chain.n_states
     b = np.zeros(n, dtype=bool)
     b[-1] = True
     free = np.flatnonzero(~b)
-    chunks = list(_subset_masks(free, n))
+    chunks = list(_bit_mask_chunks(free, n, 100))
     assert max(len(c) for c in chunks) == 100
     masks = np.concatenate(chunks)
     bits = np.arange(1, 1 << free.size)
@@ -380,7 +400,7 @@ def test_scan_kernel_raises_instead_of_dividing():
     b[10] = True
     ctx = capacity_scan_context(double_well_chain(40.0))
     with pytest.raises(SolverNotConverged, match="singular"):
-        for masks in _subset_masks(np.arange(10), 11):
+        for masks in _bit_mask_chunks(np.arange(10), 11, 512):
             _scan_capacities(ctx, masks, b)
     lap, w, mu = capacity_scan_context(double_well_chain(1.0))
     masks = np.eye(11, dtype=bool)[:10]
@@ -396,3 +416,214 @@ def test_dense_interior_solve_maps_singular_blocks():
     start[10] = 1.0
     with pytest.raises(SolverNotConverged, match="singular interior block"):
         mean_hitting_time(chain, start, ["x0"])
+
+
+# -- bounded subset scans ------------------------------------------------------
+
+
+def _all_subsets(chain, b):
+    free = np.flatnonzero(~b)
+    return next(_bit_mask_chunks(free, chain.n_states, 1 << free.size))
+
+
+def _full_orlicz(chain, nu, b, pair, k_val):
+    """The plain exhaustive Orlicz scan: every subset in one call, the first
+    of the largest scalar ratios near the array maximum."""
+    masks = _all_subsets(chain, b)
+    mass = _masses(nu, masks)
+    masks, mass = masks[mass > 0.0], mass[mass > 0.0]
+    caps, _ = _scan_capacities(capacity_scan_context(chain), masks, b)
+    approx = mass * pair.psi_inverse(k_val / mass) / caps
+    top = np.flatnonzero(approx >= approx.max() * (1.0 - 1e-15))
+    vals = [indicator_orlicz_norm(mass[i], pair, k_val) / caps[i] for i in top]
+    i = int(np.argmax(vals))
+    return vals[i], masks[top[i]]
+
+
+def _full_rho_denominator(chain, union):
+    """min over every subset A of the free states of cap(A, M) / mu[A]."""
+    masks = _all_subsets(chain, union)
+    caps, _ = _scan_capacities(capacity_scan_context(chain), masks, union)
+    vals = caps / _masses(chain.stationary, masks)
+    i = int(np.argmin(vals))
+    return vals[i], masks[i]
+
+
+@pytest.mark.parametrize("block", [16, 256])
+def test_bounded_scan_matches_full_enumeration(monkeypatch, block):
+    # value bits and argmax of the bounded scans against the plain ones, on
+    # random chains of 3-14 states, random B and nu, every built-in pair,
+    # and random disjoint metastable sets for the exact ratio
+    monkeypatch.setattr(potential, "SCAN_BLOCK", block)
+    rng = np.random.default_rng(1515)
+    for case in range(30):
+        n = int(rng.integers(3, 15))
+        chain = random_reversible_chain(rng, n)
+        b = np.zeros(n, dtype=bool)
+        b[rng.choice(n, size=int(rng.integers(1, max(2, n // 3))), replace=False)] = True
+        nu = chain.stationary if case % 2 else random_probability(rng, n)
+        if case % 3 == 0:  # some free states without mass
+            nu = np.where(rng.random(n) < 0.4, 0.0, nu)
+            nu = nu / nu.sum() if nu.sum() > 0.0 else chain.stationary
+        for name, pair in builtin_pairs().items():
+            k_val = float(rng.choice([E2, 1.5, 0.3]))
+            val, arg = _full_orlicz(chain, nu, b, pair, k_val)
+            res = measure_capacity_constant(chain, nu, b, pair, k_val)
+            assert res["mode"] == "exact"
+            assert res["c_psi"] == val, (case, name)
+            assert np.array_equal(res["argmax"], arg), (case, name)
+
+        order = rng.permutation(n)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=2, replace=False))
+        sets = [order[: cuts[0]], order[cuts[0] : cuts[1]]]
+        if cuts[1] < n - 1 and rng.integers(2):
+            sets.append(order[cuts[1] : cuts[1] + 1])
+        sets = [[chain.states[i] for i in s] for s in sets]
+        union = subset_mask(chain, [s for part in sets for s in part])
+        den, arg = _full_rho_denominator(chain, union)
+        cert = rho_metastability(chain, sets, mode="exact")
+        assert cert.denominator == den, case
+        assert np.array_equal(cert.argmin_subset, arg), case
+
+
+def test_bounded_scan_rules_out_most_subsets(monkeypatch):
+    # the benchmark's 16-state chain, B = the last state: the singleton bound
+    # leaves a few hundred of the 32,767 Orlicz and 16,383 rho subsets
+    chain = SCAN_CHAINS["rc16"]()
+    solved = []
+    kernel = potential._scan_capacities
+
+    def counting(ctx, a, b):
+        solved.append(a.shape[0])
+        return kernel(ctx, a, b)
+
+    monkeypatch.setattr(potential, "_scan_capacities", counting)
+    b = np.zeros(16, dtype=bool)
+    b[-1] = True
+    measure_capacity_constant(chain, chain.stationary, b, entropy_pair(), E2)
+    assert sum(solved) < 32767 / 16
+    solved.clear()
+    rho_metastability(chain, [[chain.states[0]], [chain.states[-1]]], mode="exact")
+    assert sum(solved) < 16383 / 16
+
+
+def test_bounded_scan_margin_covers_kernel_rounding(monkeypatch):
+    # a kernel that rounds cap({0, 1}) 1e-7 below its largest singleton
+    # capacity: {0, 1, 2}, solved first for its larger bound, scores between
+    # the bare bound of {0, 1} and its score, and only the margin keeps
+    # {0, 1}, the maximizer of m / cap, from being ruled out
+    caps = {0b001: 1.0, 0b010: 1.0, 0b100: 1.9, 0b011: 1.0 - 1e-7,
+            0b101: 3.0, 0b110: 3.0, 0b111: 2.0 - 1e-7}
+
+    def kernel(ctx, a, b):
+        return np.array([caps[int(m[:3] @ [1, 2, 4])] for m in a]), None
+
+    monkeypatch.setattr(potential, "_scan_capacities", kernel)
+    monkeypatch.setattr(potential, "SCAN_BLOCK", 1)
+    b = np.array([False, False, False, True])
+    weight = np.array([0.25, 0.25, 0.5, 0.0])
+    masks, mass, cap = potential._bounded_scan(
+        (np.zeros((4, 4)),), np.arange(3), b, weight, lambda m, c: m / c
+    )
+    assert np.array_equal(masks[np.argmax(mass / cap)], [True, True, False, False])
+
+
+def test_bounded_scan_needs_nu_mass_off_b():
+    # nu lives on B: no subset of the free states carries mass, none is solved
+    chain = random_reversible_chain(np.random.default_rng(7), 6)
+    b = np.zeros(6, dtype=bool)
+    b[[0, 3]] = True
+    nu = np.where(b, 0.5, 0.0)
+    with pytest.raises(ValidationError, match="no candidate set carries nu-mass"):
+        measure_capacity_constant(chain, nu, b, entropy_pair(), E2)
+
+
+# Orlicz (ent, K = e^2, B = the last state) and exact rho ({x0}, {x_last}) on
+# the double wells, as the exhaustive scans reported them: c_psi or rho with
+# the argmax or argmin, or the exception type and message
+EXTREME_BETA_SCANS = {
+    (11, 5): (("454930530290706.9", [0, 1, 2]), ("2.5772913328728364e-14", [4, 5, 6])),
+    (11, 8): (("5.8435241302837514e+22", [0, 1, 2]), ("1.9100260570405824e-22", [4, 5, 6])),
+    (11, 12): (("4.1312050125700574e+33", [0, 1, 2]), ("2.674904532033821e-33", [4, 5, 6])),
+    (11, 20): (("2.1359289891515108e+55", [0, 1]), ("5.166277397646515e-55", [4, 5, 6])),
+    (11, 30): (
+        ("SolverNotConverged", "singular interior block in a capacity scan: Singular matrix"),
+        ("3.713509621401821e-82", [4, 5, 6]),
+    ),
+    (11, 40): (
+        ("SolverNotConverged", "singular interior block in a capacity scan: Singular matrix"),
+        ("2.6691902114375945e-109", [4, 5, 6]),
+    ),
+    (15, 5): (("1.5250513760025172e+53", [0, 1, 2, 3]), ("7.265371632542418e-53", [6, 7, 8])),
+    (15, 8): (("2.8988269241014728e+84", [0, 1]), ("3.8073547306609866e-84", [6, 7, 8])),
+    (15, 12): (
+        ("SolverNotConverged", "singular interior block in a capacity scan: Singular matrix"),
+        ("7.431422648385155e-126", [6, 7, 8]),
+    ),
+    (15, 20): (
+        ("SolverNotConverged", "singular interior block in a capacity scan: Singular matrix"),
+        ("2.830021853974221e-209", [6, 7, 8]),
+    ),
+    (15, 30): (
+        ("ValidationError", "K = 7.38905609893065 overflows K / nu[A]"),
+        (
+            "SolverNotConverged",
+            "capacity np.float64(nan) of a scanned set is not positive and finite",
+        ),
+    ),
+}
+
+
+def _outcome(fn):
+    try:
+        value, arg = fn()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return repr(value), np.flatnonzero(arg).tolist()
+
+
+# the NaN capacity of dw15 at beta = 30 warns inside the kernel's matvec
+# before the kernel raises for it
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matvec:RuntimeWarning")
+@pytest.mark.parametrize("n, beta", sorted(EXTREME_BETA_SCANS))
+def test_bounded_scans_at_extreme_beta(n, beta):
+    chain = double_well_chain(float(beta), n)
+    b = np.zeros(n, dtype=bool)
+    b[-1] = True
+
+    def orlicz():
+        res = measure_capacity_constant(chain, chain.stationary, b, entropy_pair(), E2)
+        return res["c_psi"], res["argmax"]
+
+    def rho():
+        cert = rho_metastability(chain, [["x0"], [f"x{n - 1}"]], mode="exact")
+        return cert.rho, cert.argmin_subset
+
+    assert (_outcome(orlicz), _outcome(rho)) == EXTREME_BETA_SCANS[n, beta]
+
+
+def test_bounded_scans_at_the_enumeration_limit():
+    # 20 free states, the real EXACT_ENUM_LIMIT: the values of the exhaustive
+    # scans, and one free state more falls back
+    assert potential.EXACT_ENUM_LIMIT == 20
+    chain = random_reversible_chain(np.random.default_rng(3), 21)
+    b = np.zeros(21, dtype=bool)
+    b[-1] = True
+    res = measure_capacity_constant(chain, chain.stationary, b, entropy_pair(), E2)
+    assert res["mode"] == "exact"
+    assert res["c_psi"] == 3127.455671095346
+    assert np.flatnonzero(res["argmax"]).tolist() == [6, 10, 11, 18, 19]
+
+    chain = random_reversible_chain(np.random.default_rng(3), 22)
+    sets = [[chain.states[0]], [chain.states[-1]]]
+    cert = rho_metastability(chain, sets, mode="exact")
+    assert cert.rho == 26.390442787871827
+    assert cert.denominator == 0.002860768627261901
+    assert np.flatnonzero(cert.argmin_subset).tolist() == [5, 17]
+
+    b = np.zeros(22, dtype=bool)
+    b[-1] = True
+    res = measure_capacity_constant(chain, chain.stationary, b, entropy_pair(), E2)
+    assert res["mode"] == "lower_bound"
+    chain = random_reversible_chain(np.random.default_rng(3), 23)
+    assert rho_metastability(chain, [[chain.states[0]], [chain.states[-1]]]).mode == "singleton"

