@@ -32,7 +32,6 @@ from .potential import (
     EquilibriumSolution,
     capacity,
     equilibrium_potential,
-    hitting_probability_from_equilibrium,
     mean_hitting_time,
     path_capacity_1d,
 )

@@ -1,11 +1,13 @@
 """Independent ground-truth engines used to cross-check every other module.
 
-Nothing here shares a code path with the solvers it certifies: the Poincare
-constant comes from a dense symmetric eigensolve (one Householder
-tridiagonalization shared by all eigenvalues and the lambda_2 vector),
-refined by inverse iteration on a sparse factor of its own, the log-Sobolev
-bound from projected gradient ascent, the Orlicz norm from grid search with
-refinement, and the Cheeger constant from exhaustive subset enumeration.
+Nothing here shares a code path with the solvers it certifies except the
+SuperLU factor call, ``potential.sym_factor``: the Poincare constant comes
+from a dense symmetric eigensolve (one Householder tridiagonalization shared
+by all eigenvalues and the lambda_2 vector), refined by inverse iteration on
+a sparse factor of its own (the Laplacian grounded at one state), the
+log-Sobolev bound from projected gradient ascent, the Orlicz norm from grid
+search with refinement, and the Cheeger constant from exhaustive subset
+enumeration.
 
 ``certified_gap`` is the sparse spectral gap that ``metastab rfcw`` reports:
 the same inverse iteration, started from an equilibrium potential, with a
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .chains import (
@@ -31,7 +32,7 @@ from .chains import (
     entropy,
     entropy_gradient,
 )
-from .potential import equilibrium_potential
+from .potential import equilibrium_potential, sym_factor
 
 SPECTRAL_LIMIT = 2**14
 LSI_SIZE_LIMIT = 512
@@ -247,13 +248,7 @@ def _grounded_factor(chain):
     Laplacian grounded there (an SPD M-matrix)."""
     free = np.ones(chain.n_states, dtype=bool)
     free[np.argmax(chain.stationary)] = False
-    factor = spla.splu(
-        chain.laplacian[free][:, free].tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    return free, factor
+    return free, sym_factor(chain.laplacian[free][:, free])
 
 
 def _grounded_solve(chain, free, factor, f):
@@ -378,13 +373,8 @@ def _ldl_pivots(a):
     element growth max|U| / max|a| passes PIVOT_GROWTH_LIMIT.
     """
     try:
-        lu = spla.splu(
-            a,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError:  # an exactly singular factor
+        lu = sym_factor(a)
+    except SolverNotConverged:  # an exactly singular factor
         return None
     pivots = lu.U.diagonal()
     growth = np.abs(lu.U.data).max() / np.abs(a.data).max()

@@ -10,22 +10,24 @@ Every interior solve (potentials, mean hitting times) goes through
 ``_spd_solver``, which picks a path by the interior size m:
 
 * m <= DENSE_SOLVE_LIMIT: dense ``np.linalg.solve``;
-* m <= DIRECT_SOLVE_LIMIT: sparse LU in SuperLU's symmetric mode (minimum
+* larger: ``sym_factor``, a sparse LU in SuperLU's symmetric mode (minimum
   degree ordering on A^T + A, diagonal pivots), which needs no pivoting
-  since the block is an SPD M-matrix;
-* larger: Jacobi-preconditioned conjugate gradients.
+  since the block is an SPD M-matrix.  Its fill depends on the graph, not
+  on m; memory is bounded where the chain is made (``rfcw``'s limits).
 
-The chain memoises one entry, the solver of the interior it saw last, so the
-pairs (A, B) and (B, A), and a capacity after a potential on the same pair,
-reuse it.  Above DENSE_SOLVE_LIMIT that is one SuperLU factorization; at or
-below it the entry holds the dense block, which ``np.linalg.solve`` factors
-again on every call.  ``equilibrium_potential`` solves h_{A,B} and
+``sym_factor`` is the package's one SuperLU call; the oracle's grounded
+factor and inertia count use it too.  The chain memoises one entry, the
+solver of the interior it saw last, so the pairs (A, B) and (B, A), and a
+capacity after a potential on the same pair, reuse it.  Above
+DENSE_SOLVE_LIMIT that is one SuperLU factorization; at or below it the
+entry holds the dense block, which ``np.linalg.solve`` factors again on
+every call.  ``equilibrium_potential`` solves h_{A,B} and
 h_{B,A} together and takes e on A from h_{B,A}: at low temperature h_{A,B}
 is 1 up to tiny terms next to A, and e computed from it as (Lap h) / mu
 keeps only the digits of those terms.  Whatever the path, it still checks
 the harmonicity residual, the [0, 1] range and the agreement of sum mu e
-with the Dirichlet energy before it returns.  A dense block that LAPACK
-finds exactly singular raises ``SolverNotConverged``.
+with the Dirichlet energy before it returns.  A block that LAPACK or
+SuperLU finds exactly singular raises ``SolverNotConverged``.
 
 Subset scans (the measure-capacity constant, the capacitary integral, the
 universal split constants and the exact metastability ratio) need up to
@@ -60,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chains import (
@@ -72,7 +73,6 @@ from .chains import (
 )
 
 DENSE_SOLVE_LIMIT = 400
-DIRECT_SOLVE_LIMIT = 10_000
 RESIDUAL_TOL = 1e-10
 OVERSHOOT_TOL = 1e-9
 CAP_AGREE_RTOL = 1e-8
@@ -166,12 +166,6 @@ def equilibrium_potential(chain, A, B):
 def capacity(chain, A, B):
     """Capacity of the pair (A, B)."""
     return equilibrium_potential(chain, A, B).capacity
-
-
-def hitting_probability_from_equilibrium(chain, A, B):
-    """P_{mu_A}[tau_B < tau_A] = cap(A, B) / mu[A]."""
-    sol = equilibrium_potential(chain, A, B)
-    return sol.capacity / chain.mass(sol.set_a)
 
 
 def mean_hitting_time(chain, start, target):
@@ -308,30 +302,27 @@ def _spd_solver(chain, free):
             except np.linalg.LinAlgError as exc:
                 raise SolverNotConverged(f"singular interior block: {exc}") from None
 
-    elif m <= DIRECT_SOLVE_LIMIT:
-        solve = spla.splu(
+    else:
+        solve = sym_factor(mat).solve
+    chain._interior_solver = (key, solve)
+    return solve
+
+
+def sym_factor(mat):
+    """SuperLU factor of a symmetric sparse matrix in symmetric mode: minimum
+    degree on A^T + A, each pivot taken on the diagonal while it is nonzero.
+
+    An exactly singular factor raises SolverNotConverged.
+    """
+    try:
+        return spla.splu(
             mat.tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
-        ).solve
-    else:
-        precond = sp.diags(1.0 / mat.diagonal())
-
-        def solve(rhs):
-            if rhs.ndim == 2:
-                return np.column_stack([solve(col) for col in rhs.T])
-            x, info = spla.cg(
-                mat, rhs, rtol=1e-12, atol=0.0, maxiter=20 * m, M=precond
-            )
-            if info != 0:
-                raise SolverNotConverged(
-                    f"conjugate gradient stopped with info={info}"
-                )
-            return x
-
-    chain._interior_solver = (key, solve)
-    return solve
+        )
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise SolverNotConverged(f"singular interior block: {exc}") from None
 
 
 def capacity_scan_context(chain):
@@ -383,13 +374,15 @@ def _scan_capacities(ctx, a, b):
                     raise SolverNotConverged(
                         f"singular interior block in a capacity scan: {exc}"
                     ) from None
-            flux = np.matvec(w, h[:, :, 1])
-            caps[r] = flux[at, np.nonzero(a[r])[1].reshape(g, s_a)].sum(axis=1)
+            # a non-finite solve gives a capacity that raises below, unwarned
+            with np.errstate(invalid="ignore", over="ignore"):
+                flux = np.matvec(w, h[:, :, 1])
+                caps[r] = flux[at, np.nonzero(a[r])[1].reshape(g, s_a)].sum(axis=1)
             pots[r] = h[:, :, 0]
     bad = ~(np.isfinite(caps) & (caps > 0.0))
     if bad.any():
         raise SolverNotConverged(
-            f"capacity {caps[np.argmax(bad)]!r} of a scanned set is not "
+            f"capacity {float(caps[np.argmax(bad)])!r} of a scanned set is not "
             "positive and finite"
         )
     return caps, pots

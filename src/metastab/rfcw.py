@@ -1,7 +1,7 @@
 """Random field Curie-Weiss model at desk scale.
 
 The microscopic Glauber chain lives on {-1, +1}^N (materialized for
-N <= 14); the coarse-graining maps configurations to block magnetizations on
+N <= 13); the coarse-graining maps configurations to block magnetizations on
 the mesoscopic lattice, where the free energy F drives everything: minima,
 communication heights, the exactly lumpable comparison dynamics and the
 capacity bounds.
@@ -30,7 +30,10 @@ from .chains import (
 )
 from .potential import equilibrium_potential
 
-MATERIALIZE_LIMIT = 14
+# the largest N measured to fit: ``metastab rfcw --materialize`` at N = 13
+# took 28 s and 1.29 GB on a 2-vCPU VM; at N = 14 the dense singleton rho
+# alone would hold two 2 GiB copies
+MATERIALIZE_LIMIT = 13
 # bound on the mesoscopic points prod(|block| + 1), checked before they are
 # listed; one block of 16,383 spins, the slowest shape, takes 7.5 s and 83 MB
 # for ``metastab rfcw`` on a 2-vCPU VM.  Every landscape of N spins has at
@@ -126,7 +129,7 @@ def parse_field_spec(spec):
 def build_model(n_spins, beta, field_spec, seed=None, materialize=True):
     """Build the model: sampled or explicit field, Gibbs measure, Glauber chain.
 
-    The micro chain is materialized only for N <= 14; larger N still supports
+    The micro chain is materialized only for N <= 13; larger N still supports
     the landscape-only operations, up to N < POINT_LIMIT.  Both limits are
     checked before the field is drawn.
     """

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from metastab import oracle as oracle_mod
 from metastab import rfcw as rfcw_mod
-from metastab import save_chain
+from metastab import SolverNotConverged, build_chain, rho_metastability, save_chain
 from metastab.chains import InequalityViolation
 from metastab.cli import build_parser, main
 from metastab.oracle import GAP_DIGITS_FACTOR
@@ -405,12 +405,15 @@ def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, doc,
         (COUPLE[:2] + [str(10**9)] + COUPLE[3:], "N = 1000000000 spins"),
         (["rfcw", "--N", "28", "--beta", "1", "--field", "uniform:0.2", "--n", "14", "--seed", "1"],
          "14 blocks give more than 16384"),
+        (["rfcw", "--N", "14", "--beta", "1", "--field", "uniform:0.2", "--materialize",
+          "--seed", "1"], "N=14 exceeds the materialization limit 13"),
     ],
-    ids=["rfcw-N", "couple-N", "rfcw-points"],
+    ids=["rfcw-N", "couple-N", "rfcw-points", "rfcw-materialize"],
 )
 def test_size_limits_exit_1_before_allocating(capsys, argv, names):
     # at 1e9 spins the field alone is 8 GB; the 14 blocks of 28 spins have
-    # 691,200 points, whose landscape took 50 s and 829 MB before the limit
+    # 691,200 points, whose landscape took 50 s and 829 MB before the limit;
+    # the materialized chain at N = 14 would hold two 2 GiB dense copies
     build_parser()  # built once per process, outside the measured peak
     tracemalloc.start()
     try:
@@ -660,20 +663,58 @@ def test_fuzzed_argv_takes_the_exit_contract(argv):
         _assert_exit_contract(code, out, err)
 
 
+def cut_path_chain(n):
+    """Path chain with uniform mu whose edges at n // 3 and 2n // 3 have
+    p = 5e-324: the kernel stays irreducible, but their conductance mu p
+    rounds to 0, so every interior block that spans a cut is singular."""
+    states = [f"x{i}" for i in range(n)]
+    edges = []
+    for i in range(n - 1):
+        p = 5e-324 if i in (n // 3, 2 * n // 3) else 0.25
+        edges += [(states[i], states[i + 1], p), (states[i + 1], states[i], p)]
+    return build_chain(states, edges, stationary=np.full(n, 1.0 / n))
+
+
 @pytest.mark.parametrize(
-    "argv,chain",
-    [(["orlicz", "--chain", "{chain}", "--B", "x10"], (40.0, 11))],
-    ids=["orlicz-scan"],
+    "argv,make",
+    [
+        # the well's interior blocks turn exactly singular in double
+        # precision in the capacity scan at beta = 40
+        (["orlicz", "--chain", "{chain}", "--B", "x10"], lambda: double_well_chain(40.0, 11)),
+        # SuperLU factors of the potential solve and of the oracle's
+        # grounded Laplacian
+        (["capacity", "--chain", "{chain}", "--A", "x0", "--B", "x599"],
+         lambda: cut_path_chain(600)),
+        (["oracle", "--chain", "{chain}", "--what", "cpi"], lambda: cut_path_chain(50)),
+        (["oracle", "--chain", "{chain}", "--what", "cpi"], lambda: cut_path_chain(600)),
+    ],
+    ids=["orlicz-scan", "capacity-cut600", "cpi-cut50", "cpi-cut600"],
 )
-def test_singular_interior_block_exits_1(capsys, tmp_path, argv, chain):
-    # the well's interior blocks turn exactly singular in double precision
-    # in the capacity scan at beta = 40
-    path = tmp_path / "dw.json"
-    save_chain(double_well_chain(*chain), path)
+def test_singular_interior_block_exits_1(capsys, tmp_path, argv, make):
+    path = tmp_path / "chain.json"
+    save_chain(make(), path)
     code, out, err = run_cli(capsys, [a.format(chain=path) for a in argv])
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "solver" and "singular interior block" in error["message"]
+
+
+def test_non_finite_scan_capacity_exits_1_without_warning(capsys, tmp_path):
+    # the exact rho scan on dw15 at beta = 30 solves blocks to inf and NaN;
+    # the kernel raises for the NaN capacity, and nothing but the JSON error
+    # reaches stderr (a RuntimeWarning would fail the suite)
+    chain = double_well_chain(30.0, 15)
+    with pytest.raises(SolverNotConverged, match="capacity nan of a scanned set"):
+        rho_metastability(chain, [["x0"], ["x14"]], mode="exact")
+    path = tmp_path / "dw.json"
+    save_chain(chain, path)
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"sets": [["x0"], ["x14"]]}))
+    code, out, err = run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets),
+                                      "--exact", "--seed", "1"])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["kind"] == "solver" and "capacity nan" in error["message"]
 
 
 @pytest.mark.parametrize("beta,n", [(8.0, 11), (2.0, 15)], ids=["dw11", "dw15"])
