@@ -91,6 +91,16 @@ def _sets_from_file(chain, path):
     return [subset_mask(chain, s) for s in data]
 
 
+def _states_mask(chain, text):
+    """Mask of the comma-separated ids in ``text``, each read as in the
+    chain's JSON: a string id by its text, a numeric id as a JSON number."""
+    ids = {s if isinstance(s, str) else json.dumps(s): s for s in chain.states}
+    try:
+        return subset_mask(chain, [ids[token] for token in text.split(",")])
+    except KeyError as exc:
+        raise ValidationError(f"unknown state {exc.args[0]!r}") from None
+
+
 def _mask_to_ids(chain, mask):
     return [chain.states[i] for i in np.flatnonzero(mask)]
 
@@ -100,8 +110,8 @@ def _mask_to_ids(chain, mask):
 
 def cmd_capacity(args):
     chain = load_chain(args.chain)
-    a = subset_mask(chain, args.A.split(","))
-    b = subset_mask(chain, args.B.split(","))
+    a = _states_mask(chain, args.A)
+    b = _states_mask(chain, args.B)
     sol = equilibrium_potential(chain, a, b)
     return {
         "provenance": _provenance(args, mode="exact"),
@@ -169,7 +179,7 @@ def cmd_analyze(args):
 
 def cmd_orlicz(args):
     chain = load_chain(args.chain)
-    b = subset_mask(chain, args.B.split(","))
+    b = _states_mask(chain, args.B)
     pair = orlicz_mod.get_pair(args.pair)
     k_val = float(np.exp(2.0)) if args.K == "e2" else _number("--K", args.K)
     scan = orlicz_mod.measure_capacity_constant(
@@ -219,10 +229,11 @@ def cmd_oracle(args):
     chain = load_chain(args.chain)
     if args.what == "cpi":
         rep = oracle_mod.exact_cpi(chain)
+        mode = "exact" if rep.certificate.exact else "bound"
         return {
-            "provenance": _provenance(args, mode="exact"),
-            "c_pi": tagged(rep.c_pi_exact, "exact"),
-            "spectral_gap": tagged(rep.spectral_gap, "exact"),
+            "provenance": _provenance(args, mode=mode),
+            "c_pi": tagged(rep.c_pi_exact, mode),
+            "spectral_gap": tagged(rep.spectral_gap, mode),
             "eigenvalues": rep.eigenvalues.tolist(),
         }
     if args.what == "clsi":

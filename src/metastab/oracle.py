@@ -2,16 +2,18 @@
 
 Nothing here shares a code path with the solvers it certifies except the
 SuperLU factor call, ``potential.sym_factor``: the Poincare constant comes
-from a dense symmetric eigensolve (one Householder tridiagonalization shared
-by all eigenvalues and the lambda_2 vector), refined by inverse iteration on
-a sparse factor of its own (the Laplacian grounded at one state), the
-log-Sobolev bound from projected gradient ascent, the Orlicz norm from grid
-search with refinement, and the Cheeger constant from exhaustive subset
-enumeration.
+from a dense symmetric eigensolve (two ``scipy.linalg.eigh`` calls: all
+eigenvalues, and the lambda_2 vector), refined and certified by
+``certified_gap`` on a sparse factor of its own (the Laplacian grounded at
+one state), the log-Sobolev bound from projected gradient ascent, the Orlicz
+norm from grid search with refinement, and the Cheeger constant from
+exhaustive subset enumeration.
 
-``certified_gap`` is the sparse spectral gap that ``metastab rfcw`` reports:
-the same inverse iteration, started from an equilibrium potential, with a
-Kato-Temple interval in place of the dense eigensolve.
+``certified_gap`` is the one path that refines and tags a spectral gap:
+inverse iteration with a Kato-Temple interval, whose lambda_3 floor comes
+from an inertia count with sigma midway between the gap and a lambda_3
+estimate.  ``exact_cpi`` starts it from the dense lambda_2 vector,
+``metastab rfcw`` from an equilibrium potential.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from .chains import (
     MetastabError,
@@ -40,8 +40,6 @@ BRUTE_FORCE_LIMIT = 6
 LSI_MULTISTARTS = 32
 LSI_ASCENT_STEPS = 400
 CHEEGER_LIMIT = 20
-# resolution of the dense eigensolve: GAP_DIGITS_FACTOR n eps max|lambda|
-GAP_DIGITS_FACTOR = 64
 # inverse iteration stops when the Rayleigh quotient settles to this; from
 # an equilibrium potential near the critical temperature it can take a dozen
 # steps, from the dense eigenvector one or two
@@ -51,7 +49,7 @@ REFINE_STEPS = 32
 # from a fixed seed, so reports stay deterministic
 LAMBDA3_SOLVES = 3
 LAMBDA3_SEED = 0
-# halvings of the shift before the inertia count gives up
+# halvings of sigma's distance to the gap before the inertia count gives up
 SIGMA_HALVINGS = 4
 # element growth max|U| / max|A| of the shifted LDL^T beyond which its
 # pivot signs are not trusted
@@ -64,13 +62,14 @@ GAP_ROUNDING = 64 * np.finfo(float).eps
 
 @dataclass
 class SpectralReport:
-    """Exact spectral data for the mu-symmetrized kernel."""
+    """Dense spectrum of the mu-symmetrized kernel and its certified gap."""
 
     eigenvalues: np.ndarray
     c_pi_exact: float
     spectral_gap: float
     maximizer: np.ndarray
     discrete_time: bool
+    certificate: GapCertificate
 
 
 @dataclass
@@ -78,10 +77,10 @@ class GapCertificate:
     """Spectral gap as a Rayleigh quotient with its Kato-Temple interval.
 
     ``lower <= lambda_2 <= upper`` and ``lambda_3 >= lambda3_floor``, where
-    ``upper`` is ``gap`` plus its rounding allowance.  A step of the
-    certificate that fails leaves ``lower`` at the trivial 0 (and, if it
-    was the inertia count, ``lambda3_floor`` too).  ``exact`` holds when
-    the interval's width is at most REFINE_RTOL ``gap``.
+    ``upper`` is ``gap`` plus its rounding allowance, and ``f`` the centred,
+    normalized vector whose Rayleigh quotient is ``gap``.  A failed step
+    leaves ``lower`` (and, for the lambda_3 floor, ``lambda3_floor``) at 0.
+    ``exact`` holds when the interval is at most REFINE_RTOL ``gap`` wide.
     """
 
     gap: float
@@ -89,6 +88,7 @@ class GapCertificate:
     upper: float
     lambda3_floor: float
     exact: bool
+    f: np.ndarray
 
 
 @dataclass
@@ -104,22 +104,16 @@ class LsiReport:
 
 
 def exact_cpi(chain):
-    """All eigenvalues of the symmetrized kernel and C_PI = 1/(1 - lambda_2).
+    """All eigenvalues of the symmetrized kernel and C_PI = 1 / lambda_2.
 
     For continuous-time chains the gap is the smallest nonzero eigenvalue of
     the symmetrized -L.  The Poincare constant equals the reciprocal gap
-    because the energy is the quadratic form of I - P (resp. -L).  Only the
-    lambda_2 eigenvector is computed; in both conventions it belongs to the
-    second-largest eigenvalue of the symmetrized matrix.  The eigenvalues
-    and that eigenvector share one reduction to tridiagonal form
-    (``_sym_spectrum``).
-
-    The dense eigenvalues carry an absolute error up to the resolution
-    GAP_DIGITS_FACTOR n eps max|lambda|, all the digits a metastable gap
-    of that size has.  The reported gap and maximizer therefore come from
-    ``_refine_gap``, which keeps relative precision however small the gap;
-    a refined gap that leaves the dense one by more than the resolution
-    raises SolverNotConverged.
+    because the energy is the quadratic form of I - P (resp. -L).  Two
+    ``eigh`` calls give all eigenvalues and the eigenvector of the
+    second-largest, the lambda_2 vector in both conventions.  The dense
+    eigenvalues resolve only about n eps max|lambda|, so the gap, its
+    ``certificate`` and the maximizer come from ``certified_gap`` started
+    at that vector.
     """
     n = chain.n_states
     if n > SPECTRAL_LIMIT:
@@ -131,116 +125,39 @@ def exact_cpi(chain):
     sym = dense + dense.T
     del dense
     sym *= 0.5
-    vals, vec = _sym_spectrum(sym)
-    vals = vals[::-1]
+    if not np.isfinite(max(sym.max(), -sym.min())):
+        raise ValidationError("symmetrized kernel has non-finite entries")
+    try:
+        vals = scipy.linalg.eigh(sym, eigvals_only=True, check_finite=False)[::-1]
+        if n > 1:
+            vec = scipy.linalg.eigh(
+                sym, subset_by_index=[n - 2, n - 2], overwrite_a=True, check_finite=False
+            )[1][:, 0]
+    except np.linalg.LinAlgError as exc:
+        raise SolverNotConverged(f"dense eigensolve failed: {exc}") from None
 
     if chain.discrete_time:
         if abs(vals[0] - 1.0) > 1e-9:
             raise ValidationError(f"leading eigenvalue {vals[0]!r} is not 1")
         if vals[-1] < -1.0 - 1e-9 or vals[0] > 1.0 + 1e-9:
             raise ValidationError("kernel eigenvalue outside [-1, 1]")
-        gap = 1.0 - vals[1] if n > 1 else 1.0
     else:
         # eigenvalues of -L, ascending; lambda_1 = 0 with constant vector
         vals = -vals
         if abs(vals[0]) > 1e-8:
             raise ValidationError(f"generator kernel eigenvalue {vals[0]!r} is not 0")
-        gap = vals[1] if n > 1 else 1.0
     if n > 1:
-        floor = GAP_DIGITS_FACTOR * n * np.finfo(float).eps * np.max(np.abs(vals))
-        dense_gap = gap
-        gap, fiedler = _refine_gap(chain, vec / root)
-        if abs(gap - dense_gap) > floor:
-            raise SolverNotConverged(
-                f"refined spectral gap {gap:.6e} leaves the dense {dense_gap:.6e} "
-                f"by more than its resolution {floor:.3e}"
-            )
+        cert = certified_gap(chain, vec / root)
     else:
-        fiedler = np.zeros(n)
+        cert = GapCertificate(1.0, 1.0, 1.0, np.inf, True, np.zeros(n))
     return SpectralReport(
         eigenvalues=vals,
-        c_pi_exact=1.0 / gap,
-        spectral_gap=float(gap),
-        maximizer=fiedler,
+        c_pi_exact=1.0 / cert.gap,
+        spectral_gap=float(cert.gap),
+        maximizer=cert.f,
         discrete_time=chain.discrete_time,
+        certificate=cert,
     )
-
-
-def _sym_spectrum(sym):
-    """All eigenvalues of the symmetric ``sym``, ascending, and the unit
-    eigenvector of the second-largest; ``sym`` is overwritten.
-
-    These are the LAPACK steps ``dsyevr`` takes for
-    ``eigh(sym, eigvals_only=True)`` and for
-    ``eigh(sym, subset_by_index=[n - 2, n - 2])``, with the same scaling and
-    workspaces, so both results keep eigh's bits; the O(n^3) reduction to
-    tridiagonal form that the two calls would each make is made once.  The
-    eigenvector is None for n = 1.
-    """
-    n = len(sym)
-    anrm = max(sym.max(), -sym.min())
-    if not np.isfinite(anrm):
-        raise ValidationError("symmetrized kernel has non-finite entries")
-    if n == 1:
-        return sym.diagonal().copy(), None
-    work, _, info = lapack.dsyevr_lwork(n, lower=1)
-    _check_lapack("dsyevr_lwork", info)
-    lwork = int(work)
-    # dsyevr scales max|sym| into [rmin, rmax] and the eigenvalues back
-    safmin = np.finfo(float).tiny
-    smlnum = safmin / np.finfo(float).eps
-    rmin = np.sqrt(smlnum)
-    rmax = min(np.sqrt(1.0 / smlnum), 1.0 / np.sqrt(np.sqrt(safmin)))
-    sigma = 1.0
-    if 0.0 < anrm < rmin:
-        sigma = rmin / anrm
-    elif anrm > rmax:
-        sigma = rmax / anrm
-    if sigma != 1.0:
-        sym *= sigma
-    # sym.T is the Fortran-ordered view of the same (symmetric) storage
-    c, d, e, tau, info = lapack.dsytrd(
-        sym.T, lower=1, lwork=lwork - 5 * n, overwrite_a=1
-    )
-    _check_lapack("dsytrd", info)
-    vals, info = lapack.dsterf(d, e)
-    _check_lapack("dsterf", info)
-    _, w, iblock, isplit, info = lapack.dstebz(
-        d, e, 2, 0.0, 1.0, n - 1, n - 1, 0.0, "B"
-    )
-    _check_lapack("dstebz", info)
-    z, info = lapack.dstein(d, e, w[:1], iblock, isplit)
-    _check_lapack("dstein", info)
-    # dormtr, lower: the reflectors below the subdiagonal act on rows 1..n-1
-    zq, _, info = lapack.dormqr(
-        "L", "N", c[1:, : n - 1], tau, z[1:], lwork - 2 * n, overwrite_c=1
-    )
-    _check_lapack("dormqr", info)
-    vec = np.empty(n)
-    vec[0] = z[0, 0]
-    vec[1:] = zq[:, 0]
-    if sigma != 1.0:
-        vals *= 1.0 / sigma
-    return vals, vec
-
-
-def _check_lapack(name, info):
-    if info != 0:
-        raise SolverNotConverged(f"LAPACK {name} failed with info = {info}")
-
-
-def _refine_gap(chain, f):
-    """Inverse iteration for Lap f = gap mu f from ``f``; returns (gap, f).
-
-    Raises SolverNotConverged unless the Rayleigh quotient settles within
-    REFINE_STEPS steps (``_inverse_iteration``).
-    """
-    gap, f, settled = _inverse_iteration(chain, f, *_grounded_factor(chain))
-    if not settled:
-        raise SolverNotConverged(
-            f"inverse iteration for the spectral gap did not settle (last {gap!r})"
-        )
-    return gap, f
 
 
 def _grounded_factor(chain):
@@ -259,7 +176,7 @@ def _grounded_solve(chain, free, factor, f):
 
 
 def _inverse_iteration(chain, f, free, factor):
-    """Inverse iteration from ``f``; returns (gap, f, settled).
+    """Inverse iteration from ``f``; returns (gap, f).
 
     Each step solves the grounded Laplacian, which multiplies the lambda_j
     component of the centred f by 1 / lambda_j, so a few steps remove what
@@ -268,22 +185,25 @@ def _inverse_iteration(chain, f, free, factor):
     squared differences: a sum of nonnegative terms, so it keeps its
     relative precision where the dense eigenvalue only resolves
     eps max|lambda|.  It stops when the quotient changes by at most
-    REFINE_RTOL, after REFINE_STEPS steps or at a zero quotient.  ``f``
-    comes back centred with sum mu f^2 = 1.
+    REFINE_RTOL, after REFINE_STEPS quotients or at a zero quotient, and
+    returns the centred f with sum mu f^2 = 1 of that quotient.  A vector
+    that stops being finite raises SolverNotConverged.
     """
     mu = chain.stationary
     prev = np.inf
-    for _ in range(REFINE_STEPS):
-        f = f - np.dot(mu, f)
-        f = f / np.sqrt(np.dot(mu, f * f))
-        gap = dirichlet_form(chain, f)
-        if not gap > 0.0:
-            break
-        if abs(gap - prev) <= REFINE_RTOL * gap:
-            return gap, f, True
-        prev = gap
-        f = _grounded_solve(chain, free, factor, f)
-    return gap, f, False
+    with np.errstate(all="ignore"):
+        for step in range(REFINE_STEPS):
+            if step:
+                f = _grounded_solve(chain, free, factor, f)
+            f = f - np.dot(mu, f)
+            f = f / np.sqrt(np.dot(mu, f * f))
+            if not np.isfinite(f).all():
+                raise SolverNotConverged("inverse iteration vector is not finite")
+            gap = dirichlet_form(chain, f)
+            if not gap > 0.0 or abs(gap - prev) <= REFINE_RTOL * gap:
+                break
+            prev = gap
+    return gap, f
 
 
 def certified_gap(chain, f):
@@ -293,73 +213,78 @@ def certified_gap(chain, f):
     1. Inverse iteration (``_inverse_iteration``) from ``f`` gives the
        centred, normalized f and rho = E(f) / Var(f) >= lambda_2.
     2. A few solves on the same grounded factor, from a fixed-seed vector
-       kept mu-orthogonal to 1 and to f, estimate lambda_3; sigma is half
-       that estimate.
+       kept mu-orthogonal to 1 and to f, estimate lambda_3.  An estimate
+       that is not finite gives no floor.
     3. ``_lambda3_floor`` certifies lambda_3 >= sigma by counting negative
-       pivots of Lap - sigma diag(mu), halving sigma as needed.
+       pivots of Lap - sigma diag(mu), with sigma between the upper end
+       of the interval and the estimate.
     4. Kato-Temple: lambda_2 >= rho - eps^2 / (sigma - rho), where
        eps^2 = sum r^2 / mu and r = Lap f - rho mu f.  Both ends of the
        interval are widened by GAP_ROUNDING rho, the rounding of rho.
 
-    The metastable start is the equilibrium potential h_{M1,M2}, which is
-    the lambda_2 eigenvector to leading order.  A chain of at most two
-    states has no lambda_3, and its centred f is the eigenvector.  Raises
-    SolverNotConverged only if the quotient is not positive.
+    ``exact_cpi`` starts from the dense lambda_2 vector, ``metastab rfcw``
+    from h_{M1,M2}, the lambda_2 eigenvector to leading order.  A chain of
+    at most two states has no lambda_3.  Raises SolverNotConverged if the
+    quotient is not positive or the iteration overflows.
     """
     mu = chain.stationary
     n = chain.n_states
     free, factor = _grounded_factor(chain)
-    gap, f, _ = _inverse_iteration(chain, np.asarray(f, dtype=float), free, factor)
+    gap, f = _inverse_iteration(chain, np.asarray(f, dtype=float), free, factor)
     if not gap > 0.0:
         raise SolverNotConverged(f"Rayleigh quotient {gap!r} is not positive")
+    upper = gap * (1.0 + GAP_ROUNDING)
     sigma = np.inf
     if n > 2:
         g = np.random.default_rng(LAMBDA3_SEED).normal(size=n)
-        for k in range(LAMBDA3_SOLVES + 1):
-            for _ in range(2):  # twice: one pass leaves rounding of a huge f part
-                g = g - np.dot(mu, g)
-                g = g - np.dot(mu * f, g) * f
-            g = g / np.sqrt(np.dot(mu, g * g))
-            if k < LAMBDA3_SOLVES:
-                g = _grounded_solve(chain, free, factor, g)
-        sigma = _lambda3_floor(chain, 0.5 * dirichlet_form(chain, g))
-    upper = gap * (1.0 + GAP_ROUNDING)
+        with np.errstate(all="ignore"):
+            for k in range(LAMBDA3_SOLVES + 1):
+                for _ in range(2):  # twice: one pass leaves rounding of a huge f part
+                    g = g - np.dot(mu, g)
+                    g = g - np.dot(mu * f, g) * f
+                g = g / np.sqrt(np.dot(mu, g * g))
+                if k < LAMBDA3_SOLVES:
+                    g = _grounded_solve(chain, free, factor, g)
+        sigma = 0.0
+        if np.isfinite(g).all():
+            sigma = _lambda3_floor(chain, upper, dirichlet_form(chain, g))
     lower = 0.0
     if sigma > upper:
         r = chain.laplacian @ f - gap * (mu * f)
         eps2 = np.dot(r, r / mu)
         lower = max(gap * (1.0 - GAP_ROUNDING) - eps2 / (sigma - upper), 0.0)
-    return GapCertificate(
-        gap=gap,
-        lower=lower,
-        upper=upper,
-        lambda3_floor=sigma,
-        exact=bool(upper - lower <= REFINE_RTOL * gap),
-    )
+    exact = bool(upper - lower <= REFINE_RTOL * gap)
+    return GapCertificate(gap, lower, upper, sigma, exact, f)
 
 
-def _lambda3_floor(chain, sigma):
-    """``sigma``, halved at most SIGMA_HALVINGS times, at which an inertia
-    count shows lambda_3 >= sigma; 0 if none does.
+def _lambda3_floor(chain, upper, estimate):
+    """The first sigma at which an inertia count shows lambda_3 >= sigma, or
+    0.  sigma starts midway between ``upper``, the top of the lambda_2
+    interval, and the lambda_3 ``estimate``; each failed count halves its
+    distance to ``upper`` (at most SIGMA_HALVINGS times), so sigma stays
+    above the gap even when lambda_3 < 2 lambda_2.
 
     By Sylvester's law of inertia the pivots of an LDL^T factorization of
     Lap - sigma diag(mu) have as many negative signs as the pencil
     (Lap, diag(mu)) has eigenvalues below sigma.  Two negative pivots mean
-    that only lambda_1 = 0 and lambda_2 lie below sigma; more than two halve
+    that only lambda_1 = 0 and lambda_2 lie below sigma; more than two move
     sigma, fewer than two end the search.  A factorization whose pivots
-    cannot be trusted (``_ldl_pivots`` returns None) halves sigma as well.
+    cannot be trusted (``_ldl_pivots`` returns None) moves sigma as well.
     """
     mu = chain.stationary
-    lap = chain.laplacian
+    shifted = chain.laplacian.tocsc()
+    deg = shifted.diagonal()
+    sigma = 0.5 * (upper + estimate)
     for _ in range(SIGMA_HALVINGS + 1):
-        pivots = _ldl_pivots((lap - sp.diags(sigma * mu)).tocsc())
+        shifted.setdiag(deg - sigma * mu)
+        pivots = _ldl_pivots(shifted)
         if pivots is not None:
             negative = np.count_nonzero(pivots < 0.0)
             if negative == 2:
                 return sigma
             if negative < 2:
                 return 0.0
-        sigma *= 0.5
+        sigma = upper + 0.5 * (sigma - upper)
     return 0.0
 
 
@@ -376,8 +301,9 @@ def _ldl_pivots(a):
         lu = sym_factor(a)
     except SolverNotConverged:  # an exactly singular factor
         return None
-    pivots = lu.U.diagonal()
-    growth = np.abs(lu.U.data).max() / np.abs(a.data).max()
+    u = lu.U  # each access assembles a new matrix
+    pivots = u.diagonal()
+    growth = np.abs(u.data).max() / np.abs(a.data).max()
     if (
         not np.array_equal(lu.perm_r, lu.perm_c)
         or not np.all(pivots != 0.0)

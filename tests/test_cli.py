@@ -16,8 +16,11 @@ from metastab import rfcw as rfcw_mod
 from metastab import SolverNotConverged, build_chain, rho_metastability, save_chain
 from metastab.chains import InequalityViolation
 from metastab.cli import build_parser, main
-from metastab.oracle import GAP_DIGITS_FACTOR
+from metastab.potential import birth_death_generator_chain, equilibrium_potential
 from metastab.sampling import double_well_chain, random_reversible_chain
+
+# resolution of a dense symmetric eigensolve: GAP_DIGITS_FACTOR n eps max|lambda|
+GAP_DIGITS_FACTOR = 64
 
 
 @pytest.fixture()
@@ -207,6 +210,68 @@ def test_oracle_command(capsys, two_state_file):
     )
     assert code == 0
     assert json.loads(out)["c_pi"]["value"] == pytest.approx(2.5, abs=1e-12)
+
+
+def _oracle_cpi(capsys, tmp_path, chain):
+    path = tmp_path / "chain.json"
+    save_chain(chain, path)
+    return run_cli(capsys, ["oracle", "--chain", str(path), "--what", "cpi"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n,beta,mode", [(11, 2.0, "exact"), (11, 12.0, "bound"),
+                                         (15, 25.0, "bound")])
+def test_oracle_cpi_takes_its_tags_from_the_certificate(capsys, tmp_path, n, beta, mode):
+    # dw11 at beta 12 reports a gap 1.2e-3 off the mpmath one; at dw15 beta
+    # 25 the lambda_3 estimate overflows and gives no floor
+    chain = double_well_chain(beta, n)
+    code, out, _ = _oracle_cpi(capsys, tmp_path, chain)
+    assert code == 0
+    rep = json.loads(out)
+    cert = oracle_mod.exact_cpi(chain).certificate
+    assert cert.exact == (mode == "exact")
+    assert rep["c_pi"] == {"value": 1.0 / cert.gap, "mode": mode}
+    assert rep["spectral_gap"] == {"value": cert.gap, "mode": mode}
+    assert rep["provenance"]["mode"] == mode
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oracle_cpi_overflow_is_a_solver_error(capsys, tmp_path):
+    # inverse iteration on dw15 at beta 30 overflows: the input is valid
+    code, out, err = _oracle_cpi(capsys, tmp_path, double_well_chain(30.0, 15))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["kind"] == "solver"
+
+
+def test_dense_eigensolve_failure_exits_solver(capsys, tmp_path, monkeypatch):
+    def eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic dsyevr failure")
+
+    monkeypatch.setattr(oracle_mod.scipy.linalg, "eigh", eigh)
+    code, out, err = _oracle_cpi(capsys, tmp_path, double_well_chain(2.0))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "solver" and "synthetic dsyevr failure" in error["message"]
+
+
+def test_numeric_state_ids_resolve_by_their_json_text(capsys, tmp_path):
+    mu = np.random.default_rng(5).uniform(0.2, 2.0, size=5)
+    chain = birth_death_generator_chain(mu / mu.sum())  # ids 0..4
+    path = tmp_path / "bd5.json"
+    save_chain(chain, path)
+    code, out, _ = run_cli(capsys, ["capacity", "--chain", str(path), "--A", "4", "--B", "0"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["A"] == [4] and rep["B"] == [0]
+    assert rep["capacity"]["value"] == equilibrium_potential(chain, [4], [0]).capacity
+    code, out, _ = run_cli(capsys, ["orlicz", "--chain", str(path), "--B", "0,1"])
+    assert code == 0 and json.loads(out)["B"] == [0, 1]
+    for token in ("5", "x4", "4.0", ""):
+        code, out, err = run_cli(capsys, ["capacity", "--chain", str(path), "--A", token,
+                                          "--B", "0"])
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation" and error["message"] == f"unknown state {token!r}"
 
 
 def test_orlicz_command(capsys, two_state_file):

@@ -15,7 +15,6 @@ from metastab import (
     variance,
 )
 from metastab.oracle import (
-    GAP_DIGITS_FACTOR,
     brute_force_orlicz,
     cheeger_constant,
     estimate_clsi,
@@ -30,12 +29,15 @@ from metastab.chains import (
     variance_gradient,
 )
 from metastab.orlicz import entropy_pair, l1_pair, muckenhoupt_constant
-from metastab.potential import birth_death_generator_chain, equilibrium_potential
+from metastab.potential import equilibrium_potential
 from metastab.sampling import (
     double_well_chain,
     random_probability,
     random_reversible_chain,
 )
+
+# resolution of a dense symmetric eigensolve: GAP_DIGITS_FACTOR n eps max|lambda|
+GAP_DIGITS_FACTOR = 64
 
 
 def test_exact_cpi_two_state(two_state):
@@ -274,9 +276,14 @@ def _symmetrized(chain):
     return 0.5 * (sym + sym.T), root
 
 
-def _bd_generator():
+def _bd_generator(scale=1.0):
+    """``birth_death_generator_chain`` of 30 random weights, rates times ``scale``."""
     mu = np.random.default_rng(83).uniform(0.2, 2.0, size=30)
-    return birth_death_generator_chain(mu / mu.sum())
+    mu /= mu.sum()
+    edges = []
+    for y in range(29):
+        edges += [(y, y + 1, scale), (y + 1, y, scale * mu[y] / mu[y + 1])]
+    return build_chain(list(range(30)), edges, stationary=mu, time="continuous")
 
 
 @pytest.mark.parametrize("kind", ["discrete", "continuous"])
@@ -326,55 +333,53 @@ def test_exact_cpi_resolves_metastable_gaps():
 
 
 def test_exact_cpi_refinement_guards(monkeypatch):
-    chain = double_well_chain(2.0)
-    # the refined gap must stay within the dense resolution of the dense gap
-    refine = oracle_mod._refine_gap
-    monkeypatch.setattr(oracle_mod, "_refine_gap",
-                        lambda ch, f: (2.0 * refine(ch, f)[0], f))
-    with pytest.raises(SolverNotConverged):
-        exact_cpi(chain)
-    monkeypatch.undo()
-    # an inverse iteration that has not settled raises instead of returning
+    # an inverse iteration stopped before it settles still returns, with the
+    # certificate of the quotient it stopped at: one quotient, no solve
     monkeypatch.setattr(oracle_mod, "REFINE_STEPS", 1)
-    with pytest.raises(SolverNotConverged):
-        exact_cpi(chain)
+    chain = double_well_chain(12.0)
+    cert = exact_cpi(chain).certificate
+    assert not cert.exact
+    assert cert.lower <= _mp_line_gap(chain) <= cert.upper
+    # the certified f is the vector of the reported quotient
+    assert cert.gap == dirichlet_form(chain, cert.f)
+    assert np.dot(chain.stationary, cert.f**2) == pytest.approx(1.0, rel=1e-14)
+    # where the dense vector is already the eigenvector, its quotient certifies
+    chain = double_well_chain(2.0)
+    rep = exact_cpi(chain)
+    sym, _ = _symmetrized(chain)
+    dense_gap = 1.0 - np.linalg.eigvalsh(sym)[-2]
+    res = GAP_DIGITS_FACTOR * chain.n_states * np.finfo(float).eps
+    assert rep.certificate.exact
+    assert rep.certificate.lower <= dense_gap + res and dense_gap - res <= rep.certificate.upper
 
 
-# (chain, scale of its symmetrized matrix); 1e80 and 1e-200 take max|sym|
-# past the range in which dsyevr leaves the matrix unscaled
+# at 1e-200 max|sym| is below the 1e-146 under which dsyevr scales the matrix
 SPECTRUM_CASES = {
-    **{f"dw11-b{b:g}": (lambda b=b: double_well_chain(b), 1.0) for b in (1.0, 2.0, 5.0, 8.0)},
-    "dw15-b0.5": (lambda: double_well_chain(0.5, 15), 1.0),
-    **{f"rc{n}": (lambda n=n: random_reversible_chain(np.random.default_rng((20170515, n, 0)), n),
-                  1.0) for n in (12, 14, 16)},
-    "rfcw-N8": (lambda: rfcw_mod.build_model(8, 1.5, "uniform:0.2", seed=7).chain, 1.0),
-    "bd30-generator": (_bd_generator, 1.0),
-    "bd30-generator-x1e80": (_bd_generator, 1e80),
-    "bd30-generator-x1e-200": (_bd_generator, 1e-200),
+    **{f"dw11-b{b:g}": (lambda b=b: double_well_chain(b)) for b in (1.0, 2.0, 5.0, 8.0)},
+    "dw15-b0.5": lambda: double_well_chain(0.5, 15),
+    **{f"rc{n}": (lambda n=n: random_reversible_chain(np.random.default_rng((20170515, n, 0)), n))
+       for n in (12, 14, 16)},
+    "rfcw-N8": lambda: rfcw_mod.build_model(8, 1.5, "uniform:0.2", seed=7).chain,
+    "bd30-generator": _bd_generator,
+    "bd30-generator-x1e-200": lambda: _bd_generator(1e-200),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
-def test_sym_spectrum_keeps_eigh_bits(name):
-    build, scale = SPECTRUM_CASES[name]
-    sym, _ = _symmetrized(build())
-    sym *= scale
-    n = len(sym)
-    want_vals = scipy.linalg.eigh(sym, eigvals_only=True)
-    want_vec = scipy.linalg.eigh(sym, subset_by_index=[n - 2, n - 2])[1][:, 0]
-    vals, vec = oracle_mod._sym_spectrum(sym.copy())
-    assert_array_equal(vals, want_vals)
-    assert_array_equal(vec, want_vec)
-
-
-@pytest.mark.parametrize("routine", ["dsyevr_lwork", "dsytrd", "dsterf", "dstebz", "dstein",
-                                     "dormqr"])
-def test_sym_spectrum_lapack_failure_raises(monkeypatch, routine):
-    real = getattr(oracle_mod.lapack, routine)
-    monkeypatch.setattr(oracle_mod.lapack, routine,
-                        lambda *a, **k: (*real(*a, **k)[:-1], 1))
-    with pytest.raises(SolverNotConverged, match=routine):
-        exact_cpi(double_well_chain(2.0))
+def test_sym_spectrum_keeps_eigh_bits(monkeypatch, name):
+    # the spectrum of the symmetrized kernel that exact_cpi reports
+    chain = SPECTRUM_CASES[name]()
+    if name.endswith("x1e-200"):
+        # its inverse iteration overflows (sum mu f^2 past 1e308), so only
+        # the eigenvalues are checked, with the gap stubbed
+        with pytest.raises(SolverNotConverged):
+            exact_cpi(chain)
+        stub = oracle_mod.GapCertificate(1.0, 1.0, 1.0, np.inf, True, np.zeros(chain.n_states))
+        monkeypatch.setattr(oracle_mod, "certified_gap", lambda chain, f: stub)
+    rep = exact_cpi(chain)
+    sym, _ = _symmetrized(chain)
+    want = scipy.linalg.eigh(sym, eigvals_only=True)[::-1]
+    assert_array_equal(rep.eigenvalues, want if chain.discrete_time else -want)
 
 
 def test_exact_cpi_holds_two_dense_copies():
@@ -574,6 +579,90 @@ def _mp_spectrum(chain, dps=40):
     return sorted(mp.eigsy(a, eigvals_only=True))
 
 
+def _mp_line_gap(chain, dps=800):
+    """lambda_2 of a chain on a line (state k joined to k + 1 only), by
+    bisection on a Sylvester count: the number of negative pivots of
+    Lap - x diag(mu), a three-term recurrence, is the number of eigenvalues
+    below x.  mpmath, from the chain's own conductances; ``dps`` covers the
+    cancellation of pivots across conductances down to 1e-700."""
+    mp = pytest.importorskip("mpmath").mp
+    n = chain.n_states
+    lap = chain.laplacian
+    with mp.workdps(dps):
+        c = [-mp.mpf(float(lap[k, k + 1])) for k in range(n - 1)] + [mp.mpf(0)]
+        m = [mp.mpf(float(v)) for v in chain.stationary]
+
+        def below(x):
+            count, d, left = 0, mp.mpf(1), mp.mpf(0)
+            for k in range(n):
+                d = left + c[k] - x * m[k] - left * left / d
+                left = c[k]
+                count += d < 0
+            return count
+
+        lo, hi = mp.mpf(10) ** (-dps // 2), mp.mpf(4)
+        assert below(lo) == 1 and below(hi) >= 2
+        while hi - lo > mp.mpf(10) ** -30 * hi:
+            mid = mp.sqrt(lo * hi)
+            if below(mid) >= 2:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+
+# ROADMAP item 2's low-temperature grid: a dense eigensolve gives dw11 at
+# beta 12-40 and dw15 at beta 8-15 wrong, by up to 1e32 relative
+MP_GRID = [(11, b) for b in (5.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0, 40.0)] + [
+    (15, b) for b in (5.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0)
+]
+
+
+@pytest.mark.parametrize("n,beta", MP_GRID)
+def test_exact_cpi_tag_holds_against_mpmath(n, beta):
+    chain = double_well_chain(beta, n)
+    rep = exact_cpi(chain)
+    cert = rep.certificate
+    want = _mp_line_gap(chain)
+    assert rep.spectral_gap == cert.gap and rep.c_pi_exact == 1.0 / cert.gap
+    if cert.exact:
+        assert abs(cert.gap - want) <= 1e-12 * want
+        assert abs(rep.c_pi_exact * want - 1) <= 1e-12
+    else:
+        assert cert.lower <= want <= cert.upper
+
+
+def test_mp_line_gap_matches_eigsy():
+    chain = double_well_chain(5.0)
+    assert abs(_mp_line_gap(chain) / _mp_spectrum(chain)[1] - 1) <= 1e-20
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_cpi_certifies_random_chains(seed):
+    for n in range(3, 41):
+        chain = random_reversible_chain(np.random.default_rng((20170515, n, seed)), n)
+        assert exact_cpi(chain).certificate.exact, n
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nonfinite_lambda3_estimate_gives_no_floor(monkeypatch):
+    # at beta 25 the estimate's solves overflow: no count, no floor, a bound
+    def count(*args):
+        raise AssertionError("the inertia count ran on a non-finite estimate")
+
+    monkeypatch.setattr(oracle_mod, "_lambda3_floor", count)
+    chain = double_well_chain(25.0, 15)
+    cert = exact_cpi(chain).certificate
+    assert cert.lambda3_floor == 0.0 and cert.lower == 0.0 and not cert.exact
+    assert cert.lower <= _mp_line_gap(chain) <= cert.upper
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inverse_iteration_overflow_raises_solver_error():
+    with pytest.raises(SolverNotConverged, match="not finite"):
+        exact_cpi(double_well_chain(30.0, 15))
+
+
 @pytest.mark.parametrize("beta", [12.0, 20.0])
 def test_certified_gap_matches_mpmath(beta):
     chain, h = _rfcw_cell(6, beta, "uniform:0.2")
@@ -611,13 +700,18 @@ def test_certified_gap_bound_when_the_count_fails(monkeypatch):
 def test_lambda3_floor_counts_pivots():
     chain, _ = _rfcw_cell(6, 2.0, "uniform:0.2")
     gap, lam3, _ = _dense_gaps(chain)
-    # above lambda_3 the count halves sigma until it falls below
-    assert oracle_mod._lambda3_floor(chain, 3.0 * lam3) == 0.75 * lam3
-    assert oracle_mod._lambda3_floor(chain, 0.5 * lam3) == 0.5 * lam3
+    # sigma starts halfway between the gap and the estimate
+    assert oracle_mod._lambda3_floor(chain, gap, 0.5 * lam3) == 0.5 * (gap + 0.5 * lam3)
+    # above lambda_3 the count halves sigma's distance to the gap until it
+    # falls below, so sigma stays above the gap however close lambda_3 is
+    sigma = 0.5 * (gap + 3.0 * lam3)
+    assert sigma > lam3
+    assert oracle_mod._lambda3_floor(chain, gap, 3.0 * lam3) == gap + 0.5 * (sigma - gap)
     # below lambda_2 only one pivot is negative: no floor
-    assert oracle_mod._lambda3_floor(chain, 0.5 * gap) == 0.0
+    assert oracle_mod._lambda3_floor(chain, 0.5 * gap, 0.5 * gap) == 0.0
     # past the halvings: no floor
-    assert oracle_mod._lambda3_floor(chain, 2.0 ** (oracle_mod.SIGMA_HALVINGS + 2) * lam3) == 0.0
+    far = 2.0 ** (oracle_mod.SIGMA_HALVINGS + 3) * lam3
+    assert oracle_mod._lambda3_floor(chain, gap, far) == 0.0
 
 
 def test_certified_gap_two_states(two_state):
