@@ -133,7 +133,8 @@ def exact_cpi(chain):
             vec = scipy.linalg.eigh(
                 sym, subset_by_index=[n - 2, n - 2], overwrite_a=True, check_finite=False
             )[1][:, 0]
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        # scipy reports a failed dsyevr workspace query as a ValueError
         raise SolverNotConverged(f"dense eigensolve failed: {exc}") from None
 
     if chain.discrete_time:

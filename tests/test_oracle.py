@@ -382,6 +382,42 @@ def test_sym_spectrum_keeps_eigh_bits(monkeypatch, name):
     assert_array_equal(rep.eigenvalues, want if chain.discrete_time else -want)
 
 
+# each LAPACK step of the dense eigensolve -> (eigh call it runs in, 0 for
+# dsyevr or 1 for its workspace query).  The first call, all eigenvalues,
+# reduces to tridiagonal form (dsytrd) and takes its eigenvalues (dsterf);
+# the second, the lambda_2 vector, bisects (dstebz), inverse-iterates
+# (dstein) and back-transforms (dormqr).  dsyevr reports a failed inner
+# step as info > 0, which is what the stub returns.
+LAPACK_STEPS = {"dsyevr_lwork": (0, 1), "dsytrd": (0, 0), "dsterf": (0, 0),
+                "dstebz": (1, 0), "dstein": (1, 0), "dormqr": (1, 0)}
+
+
+@pytest.mark.parametrize("routine", ["dsyevr_lwork", "dsytrd", "dsterf", "dstebz", "dstein",
+                                     "dormqr"])
+def test_sym_spectrum_lapack_failure_raises(monkeypatch, routine):
+    call, which = LAPACK_STEPS[routine]
+    real_get = scipy.linalg._decomp.get_lapack_funcs
+    calls, failed = [], []
+
+    def get_lapack_funcs(names, *args, **kwargs):
+        funcs = list(real_get(names, *args, **kwargs))
+        if names == ("syevr", "syevr_lwork") and len(calls) == call:
+            real = funcs[which]
+
+            def failing(*a, **k):
+                failed.append(routine)
+                return (*real(*a, **k)[:-1], 1)
+
+            funcs[which] = failing
+        calls.append(names)
+        return funcs
+
+    monkeypatch.setattr(scipy.linalg._decomp, "get_lapack_funcs", get_lapack_funcs)
+    with pytest.raises(SolverNotConverged, match="dense eigensolve failed"):
+        exact_cpi(double_well_chain(2.0))
+    assert failed == [routine]
+
+
 def test_exact_cpi_holds_two_dense_copies():
     chain = rfcw_mod.build_model(9, 2.0, "uniform:0.2", seed=3).chain
     n = chain.n_states
