@@ -30,6 +30,10 @@ from .potential import (
 )
 
 TIE_TOL = 1e-12
+# free states of the singleton rho, whose dense Cholesky holds one 8 m^2
+# buffer (1.8 GB at the limit, 35 s on a 2-vCPU VM); the threaded dpotrf of
+# scipy's OpenBLAS 0.3.30 segfaulted there at 15,800 states and above
+SINGLETON_LIMIT = 15_000
 
 
 @dataclass
@@ -100,7 +104,11 @@ def rho_metastability(chain, sets, mode="auto"):
     whose singleton-capacity bound cannot reach the minimum are ruled out
     unsolved, so a singular block there does not raise.  Singleton mode
     uses the reversibility relaxation and is an upper bound up to the |S|
-    factor.
+    factor.  It takes every singleton capacity from diag(Lap_ff^{-1})
+    (``_inverse_diagonal``, one dense m x m buffer, at most SINGLETON_LIMIT
+    free states) before the numerator's potentials, so that buffer is freed
+    before the sparse factor of the same interior is built; a singular
+    interior therefore fails in the dense Cholesky (SolverNotConverged).
     """
     masks = _check_sets(chain, sets)
     k = len(masks)
@@ -108,6 +116,16 @@ def rho_metastability(chain, sets, mode="auto"):
     for m in masks:
         union |= m
     mu = chain.stationary
+    free = np.flatnonzero(~union)
+    if mode == "auto":
+        mode = "exact" if free.size <= potential.EXACT_ENUM_LIMIT else "singleton"
+    if mode == "singleton" and free.size:
+        # cap({y}, M) = 1 / (Lap_ff^{-1})_{yy} on the killed interior
+        if free.size > SINGLETON_LIMIT:
+            raise ValidationError(
+                f"{free.size} free states exceed the singleton rho limit {SINGLETON_LIMIT}"
+            )
+        diag = _inverse_diagonal(chain.laplacian[~union][:, ~union])
 
     # every numerator pair has the interior ~union, so one factorization
     # serves them all and the next solve on two of the sets;
@@ -123,7 +141,6 @@ def rho_metastability(chain, sets, mode="auto"):
             num_val, worst = val, i
     numerator = k * num_val
 
-    free = np.flatnonzero(~union)
     if free.size == 0:
         return RhoCertificate(
             rho=float(numerator),
@@ -135,11 +152,8 @@ def rho_metastability(chain, sets, mode="auto"):
             whole_space=True,
         )
 
-    limit = potential.EXACT_ENUM_LIMIT
-    if mode == "auto":
-        mode = "exact" if free.size <= limit else "singleton"
     if mode == "exact":
-        if free.size > limit:
+        if free.size > potential.EXACT_ENUM_LIMIT:
             raise ValidationError(
                 f"{free.size} free states exceed the exact enumeration limit"
             )
@@ -151,9 +165,6 @@ def rho_metastability(chain, sets, mode="auto"):
         den, arg = vals[i], masks[i]
         rho = numerator / den
     elif mode == "singleton":
-        # all singleton capacities from one factorization:
-        # cap({y}, M) = 1 / (Lap_ff^{-1})_{yy} on the killed interior
-        diag = _inverse_diagonal(chain.laplacian[~union][:, ~union])
         vals = 1.0 / (diag * mu[free])
         k_min = int(np.argmin(vals))
         den = float(vals[k_min])
@@ -178,9 +189,15 @@ def _inverse_diagonal(mat):
     """diag(mat^{-1}) of a sparse SPD matrix from its dense Cholesky factor.
 
     With mat = C C^T, (mat^{-1})_yy is the squared norm of column y of C^{-1}.
+    The dense block is Fortran-ordered, so ``potrf`` and ``dtrtri`` both
+    overwrite it: one m x m buffer holds the matrix, C and C^{-1} in turn.
+    It skips scipy's finiteness scan, whose boolean copy would add m^2
+    bytes; the Laplacian of a validated chain is finite.
     """
     try:
-        c = scipy.linalg.cholesky(mat.toarray(), lower=True, overwrite_a=True)
+        c = scipy.linalg.cholesky(
+            mat.toarray(order="F"), lower=True, overwrite_a=True, check_finite=False
+        )
     except np.linalg.LinAlgError as exc:
         raise SolverNotConverged(f"interior Laplacian not positive definite: {exc}")
     c_inv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)

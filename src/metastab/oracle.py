@@ -187,8 +187,8 @@ def _inverse_iteration(chain, f, free, factor):
     relative precision where the dense eigenvalue only resolves
     eps max|lambda|.  It stops when the quotient changes by at most
     REFINE_RTOL, after REFINE_STEPS quotients or at a zero quotient, and
-    returns the centred f with sum mu f^2 = 1 of that quotient.  A vector
-    that stops being finite raises SolverNotConverged.
+    returns the centred f with sum mu f^2 = 1 (``_mu_normalized``) of that
+    quotient.  A vector that stops being finite raises SolverNotConverged.
     """
     mu = chain.stationary
     prev = np.inf
@@ -196,8 +196,7 @@ def _inverse_iteration(chain, f, free, factor):
         for step in range(REFINE_STEPS):
             if step:
                 f = _grounded_solve(chain, free, factor, f)
-            f = f - np.dot(mu, f)
-            f = f / np.sqrt(np.dot(mu, f * f))
+            f = _mu_normalized(mu, f - np.dot(mu, f))
             if not np.isfinite(f).all():
                 raise SolverNotConverged("inverse iteration vector is not finite")
             gap = dirichlet_form(chain, f)
@@ -205,6 +204,17 @@ def _inverse_iteration(chain, f, free, factor):
                 break
             prev = gap
     return gap, f
+
+
+def _mu_normalized(mu, f):
+    """f / sqrt(sum mu f^2).  Where that sum is not finite (the squares of
+    an f past about 1e154 overflow), f is first divided by max|f|; every
+    other f keeps the bits of the plain quotient."""
+    norm2 = np.dot(mu, f * f)
+    if not np.isfinite(norm2):
+        f = f / np.abs(f).max()
+        norm2 = np.dot(mu, f * f)
+    return f / np.sqrt(norm2)
 
 
 def certified_gap(chain, f):
@@ -215,10 +225,13 @@ def certified_gap(chain, f):
        centred, normalized f and rho = E(f) / Var(f) >= lambda_2.
     2. A few solves on the same grounded factor, from a fixed-seed vector
        kept mu-orthogonal to 1 and to f, estimate lambda_3.  An estimate
-       that is not finite gives no floor.
+       that is not finite gives no floor.  The grounded factor is then
+       released.
     3. ``_lambda3_floor`` certifies lambda_3 >= sigma by counting negative
        pivots of Lap - sigma diag(mu), with sigma between the upper end
-       of the interval and the estimate.
+       of the interval and the estimate.  Each count factors the shifted
+       matrix anew, so at most one SuperLU factor of this function is alive
+       at a time.
     4. Kato-Temple: lambda_2 >= rho - eps^2 / (sigma - rho), where
        eps^2 = sum r^2 / mu and r = Lap f - rho mu f.  Both ends of the
        interval are widened by GAP_ROUNDING rho, the rounding of rho.
@@ -243,9 +256,10 @@ def certified_gap(chain, f):
                 for _ in range(2):  # twice: one pass leaves rounding of a huge f part
                     g = g - np.dot(mu, g)
                     g = g - np.dot(mu * f, g) * f
-                g = g / np.sqrt(np.dot(mu, g * g))
+                g = _mu_normalized(mu, g)
                 if k < LAMBDA3_SOLVES:
                     g = _grounded_solve(chain, free, factor, g)
+        del factor  # one live SuperLU factor: _lambda3_floor builds its own
         sigma = 0.0
         if np.isfinite(g).all():
             sigma = _lambda3_floor(chain, upper, dirichlet_form(chain, g))

@@ -30,9 +30,9 @@ from .chains import (
 )
 from .potential import equilibrium_potential
 
-# the largest N measured to fit: ``metastab rfcw --materialize`` at N = 13
-# took 28 s and 1.29 GB on a 2-vCPU VM; at N = 14 the dense singleton rho
-# alone would hold two 2 GiB copies
+# the largest N measured to run: ``metastab rfcw --materialize`` at N = 13
+# took 28 s and 0.63 GB on a 2-vCPU VM; at N = 14 the 16,382 free states of
+# the singleton rho pass ``metastable.SINGLETON_LIMIT``
 MATERIALIZE_LIMIT = 13
 # bound on the mesoscopic points prod(|block| + 1), checked before they are
 # listed; one block of 16,383 spins, the slowest shape, takes 7.5 s and 83 MB

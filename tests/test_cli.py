@@ -478,7 +478,9 @@ def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, doc,
 def test_size_limits_exit_1_before_allocating(capsys, argv, names):
     # at 1e9 spins the field alone is 8 GB; the 14 blocks of 28 spins have
     # 691,200 points, whose landscape took 50 s and 829 MB before the limit;
-    # the materialized chain at N = 14 would hold two 2 GiB dense copies
+    # the materialized chain at N = 14 has 16,382 free states, past the
+    # singleton rho limit (one 2 GiB dense buffer, whose threaded Cholesky
+    # segfaults in scipy's OpenBLAS)
     build_parser()  # built once per process, outside the measured peak
     tracemalloc.start()
     try:
@@ -490,6 +492,32 @@ def test_size_limits_exit_1_before_allocating(capsys, argv, names):
     error = json.loads(err)["error"]
     assert error["kind"] == "validation" and names in error["message"]
     assert peak < 1 << 20
+
+
+def test_singleton_rho_limit_exits_1_before_allocating(capsys, tmp_path):
+    # analyze without --exact takes the singleton rho, whose dense interior
+    # block would be 8 * 19,998^2 bytes = 3.2 GB
+    n = 20_000
+    s = [f"x{i}" for i in range(n)]
+    edges = [(s[i], s[i + 1], 0.25) for i in range(n - 1)]
+    edges += [(s[i + 1], s[i], 0.25) for i in range(n - 1)]
+    chain, sets = tmp_path / "path.json", tmp_path / "sets.json"
+    save_chain(build_chain(s, edges, stationary=np.full(n, 1 / n)), chain)
+    sets.write_text(json.dumps({"sets": [["x0"], [s[-1]]]}))
+    build_parser()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, ["analyze", "--chain", str(chain), "--sets", str(sets), "--seed", "1"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == "" and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation"
+    assert "19998 free states exceed the singleton rho limit 15000" in error["message"]
+    assert peak < 1 << 27
 
 
 def test_threads_variable_is_ignored(capsys, monkeypatch):

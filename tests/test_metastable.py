@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from metastab import (
     rho_metastability,
     subset_mask,
 )
-from metastab import potential, rfcw
+from metastab import metastable, potential, rfcw
 from metastab.metastable import c_mass_constant, local_lsi_constant, local_pi_constant
 from metastab.oracle import cheeger_constant, exact_cpi
 from metastab.potential import capacity_dense, capacity_scan_context
@@ -448,6 +450,40 @@ def test_singleton_rho_matches_dense_inverse(double_well):
         assert cert.numerator == pytest.approx(num, rel=1e-12)
         assert cert.denominator == pytest.approx(den, rel=1e-12)
         assert cert.rho == pytest.approx(num / den, rel=1e-12)
+
+
+def test_singleton_rho_holds_one_dense_copy():
+    model = rfcw.build_model(10, 2.0, "uniform:0.2", seed=3, materialize=True)
+    land = rfcw.coarse_grain(model, 2)
+    minima = rfcw.find_minima_and_order(model, land).minima
+    sets = [land.fiber_mask([k]) for k in minima[:2]]
+    m = model.chain.n_states - np.count_nonzero(sets[0] | sets[1])
+    rho_metastability(model.chain, sets, mode="singleton")
+    tracemalloc.start()
+    try:
+        rho_metastability(model.chain, sets, mode="singleton")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Lap_ff, overwritten by its Cholesky factor and then by the factor's
+    # inverse, plus 64 doubles a state of other work
+    assert peak <= 8 * m * m + 64 * 8 * m
+
+
+def test_singleton_rho_inverts_before_the_numerator_solve(monkeypatch):
+    # the dense block is gone before the interior's solver is built and
+    # memoised on the chain
+    chain = double_well_chain(1.0)
+    seen = []
+    real = metastable._inverse_diagonal
+
+    def spy(mat):
+        seen.append(chain._interior_solver)
+        return real(mat)
+
+    monkeypatch.setattr(metastable, "_inverse_diagonal", spy)
+    rho_metastability(chain, [["x0"], ["x10"]], mode="singleton")
+    assert seen == [None] and chain._interior_solver is not None
 
 
 def test_mean_exit_error_form_undefined_outside_regime():

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -366,20 +367,19 @@ SPECTRUM_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
-def test_sym_spectrum_keeps_eigh_bits(monkeypatch, name):
+def test_sym_spectrum_keeps_eigh_bits(name):
     # the spectrum of the symmetrized kernel that exact_cpi reports
     chain = SPECTRUM_CASES[name]()
-    if name.endswith("x1e-200"):
-        # its inverse iteration overflows (sum mu f^2 past 1e308), so only
-        # the eigenvalues are checked, with the gap stubbed
-        with pytest.raises(SolverNotConverged):
-            exact_cpi(chain)
-        stub = oracle_mod.GapCertificate(1.0, 1.0, 1.0, np.inf, True, np.zeros(chain.n_states))
-        monkeypatch.setattr(oracle_mod, "certified_gap", lambda chain, f: stub)
     rep = exact_cpi(chain)
     sym, _ = _symmetrized(chain)
     want = scipy.linalg.eigh(sym, eigvals_only=True)[::-1]
     assert_array_equal(rep.eigenvalues, want if chain.discrete_time else -want)
+    if name.endswith("x1e-200"):
+        # the first solve returns |f| near 1e200, whose squares overflow
+        # unless the norm is taken after scaling by max|f|
+        gap = 1e-200 * exact_cpi(_bd_generator()).spectral_gap
+        assert rep.spectral_gap == pytest.approx(gap, rel=1e-12)
+        assert rep.certificate.lower <= gap <= rep.certificate.upper
 
 
 # each LAPACK step of the dense eigensolve -> (eigh call it runs in, 0 for
@@ -708,6 +708,33 @@ def test_certified_gap_matches_mpmath(beta):
     assert abs(cert.gap - lam[1]) <= 1e-12 * lam[1]
     assert cert.lower <= lam[1] <= cert.upper
     assert cert.lambda3_floor <= lam[2]
+
+
+def test_certified_gap_releases_the_grounded_factor_first(monkeypatch):
+    # at most one SuperLU factor of certified_gap is alive: the grounded one
+    # is gone before each inertia count factors the shifted Laplacian
+    refs, alive = [], []
+    real_factor, real_pivots = oracle_mod._grounded_factor, oracle_mod._ldl_pivots
+
+    class Factor:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def grounded_factor(chain):
+        free, lu = real_factor(chain)
+        factor = Factor(lu)
+        refs.append(weakref.ref(factor))
+        return free, factor
+
+    def ldl_pivots(a):
+        alive.append(refs[-1]() is not None)
+        return real_pivots(a)
+
+    monkeypatch.setattr(oracle_mod, "_grounded_factor", grounded_factor)
+    monkeypatch.setattr(oracle_mod, "_ldl_pivots", ldl_pivots)
+    chain, h = _rfcw_cell(8, 1.5, "uniform:0.2", seed=7)
+    assert oracle_mod.certified_gap(chain, h).exact
+    assert alive and not any(alive)
 
 
 def test_certified_gap_interval_holds_off_convergence(monkeypatch):
