@@ -373,17 +373,14 @@ def variance(mu, f):
 
 
 def _phi_xlogx(u):
-    # u ln u - u + 1 evaluated without cancellation near u = 1
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    near = np.abs(u - 1.0) < 0.5
-    d = u[near] - 1.0
-    out[near] = (1.0 + d) * np.log1p(d) - d
-    rest = u[~near]
+    # u ln u - u + 1 evaluated without cancellation near u = 1; both branches
+    # run on every entry of a C-ordered copy, where numpy's vectorized log
+    # gives each entry the bits it has alone
+    u = np.ascontiguousarray(u, dtype=float)
+    d = u - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = rest * np.log(rest) - rest + 1.0
-    v[rest == 0.0] = 1.0
-    out[~near] = v
+        out = np.where(np.abs(d) < 0.5, (1.0 + d) * np.log1p(d) - d, u * np.log(u) - u + 1.0)
+    out[u == 0.0] = 1.0
     return out
 
 
@@ -416,8 +413,9 @@ def entropy_gradient(mu, f):
     fsq = f * f
     m = (mu * fsq).sum(axis=-1, keepdims=True)
     out = np.zeros_like(f)
-    nz = (fsq > 0.0) & (m > 0.0)
     ratio = fsq / np.where(m > 0.0, m, 1.0)
+    # f ln f^2 -> 0: an entry whose ratio underflows to 0 keeps gradient 0
+    nz = (ratio > 0.0) & (m > 0.0)
     out[nz] = (2.0 * mu * f)[nz] * np.log(ratio[nz])
     return out
 

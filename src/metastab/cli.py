@@ -505,7 +505,7 @@ def main(argv=None):
         _emit(args, globals()[f"cmd_{args.command}"](args))
     except InequalityViolation as exc:
         return _fail("inequality", exc, 2)
-    except SolverNotConverged as exc:
+    except (SolverNotConverged, np.linalg.LinAlgError) as exc:
         return _fail("solver", exc, 1)
     except (MetastabError, OSError, json.JSONDecodeError) as exc:
         return _fail("validation", exc, 1)

@@ -283,7 +283,12 @@ def local_pi_constant(chain, M):
     b = q.T @ lap @ q
     b = 0.5 * (b + b.T)
     a = 0.5 * (a + a.T)
-    vals = scipy.linalg.eigh(a, b, eigvals_only=True)
+    try:
+        vals = scipy.linalg.eigh(a, b, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        # b is the energy form on the mean-zero subspace: definite in exact
+        # arithmetic, but its Cholesky fails once rates span too many scales
+        raise SolverNotConverged(f"generalized eigensolve failed: {exc}") from None
     return float(vals[-1])
 
 

@@ -39,6 +39,9 @@ LSI_SIZE_LIMIT = 512
 BRUTE_FORCE_LIMIT = 6
 LSI_MULTISTARTS = 32
 LSI_ASCENT_STEPS = 400
+# line-search trials per row and tick of the LSI ascent: steps s, s/2, ...,
+# s/2^(K-1) are evaluated together and the first accepted one is taken
+ASCENT_TRIALS = 4
 CHEEGER_LIMIT = 20
 # inverse iteration stops when the Rayleigh quotient settles to this; from
 # an equilibrium potential near the critical temperature it can take a dozen
@@ -405,12 +408,15 @@ def _lockstep_ascent(chain, weight, F, max_iter):
     flat projected gradient, at a step below 1e-14 or after ``max_iter``
     gradients; a row with E = 0 has value -inf and counts as converged.
     All rows step in lockstep: each tick takes the gradient of the rows that
-    just moved and tries one candidate for every live row.  Every reduction
+    just moved and tries the next ``ASCENT_TRIALS`` steps of every live
+    row's line search as one batch, keeping the first accepted one, so a
+    row takes the steps it would take trying one per tick.  Every reduction
     is a row-wise sum over a C-ordered array, which numpy sums pairwise
     within the row, so a row follows the same arithmetic whichever other
     rows are in the batch.  F is updated in place.
     """
-    S = len(F)
+    S, n = F.shape
+    halvings = 0.5 ** np.arange(ASCENT_TRIALS)
     val = np.full(S, -np.inf)
     e = _energy_rows(chain, F)
     live = e > 0.0
@@ -444,17 +450,28 @@ def _lockstep_ascent(chain, weight, F, max_iter):
         stuck = idx[step[idx] <= 1e-14]
         converged[stuck], live[stuck] = True, False
         idx = np.flatnonzero(live)
-        cand = F[idx] + step[idx, None] * G[idx]
+        # the next ASCENT_TRIALS steps of each row's line search at once;
+        # halving is exact, so trial k has the bits of the step after k
+        # rejections, and a trial at or below the step floor never counts
+        trial = step[idx, None] * halvings
+        cand = (F[idx, None, :] + trial[:, :, None] * G[idx, None, :]).reshape(-1, n)
         ec = _energy_rows(chain, cand)
-        cval = np.full(idx.size, -np.inf)
+        cval = np.full(len(cand), -np.inf)
         pos = ec > 0.0
         cand[pos] /= np.sqrt(ec[pos])[:, None]
         cval[pos] = _entropy_rows(weight, cand[pos] * cand[pos])
-        up = cval > val[idx] + 1e-16
-        F[idx[up]] = cand[up]
-        val[idx[up]] = cval[up]
-        step[idx] *= np.where(up, 1.5, 0.5)
-        moved[idx[up]] = True
+        up = (cval.reshape(trial.shape) > val[idx, None] + 1e-16) & (trial > 1e-14)
+        hit = up.any(axis=1)
+        first = up.argmax(axis=1)[hit]
+        pick = np.flatnonzero(hit) * ASCENT_TRIALS + first
+        F[idx[hit]] = cand[pick]
+        val[idx[hit]] = cval[pick]
+        step[idx[hit]] = trial[hit, first] * 1.5
+        moved[idx[hit]] = True
+        miss = idx[~hit]
+        floor = miss[trial[~hit, -1] <= 1e-14]  # every trial above the floor failed
+        converged[floor], live[floor] = True, False
+        step[miss] *= 0.5**ASCENT_TRIALS
     return F, val, converged
 
 

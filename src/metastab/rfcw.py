@@ -600,9 +600,11 @@ def _refine_minimum(model, land, point_index):
     """Continuous critical point nearest the lattice minimum.
 
     Solves z = (1/N) sum_i tanh(beta (z + h_i)) by safeguarded Newton from
-    the lattice magnetization, reports the per-block coordinates, the fixed
-    point residual and both free-energy evaluations (the Legendre evaluator
-    versus the closed form at critical points).
+    the lattice magnetization; a Newton step that leaves the bracket falls
+    back to Brent's method (``_brentq``) on the sign change of a 2001-point
+    grid nearest z.  Reports the per-block coordinates, the fixed point
+    residual and both free-energy evaluations (the Legendre evaluator versus
+    the closed form at critical points).
     """
     beta, h, n = model.beta, model.field, model.n_spins
     z = float(land.points[point_index].sum()) / n
@@ -631,9 +633,7 @@ def _refine_minimum(model, land, point_index):
             if flips.size == 0:
                 break
             pick = flips[np.argmin(np.abs(grid[flips] - z))]
-            import scipy.optimize
-
-            cand = scipy.optimize.brentq(g, grid[pick], grid[pick + 1], xtol=1e-15)
+            cand = _brentq(g, float(grid[pick]), float(grid[pick + 1]), xtol=1e-15)
         z = cand
     x = np.array(
         [
@@ -651,6 +651,55 @@ def _refine_minimum(model, land, point_index):
         "f_value": float(f_eval),
         "f_closed_form": float(f_closed),
     }
+
+
+def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100):
+    """Root of f in [xa, xb] by Brent's method.
+
+    A step-for-step port of scipy's ``brentq.c`` with its defaults and
+    errors (``ValueError`` on equal end signs, ``RuntimeError`` after
+    ``maxiter`` steps), so every root keeps scipy's bits without the
+    import of scipy.optimize.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        # scipy also asks fpre, fcur != 0 here: fpre never is, and a zero
+        # fcur returns below whichever end becomes the block
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
 
 
 # -- mesoscopic and comparison dynamics -------------------------------------------

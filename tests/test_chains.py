@@ -362,3 +362,17 @@ def test_chain_validation_errors_match_the_sparse_reference(how):
     with pytest.raises(ValidationError):
         _reference_assembly(states, kernel, mu)
     _assert_same_assembly(states, kernel, mu)
+
+
+def test_entropy_gradient_of_an_underflowed_ratio_is_zero():
+    # f^2 / E[f^2] underflows to 0 at the first entry, whose weight times f
+    # underflows too: f ln f^2 -> 0 gives 0 there, not 0 * -inf
+    mu = np.array([1e-170, 0.5, 0.5])
+    f = np.array([1e-160, 1e3, -2e3])
+    g = metastab.chains.entropy_gradient(mu, f)
+    assert np.all(np.isfinite(g)) and g[0] == 0.0
+    m = 0.5 * 1e6 + 0.5 * 4e6
+    assert g[1] == 2.0 * 0.5 * 1e3 * np.log(1e6 / m)
+    assert g[2] == 2.0 * 0.5 * -2e3 * np.log(4e6 / m)
+    rows = metastab.chains.entropy_gradient(mu, np.stack([f, f[::-1].copy()]))
+    assert np.all(np.isfinite(rows)) and np.array_equal(rows[0], g)

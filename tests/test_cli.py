@@ -254,6 +254,32 @@ def test_dense_eigensolve_failure_exits_solver(capsys, tmp_path, monkeypatch):
     assert error["kind"] == "solver" and "synthetic dsyevr failure" in error["message"]
 
 
+def _analyze_well_edges(capsys, tmp_path, beta):
+    path = tmp_path / "dw.json"
+    save_chain(double_well_chain(beta), path)
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"sets": [["x0", "x1"], ["x9", "x10"]]}))
+    return run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets), "--seed", "1"])
+
+
+@pytest.mark.parametrize("beta", [8.0, 20.0])
+def test_local_pi_eigensolve_failure_exits_solver(capsys, tmp_path, beta):
+    # the energy form of the generalized eigenproblem is definite in exact
+    # arithmetic, but its float Cholesky fails on these wells
+    code, out, err = _analyze_well_edges(capsys, tmp_path, beta)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["kind"] == "solver" and "not positive definite" in error["message"]
+
+
+def test_analyze_underflowed_entropy_gradient_is_quiet(capsys, tmp_path):
+    # at beta 12 the local LSI ascent meets entries whose f^2 / E[f^2]
+    # underflows; the suite turns a RuntimeWarning into an error
+    code, out, err = _analyze_well_edges(capsys, tmp_path, 12.0)
+    assert code == 0 and err == ""
+    assert json.loads(out)["sets"] == [["x0", "x1"], ["x9", "x10"]]
+
+
 def test_numeric_state_ids_resolve_by_their_json_text(capsys, tmp_path):
     mu = np.random.default_rng(5).uniform(0.2, 2.0, size=5)
     chain = birth_death_generator_chain(mu / mu.sum())  # ids 0..4

@@ -555,6 +555,24 @@ def test_ascent_value_is_the_ratio_at_its_function(name):
     assert val == entropy(weight, f * f) / dirichlet_form(chain, f)
 
 
+@pytest.mark.parametrize("name", sorted(ASCENT_CHAINS))
+@pytest.mark.parametrize("trials", [1, 6])
+def test_batched_line_search_trials_keep_the_bits(name, trials, monkeypatch):
+    # trying the next K halvings of a row's step in one batch takes the
+    # steps that one trial per tick takes, including the stop at the floor
+    chain = ASCENT_CHAINS[name]()
+    seeds = np.insert(_ascent_seeds(chain), 1, np.full(chain.n_states, 2.0), axis=0)
+    weight = chain.conditional(np.arange(chain.n_states) < 5)
+    want = [oracle_mod._lockstep_ascent(chain, w, seeds.copy(), 400)
+            for w in (chain.stationary, weight)]
+    monkeypatch.setattr(oracle_mod, "ASCENT_TRIALS", trials)
+    for w, (F, val, conv) in zip((chain.stationary, weight), want):
+        got = oracle_mod._lockstep_ascent(chain, w, seeds.copy(), 400)
+        assert_array_equal(got[0], F)
+        assert_array_equal(got[1], val)
+        assert_array_equal(got[2], conv)
+
+
 # -- the certified sparse gap of ``metastab rfcw`` ------------------------------
 
 

@@ -1,9 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metastab
 from metastab import InequalityViolation, ValidationError, equilibrium_potential
 from metastab.coupling import hitting_lower_bound_check
 from metastab.oracle import exact_cpi
@@ -427,3 +432,101 @@ def test_state_labels_match_the_join_loop(n_spins):
     want = ["".join("+" if b else "-" for b in row) for row in bits]
     assert list(model.chain.states) == want
     assert all(type(s) is str for s in model.chain.states)
+
+
+def _tanh_brackets(rng, count):
+    # _refine_minimum's map g(v) = v - mean tanh(beta (v + h)) on the sign
+    # changes of its 2001-point grid around a random start
+    for _ in range(count):
+        n = int(rng.integers(2, 40))
+        beta = float(np.exp(rng.uniform(math.log(0.24), math.log(24.0))))
+        h = rng.uniform(-0.5, 0.5, n) * rng.choice([0.0, 0.2, 1.0])
+        z = rng.uniform(-1.0, 1.0)
+        grid = np.linspace(z - 1.0, z + 1.0, 2001)
+        vals = grid - np.mean(np.tanh(beta * (grid[:, None] + h)), axis=1)
+        sign = np.signbit(vals)
+
+        def g(v, beta=beta, h=h):
+            return v - float(np.mean(np.tanh(beta * (v + h))))
+
+        for p in np.flatnonzero(sign[:-1] != sign[1:]):
+            yield g, float(grid[p]), float(grid[p + 1])
+
+
+def _cubic_brackets(rng, count):
+    for _ in range(count):
+        c = rng.normal(size=4)
+        a, b = sorted(rng.uniform(-5.0, 5.0, 2))
+
+        def f(x, c=c):
+            return float(((c[0] * x + c[1]) * x + c[2]) * x + c[3])
+
+        if math.copysign(1.0, f(a)) != math.copysign(1.0, f(b)):
+            yield f, float(a), float(b)
+
+
+def test_brentq_port_matches_scipy_bit_for_bit():
+    import scipy.optimize
+
+    rng = np.random.default_rng(20170515)
+    brackets = list(_tanh_brackets(rng, 60)) + list(_cubic_brackets(rng, 400))
+    assert len(brackets) > 200
+    for f, a, b in brackets:
+        for xtol in (1e-15, 2e-12):
+            want = scipy.optimize.brentq(f, a, b, xtol=xtol)
+            got = rfcw._brentq(f, a, b, xtol=xtol)
+            assert type(got) is float and got == want
+    assert rfcw._brentq(lambda x: x - 0.25, 0.25, 1.0) == 0.25  # a root at an end
+    for lo, hi in ((0.0, 1.0), (-0.5, 1.0), (-3.0, 0.75)):  # steps that land on the root
+        want = scipy.optimize.brentq(lambda x: x - 0.5, lo, hi, xtol=1e-15)
+        assert rfcw._brentq(lambda x: x - 0.5, lo, hi, xtol=1e-15) == want == 0.5
+
+    def square(x):
+        return x * x - 2.0
+
+    with pytest.raises(ValueError, match="different signs"):
+        scipy.optimize.brentq(square, 2.0, 3.0)
+    with pytest.raises(ValueError, match="different signs"):
+        rfcw._brentq(square, 2.0, 3.0)
+    with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+        scipy.optimize.brentq(square, 0.0, 2.0, maxiter=3)
+    with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+        rfcw._brentq(square, 0.0, 2.0, maxiter=3)
+
+
+def test_refine_minimum_reaches_the_brent_fallback(monkeypatch):
+    calls = []
+    brentq = rfcw._brentq
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(rfcw, "_brentq", counted)
+    model = build_model(8, 1.5, "uniform:0.2", seed=0)
+    order = find_minima_and_order(model, coarse_grain(model, 2))
+    assert calls
+    for ref in order.refined:
+        assert ref["residual"] <= 1e-14
+
+
+def test_rfcw_commands_leave_scipy_optimize_unimported():
+    # the critical points are refined by the in-package Brent port, not by
+    # the 0.3 s import of scipy.optimize; both cells reach that fallback
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from metastab import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    a = cli.main(['rfcw', '--N', '8', '--beta', '1.5', '--field', 'uniform:0.2',",
+        "                  '--n', '2', '--materialize', '--seed', '0'])",
+        "    b = cli.main(['couple', '--N', '8', '--beta', '1.2', '--field', 'uniform:0.2',",
+        "                  '--n', '2', '--runs', '100', '--dynamics-runs', '5', '--seed', '5'])",
+        "print(a, b, 'scipy.optimize' in sys.modules)",
+    ])
+    src = str(Path(metastab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "False"]
