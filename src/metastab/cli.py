@@ -499,8 +499,6 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         _check_counts(("--seed", getattr(args, "seed", None), 0))
-        if getattr(args, "T", None) is None and args.command == "couple":
-            args.T = 50 * args.N
         # looked up per call, so a rebound handler is the one that runs
         _emit(args, globals()[f"cmd_{args.command}"](args))
     except InequalityViolation as exc:

@@ -17,9 +17,10 @@ path, and each op calls it once: it takes a list of row groups, each with
 its own gate array and streams, and steps all of their rows together.
 ``coupling_experiment`` stacks the dynamics replicas and the conditional
 probe into one call; ``marginal_chi_square`` makes a one-group call whose
-transition counts are keyed by an integer code of the pre-state, then one
-chi-square tail call (``scipy.special.chdtrc``) for all tested states of a
-path.  ``tail_bound_check`` steps all live single-path replicas together.
+transition counts are keyed by an integer code of the pre-state, bins them
+into one (2^N, N + 1) table, and makes one chi-square tail call
+(``scipy.special.chdtrc``) for all tested states of a path.
+``tail_bound_check`` steps all live single-path replicas together.
 ``hitting_lower_bound_check`` compares the exact hitting probabilities
 fiber by fiber and simulates nothing.
 
@@ -28,7 +29,8 @@ own; every other purpose of a call (start pairs, tail-check steps) has one
 stream, shared by all replicas.  Each row group of the kernel keeps its own
 step stream and partner stream, and draws from them exactly what a call on
 that group alone would draw; step uniforms are drawn in blocks of steps, up
-to ``STEP_BLOCK_BYTES``, so memory does not grow with T.
+to ``STEP_BLOCK_BYTES``, so memory does not grow with T.  The tail check
+draws its uniforms ahead from its stream in the same way.
 """
 
 from __future__ import annotations
@@ -147,8 +149,9 @@ def _coupled_steps(model, land, groups, T, counts=None):
     eligible ones.  Block sums are carried as the index of their mesoscopic
     point.  ``counts``, a pair of lists, collects one array of
     ``pre-state code * (N + 1) + flipped site + 1`` (0 = hold) per step and
-    path, over all rows in group order.  Returns one dict of per-row arrays
-    per group; -1 stands for a time that did not occur.
+    path, over all rows in group order; the loop records only the flips and
+    their sites, and the codes are rebuilt after it.  Returns one dict of
+    per-row arrays per group; -1 stands for a time that did not occur.
     """
     n = model.n_spins
     sig, var, gate_arrays = [], [], []
@@ -187,8 +190,10 @@ def _coupled_steps(model, land, groups, T, counts=None):
     partners = [rng for *_, (_, rng) in groups]
     if counts is not None:
         bits = np.int64(1) << np.arange(n, dtype=np.int64)
-        code_sig = (sig > 0) @ bits
-        code_var = (var > 0) @ bits
+        starts = ((sig > 0) @ bits, (var > 0) @ bits)
+        # per step and row: did each path flip, and at which flat site
+        flips = np.zeros((2, T, R), dtype=bool)
+        sites = np.zeros((2, T, R), dtype=np.intp)
 
     off = np.arange(R) * n  # row offsets into the flattened (R, N) arrays
     w_f = np.tile(w, R)  # the point weight of every flattened site
@@ -223,6 +228,8 @@ def _coupled_steps(model, land, groups, T, counts=None):
         j_blk = (u_blk[:, :, 2] * n).astype(np.intp)
         fi_blk, fj_blk = i_blk + off, j_blk + off
         ai_blk, aj_blk = stride * i_blk + 1, stride * j_blk + 1
+        if counts is not None:
+            sites[0, t0:t0 + steps] = fi_blk
         for t in range(t0, t0 + steps):
             k = t - t0
             u, i, fi = u_blk[k], i_blk[k], fi_blk[k]
@@ -269,11 +276,7 @@ def _coupled_steps(model, land, groups, T, counts=None):
                 xi[pair] |= ~gate
                 gated[pair] = ~xi[pair] & (gates_used[pair] < M[pair])
             if counts is not None:
-                j = fj - off
-                counts[0].append(code_sig * (n + 1) + np.where(fs, i + 1, 0))
-                counts[1].append(code_var * (n + 1) + np.where(fv, j + 1, 0))
-                code_sig ^= np.where(fs, bits[i], 0)
-                code_var ^= np.where(fv, bits[j], 0)
+                flips[0, t], flips[1, t], sites[1, t] = fs, fv, fj
 
             fresh = first_f[fi] < 0
             attempts += fresh
@@ -297,6 +300,15 @@ def _coupled_steps(model, land, groups, T, counts=None):
             # synchrony is the invariant of the gated phase: a coupled step
             # whose gate passed (or a merged step) must keep the block sums equal
             sync += coupled & ~xi & (pt_sig != pt_var)
+
+    if counts is not None:
+        sites -= off
+        for side in (0, 1):
+            f, j = flips[side], sites[side]
+            # the code before step t: the start code XOR every flip before t
+            code = np.bitwise_xor.accumulate(np.where(f, bits[j], 0), axis=0) ^ starts[side]
+            code = np.concatenate([starts[side][None], code])[:T]
+            counts[side].extend(code * (n + 1) + np.where(f, j + 1, 0))
 
     out = {
         "first_flip": first_flip,
@@ -371,14 +383,17 @@ def richest_fiber(land):
     return int(np.argmax(counts))
 
 
-def coupling_experiment(model, land, runs, seed, M, T, dynamics_runs=None):
+def coupling_experiment(model, land, runs, seed, M, T=None, dynamics_runs=None):
     """Replicated coupling runs with the gate-event statistic.
 
     Gate blocks are drawn for every replica (the event A depends on them
     alone, so its frequency is estimated across all ``runs``); full dynamics
-    execute on the first ``dynamics_runs`` replicas, started in the richest
-    fiber, and feed the synchrony, containment and partner-set statistics.
+    execute for T steps (50 N when None) on the first ``dynamics_runs``
+    replicas, started in the richest fiber, and feed the synchrony,
+    containment and partner-set statistics.
     """
+    if T is None:
+        T = 50 * model.n_spins
     delta = gate_probability(model, land)
     root = np.random.SeedSequence(entropy=(int(seed), 9060))
     rng_gates = np.random.default_rng(root)
@@ -447,35 +462,19 @@ def marginal_chi_square(model, land, runs, steps, seed):
     gates = rng_gates.random((runs, n)) < gate_probability(model, land)
     counts = ([], [])
     _coupled_steps(model, land, [(s0, v0, gates, rngs)], steps, counts=counts)
-    table = model.flip_table
     results = []
     for side, parts in enumerate(counts):
         keys = np.concatenate(parts or [np.zeros(0, dtype=np.int64)])
-        codes, state = np.unique(keys // (n + 1), return_inverse=True)
+        # one row per pre-state code (N <= MATERIALIZE_LIMIT): a hold in
+        # column 0, a flip at site i in column i + 1
+        outcomes = np.bincount(keys, minlength=(n + 1) << n).reshape(-1, n + 1)
+        codes = (outcomes.sum(axis=1) >= 50).nonzero()[0]
         # outcome slot: flipped site i in slot i, a hold in the last slot
-        slot = (keys % (n + 1) - 1) % (n + 1)
-        outcomes = np.bincount(state * (n + 1) + slot, minlength=codes.size * (n + 1))
-        outcomes = outcomes.reshape(codes.size, n + 1).astype(float)
-        busy = outcomes.sum(axis=1) >= 50
-        stats, dofs = [], []
-        for obs, flip in zip(outcomes[busy], _flip_rows(table, codes[busy])):
-            visits = int(obs.sum())
-            # categories: flip at site i, or hold; rare cells pooled so every
-            # expected count is at least 5
-            probs = np.concatenate([flip, [1.0 - flip.sum()]])
-            exp = visits * probs
-            keep = exp >= 5.0
-            if keep.sum() < 2:
-                continue
-            obs_k = np.concatenate([obs[keep], [obs[~keep].sum()]])
-            exp_k = np.concatenate([exp[keep], [exp[~keep].sum()]])
-            if exp_k[-1] < 1e-12:
-                obs_k, exp_k = obs_k[:-1], exp_k[:-1]
-            stats.append(float(np.sum((obs_k - exp_k) ** 2 / exp_k)))
-            dofs.append(obs_k.size - 1)
-        n_tested = len(stats)
+        obs = np.roll(outcomes[codes], -1, axis=1).astype(float)
+        stats, dofs = _pearson_statistics(obs, _flip_rows(model.flip_table, codes))
+        n_tested = stats.size
         # one survival-function call for every tested state
-        pvals = chdtrc(np.array(dofs, dtype=float), np.array(stats))
+        pvals = chdtrc(dofs, stats)
         min_p = float(pvals.min(initial=1.0))
         threshold = 0.01 / max(n_tested, 1)
         results.append(
@@ -488,6 +487,44 @@ def marginal_chi_square(model, land, runs, steps, seed):
             }
         )
     return results
+
+
+def _pearson_statistics(obs, flip):
+    """Pearson statistics and degrees of freedom of the rows of ``obs``.
+
+    Row r holds a state's observed outcome counts (flip at site i in slot i,
+    a hold last) and ``flip[r]`` its exact flip probabilities.  The
+    categories are those with expected count at least 5, plus the pooled
+    rest when its expected count reaches 1e-12; a row with fewer than two
+    kept categories is not tested.  Rows are grouped by their number of kept
+    categories and pooled cell, and each statistic is a row-wise sum over a
+    C-ordered array (numpy sums each row pairwise), so every value has the
+    bits of ``np.sum`` over that state's categories in slot order.  Returns
+    (statistics, degrees of freedom), in no particular row order.
+    """
+    visits = obs.sum(axis=1)  # integer counts: exact in any order
+    exp = visits[:, None] * np.concatenate([flip, 1.0 - flip.sum(axis=1, keepdims=True)], axis=1)
+    keep = exp >= 5.0
+    n_kept = keep.sum(axis=1)
+    # kept slots first, then the rare ones, each in slot order
+    order = np.argsort(~keep, axis=1, kind="stable")
+    obs = np.take_along_axis(obs, order, axis=1)
+    exp = np.take_along_axis(exp, order, axis=1)
+    stats, dofs = [np.zeros(0)], [np.zeros(0)]
+    for k in np.unique(n_kept[n_kept >= 2]):
+        rows = n_kept == k
+        o, e = obs[rows], exp[rows]
+        # pooled rare cells; integer counts again sum exactly
+        o_rare = o[:, k:].sum(axis=1)
+        e_rare = np.ascontiguousarray(e[:, k:]).sum(axis=1)
+        o = np.concatenate([o[:, :k], o_rare[:, None]], axis=1)
+        e = np.concatenate([e[:, :k], e_rare[:, None]], axis=1)
+        pooled = e_rare >= 1e-12
+        for width, sel in ((k, ~pooled), (k + 1, pooled)):
+            o_k, e_k = o[sel, :width], e[sel, :width]
+            stats.append(np.ascontiguousarray((o_k - e_k) ** 2 / e_k).sum(axis=1))
+            dofs.append(np.full(o_k.shape[0], width - 1.0))
+    return np.concatenate(stats), np.concatenate(dofs)
 
 
 def negative_binomial_rate(alpha, s):
@@ -541,30 +578,55 @@ def tail_bound_check(model, samples=2000, seed=0):
     n = model.n_spins
     alpha, s, rate, bound = _tail_rate(model)
     rng = np.random.default_rng((seed, 37))
-    table = model.flip_table
-    sig = np.ones((samples, n), dtype=np.int8)
-    m = sig.sum(axis=1, dtype=np.int64)
-    pending = np.ones((samples, n), dtype=bool)
+    # the flip table with spins innermost, read as in ``_coupled_steps``
+    table = model.flip_table.transpose(0, 2, 1).ravel()
+    stride = 3 * (2 * n + 1)
+    # a comparison success that does not flip needs an accept probability
+    # below alpha; with none in the table, no uniform can produce one
+    can_miss = bool(np.nanmin(table) < alpha)
+    # flat (R, N) spins and first-flip flags of the live rows, in row order
+    sig = np.ones(samples * n, dtype=np.int64)
+    pending = np.ones(samples * n, dtype=bool)
+    at = np.full(samples, 6 * n, dtype=np.int64)  # 3 (m + N), m = N all up
+    left = np.full(samples, n, dtype=np.int64)  # sites not yet flipped
+    att = np.zeros(samples, dtype=np.int64)
+    off = np.arange(samples) * n
     live = np.arange(samples)
     attempts = np.zeros(samples, dtype=np.int64)
     missed = 0
+    # each step takes a site and an accept uniform per live row, in row
+    # order, from a buffer drawn ahead of the stream (a plain sequence of
+    # doubles, so every value is the one a per-step draw would give); blocks
+    # start at 64 steps of every row and double up to STEP_BLOCK_BYTES
+    buf, pos, block = np.zeros(0), 0, 0
     while live.size:
-        u = rng.random((live.size, 2))
-        rows = np.arange(live.size)
-        i = (u[:, 0] * n).astype(np.intp)
-        spin = sig[rows, i]
-        flip = u[:, 1] < _accept(table, spin, m, i)
-        r = flip.nonzero()[0]
-        sig[r, i[r]] = -spin[r]
-        m -= 2 * spin * flip
-        first = pending[rows, i]
-        attempts[live] += first
-        missed += int(np.count_nonzero(first & (u[:, 1] < alpha) & ~flip))
+        r = live.size
+        if pos + r > buf.size // 2:
+            block = min(max(2 * block, 128 * samples), STEP_BLOCK_BYTES // 8)
+            buf = np.concatenate([buf[2 * pos:], rng.random(max(block, 2 * r))])
+            site = (buf[0::2] * n).astype(np.intp)
+            ai, u1, pos = stride * site + 1, buf[1::2].copy(), 0
+        k = slice(pos, pos + r)
+        pos += r
+        fi = off[:r] + site[k]
+        spin = sig[fi]
+        flip = u1[k] < table[ai[k] + at + spin]
+        np.subtract(at, 6 * spin, out=at, where=flip)
+        np.negative(spin, out=spin, where=flip)
+        sig[fi] = spin
+        first = pending[fi]
+        att += first
+        if can_miss:
+            missed += int(np.count_nonzero(first & (u1[k] < alpha) & ~flip))
         new = first & flip
-        pending[rows[new], i[new]] = False
-        keep = pending.any(axis=1)
-        if not keep.all():
-            live, sig, m, pending = live[keep], sig[keep], m[keep], pending[keep]
+        pending[fi] = first ^ new
+        left -= new
+        if np.count_nonzero(left) < r:
+            keep = left > 0
+            attempts[live] = att
+            live, at, left, att = live[keep], at[keep], left[keep], att[keep]
+            sig = sig.reshape(r, n)[keep].ravel()
+            pending = pending.reshape(r, n)[keep].ravel()
     emp = int(np.sum(attempts > s * n)) / samples
     sigma = math.sqrt(max(bound * (1.0 - bound), emp * (1.0 - emp), 1e-12) / samples)
     ok = emp <= bound + 3.0 * sigma

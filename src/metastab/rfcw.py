@@ -53,7 +53,6 @@ class RFCWModel:
     beta: float
     field: np.ndarray
     h_inf: float
-    chain: ReversibleChain | None = None
     spins: np.ndarray | None = None          # (2^N, N) in {-1, +1}
     hamiltonian: np.ndarray | None = None
     flip_index: np.ndarray | None = None     # (2^N, N) flipped-config indices
@@ -62,7 +61,23 @@ class RFCWModel:
 
     @property
     def materialized(self):
-        return self.chain is not None
+        return self.spins is not None
+
+    @functools.cached_property
+    def chain(self):
+        """The micro Glauber chain, None unless materialized.
+
+        Assembled and validated on first use and kept: the Monte Carlo ops
+        read only the arrays above, and a 2^N-state ``ReversibleChain`` is
+        most of the cost of ``build_model``.
+        """
+        if not self.materialized:
+            return None
+        n = self.n_spins
+        # one byte per site, read as an n-character label per configuration
+        chars = np.where(self.spins > 0, ord("+"), ord("-")).astype(np.uint8)
+        states = chars.view(f"S{n}").ravel().astype(str).tolist()
+        return _glauber_chain(states, self.flip_index, self.flip_probs, self.gibbs)
 
     def flip_probability(self, sigma, m, i):
         """nu_{i,sigma}[-sigma_i], the accept probability of flipping site i.
@@ -194,30 +209,33 @@ def _materialize(model):
     ham = -m.astype(float) ** 2 / (2.0 * n) - spins @ model.field
 
     flip_index = configs[:, None] ^ (1 << np.arange(n))[None, :]
-    # one byte per site, read as an n-character label per configuration
-    chars = np.where(bits, ord("+"), ord("-")).astype(np.uint8)
-    states = chars.view(f"S{n}").ravel().astype(str).tolist()
-    model.chain, model.flip_probs, model.gibbs = _glauber_chain(
-        states, ham, flip_index, model.beta
-    )
+    model.flip_probs, model.gibbs = _glauber_rates(ham, flip_index, model.beta)
+    if not np.all(model.gibbs > 0.0):
+        # the chain's own check, made here so that a model whose Gibbs weights
+        # underflow fails at build time whether or not its chain is read
+        raise ValidationError("stationary measure must be finite and positive")
     model.spins = spins
     model.hamiltonian = ham
     model.flip_index = flip_index
 
 
-def _glauber_chain(states, ham, flip_index, beta):
-    """Single-flip Metropolis chain of the energy ``ham`` on the hypercube.
+def _glauber_rates(ham, flip_index, beta):
+    """Single-flip Metropolis rates of the energy ``ham`` on the hypercube.
 
     p(sigma, sigma^i) = (1/N) exp(-beta [ham(sigma^i) - ham(sigma)]_+), where
-    ``flip_index[sigma, i]`` is the index of sigma^i; the chain is reversible
-    for the Gibbs weights exp(-beta ham).  Returns (chain, flip_probs, gibbs).
+    ``flip_index[sigma, i]`` is the index of sigma^i; they are reversible for
+    the Gibbs weights exp(-beta ham).  Returns (flip_probs, gibbs).
     """
-    size, n = flip_index.shape
+    n = flip_index.shape[1]
     dh = ham[flip_index] - ham[:, None]
     flip_probs = np.exp(-beta * np.maximum(dh, 0.0)) / n
     weights = np.exp(-beta * (ham - ham.min()))
-    gibbs = weights / weights.sum()
+    return flip_probs, weights / weights.sum()
 
+
+def _glauber_chain(states, flip_index, flip_probs, gibbs):
+    """The chain of ``_glauber_rates``: flips plus the holding diagonal."""
+    size, n = flip_index.shape
     configs = np.arange(size, dtype=np.int64)
     diag = np.maximum(1.0 - flip_probs.sum(axis=1), 0.0)
     held = configs[diag > 0.0]
@@ -231,8 +249,7 @@ def _glauber_chain(states, ham, flip_index, beta):
         ),
         shape=(size, size),
     )
-    chain = ReversibleChain(states, kernel, gibbs, discrete_time=True)
-    return chain, flip_probs, gibbs
+    return ReversibleChain(states, kernel, gibbs, discrete_time=True)
 
 
 # -- coarse graining -------------------------------------------------------------
@@ -766,9 +783,8 @@ def barred_chain(model, land):
         [meso_energy(land, land.points[k] / n) for k in range(land.n_points)]
     )
     ham_bar = n * point_e[land.rho_of_config]
-    barred, flip_bar, mu_bar = _glauber_chain(
-        model.chain.states, ham_bar, model.flip_index, model.beta
-    )
+    flip_bar, mu_bar = _glauber_rates(ham_bar, model.flip_index, model.beta)
+    barred = _glauber_chain(model.chain.states, model.flip_index, flip_bar, mu_bar)
 
     eps = land.eps_n
     beta = model.beta

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -31,6 +32,7 @@ from metastab.coupling import (
     richest_fiber,
     tail_bound_check,
 )
+from metastab import rfcw as rfcw_mod
 from metastab.cli import main as cli_main
 from metastab.rfcw import RFCWModel, build_model, coarse_grain, find_minima_and_order
 
@@ -80,6 +82,14 @@ def test_gate_event_probability(small_pair):
     assert rep["containment_violations"] == 0
     assert rep["p_A_theory"] == pytest.approx(
         gate_probability(model, land) ** 4, rel=1e-12
+    )
+
+
+def test_coupling_experiment_takes_fifty_n_steps_by_default(small_pair):
+    model, land = small_pair
+    args = dict(runs=300, seed=4, M=4, dynamics_runs=40)
+    assert coupling_experiment(model, land, T=None, **args) == coupling_experiment(
+        model, land, T=50 * model.n_spins, **args
     )
 
 
@@ -180,6 +190,95 @@ def test_tail_bound_domination_detects_a_false_floor(monkeypatch):
     assert tail_bound_check(model, samples=200, seed=0)["domination_ok"]
     monkeypatch.setattr(coupling, "flip_rate_floor", lambda model: 0.9)
     assert not tail_bound_check(model, samples=200, seed=0)["domination_ok"]
+
+
+def _tail_reference(model, samples, seed):
+    """The per-step tail-bound loop: one ``rng.random((live, 2))`` per step."""
+    n = model.n_spins
+    alpha, s, rate, bound = coupling_mod._tail_rate(model)
+    rng = np.random.default_rng((seed, 37))
+    table = model.flip_table
+    sig = np.ones((samples, n), dtype=np.int8)
+    m = sig.sum(axis=1, dtype=np.int64)
+    pending = np.ones((samples, n), dtype=bool)
+    live = np.arange(samples)
+    attempts = np.zeros(samples, dtype=np.int64)
+    missed = 0
+    while live.size:
+        u = rng.random((live.size, 2))
+        rows = np.arange(live.size)
+        i = (u[:, 0] * n).astype(np.intp)
+        spin = sig[rows, i]
+        flip = u[:, 1] < _accept(table, spin, m, i)
+        r = flip.nonzero()[0]
+        sig[r, i[r]] = -spin[r]
+        m -= 2 * spin * flip
+        first = pending[rows, i]
+        attempts[live] += first
+        missed += int(np.count_nonzero(first & (u[:, 1] < alpha) & ~flip))
+        new = first & flip
+        pending[rows[new], i[new]] = False
+        keep = pending.any(axis=1)
+        if not keep.all():
+            live, sig, m, pending = live[keep], sig[keep], m[keep], pending[keep]
+    emp = int(np.sum(attempts > s * n)) / samples
+    sigma = math.sqrt(max(bound * (1.0 - bound), emp * (1.0 - emp), 1e-12) / samples)
+    return {
+        "alpha": alpha,
+        "s": s,
+        "rate": rate if math.isfinite(rate) else None,
+        "bound": bound,
+        "empirical": emp,
+        "samples": samples,
+        "sigma": sigma,
+        "within_3sigma": emp <= bound + 3.0 * sigma,
+        "domination_ok": missed == 0,
+    }
+
+
+@pytest.mark.parametrize("n_spins", [6, 8, 10])
+@pytest.mark.parametrize("beta", [0.8, 1.5, 2.0])
+def test_tail_check_matches_the_per_step_reference(n_spins, beta):
+    # the uniforms drawn ahead are the values the per-step loop draws, so
+    # every report keeps its bits; each cell runs all three sample sizes
+    model = build_model(n_spins, beta, "uniform:0.2", seed=n_spins, materialize=False)
+    for seed, samples in zip((0, 5, 11), (100, 500, 2000)):
+        want = _tail_reference(model, samples, seed)
+        assert tail_bound_check(model, samples=samples, seed=seed) == want
+
+
+def test_tail_check_refills_its_buffer_bit_for_bit(monkeypatch):
+    # a 4 KiB budget holds 512 doubles, fewer than a step of all 300 rows
+    # takes: the buffer is refilled every step or few, each time carrying over
+    # the remainder of the last block
+    model = build_model(8, 1.5, "uniform:0.2", seed=3, materialize=False)
+    monkeypatch.setattr(coupling_mod, "STEP_BLOCK_BYTES", 4096)
+    want = _tail_reference(model, 300, 2)
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng, self.draws = rng, 0
+
+        def random(self, *args):
+            self.draws += 1
+            return self.rng.random(*args)
+
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(Counted(real(*a))) or made[-1])
+    assert tail_bound_check(model, samples=300, seed=2) == want
+    assert len(made) == 1 and made[0].draws > 50
+
+
+def test_tail_check_matches_the_reference_on_a_false_floor(monkeypatch):
+    # with a claimed floor above some accept probabilities the per-step miss
+    # count runs, and finds the misses the reference finds
+    model = build_model(8, 1.5, "uniform:0.2", seed=3, materialize=False)
+    monkeypatch.setattr(coupling_mod, "flip_rate_floor", lambda model: 0.9)
+    for samples, seed in ((200, 0), (500, 4)):
+        got = tail_bound_check(model, samples=samples, seed=seed)
+        assert not got["domination_ok"]
+        assert got == _tail_reference(model, samples, seed)
 
 
 def test_hitting_bound_exact_lumpable(rfcw_two_valued):
@@ -402,16 +501,60 @@ def test_stacked_kernel_matches_per_group_calls(law_pair, monkeypatch, block_ste
     assert (stacked[2]["gates_used"] == 0).all()
 
 
-def _chi_square_reference(model, land, runs, steps, seed):
-    """(states tested, min p-value) per path, one ``chi2.sf`` call per state."""
-    from scipy.stats import chi2
-
+def _chi_counts(model, land, runs, steps, seed):
+    """The transition counts of ``marginal_chi_square``, from its own streams."""
     n = model.n_spins
     s0, v0 = mismatched_pair_in_fiber(model, land, np.random.default_rng((seed, 23)), runs)
     rng_gates, *rngs = _streams((seed, 7777), 3)
     gates = rng_gates.random((runs, n)) < gate_probability(model, land)
     counts = ([], [])
     _coupled_steps(model, land, [(s0, v0, gates, rngs)], steps, counts=counts)
+    return counts
+
+
+# sha256 of the (T, R) int64 count keys of each path, frozen before the
+# counts were rebuilt after the kernel loop
+COUNT_HASHES = {
+    (6, 1.0, 300, 80, 13): (
+        "c512b2d238149d4755356d773255b2a08bcc5c52427e5faab5ece0a21e809bed",
+        "12edc79026cf1c58d4a5f9c5ee93dbbf8b832ae6d8b66bfe23171b0fdb0abc06",
+    ),
+    (8, 1.5, 150, 100, 2): (
+        "3f43151ebbac04faa249a1cdb3b9f688e5a9252efba1bdbdd8da64cb87e0209d",
+        "af58f6e933d734d696066eb036118e14b3a07a8763ca1fc4e0a170080c2b14c0",
+    ),
+    (10, 0.8, 120, 100, 5): (
+        "54d5495ce87862d4469219f9d1dbfdd0b313bfe4c62ab6a69b925e8e51b039ae",
+        "1af048ba827c34c9b022f324d47318373079a1c6295f29d951e97968d529d437",
+    ),
+    (8, 1.0, 50, 0, 1): (hashlib.sha256(b"").hexdigest(),) * 2,
+}
+
+
+@pytest.mark.parametrize("cell", sorted(COUNT_HASHES))
+def test_chi_counts_keep_their_frozen_hashes(cell):
+    n_spins, beta, runs, steps, seed = cell
+    model = build_model(n_spins, beta, "uniform:0.2", seed=seed)
+    counts = _chi_counts(model, coarse_grain(model, 2), runs, steps, seed)
+    assert [len(side) for side in counts] == [steps, steps]
+    got = tuple(
+        hashlib.sha256(np.asarray(side, dtype=np.int64).tobytes()).hexdigest()
+        for side in counts
+    )
+    assert got == COUNT_HASHES[cell]
+
+
+def _chi_square_reference(model, land, runs, steps, seed, kinds=None):
+    """(states tested, min p-value) per path, one ``chi2.sf`` call per state.
+
+    ``kinds``, a set, collects the categories of every tested state: its
+    number of categories, and "no rare", "pooled" or "dropped" (rare cells
+    whose pooled expected count is below 1e-12).
+    """
+    from scipy.stats import chi2
+
+    n = model.n_spins
+    counts = _chi_counts(model, land, runs, steps, seed)
     table = model.flip_table
     found = []
     for parts in counts:
@@ -431,6 +574,9 @@ def _chi_square_reference(model, land, runs, steps, seed):
             exp_k = np.concatenate([exp[keep], [exp[~keep].sum()]])
             if exp_k[-1] < 1e-12:
                 obs_k, exp_k = obs_k[:-1], exp_k[:-1]
+            if kinds is not None:
+                rare = "no rare" if keep.all() else "pooled" if obs_k.size > keep.sum() else "dropped"
+                kinds.update([rare, obs_k.size])
             stat = float(np.sum((obs_k - exp_k) ** 2 / exp_k))
             n_tested += 1
             min_p = min(min_p, float(chi2.sf(stat, obs_k.size - 1)))
@@ -438,7 +584,13 @@ def _chi_square_reference(model, land, runs, steps, seed):
     return found
 
 
-@pytest.mark.parametrize("n_spins,beta,runs,seed", [(6, 1.0, 300, 13), (8, 1.5, 150, 2), (10, 0.8, 120, 5)])
+# beta = 0 holds with probability 1 - N (1/N), 0 or an ulp, so its rare cell
+# is dropped; beta = 6 tests states with 3, 4 and 5 categories
+CHI_CELLS = [(6, 1.0, 300, 13), (8, 1.5, 150, 2), (10, 0.8, 120, 5),
+             (6, 0.0, 200, 1), (6, 0.3, 300, 4), (6, 6.0, 300, 4)]
+
+
+@pytest.mark.parametrize("n_spins,beta,runs,seed", CHI_CELLS)
 def test_chi_square_matches_the_per_state_reference(n_spins, beta, runs, seed):
     model = build_model(n_spins, beta, "uniform:0.2", seed=seed)
     land = coarse_grain(model, 2)
@@ -446,6 +598,35 @@ def test_chi_square_matches_the_per_state_reference(n_spins, beta, runs, seed):
     want = _chi_square_reference(model, land, runs, 100, seed)
     assert [(r["states_tested"], r["min_pvalue"]) for r in got] == want  # bit for bit
     assert all(n_tested > 0 for n_tested, _ in want)
+
+
+def test_chi_square_cells_cover_every_group_kind():
+    # the grouped sums meet rows without a rare cell, rows whose pooled cell
+    # is dropped, rows with a pooled cell, and several widths in one call
+    for n_spins, beta, runs, seed in CHI_CELLS[-3:]:
+        model = build_model(n_spins, beta, "uniform:0.2", seed=seed)
+        kinds = set()
+        _chi_square_reference(model, coarse_grain(model, 2), runs, 100, seed, kinds)
+        if beta == 0.0:
+            assert kinds == {"dropped", n_spins}
+        if beta == 6.0:
+            assert kinds >= {"pooled", 3, 4, 5}
+        if beta == 0.3:
+            assert kinds >= {"no rare", "pooled", "dropped"}
+
+
+def test_monte_carlo_ops_build_no_micro_chain(monkeypatch):
+    # the ops read the model's arrays; the 2^N-state chain is built on the
+    # first read of ``model.chain`` (test_rfcw)
+    built = []
+    real = rfcw_mod.ReversibleChain
+    monkeypatch.setattr(rfcw_mod, "ReversibleChain", lambda *a, **k: built.append(1) or real(*a, **k))
+    model = build_model(8, 1.0, "uniform:0.2", seed=1)
+    land = coarse_grain(model, 2)
+    marginal_chi_square(model, land, runs=100, steps=50, seed=1)
+    coupling_experiment(model, land, runs=100, seed=1, M=8, T=50, dynamics_runs=20)
+    tail_bound_check(model, samples=100, seed=1)
+    assert model.materialized and not built and "chain" not in vars(model)
 
 
 def test_monte_carlo_leaves_scipy_stats_unimported():

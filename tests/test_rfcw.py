@@ -28,6 +28,24 @@ from metastab.rfcw import (
 )
 
 
+def test_micro_chain_is_built_on_first_read(monkeypatch):
+    built = []
+    real = rfcw.ReversibleChain
+    monkeypatch.setattr(rfcw, "ReversibleChain", lambda *a, **k: built.append(1) or real(*a, **k))
+    model = build_model(8, 1.0, "uniform:0.2", seed=1)
+    assert model.materialized and not built
+    assert model.gibbs.shape == (256,) and model.flip_probs.shape == (256, 8)
+    assert model.chain is model.chain and len(built) == 1
+    assert build_model(8, 1.0, "uniform:0.2", seed=1, materialize=False).chain is None
+    assert not build_model(8, 1.0, "uniform:0.2", seed=1, materialize=False).materialized
+
+
+def test_underflowing_gibbs_weights_fail_at_build_time():
+    # exp(-1000 * 3) is 0: the chain's own check, made before the chain exists
+    with pytest.raises(ValidationError, match="finite and positive"):
+        build_model(6, 1000.0, "zero")
+
+
 def test_build_model_n2_golden():
     m = build_model(2, 1.0, "zero")
     # H(++) = H(--) = -1, H(+-) = H(-+) = 0; direct 4-state enumeration
