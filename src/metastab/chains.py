@@ -357,21 +357,6 @@ def dirichlet_form(chain, f):
     return float(np.dot(chain._edge_w, d * d))
 
 
-def dirichlet_gradient(chain, f):
-    """Gradient of the Dirichlet form, 2 L_mu f with the weighted Laplacian."""
-    f = _as_state_function(chain, f)
-    return 2.0 * (chain.laplacian @ f)
-
-
-def variance(mu, f):
-    """Variance of f under the probability vector mu."""
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    m = float(np.dot(mu, f))
-    d = f - m
-    return float(np.dot(mu, d * d))
-
-
 def _phi_xlogx(u):
     # u ln u - u + 1 evaluated without cancellation near u = 1; both branches
     # run on every entry of a C-ordered copy, where numpy's vectorized log
@@ -420,13 +405,6 @@ def entropy_gradient(mu, f):
     return out
 
 
-def variance_gradient(mu, f):
-    """Gradient of f -> Var_mu[f]: entrywise 2 mu (f - E_mu f)."""
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    return 2.0 * mu * (f - float(np.dot(mu, f)))
-
-
 def log_mean(alpha, beta):
     """Logarithmic mean (alpha - beta) / ln(alpha / beta), with L(a, a) = a."""
     if alpha <= 0.0 or beta <= 0.0:
@@ -438,27 +416,6 @@ def log_mean(alpha, beta):
     if abs(r) < 1e-7:
         return 0.5 * s * (1.0 - r * r / 3.0)
     return (alpha - beta) / (math.log(alpha) - math.log(beta))
-
-
-def conditional_expectation(chain, partition, f):
-    """Project f onto a partition: E_mu[f | block], piecewise constant.
-
-    The total-variance identity
-    Var[f] = sum_blocks mu[block] Var_block[f] + Var[E[f | partition]]
-    holds for the result to machine precision.
-    """
-    f = _as_state_function(chain, f)
-    masks = [subset_mask(chain, b) for b in partition]
-    cover = np.zeros(chain.n_states, dtype=int)
-    for m in masks:
-        cover += m.astype(int)
-    if np.any(cover != 1):
-        raise ValidationError("partition must cover the state space disjointly")
-    mu = chain.stationary
-    out = np.empty(chain.n_states)
-    for m in masks:
-        out[m] = float(np.dot(mu[m], f[m]) / mu[m].sum())
-    return out
 
 
 def _as_state_function(chain, f):

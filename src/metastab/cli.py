@@ -202,7 +202,6 @@ def cmd_capineq(args):
     _check_counts(("--samples", args.samples, 1))
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    violations = 0
     for _ in range(args.samples):
         n = int(rng.integers(3, 24))
         chain = random_reversible_chain(rng, n)
@@ -211,8 +210,6 @@ def cmd_capineq(args):
         f = random_state_function(rng, chain)
         f[b] = 0.0
         lhs, rhs = orlicz_mod.capacitary_integral(chain, f, b)
-        if lhs > rhs + 1e-10:
-            violations += 1
         if rhs > 0.0:
             worst = max(worst, lhs / rhs)
     return {
@@ -220,7 +217,7 @@ def cmd_capineq(args):
             args, mode="exact", tolerances={"slack": 1e-10}
         ),
         "samples": args.samples,
-        "violations": violations,
+        "violations": 0,  # capacitary_integral raises on one: exit 2
         "max_ratio": tagged(worst, "exact"),
     }
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,55 +52,6 @@ STEP_BLOCK_BYTES = 1 << 21
 
 class BoundOutOfRange(MetastabError):
     """A certified bound too large to represent as a float."""
-
-
-@dataclass
-class TwoPointCoupling:
-    """Optimal coupling of two laws on {-1, +1} with a pass-through gate.
-
-    With probability delta the gate V is 1 and X' copies X; otherwise X' is
-    drawn from the maximal coupling of nu with the residual
-    (nu' - delta nu)/(1 - delta).  Marginals are exact and the disagreement
-    probability equals the total variation distance.
-    """
-
-    nu: np.ndarray        # [P(-1), P(+1)]
-    nu_prime: np.ndarray
-    delta: float
-    residual: np.ndarray = field(init=False)
-    joint: np.ndarray = field(init=False)
-    disagreement: float = field(init=False)
-
-    def __post_init__(self):
-        nu = np.asarray(self.nu, dtype=float)
-        nup = np.asarray(self.nu_prime, dtype=float)
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError("delta must lie in (0, 1)")
-        if np.any(self.delta * nu > nup + 1e-15):
-            raise ValidationError("domination delta nu <= nu' fails")
-        rho = (nup - self.delta * nu) / (1.0 - self.delta)
-        rho = np.maximum(rho, 0.0)
-        diag = np.minimum(nu, rho)
-        maximal = np.diag(diag)
-        excess = nu - diag
-        deficit = rho - diag
-        for a in range(2):
-            for b in range(2):
-                if a != b and excess[a] > 0.0 and deficit[b] > 0.0:
-                    maximal[a, b] = min(excess[a], deficit[b])
-        self.residual = rho
-        self.joint = self.delta * np.diag(nu) + (1.0 - self.delta) * maximal
-        self.disagreement = float(
-            self.joint[0, 1] + self.joint[1, 0]
-        )
-
-    def marginals(self):
-        return self.joint.sum(axis=1), self.joint.sum(axis=0)
-
-
-def optimal_two_point_coupling(nu, nu_prime, delta):
-    """Construct the gated optimal coupling of two spin-valued laws."""
-    return TwoPointCoupling(np.asarray(nu, float), np.asarray(nu_prime, float), delta)
 
 
 def gate_probability(model, land):

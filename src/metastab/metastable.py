@@ -15,7 +15,6 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .chains import (
-    InequalityViolation,
     SolverNotConverged,
     ValidationError,
     log_mean,
@@ -451,61 +450,3 @@ def pi_lsi_estimates(chain, structure):
             "c_lsi": out["lsi_lower"],
         }
     return out
-
-
-def harmonic_neighborhood(chain, structure, a_indices, b_indices, delta):
-    """Level-set neighborhoods U_A(delta, B) with their certificates.
-
-    Asserts 1 - 2 delta <= cap(A, B)/cap(U_A, U_B) <= 1 and, for each i on
-    the A side, mu[S_i minus U_{M_i}] <= rho mu[M_i] / delta.
-    """
-    if not 0.0 < delta < 0.5:
-        raise ValidationError("delta must lie in (0, 1/2)")
-    a_indices = list(a_indices)
-    b_indices = list(b_indices)
-    if set(a_indices) & set(b_indices):
-        raise ValidationError("A and B index sets overlap")
-    n = chain.n_states
-    a = np.zeros(n, dtype=bool)
-    b = np.zeros(n, dtype=bool)
-    parts_a = np.zeros(n, dtype=bool)
-    parts_b = np.zeros(n, dtype=bool)
-    for i in a_indices:
-        a |= structure.sets[i]
-        parts_a |= structure.partition[i]
-    for j in b_indices:
-        b |= structure.sets[j]
-        parts_b |= structure.partition[j]
-
-    sol = equilibrium_potential(chain, a, b)
-    h = sol.potential
-    u_a = parts_a & (h >= 1.0 - delta)
-    u_b = parts_b & (h <= delta)
-    cap_u = equilibrium_potential(chain, u_a, u_b).capacity
-    ratio = sol.capacity / cap_u
-    if not (1.0 - 2.0 * delta - 1e-10 <= ratio <= 1.0 + 1e-10):
-        raise InequalityViolation(
-            f"capacity ratio {ratio!r} outside [1 - 2 delta, 1]"
-        )
-
-    rho = structure.rho
-    mass_bounds = []
-    for i in a_indices:
-        h_i = equilibrium_potential(chain, structure.sets[i], b).potential
-        u_i = structure.partition[i] & (h_i >= 1.0 - delta)
-        left = chain.mass(structure.partition[i] & ~u_i)
-        right = rho * chain.mass(structure.sets[i]) / delta
-        if left > right + 1e-12:
-            raise InequalityViolation(
-                f"neighborhood mass bound violated for set {i}: "
-                f"{left!r} > {right!r}"
-            )
-        mass_bounds.append({"set": i, "excluded_mass": left, "bound": right})
-    return {
-        "u_a": u_a,
-        "u_b": u_b,
-        "cap_ab": sol.capacity,
-        "cap_u": cap_u,
-        "cap_ratio": float(ratio),
-        "mass_bounds": mass_bounds,
-    }

@@ -648,30 +648,3 @@ def cheeger_constant(chain):
     best = int(np.argmax(vals))  # the first maximum, as in a loop over masks
     members = ((2 * best + 1) >> np.arange(n)) & 1
     return float(vals[best]), members.astype(bool)
-
-
-def hardy_exact_constant(mu_weights, nu_weights):
-    """Best constant in sum nu f^2 <= C1 sum mu (f(x+1) - f(x))^2, f(0) = 0.
-
-    The sharp constant for the discrete weighted Hardy inequality on
-    {0, ..., n}, via the generalized symmetric eigenproblem on the interior
-    coordinates.  This is the spectral oracle for the Muckenhoupt sandwich.
-    """
-    mu = np.asarray(mu_weights, dtype=float)
-    nu = np.asarray(nu_weights, dtype=float)
-    if mu.size + 1 != nu.size:
-        raise ValidationError("need one mu weight per bond, one nu weight per site")
-    m = mu.size  # free coordinates f(1), ..., f(n)
-    a = np.zeros((m, m))
-    for y in range(m):
-        # bond (y, y+1): in free coordinates index y-1 and y (f(0) fixed)
-        if y == 0:
-            a[0, 0] += mu[0]
-        else:
-            a[y - 1, y - 1] += mu[y]
-            a[y, y] += mu[y]
-            a[y - 1, y] -= mu[y]
-            a[y, y - 1] -= mu[y]
-    nmat = np.diag(nu[1:])
-    vals = scipy.linalg.eigh(nmat, a, eigvals_only=True)
-    return float(vals[-1])

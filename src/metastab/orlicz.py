@@ -1,4 +1,5 @@
-"""Young pairs, Orlicz K-norms, the capacitary inequality and its corollaries.
+"""Young pairs, Orlicz K-norms, the capacitary integral and the
+measure-capacity constant C_Psi.
 
 The K-norm ||f||_{Phi, nu, K} = sup{ E_nu[|f| g] : g >= 0, E_nu[Psi(g)] <= K }
 is evaluated through its one-dimensional Lagrangian dual: the optimal g is
@@ -27,9 +28,6 @@ from .potential import (
     capacity_scan_context,
     equilibrium_potential,
 )
-
-E2 = float(np.exp(2.0))
-
 
 class UnboundedNorm(ValidationError):
     pass
@@ -142,108 +140,6 @@ def get_pair(spec):
     raise ValidationError(f"unknown Young pair {spec!r}")
 
 
-# -- piecewise-linear Young functions (exact conjugation, for property tests) --
-
-
-@dataclass
-class PiecewiseLinearYoung:
-    """Convex piecewise-linear Young function and its exact conjugate.
-
-    Phi has increasing slopes on consecutive segments starting at 0; its
-    conjugate is again piecewise linear up to an infinite tail beyond the
-    largest slope.  The pseudo-inverse follows the strict-inequality
-    convention, and ``near_jump`` flags arguments within 1e-12 of the height
-    where Psi jumps to infinity.
-    """
-
-    slopes: np.ndarray
-    breaks: np.ndarray  # len(slopes) - 1 interior breakpoints, increasing
-
-    def __post_init__(self):
-        self.slopes = np.asarray(self.slopes, dtype=float)
-        self.breaks = np.asarray(self.breaks, dtype=float)
-        if np.any(np.diff(self.slopes) <= 0.0) or np.any(self.slopes < 0.0):
-            raise ValidationError("slopes must be nonnegative and increasing")
-        if self.slopes[-1] <= 0.0:
-            raise ValidationError("the last slope must be positive")
-        # knot values of phi at 0 and the interior breakpoints
-        seg = np.diff(np.concatenate([[0.0], self.breaks]))
-        self._phi_knots_x = np.concatenate([[0.0], self.breaks])
-        self._phi_knots_v = np.concatenate(
-            [[0.0], np.cumsum(self.slopes[:-1] * seg)]
-        )
-        # conjugate knots: psi(r) has breakpoints at the slopes, slopes are the
-        # breakpoints of phi; finite up to slopes[-1], infinite beyond
-        bx = self._phi_knots_x
-        bv = self._phi_knots_v
-        self._psi_knots_x = np.concatenate([[0.0], self.slopes])
-        self._psi_knots_v = np.concatenate(
-            [[0.0], bx * self.slopes - bv]
-        )
-
-    def phi(self, r):
-        r = np.asarray(r, dtype=float)
-        idx = np.clip(
-            np.searchsorted(self._phi_knots_x, r, side="right") - 1,
-            0,
-            self.slopes.size - 1,
-        )
-        return self._phi_knots_v[idx] + self.slopes[idx] * (
-            r - self._phi_knots_x[idx]
-        )
-
-    def psi(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.full(r.shape, np.inf)
-        fin = r <= self._psi_knots_x[-1]
-        rf = r[fin]
-        idx = np.clip(
-            np.searchsorted(self._psi_knots_x, rf, side="right") - 1,
-            0,
-            self._psi_knots_x.size - 2,
-        )
-        x0 = self._psi_knots_x[idx]
-        x1 = self._psi_knots_x[idx + 1]
-        v0 = self._psi_knots_v[idx]
-        v1 = self._psi_knots_v[idx + 1]
-        slope = np.where(x1 > x0, (v1 - v0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
-        out[fin] = v0 + slope * (rf - x0)
-        return out
-
-    def psi_inverse(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape)
-        vmax = self._psi_knots_v[-1]
-        high = t >= vmax
-        out[high] = self._psi_knots_x[-1]
-        low = ~high
-        tv = t[low]
-        # first knot with value strictly above t; the strict convention walks
-        # past flat segments sitting exactly at height t
-        idx = np.searchsorted(self._psi_knots_v, tv, side="right")
-        idx = np.clip(idx, 1, self._psi_knots_v.size - 1)
-        x0 = self._psi_knots_x[idx - 1]
-        x1 = self._psi_knots_x[idx]
-        v0 = self._psi_knots_v[idx - 1]
-        v1 = self._psi_knots_v[idx]
-        frac = np.where(v1 > v0, (tv - v0) / np.where(v1 > v0, v1 - v0, 1.0), 1.0)
-        out[low] = x0 + np.clip(frac, 0.0, 1.0) * (x1 - x0)
-        return out
-
-    def near_jump(self, t):
-        return np.abs(np.asarray(t, dtype=float) - self._psi_knots_v[-1]) <= 1e-12
-
-
-def random_young_pair(rng):
-    """Random piecewise-linear Young function for property tests."""
-    m = int(rng.integers(2, 6))
-    slopes = np.cumsum(rng.uniform(0.05, 1.5, size=m))
-    if rng.uniform() < 0.3:
-        slopes = np.concatenate([[0.0], slopes])
-    breaks = np.cumsum(rng.uniform(0.1, 1.5, size=slopes.size - 1))
-    return PiecewiseLinearYoung(slopes=slopes, breaks=breaks)
-
-
 # -- norms ---------------------------------------------------------------------
 
 
@@ -312,13 +208,13 @@ def orlicz_norm(f, nu, pair, K):
 # -- capacitary machinery --------------------------------------------------------
 
 
-def capacitary_integral(chain, f, B, assert_bound=True):
+def capacitary_integral(chain, f, B):
     """Exact value of the layer-cake integral int_0^inf 2t cap(A_t, B) dt.
 
     The super level-sets A_t = {|f| > t} are piecewise constant in t, so the
     integral is a finite sum over the sorted distinct values of |f|.  Returns
-    the integral together with 4 E(f); the capacitary inequality
-    integral <= 4 E(f) is asserted unless disabled.
+    the integral together with 4 E(f); a violated capacitary inequality,
+    integral > 4 E(f) + 1e-10, raises InequalityViolation.
     """
     b = subset_mask(chain, B)
     if not b.any():
@@ -336,7 +232,7 @@ def capacitary_integral(chain, f, B, assert_bound=True):
     caps, _ = _scan_capacities(capacity_scan_context(chain), af > lo[:, None], b)
     # cumsum adds the terms left to right, one at a time
     total = float(np.cumsum((levels * levels - lo * lo) * caps)[-1])
-    if assert_bound and total > four_energy + 1e-10:
+    if total > four_energy + 1e-10:
         raise InequalityViolation(
             f"capacitary inequality violated: {total!r} > {four_energy!r}"
         )
@@ -405,70 +301,6 @@ def measure_capacity_constant(chain, nu, B, pair, K):
     if best_mask is None:
         raise ValidationError("no candidate set carries nu-mass")
     return {"c_psi": float(best), "argmax": best_mask, "mode": mode}
-
-
-def muckenhoupt_constant(mu_weights, nu_weights):
-    """C_2 = sup_{x >= 1} (sum_{y<x} 1/mu(y)) (sum_{y>=x} nu(y)).
-
-    Both weight vectors live on {0, ..., n}; mu enters only through the
-    prefix resistances, so its last entry never contributes.
-    """
-    mu = np.asarray(mu_weights, dtype=float)
-    nu = np.asarray(nu_weights, dtype=float)
-    if mu.size == 0 or nu.size == 0:
-        raise ValidationError("empty weight list")
-    if mu.size != nu.size or mu.size < 2:
-        raise ValidationError("mu and nu must share a length of at least 2")
-    if np.any(mu <= 0.0) or np.any(nu < 0.0):
-        raise ValidationError("weights must be positive")
-    resist = np.cumsum(1.0 / mu[:-1])
-    tails = np.cumsum(nu[::-1])[::-1]
-    return float(np.max(resist * tails[1:]))
-
-
-def universal_mixed_constants(chain, nu):
-    """Universal-split constants C_var and C_Ent.
-
-    Maxima over disjoint (A, B) with nu[A] <= 1/2 <= nu[B] of nu[A]/cap(A,B)
-    and nu[A] ln(1 + e^2/nu[A]) / cap(A,B).  Exhaustive over the 3^n pairs,
-    n <= 10; ties go to the first pair with A in increasing and B in
-    decreasing bit order.
-    """
-    nu = _measure(chain, nu)
-    n = chain.n_states
-    if n > 10:
-        raise ValidationError("pair enumeration limited to 10 states")
-    ctx = capacity_scan_context(chain)
-    bits = np.arange(1, 1 << n)
-    full = (1 << n) - 1
-    subsets = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)  # row bits - 1
-    mass = _masses(nu, subsets)
-    pairs_a, pairs_b = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    found = False
-    for a_bits in bits[:-1][mass[:-1] <= 0.5]:
-        rest = full & ~a_bits
-        b_bits = bits[(bits & ~rest) == 0][::-1]
-        b_bits = b_bits[mass[b_bits - 1] >= 0.5]
-        found = found or b_bits.size > 0
-        if mass[a_bits - 1] > 0.0:
-            pairs_a.append(np.full(b_bits.size, a_bits - 1))
-            pairs_b.append(b_bits - 1)
-    if not found:
-        raise ValidationError("no admissible median split")
-    pairs_a, pairs_b = np.concatenate(pairs_a), np.concatenate(pairs_b)
-    if pairs_a.size == 0:
-        raise ValidationError("every admissible A has zero nu-mass")
-    caps, _ = _scan_capacities(ctx, subsets[pairs_a], subsets[pairs_b])
-    a_mass = mass[pairs_a]
-    rv = a_mass / caps
-    re = a_mass * np.log1p(E2 / a_mass) / caps
-    i, j = int(np.argmax(rv)), int(np.argmax(re))
-    return {
-        "c_var": float(rv[i]),
-        "c_ent": float(re[j]),
-        "argmax_var": (subsets[pairs_a[i]], subsets[pairs_b[i]]),
-        "argmax_ent": (subsets[pairs_a[j]], subsets[pairs_b[j]]),
-    }
 
 
 def _measure(chain, nu):

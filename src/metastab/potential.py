@@ -1,4 +1,4 @@
-"""Equilibrium potentials, capacities and hitting times.
+"""Equilibrium potentials and capacities.
 
 The boundary value problem L h = 0 off A u B with h = 1_A on the boundary is
 solved in the mu-symmetrized form: with the weighted graph Laplacian
@@ -6,8 +6,8 @@ Lap = deg - W (W the edge conductances), the interior block of Lap is
 symmetric positive definite and the system reads
 Lap[int, int] h_int = W[int, A] 1.
 
-Every interior solve (potentials, mean hitting times) goes through
-``_spd_solver``, which picks a path by the interior size m:
+Every interior solve goes through ``_spd_solver``, which picks a path by
+the interior size m:
 
 * m <= DENSE_SOLVE_LIMIT: dense ``np.linalg.solve``;
 * larger: ``sym_factor``, a sparse LU in SuperLU's symmetric mode (minimum
@@ -17,11 +17,10 @@ Every interior solve (potentials, mean hitting times) goes through
 
 ``sym_factor`` is the package's one SuperLU call; the oracle's grounded
 factor and inertia count use it too.  The chain memoises one entry, the
-solver of the interior it saw last, so the pairs (A, B) and (B, A), and a
-capacity after a potential on the same pair, reuse it.  Above
-DENSE_SOLVE_LIMIT that is one SuperLU factorization; at or below it the
-entry holds the dense block, which ``np.linalg.solve`` factors again on
-every call.  ``equilibrium_potential`` solves h_{A,B} and
+solver of the interior it saw last, so the pairs (A, B) and (B, A) reuse
+it.  Above DENSE_SOLVE_LIMIT that is one SuperLU factorization; at or below
+it the entry holds the dense block, which ``np.linalg.solve`` factors again
+on every call.  ``equilibrium_potential`` solves h_{A,B} and
 h_{B,A} together and takes e on A from h_{B,A}: at low temperature h_{A,B}
 is 1 up to tiny terms next to A, and e computed from it as (Lap h) / mu
 keeps only the digits of those terms.  Whatever the path, it still checks
@@ -29,10 +28,10 @@ the harmonicity residual, the [0, 1] range and the agreement of sum mu e
 with the Dirichlet energy before it returns.  A block that LAPACK or
 SuperLU finds exactly singular raises ``SolverNotConverged``.
 
-Subset scans (the measure-capacity constant, the capacitary integral, the
-universal split constants and the exact metastability ratio) need up to
-2^20 capacities of small pairs and take them from one batched kernel,
-``_scan_capacities``, on a dense ``capacity_scan_context``:
+Subset scans (the measure-capacity constant, the capacitary integral and
+the exact metastability ratio) need up to 2^20 capacities of small pairs and
+take them from one batched kernel, ``_scan_capacities``, on a dense
+``capacity_scan_context``:
 
 * pairs are grouped by (|A|, |interior|), and each group gathers its
   interior blocks into one stack for one ``np.linalg.solve`` call, at most
@@ -51,8 +50,8 @@ universal split constants and the exact metastability ratio) need up to
 * every step repeats the arithmetic of one pair: gesv per block, gemm for
   the right-hand sides, gemv for the flux of h_{B,A}, a contiguous sum on
   A, and masses summed like nu[mask].sum().  The capacities therefore have
-  the bits of the pair solved alone, which ``capacity_dense`` (the kernel's
-  k = 1 call) does, and ties resolve to the first subset in bit order;
+  the bits of the pair solved alone (the kernel's k = 1 call), and ties
+  resolve to the first subset in bit order;
 * a singular block, or a capacity that is not positive and finite, raises
   ``SolverNotConverged`` before any caller divides by it.
 """
@@ -87,10 +86,6 @@ class OverlappingSets(ValidationError):
 
 
 class EmptySet(ValidationError):
-    pass
-
-
-class DegenerateTarget(ValidationError):
     pass
 
 
@@ -161,88 +156,6 @@ def equilibrium_potential(chain, A, B):
         set_a=a,
         set_b=b,
     )
-
-
-def capacity(chain, A, B):
-    """Capacity of the pair (A, B)."""
-    return equilibrium_potential(chain, A, B).capacity
-
-
-def mean_hitting_time(chain, start, target):
-    """Expected hitting time of ``target`` from the start distribution.
-
-    Solves the absorbed system (I - P) w = 1 off the target (mu-symmetrized
-    as Lap w = mu).  The start measure must vanish on the target; for
-    start = nu_{A,B} and target = B this equals E_mu[h_{A,B}] / cap(A, B).
-    A solve that is not entrywise positive and finite has lost its digits
-    and raises SolverNotConverged.
-    """
-    t = subset_mask(chain, target)
-    if not t.any():
-        raise EmptySet("empty target set")
-    if t.all():
-        raise DegenerateTarget(
-            "target equals the whole space; first-return times are out of scope"
-        )
-    start = np.asarray(start, dtype=float)
-    if start.shape != (chain.n_states,):
-        raise ValidationError("start measure has wrong length")
-    if np.any(start < -1e-15):
-        raise ValidationError("start measure has negative mass")
-    total = start.sum()
-    if total <= 0.0:
-        raise ValidationError("start measure has no mass")
-    start = start / total
-    if start[t].sum() > 1e-15:
-        raise ValidationError("start measure puts mass on the target set")
-
-    free = ~t
-    w = np.zeros(chain.n_states)
-    w[free] = _spd_solver(chain, free)(chain.stationary[free])
-    # Lap_ff is a nonsingular M-matrix and mu > 0, so w is positive and finite
-    if not np.all((w[free] > 0.0) & (w[free] < np.inf)):
-        worst = float(np.min(w[free]))
-        raise SolverNotConverged(f"mean hitting time solve is not positive: {worst!r}")
-    return float(np.dot(start, w))
-
-
-def path_capacity_1d(weights):
-    """Closed-form capacity and potential profile for a birth-death path.
-
-    For the cycle-free generator with vertex weights mu(0..x-1) this returns
-    cap({x, ...}, {0}) = (sum_z 1/mu(z))^{-1} together with the profile
-    h(y) = sum_{z=y}^{x-1} mu(z)^{-1} / sum_{z=0}^{x-1} mu(z)^{-1},
-    which is 1 at y = 0 and 0 at y = x.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError("need a nonempty weight vector")
-    if np.any(w <= 0.0):
-        raise ValidationError("zero or negative weight in birth-death path")
-    inv = 1.0 / w
-    total = inv.sum()
-    tail = np.concatenate([np.cumsum(inv[::-1])[::-1], [0.0]])
-    return float(1.0 / total), tail / total
-
-
-def birth_death_generator_chain(mu_weights):
-    """Continuous-time birth-death generator of the Muckenhoupt criterion.
-
-    Rates are p(y, y+1) = 1 and p(y, y-1) = mu(y-1)/mu(y) on {0, ..., n},
-    reversible for mu.  ``mu_weights`` should already be normalized so that
-    capacities computed on the chain match the closed forms directly.
-    """
-    mu = np.asarray(mu_weights, dtype=float)
-    n = mu.size
-    if n < 2:
-        raise ValidationError("need at least two states")
-    edges = []
-    for y in range(n - 1):
-        edges.append((y, y + 1, 1.0))
-        edges.append((y + 1, y, mu[y] / mu[y + 1]))
-    from .chains import build_chain
-
-    return build_chain(list(range(n)), edges, stationary=mu, time="continuous")
 
 
 # -- internals -----------------------------------------------------------------
@@ -330,12 +243,6 @@ def capacity_scan_context(chain):
     lap = chain.laplacian.toarray()
     w = chain.conductance.toarray()
     return lap, w, chain.stationary
-
-
-def capacity_dense(ctx, a, b):
-    """Capacity and h_{A,B} of one mask pair: the k = 1 call of the scan kernel."""
-    caps, pots = _scan_capacities(ctx, a[None], b)
-    return float(caps[0]), pots[0]
 
 
 def _scan_capacities(ctx, a, b):

@@ -265,10 +265,8 @@ class MesoscopicLandscape:
     eps_n: float
     points: np.ndarray          # (P, n_blocks) integer block spin sums
     point_ids: list
-    index: dict
     n_spins: int
     beta: float
-    free_energy: np.ndarray | None = None
     rho_of_config: np.ndarray | None = None
     mu_meso: np.ndarray | None = None
     _entropy_tables: dict = field(default_factory=dict)
@@ -276,6 +274,17 @@ class MesoscopicLandscape:
     @property
     def n_points(self):
         return len(self.point_ids)
+
+    @functools.cached_property
+    def free_energy(self):
+        """F at every mesoscopic point, None at beta = 0.
+
+        Computed on first read and kept: each block value costs a Newton
+        solve (``_block_dual_entropy``), which the Monte Carlo ops never need.
+        """
+        if self.beta <= 0.0:
+            return None
+        return np.array([free_energy_continuous(self, k / self.n_spins) for k in self.points])
 
     def point_mask(self, point_indices):
         """Mask over the mesoscopic points selecting ``point_indices``."""
@@ -296,9 +305,6 @@ class MesoscopicLandscape:
         np.maximum.at(hi, self.rho_of_config, values)
         return lo, hi
 
-    def point_of(self, key):
-        return self.index[tuple(int(v) for v in key)]
-
     def site_block(self):
         """Block index of every site."""
         blk = np.zeros(self.n_spins, dtype=np.intp)
@@ -306,15 +312,19 @@ class MesoscopicLandscape:
             blk[b] = l
         return blk
 
-    def point_weights(self):
-        """Site weights w such that ``(spins > 0) @ w`` indexes ``points``.
+    @functools.cached_property
+    def strides(self):
+        """The index step of one more up spin in each block.
 
         The points list the block sums in mixed radix, last block fastest,
         and the digit of block l is its number of up spins.
         """
         radix = self.block_sizes + 1
-        strides = np.append(np.cumprod(radix[:0:-1])[::-1], 1)
-        return strides[self.site_block()].astype(np.int64)
+        return np.append(np.cumprod(radix[:0:-1])[::-1], 1)
+
+    def point_weights(self):
+        """Site weights w such that ``(spins > 0) @ w`` indexes ``points``."""
+        return self.strides[self.site_block()].astype(np.int64)
 
 
 def coarse_grain(model, n):
@@ -323,8 +333,9 @@ def coarse_grain(model, n):
     Block l collects the sites whose field lies in the l-th half-open
     interval (the last one closed); with h_inf = 0 every site lands in block
     0.  When the model is materialized the induced measure is aggregated
-    exactly from the Gibbs weights.  More than POINT_LIMIT points is a
-    ValidationError raised before any point is listed.
+    exactly from the Gibbs weights; the free energy waits for its first
+    read.  More than POINT_LIMIT points is a ValidationError raised before
+    any point is listed.
     """
     if not 1 <= n <= model.n_spins:
         raise ValidationError(f"need between 1 and N = {model.n_spins} blocks, got {n}")
@@ -351,7 +362,6 @@ def coarse_grain(model, n):
     ]
     points = np.array(list(itertools.product(*values)), dtype=int)
     ids = [",".join(str(int(v)) for v in row) for row in points]
-    index = {tuple(int(v) for v in row): k for k, row in enumerate(points)}
 
     land = MesoscopicLandscape(
         n_blocks=n,
@@ -362,7 +372,6 @@ def coarse_grain(model, n):
         eps_n=eps,
         points=points,
         point_ids=ids,
-        index=index,
         n_spins=model.n_spins,
         beta=model.beta,
     )
@@ -370,10 +379,6 @@ def coarse_grain(model, n):
         land.rho_of_config = (model.spins > 0) @ land.point_weights()
         land.mu_meso = np.bincount(
             land.rho_of_config, weights=model.gibbs, minlength=land.n_points
-        )
-    if model.beta > 0.0:
-        land.free_energy = np.array(
-            [free_energy_point(land, k) for k in range(land.n_points)]
         )
     return land
 
@@ -435,11 +440,6 @@ def meso_energy(land, x):
     return -0.5 * s * s - float(np.dot(land.h_bar, x))
 
 
-def free_energy_point(land, point_index):
-    k = land.points[point_index]
-    return free_energy_continuous(land, k / land.n_spins)
-
-
 def free_energy_continuous(land, x):
     """F(x) = E(x) + (1/beta) sum_l (|L_l|/N) I_l(N x_l / |L_l|).
 
@@ -470,19 +470,19 @@ def free_energy_continuous(land, x):
 
 
 def lattice_neighbors(land, k):
-    """Indices of the single-flip lattice neighbors of point index k."""
-    base = land.points[k]
+    """Indices of the single-flip lattice neighbors of point index k.
+
+    A step of -2 or +2 in block l's sum moves its digit by one and the index
+    by ``land.strides[l]``; an empty block has no neighbors.
+    """
     out = []
-    for l in range(land.n_blocks):
-        s = land.block_sizes[l]
-        if s == 0:
-            continue
-        for d in (-2, 2):
-            v = base[l] + d
-            if -s <= v <= s:
-                nb = base.copy()
-                nb[l] = v
-                out.append(land.index[tuple(nb)])
+    for v, s, stride in zip(
+        land.points[k].tolist(), land.block_sizes.tolist(), land.strides.tolist()
+    ):
+        if v > -s:
+            out.append(k - stride)
+        if v < s:
+            out.append(k + stride)
     return out
 
 

@@ -12,16 +12,15 @@ import numpy as np
 import pytest
 
 from metastab import (
+    InequalityViolation,
     build_chain,
     build_structure,
     capacitary_integral,
     dirichlet_form,
     equilibrium_potential,
-    mean_hitting_time,
     orlicz_norm,
     indicator_orlicz_norm,
     measure_capacity_constant,
-    muckenhoupt_constant,
     pi_lsi_estimates,
 )
 from metastab.cli import main as cli_main
@@ -37,7 +36,6 @@ from metastab.oracle import (
     cheeger_constant,
     estimate_clsi,
     exact_cpi,
-    hardy_exact_constant,
 )
 from metastab.orlicz import builtin_pairs, entropy_pair, l1_pair
 from metastab.rfcw import (
@@ -55,6 +53,7 @@ from metastab.sampling import (
     random_reversible_chain,
     random_state_function,
 )
+from references import hardy_exact_constant, muckenhoupt_constant
 
 E2 = float(np.exp(2.0))
 
@@ -63,6 +62,18 @@ def report(num, ok, detail):
     line = f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
     assert ok, line
+
+
+def _mean_hitting_times(chain, target):
+    """E_x[tau_target] for every x from a dense solve of (I - P) w = 1 (or
+    -L w = 1 in continuous time) off the target, built from the kernel."""
+    gen = -chain.kernel.toarray()
+    if chain.discrete_time:
+        gen += np.eye(chain.n_states)
+    free = ~target
+    w = np.zeros(chain.n_states)
+    w[free] = np.linalg.solve(gen[np.ix_(free, free)], np.ones(free.sum()))
+    return w
 
 
 def test_criterion_01_02_capacity_and_hitting_identities(chain_corpus):
@@ -76,7 +87,7 @@ def test_criterion_01_02_capacity_and_hitting_identities(chain_corpus):
             abs(sol.capacity - sol.capacity_from_energy) / sol.capacity,
         )
         worst_pair = max(worst_pair, abs(sol.capacity - rev.capacity) / sol.capacity)
-        lhs = mean_hitting_time(chain, sol.last_exit, b)
+        lhs = float(np.dot(sol.last_exit, _mean_hitting_times(chain, b)))
         rhs = float(np.dot(chain.stationary, sol.potential)) / sol.capacity
         worst_hit = max(worst_hit, abs(lhs - rhs) / rhs)
     elapsed = time.time() - t0
@@ -103,8 +114,9 @@ def test_criterion_03_capacitary_inequality():
         b[rng.choice(n, size=int(rng.integers(1, 3)), replace=False)] = True
         f = random_state_function(rng, chain)
         f[b] = 0.0
-        lhs, rhs = capacitary_integral(chain, f, b, assert_bound=False)
-        if lhs > rhs + 1e-10:
+        try:
+            capacitary_integral(chain, f, b)  # raises where lhs > rhs + 1e-10
+        except InequalityViolation:
             violations += 1
     report(3, violations == 0, f"capacitary inequality: {violations} violations in 1000")
 

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -16,16 +17,14 @@ from metastab import (
     build_chain,
     chain_from_dict,
     chain_to_dict,
-    conditional_expectation,
     dirichlet_form,
     entropy,
     log_mean,
-    variance,
 )
 from metastab.chains import BALANCE_RTOL, MASS_TOL, ROW_TOL
-from metastab.potential import birth_death_generator_chain
 from metastab.rfcw import build_model, coarse_grain, mesoscopic_rates_and_chain
 from metastab.sampling import double_well_chain, random_reversible_chain
+from references import birth_death_generator_chain, conditional_expectation, variance
 
 
 def test_two_state_stationary(two_state):
@@ -213,6 +212,52 @@ def test_package_sources_are_ascii():
     src = Path(metastab.__file__).parent
     for path in sorted(src.glob("*.py")):
         path.read_bytes().decode("ascii")
+
+
+def _loads(tree):
+    """(name, names of the enclosing definitions) of every ``ast.Name`` load
+    and of every attribute read off a metastab module alias in ``tree``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.module == "metastab" or (node.level and node.module is None)
+        ):
+            aliases |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname or "metastab" for a in node.names
+                        if a.name.split(".")[0] == "metastab"}
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, inside
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            yield node.attr, inside
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, inside)
+
+    return visit(tree, frozenset())
+
+
+def test_every_export_has_a_caller():
+    # a caller is a load in another module of the package (outside the
+    # name's own definition) or in the benchmark; tests do not count
+    src = Path(metastab.__file__).parent
+    init = ast.parse((src / "__init__.py").read_text())
+    exports = [a.asname or a.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for a in node.names]
+    exports = [name for name in exports if not (
+        isinstance(getattr(metastab, name), type)
+        and issubclass(getattr(metastab, name), BaseException)
+    )]
+    files = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((src.parents[1] / "perfbench").glob("*.py"))
+    called = {name for path in files for name, inside in _loads(ast.parse(path.read_text()))
+              if name not in inside}
+    assert len(files) > 10 and len(exports) > 40
+    assert [name for name in exports if name not in called] == []
 
 
 def _reference_assembly(states, kernel, mu, discrete_time=True):

@@ -16,8 +16,9 @@ from metastab import rfcw as rfcw_mod
 from metastab import SolverNotConverged, build_chain, rho_metastability, save_chain
 from metastab.chains import InequalityViolation
 from metastab.cli import build_parser, main
-from metastab.potential import birth_death_generator_chain, equilibrium_potential
+from metastab.potential import equilibrium_potential
 from metastab.sampling import double_well_chain, random_reversible_chain
+from references import birth_death_generator_chain
 
 # resolution of a dense symmetric eigensolve: GAP_DIGITS_FACTOR n eps max|lambda|
 GAP_DIGITS_FACTOR = 64

@@ -28,17 +28,17 @@ from metastab.coupling import (
     marginal_chi_square,
     mismatched_pair_in_fiber,
     negative_binomial_rate,
-    optimal_two_point_coupling,
     richest_fiber,
     tail_bound_check,
 )
 from metastab import rfcw as rfcw_mod
 from metastab.cli import main as cli_main
 from metastab.rfcw import RFCWModel, build_model, coarse_grain, find_minima_and_order
+from references import TwoPointCoupling, point_index
 
 
 def test_optimal_coupling_identical_marginals():
-    c = optimal_two_point_coupling([0.5, 0.5], [0.5, 0.5], 1.0 - 1e-9)
+    c = TwoPointCoupling([0.5, 0.5], [0.5, 0.5], 1.0 - 1e-9)
     assert c.disagreement == pytest.approx(0.0, abs=1e-9)
     left, right = c.marginals()
     assert np.allclose(left, [0.5, 0.5]) and np.allclose(right, [0.5, 0.5])
@@ -47,7 +47,7 @@ def test_optimal_coupling_identical_marginals():
 def test_optimal_coupling_tv_and_lp():
     nu = np.array([0.7, 0.3])
     nup = np.array([0.5, 0.5])
-    c = optimal_two_point_coupling(nu, nup, 0.5)
+    c = TwoPointCoupling(nu, nup, 0.5)
     assert c.disagreement == pytest.approx(0.2, abs=1e-12)
     left, right = c.marginals()
     assert np.allclose(left, nu, atol=1e-15)
@@ -62,7 +62,7 @@ def test_optimal_coupling_tv_and_lp():
 
 def test_optimal_coupling_domination_error():
     with pytest.raises(ValidationError):
-        optimal_two_point_coupling([0.9, 0.1], [0.1, 0.9], 0.5)
+        TwoPointCoupling([0.9, 0.1], [0.1, 0.9], 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,36 @@ def test_flip_rows_match_the_per_state_loop(small_pair):
             m = int(sigma.sum())
             want = [model.flip_probability(sigma, m, i) / n for i in range(n)]
             assert row.tolist() == want  # bit for bit
+
+
+def test_flip_table_agrees_with_the_micro_chain_rates():
+    # the sampler reads flip_table; every exact certificate reads the chain
+    # built from flip_probs: both must give the same rates on every state and
+    # site (beta times the two ways of forming the energy step amplifies
+    # their rounding, most at beta = 20)
+    worst = 0.0
+    for n in (1, 2, 6, 8, 10):
+        for beta in (0.0, 0.5, 1.5, 6.0, 20.0):
+            for field in ("zero", "uniform:0.2", "uniform:3", "discrete:-0.4,0.4"):
+                model = build_model(n, beta, field, seed=7)
+                spins = model.spins.astype(np.int64)
+                m = spins.sum(axis=1, keepdims=True)
+                table = model.flip_table[np.arange(n), spins + 1, m + n] / n
+                rel = np.abs(table - model.flip_probs) / model.flip_probs
+                worst = max(worst, float(rel.max()))
+    assert worst <= 1e-12, worst
+
+
+def test_chi_square_op_never_computes_the_free_energy(monkeypatch):
+    calls = []
+    real = rfcw_mod._block_dual_entropy
+    monkeypatch.setattr(rfcw_mod, "_block_dual_entropy",
+                        lambda *a: calls.append(1) or real(*a))
+    model = build_model(8, 1.2, "uniform:0.2", seed=1)
+    land = coarse_grain(model, 2)
+    marginal_chi_square(model, land, runs=50, steps=20, seed=1)
+    assert calls == []
+    assert land.free_energy.shape == (land.n_points,) and calls  # the counter sees a read
 
 
 def test_flip_table_is_built_once_per_op(monkeypatch, capsys):
@@ -317,7 +347,7 @@ def test_eta_from_coupling_resolved(rfcw_two_valued):
 def test_eta_from_coupling_singleton(small_pair):
     model, land = small_pair
     # the all-up corner is a one-configuration fiber
-    corner = land.point_of(tuple(int(b.size) for b in land.blocks))
+    corner = point_index(land)[tuple(int(b.size) for b in land.blocks)]
     other = richest_fiber(land)
     rep = eta_from_coupling(model, land, corner, other)
     assert rep["eta_exact"] == pytest.approx(0.0, abs=1e-15)
@@ -405,7 +435,7 @@ def _one_step_law(model, land, sig, var, gate):
             b = model.flip_probability(var, int(var.sum()), j)
             hi, lo = max(a, b), min(a, b)
             nu = np.array([1.0 - hi, hi])  # [hold, flip] of the driving side
-            c = optimal_two_point_coupling(nu, [1.0 - lo, lo], delta)
+            c = TwoPointCoupling(nu, [1.0 - lo, lo], delta)
             joint = np.diag(nu) if gate else (c.joint - delta * np.diag(nu)) / (1.0 - delta)
             for x, y in itertools.product((0, 1), repeat=2):
                 fs, fv = (x, y) if a >= b else (y, x)

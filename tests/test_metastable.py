@@ -10,7 +10,6 @@ from metastab import (
     dirichlet_form,
     equilibrium_potential,
     eta_regularity,
-    harmonic_neighborhood,
     log_mean,
     mean_exit_asymptotics,
     metastable_partition,
@@ -21,8 +20,9 @@ from metastab import (
 from metastab import metastable, potential, rfcw
 from metastab.metastable import c_mass_constant, local_lsi_constant, local_pi_constant
 from metastab.oracle import cheeger_constant, exact_cpi
-from metastab.potential import capacity_dense, capacity_scan_context
+from metastab.potential import _scan_capacities, capacity_scan_context
 from metastab.sampling import double_well_chain, random_reversible_chain
+from references import conditional_expectation, harmonic_neighborhood
 
 E2 = float(np.exp(2.0))
 
@@ -320,8 +320,8 @@ def test_single_set_hitting_comparison(double_well):
         for pos in range(free.size):
             if (bits >> pos) & 1:
                 a[free[pos]] = True
-        lhs = capacity_dense(ctx, a, m0)[0] / mu[a].sum()
-        rhs = capacity_dense(ctx, a, union)[0] / mu[a].sum()
+        lhs = _scan_capacities(ctx, a[None], m0)[0][0] / mu[a].sum()
+        rhs = _scan_capacities(ctx, a[None], union)[0][0] / mu[a].sum()
         assert lhs >= rhs / 2.0 - 1e-12
 
 
@@ -342,8 +342,6 @@ def test_lp_norm_estimate(double_well):
 
 
 def test_local_pi_projection_inequality(double_well):
-    from metastab import conditional_expectation
-
     chain = double_well[2.0]
     st = build_structure(chain, [["x0"], ["x10"]], mode="exact", seed=0)
     parts = [st.sets[0], st.sets[1]] + [
@@ -419,13 +417,13 @@ def test_singleton_mode_green_identity(double_well):
 
 
 def _singleton_rho_reference(chain, masks):
-    """The dense-inverse singleton ratio: capacity_dense numerator and
+    """The dense-inverse singleton ratio: one-pair scan-kernel numerator and
     diag(inv(Lap_ff)) denominator."""
     mu = chain.stationary
     union = np.logical_or.reduce(masks)
     ctx = capacity_scan_context(chain)
     num = len(masks) * max(
-        capacity_dense(ctx, m, union & ~m)[0] / mu[m].sum() for m in masks
+        _scan_capacities(ctx, m[None], union & ~m)[0][0] / mu[m].sum() for m in masks
     )
     lap_ff = chain.laplacian[~union][:, ~union].toarray()
     diag = np.diag(np.linalg.inv(lap_ff))
@@ -506,7 +504,7 @@ def test_exact_rho_takes_the_first_minimum(monkeypatch, ring4):
     for bits in range(1, 1 << free.size):
         a = np.zeros(4, dtype=bool)
         a[[free[k] for k in range(free.size) if bits >> k & 1]] = True
-        vals.append((capacity_dense(ctx, a, union)[0] / ring4.stationary[a].sum(), a))
+        vals.append((_scan_capacities(ctx, a[None], union)[0][0] / ring4.stationary[a].sum(), a))
     den = min(v for v, _ in vals)
     ties = [a for v, a in vals if v == den]
     assert len(ties) > 1

@@ -4,7 +4,6 @@ import pytest
 from metastab import (
     InequalityViolation,
     ValidationError,
-    build_chain,
     capacitary_integral,
     dirichlet_form,
     entropy,
@@ -13,16 +12,20 @@ from metastab import (
     indicator_orlicz_norm,
     l1_pair,
     measure_capacity_constant,
-    muckenhoupt_constant,
     orlicz_norm,
     p_pair,
-    universal_mixed_constants,
 )
 from metastab import potential
-from metastab.orlicz import PiecewiseLinearYoung, builtin_pairs, random_young_pair
+from metastab.orlicz import builtin_pairs
 from metastab.oracle import brute_force_orlicz
-from metastab.potential import capacity_dense, capacity_scan_context
+from metastab.potential import _scan_capacities, capacity_scan_context
 from metastab.sampling import random_probability, random_reversible_chain
+from references import (
+    PiecewiseLinearYoung,
+    birth_death_generator_chain,
+    muckenhoupt_constant,
+    random_young_pair,
+)
 
 E2 = float(np.exp(2.0))
 
@@ -237,64 +240,6 @@ def test_muckenhoupt_examples():
         muckenhoupt_constant([], [])
 
 
-def test_universal_constants_two_state_uniform():
-    chain = build_chain(["a", "b"], [("a", "b", 0.3), ("b", "a", 0.3)])
-    res = universal_mixed_constants(chain, chain.stationary)
-    cap = 0.5 * 0.3
-    assert res["c_var"] == pytest.approx(0.5 / cap, rel=1e-10)
-    assert res["c_ent"] == pytest.approx(
-        0.5 * np.log1p(E2 / 0.5) / cap, rel=1e-10
-    )
-
-
-def test_universal_constants_forced_split():
-    # one state carries most of the mass, so it must sit inside B
-    chain = build_chain(
-        ["a", "b", "c"],
-        [
-            ("a", "b", 0.2),
-            ("b", "a", 0.8),
-            ("b", "c", 0.1),
-            ("c", "b", 0.8),
-        ],
-    )
-    nu = chain.stationary
-    heavy = int(np.argmax(nu))
-    res = universal_mixed_constants(chain, nu)
-    _, b_mask = res["argmax_var"]
-    assert b_mask[heavy]
-
-
-def test_universal_constants_ring_vs_enumeration():
-    edges = []
-    for i in range(4):
-        j = (i + 1) % 4
-        edges.append((f"r{i}", f"r{j}", 0.25))
-        edges.append((f"r{j}", f"r{i}", 0.25))
-    ring = build_chain([f"r{i}" for i in range(4)], edges)
-    res = universal_mixed_constants(ring, ring.stationary)
-    # independent brute force over all admissible pairs
-    from metastab.potential import capacity_dense, capacity_scan_context
-
-    ctx = capacity_scan_context(ring)
-    best = 0.0
-    for a_bits in range(1, 15):
-        a = np.array([(a_bits >> k) & 1 for k in range(4)], dtype=bool)
-        if ring.stationary[a].sum() > 0.5:
-            continue
-        rest = [k for k in range(4) if not a[k]]
-        for b_bits in range(1, 1 << len(rest)):
-            b = np.zeros(4, dtype=bool)
-            for pos, k in enumerate(rest):
-                if (b_bits >> pos) & 1:
-                    b[k] = True
-            if ring.stationary[b].sum() < 0.5:
-                continue
-            cap, _ = capacity_dense(ctx, a, b)
-            best = max(best, ring.stationary[a].sum() / cap)
-    assert res["c_var"] == pytest.approx(best, rel=1e-10)
-
-
 def test_rothaus_step_inequality():
     rng = np.random.default_rng(73)
     for _ in range(50):
@@ -310,8 +255,6 @@ def test_rothaus_step_inequality():
 
 def test_capacitary_inequality_continuous_time():
     # the functional machinery accepts generator-convention chains unchanged
-    from metastab.potential import birth_death_generator_chain
-
     rng = np.random.default_rng(79)
     for _ in range(20):
         n = int(rng.integers(3, 10))
@@ -335,7 +278,7 @@ def _scalar_scan(chain, b, pair, k_val):
         a = np.zeros(chain.n_states, dtype=bool)
         a[[free[k] for k in range(free.size) if bits >> k & 1]] = True
         norm = indicator_orlicz_norm(float(chain.stationary[a].sum()), pair, k_val)
-        out.append((norm / capacity_dense(ctx, a, b)[0], a))
+        out.append((norm / _scan_capacities(ctx, a[None], b)[0][0], a))
     return out
 
 
@@ -382,7 +325,7 @@ def test_lower_bound_scan_matches_the_candidate_loop(ring4, monkeypatch):
 
         def ratio(m):
             norm = indicator_orlicz_norm(float(nu[m].sum()), pair, k_val)
-            return norm / capacity_dense(ctx, m, b)[0]
+            return norm / _scan_capacities(ctx, m[None], b)[0][0]
 
         singles = [np.arange(chain.n_states) == x for x in np.flatnonzero(~b)]
         best, arg = max(((ratio(m), m) for m in singles), key=lambda t: t[0])
@@ -394,50 +337,6 @@ def test_lower_bound_scan_matches_the_candidate_loop(ring4, monkeypatch):
         res = measure_capacity_constant(chain, nu, b, pair, k_val)
         assert res["mode"] == "lower_bound"
         assert res["c_psi"] == best and np.array_equal(res["argmax"], arg)
-
-
-def _universal_loop_reference(chain, nu, threshold=0.5):
-    """The pair loop ``universal_mixed_constants`` ran before the batched scan."""
-    ctx = capacity_scan_context(chain)
-    n = chain.n_states
-    best_var = best_ent = -np.inf
-    arg_var = arg_ent = None
-    full = (1 << n) - 1
-    for a_bits in range(1, full):
-        a_idx = [k for k in range(n) if a_bits >> k & 1]
-        a_mass = float(nu[a_idx].sum())
-        if a_mass > threshold:
-            continue
-        rest = full & ~a_bits
-        b_bits = rest
-        while b_bits:
-            b_idx = [k for k in range(n) if b_bits >> k & 1]
-            if float(nu[b_idx].sum()) >= threshold and a_mass > 0.0:
-                a = np.zeros(n, dtype=bool)
-                a[a_idx] = True
-                b = np.zeros(n, dtype=bool)
-                b[b_idx] = True
-                cap, _ = capacity_dense(ctx, a, b)
-                rv = a_mass / cap
-                re = a_mass * np.log1p(E2 / a_mass) / cap
-                if rv > best_var:
-                    best_var, arg_var = rv, (a, b)
-                if re > best_ent:
-                    best_ent, arg_ent = re, (a, b)
-            b_bits = (b_bits - 1) & rest
-    return best_var, best_ent, arg_var, arg_ent
-
-
-def test_universal_constants_match_the_pair_loop(ring4):
-    # on the tree, eight pairs tie for each maximum: every B that contains
-    # the states next to A has the same capacity, so the order of B matters
-    tree = random_reversible_chain(np.random.default_rng(0), 6, extra_edges=0)
-    for c in (ring4, tree):
-        res = universal_mixed_constants(c, c.stationary)
-        best_var, best_ent, arg_var, arg_ent = _universal_loop_reference(c, c.stationary)
-        assert res["c_var"] == best_var and res["c_ent"] == best_ent
-        for got, want in ((res["argmax_var"], arg_var), (res["argmax_ent"], arg_ent)):
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_capacitary_integral_matches_the_level_loop():
@@ -455,5 +354,5 @@ def test_capacitary_integral_matches_the_level_loop():
         thresholds = np.concatenate([[0.0], np.unique(np.abs(f))[1:]])
         total = 0.0
         for lo, hi in zip(thresholds[:-1], thresholds[1:]):
-            total += (hi * hi - lo * lo) * capacity_dense(ctx, np.abs(f) > lo, b)[0]
+            total += (hi * hi - lo * lo) * _scan_capacities(ctx, (np.abs(f) > lo)[None], b)[0][0]
         assert capacitary_integral(chain, f, b)[0] == total

@@ -7,31 +7,24 @@ from metastab import (
     SolverNotConverged,
     ValidationError,
     builtin_pairs,
-    capacity,
     dirichlet_form,
     entropy_pair,
     equilibrium_potential,
     indicator_orlicz_norm,
-    mean_hitting_time,
     measure_capacity_constant,
-    path_capacity_1d,
     rfcw,
     rho_metastability,
     subset_mask,
 )
 from metastab import potential
-from metastab.orlicz import E2
 from metastab.potential import (
     DENSE_SOLVE_LIMIT,
-    DegenerateTarget,
     EmptySet,
     OverlappingSets,
     _masses,
     _scan_capacities,
     _solve_potentials,
     _spd_solver,
-    birth_death_generator_chain,
-    capacity_dense,
     capacity_scan_context,
 )
 from metastab.sampling import (
@@ -39,6 +32,9 @@ from metastab.sampling import (
     random_probability,
     random_reversible_chain,
 )
+from references import birth_death_generator_chain, path_capacity_1d
+
+E2 = float(np.exp(2.0))
 
 
 def test_two_state_solution(two_state):
@@ -68,7 +64,7 @@ def test_pair_validation(path3):
 def test_hitting_probability(path3, two_state):
     # P_{mu_A}[tau_B < tau_A] = cap(A, B) / mu[A]
     def escape(chain, a, b):
-        return capacity(chain, a, b) / chain.mass(subset_mask(chain, a))
+        return equilibrium_potential(chain, a, b).capacity / chain.mass(subset_mask(chain, a))
 
     assert escape(path3, ["2"], ["0"]) == pytest.approx(0.25, rel=1e-10)
     # singleton with a single direct escape edge: probability q
@@ -139,43 +135,6 @@ def test_last_exit_absolutely_continuous():
     sol = equilibrium_potential(chain, a, b)
     assert sol.last_exit.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(sol.last_exit[~a] == 0.0)
-
-
-def test_mean_hitting_time_examples(two_state):
-    start = np.array([1.0, 0.0])
-    t = mean_hitting_time(two_state, start, ["b"])
-    assert t == pytest.approx(1.0 / 0.3, rel=1e-12)
-    sol = equilibrium_potential(two_state, ["a"], ["b"])
-    ident = np.dot(two_state.stationary, sol.potential) / sol.capacity
-    assert mean_hitting_time(two_state, sol.last_exit, ["b"]) == pytest.approx(
-        ident, rel=1e-8
-    )
-
-
-def test_mean_hitting_identity_corpus(chain_corpus):
-    for chain, a, b in chain_corpus[:20]:
-        sol = equilibrium_potential(chain, a, b)
-        lhs = mean_hitting_time(chain, sol.last_exit, b)
-        rhs = np.dot(chain.stationary, sol.potential) / sol.capacity
-        assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-def test_mean_hitting_time_degenerate(two_state):
-    with pytest.raises(DegenerateTarget):
-        mean_hitting_time(two_state, np.array([1.0, 0.0]), ["a", "b"])
-    with pytest.raises(ValidationError):
-        mean_hitting_time(two_state, np.array([0.0, 1.0]), ["b"])
-
-
-def test_mean_hitting_time_without_sign_raises():
-    # at beta = 8 the solve of Lap w = mu loses every digit and used to
-    # come back as -3.3e19; w must be positive and finite or the call raises
-    chain = double_well_chain(8.0)
-    start = np.zeros(chain.n_states)
-    start[0] = 1.0
-    with pytest.raises(SolverNotConverged, match="not positive"):
-        mean_hitting_time(chain, start, ["x10"])
-    assert mean_hitting_time(double_well_chain(5.0), start, ["x10"]) > 0.0
 
 
 def test_path_capacity_closed_form():
@@ -273,7 +232,7 @@ def test_large_interior_well_matches_series(beta):
     mu /= mu.sum()
     chain = birth_death_generator_chain(mu)
     assert n - 2 > DENSE_SOLVE_LIMIT
-    cap = capacity(chain, [n - 1], [0])
+    cap = equilibrium_potential(chain, [n - 1], [0]).capacity
     # rates p(y, y+1) = 1 give edge conductances mu(y), y < n - 1
     want = 1.0 / math.fsum(1.0 / mu[:-1])
     assert abs(cap - want) <= 1e-10 * want
@@ -308,10 +267,9 @@ def test_capacity_keeps_digits_at_low_temperature():
         assert sol.capacity == pytest.approx(series, rel=1e-13)
         assert sol.capacity_from_energy == pytest.approx(series, rel=1e-13)
         assert sol.last_exit[0] == 1.0
-        ctx = capacity_scan_context(chain)
-        cap, h = capacity_dense(ctx, sol.set_a, sol.set_b)
-        assert cap == pytest.approx(series, rel=1e-13)
-        assert np.allclose(h, sol.potential, rtol=0.0, atol=1e-15)
+        caps, pots = _scan_capacities(capacity_scan_context(chain), sol.set_a[None], sol.set_b)
+        assert caps[0] == pytest.approx(series, rel=1e-13)
+        assert np.allclose(pots[0], sol.potential, rtol=0.0, atol=1e-15)
 
 
 def _capacity_loop_reference(ctx, a, b):
@@ -372,7 +330,7 @@ def test_scan_kernel_matches_pairwise_bit_for_bit(monkeypatch, name):
     caps, pots = np.concatenate(caps), np.concatenate(pots)
     masses = _masses(chain.stationary, masks)
     for i, a in enumerate(masks):
-        cap, h = capacity_dense(ctx, a, b)
+        (cap,), (h,) = _scan_capacities(ctx, a[None], b)
         ref_cap, ref_h = _capacity_loop_reference(ctx, a, b)
         assert caps[i] == cap == ref_cap
         assert np.array_equal(pots[i], h) and np.array_equal(h, ref_h)
@@ -395,13 +353,12 @@ def test_scan_kernel_raises_instead_of_dividing():
 
 
 def test_dense_interior_solve_maps_singular_blocks():
-    # the well's mean hitting time at beta = 8 meets an exactly singular
-    # block in the dense path
+    # the well's mean hitting times of x0 at beta = 8, Lap w = mu off x0,
+    # meet an exactly singular block in the dense path
     chain = double_well_chain(8.0)
-    start = np.zeros(11)
-    start[10] = 1.0
+    free = np.arange(11) != 0
     with pytest.raises(SolverNotConverged, match="singular interior block"):
-        mean_hitting_time(chain, start, ["x0"])
+        _spd_solver(chain, free)(chain.stationary[free])
 
 
 # -- bounded subset scans ------------------------------------------------------

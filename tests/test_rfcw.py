@@ -26,6 +26,7 @@ from metastab.rfcw import (
     mesoscopic_dominance,
     mesoscopic_rates_and_chain,
 )
+from references import point_index
 
 
 def test_micro_chain_is_built_on_first_read(monkeypatch):
@@ -108,6 +109,38 @@ def test_free_energy_domain_errors():
         free_energy_continuous(land, np.array([1.5]))
 
 
+def test_free_energy_is_computed_on_first_read(monkeypatch):
+    calls = []
+    real = rfcw._block_dual_entropy
+    monkeypatch.setattr(rfcw, "_block_dual_entropy", lambda *a: calls.append(1) or real(*a))
+    land = coarse_grain(build_model(8, 1.2, "uniform:0.2", seed=1, materialize=False), 2)
+    assert calls == []
+    values = land.free_energy
+    assert calls and land.free_energy is values
+    assert values.tolist() == [free_energy_continuous(land, k / 8) for k in land.points]
+    assert coarse_grain(build_model(4, 0.0, "zero"), 1).free_energy is None
+
+
+@pytest.mark.parametrize("field, n", [
+    ("uniform:0.2", 1), ("uniform:0.2", 2), ("uniform:0.2", 3), ("zero", 2),
+])
+def test_lattice_neighbors_step_by_the_point_strides(field, n):
+    # against looking the block sums +-2 up in a tuple dictionary; the zero
+    # field puts every site in block 0, so n = 2 leaves block 1 empty
+    land = coarse_grain(build_model(8, 1.0, field, seed=5, materialize=False), n)
+    assert (field == "zero") == (0 in land.block_sizes)
+    index = point_index(land)
+    for k, base in enumerate(land.points):
+        want = []
+        for l, s in enumerate(land.block_sizes):
+            for d in (-2, 2):
+                if s and -s <= base[l] + d <= s:
+                    nb = base.copy()
+                    nb[l] += d
+                    want.append(index[tuple(int(v) for v in nb)])
+        assert rfcw.lattice_neighbors(land, k) == want
+
+
 def test_bottleneck_height_toy_path():
     values = [0.0, 2.0, 1.0, 3.0, 0.5]
     nbrs = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2, 4], 4: [3]}
@@ -125,7 +158,7 @@ def test_minima_scalar_double_well():
     assert ms[0] == -ms[1]  # symmetric pair +-m*
     assert order.deltas.size == 1 and order.deltas[0] > 0.0
     # Delta_1 equals the barrier: F passes through the origin
-    z0 = land.index[(0,)]
+    z0 = point_index(land)[(0,)]
     top = land.free_energy[z0]
     bottom = land.free_energy[order.minima[1]]
     assert order.deltas[0] == pytest.approx(top - bottom, rel=1e-12)
@@ -346,7 +379,8 @@ def test_point_index_matches_block_sums():
             sums = np.array(
                 [[row[b].sum() if b.size else 0 for b in land.blocks] for row in model.spins]
             )
-            ref = [land.index[tuple(int(v) for v in row)] for row in sums]
+            index = point_index(land)
+            ref = [index[tuple(int(v) for v in row)] for row in sums]
             assert land.rho_of_config.tolist() == ref
             assert land.site_block().tolist() == [
                 next(l for l, b in enumerate(land.blocks) if i in b) for i in range(8)
