@@ -236,8 +236,10 @@ def certified_gap(chain, f):
        matrix anew, so at most one SuperLU factor of this function is alive
        at a time.
     4. Kato-Temple: lambda_2 >= rho - eps^2 / (sigma - rho), where
-       eps^2 = sum r^2 / mu and r = Lap f - rho mu f.  Both ends of the
-       interval are widened by GAP_ROUNDING rho, the rounding of rho.
+       eps^2 = sum r^2 / mu and r_x = sum_y c_xy (f_x - f_y) - rho mu_x f_x,
+       summed edge by edge: the CSR row deg_x f_x - sum_y c_xy f_y cancels
+       inside a well and can leave r too small.  Both ends of the interval
+       are widened by GAP_ROUNDING rho, the rounding of rho.
 
     ``exact_cpi`` starts from the dense lambda_2 vector, ``metastab rfcw``
     from h_{M1,M2}, the lambda_2 eigenvector to leading order.  A chain of
@@ -268,7 +270,9 @@ def certified_gap(chain, f):
             sigma = _lambda3_floor(chain, upper, dirichlet_form(chain, g))
     lower = 0.0
     if sigma > upper:
-        r = chain.laplacian @ f - gap * (mu * f)
+        i, j = chain._edge_i, chain._edge_j
+        d = chain._edge_w * (f[i] - f[j])
+        r = np.bincount(i, d, n) - np.bincount(j, d, n) - gap * (mu * f)
         eps2 = np.dot(r, r / mu)
         lower = max(gap * (1.0 - GAP_ROUNDING) - eps2 / (sigma - upper), 0.0)
     exact = bool(upper - lower <= REFINE_RTOL * gap)

@@ -852,129 +852,6 @@ def lumpability_certificate(model, land, barred, a_points, b_points):
     }
 
 
-# -- Bernoulli-Laplace and two-step comparison -------------------------------------
-
-
-def bernoulli_laplace_constants(block_size, occupancy):
-    """Closed-form Poincare and log-Sobolev constants of the exchange block.
-
-    C_PI = k(L-k)/L for the uniform occupied-vacant swap chain; the
-    log-Sobolev constant divides by c_bl ln(L^2 / (k(L-k))) with the
-    universal constant c_bl = 1.  For L <= 8 the exchange chain is
-    materialized and checked against the spectral oracle.
-    """
-    L, k = int(block_size), int(occupancy)
-    if not 0 < k < L:
-        raise ValidationError("occupancy must satisfy 0 < k < L")
-    c_pi = k * (L - k) / L
-    if c_pi > L / 4.0 + 1e-12:
-        raise InequalityViolation("k(L-k)/L exceeded L/4")
-    c_lsi = c_pi / math.log(L * L / (k * (L - k)))
-    out = {"c_pi_bl": c_pi, "c_lsi_bl": c_lsi, "L": L, "k": k, "c_bl": 1.0}
-    if L <= 8:
-        out["chain"] = _bl_chain(L, k)
-        from .oracle import exact_cpi
-
-        out["c_pi_spectral"] = exact_cpi(out["chain"]).c_pi_exact
-    return out
-
-
-def _bl_chain(L, k):
-    states = list(itertools.combinations(range(L), k))
-    index = {s: i for i, s in enumerate(states)}
-    rate = 1.0 / (k * (L - k))
-    rows, cols, vals = [], [], []
-    for s in states:
-        occ = set(s)
-        for i in s:
-            for j in range(L):
-                if j not in occ:
-                    t = tuple(sorted((occ - {i}) | {j}))
-                    rows.append(index[s])
-                    cols.append(index[t])
-                    vals.append(rate)
-    kernel = sp.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)))
-    mu = np.full(len(states), 1.0 / len(states))
-    names = ["".join("1" if i in set(s) else "0" for i in range(L)) for s in states]
-    return ReversibleChain(names, kernel, mu, discrete_time=True)
-
-
-def bl_comparison_report(model, land, ordering):
-    """Local-constant ceiling and the edgewise Bernoulli-Laplace comparison.
-
-    The ceiling N^3/2 exp(2 beta (eps N + 2 + 2 h_inf)) bounds both C_PI,M
-    and 2 ln2 c_bl C_LSI,M with c_bl = 1; the edgewise rate-ratio factor
-    N^2 exp(beta (eps N + 4 + 4 h_inf)) is asserted on every exchange edge of
-    every minimum fiber against the two-step kernel.
-    """
-    _need_materialized(model, land)
-    from .metastable import local_lsi_constant, local_pi_constant
-
-    n, beta, eps, hinf = model.n_spins, model.beta, land.eps_n, model.h_inf
-    ceiling = n**3 / 2.0 * math.exp(2.0 * beta * (eps * n + 2.0 + 2.0 * hinf))
-    edge_bound = n * n * math.exp(beta * (eps * n + 4.0 + 4.0 * hinf))
-
-    mu_sets, cpis, clsis = [], [], []
-    worst_edge = 0.0
-    for comp_rep in ordering.minima:
-        fiber = land.fiber_mask([comp_rep])
-        mu_sets.append(model.chain.mass(fiber))
-        cpis.append(local_pi_constant(model.chain, fiber))
-        clsis.append(local_lsi_constant(model.chain, fiber))
-        worst_edge = max(worst_edge, _fiber_edge_ratio(model, land, fiber))
-    mu_sets = np.asarray(mu_sets)
-    cpi_M = max(1.0, float(np.dot(mu_sets, cpis)))
-    clsi_M = max(1.0, float(np.dot(mu_sets, clsis)))
-    if cpi_M > ceiling + 1e-9:
-        raise InequalityViolation("C_PI,M exceeded the comparison ceiling")
-    if 2.0 * LN2 * clsi_M > ceiling + 1e-9:
-        raise InequalityViolation("C_LSI,M exceeded the comparison ceiling")
-    if worst_edge > edge_bound * (1.0 + 1e-9):
-        raise InequalityViolation("edgewise rate-ratio bound violated")
-    return {
-        "ceiling": ceiling,
-        "cpi_M": cpi_M,
-        "clsi_M": clsi_M,
-        "edge_bound": edge_bound,
-        "worst_edge_ratio": worst_edge,
-    }
-
-
-def _fiber_edge_ratio(model, land, fiber):
-    """max over exchange edges in the fiber of pi p_BL / (mu p_2).
-
-    p_BL uses the block exchange rates 1 / |Lambda_l|; p_2 is the exact
-    two-step probability through the two single-flip intermediates.
-    """
-    idx = np.flatnonzero(fiber)
-    if idx.size < 2:
-        return 0.0
-    pi_m = 1.0 / idx.size
-    mu = model.gibbs
-    spins = model.spins
-    worst = 0.0
-    members = set(int(c) for c in idx)
-    for c in idx:
-        s = spins[c]
-        for l, b in enumerate(land.blocks):
-            if b.size < 2:
-                continue
-            ups = [i for i in b if s[i] > 0]
-            downs = [i for i in b if s[i] < 0]
-            for i in ups:
-                for j in downs:
-                    cc = int(c) ^ (1 << i) ^ (1 << j)
-                    if cc not in members or cc < c:
-                        continue
-                    via1 = int(c) ^ (1 << i)
-                    via2 = int(c) ^ (1 << j)
-                    p2 = model.flip_probs[c, i] * model.flip_probs[via1, j]
-                    p2 += model.flip_probs[c, j] * model.flip_probs[via2, i]
-                    pbl = 1.0 / b.size
-                    worst = max(worst, pi_m * pbl / (mu[c] * p2))
-    return worst
-
-
 def _need_materialized(model, land):
     if not model.materialized or land.rho_of_config is None:
         raise ValidationError("operation requires a materialized micro chain")

@@ -325,15 +325,18 @@ def test_exact_cpi_resolves_metastable_gaps():
 
 def test_exact_cpi_refinement_guards(monkeypatch):
     # an inverse iteration stopped before it settles still returns, with the
-    # certificate of the quotient it stopped at: one quotient, no solve
+    # certificate of the quotient it stopped at: one quotient, no solve.  At
+    # beta 10 the interval holds lambda_2 only if the residual is summed
+    # edge by edge
     monkeypatch.setattr(oracle_mod, "REFINE_STEPS", 1)
-    chain = double_well_chain(12.0)
-    cert = exact_cpi(chain).certificate
-    assert not cert.exact
-    assert cert.lower <= _mp_line_gap(chain) <= cert.upper
-    # the certified f is the vector of the reported quotient
-    assert cert.gap == dirichlet_form(chain, cert.f)
-    assert np.dot(chain.stationary, cert.f**2) == pytest.approx(1.0, rel=1e-14)
+    for beta in (10.0, 12.0):
+        chain = double_well_chain(beta)
+        cert = exact_cpi(chain).certificate
+        assert not cert.exact
+        assert cert.lower <= _mp_line_gap(chain) <= cert.upper
+        # the certified f is the vector of the reported quotient
+        assert cert.gap == dirichlet_form(chain, cert.f)
+        assert np.dot(chain.stationary, cert.f**2) == pytest.approx(1.0, rel=1e-14)
     # where the dense vector is already the eigenvector, its quotient certifies
     chain = double_well_chain(2.0)
     rep = exact_cpi(chain)
@@ -674,6 +677,17 @@ def test_exact_cpi_tag_holds_against_mpmath(n, beta):
         assert abs(rep.c_pi_exact * want - 1) <= 1e-12
     else:
         assert cert.lower <= want <= cert.upper
+
+
+# cells that certify only if the residual is summed edge by edge: the CSR
+# row of the Laplacian cancels inside the wells
+@pytest.mark.parametrize("n,beta", [(11, 10.0), (11, 20.0), (15, 5.0), (15, 20.0)])
+def test_edgewise_residual_certifies_well_gaps(n, beta):
+    chain = double_well_chain(beta, n)
+    cert = exact_cpi(chain).certificate
+    want = _mp_line_gap(chain)
+    assert cert.exact
+    assert cert.lower <= want <= cert.upper
 
 
 def test_mp_line_gap_matches_eigsy():

@@ -15,8 +15,6 @@ from metastab.oracle import exact_cpi
 from metastab import rfcw
 from metastab.rfcw import (
     barred_chain,
-    bernoulli_laplace_constants,
-    bl_comparison_report,
     bottleneck_height,
     build_model,
     coarse_grain,
@@ -259,22 +257,6 @@ def test_lumpability_spread_field(rfcw_spread):
     assert cert["max_fiber_spread"] < 1e-10
 
 
-def test_bernoulli_laplace_examples():
-    rep = bernoulli_laplace_constants(4, 2)
-    assert rep["c_pi_bl"] == 1.0
-    assert rep["c_pi_spectral"] == pytest.approx(1.0, rel=1e-10)
-    rep2 = bernoulli_laplace_constants(2, 1)
-    assert rep2["c_pi_bl"] == 0.5
-    assert rep2["c_pi_spectral"] == pytest.approx(0.5, rel=1e-10)
-    for L in range(2, 9):
-        for k in range(1, L):
-            out = bernoulli_laplace_constants(L, k)
-            assert out["c_pi_bl"] <= L / 4.0 + 1e-12
-            assert out["c_pi_spectral"] == pytest.approx(out["c_pi_bl"], rel=1e-9)
-    with pytest.raises(ValidationError):
-        bernoulli_laplace_constants(4, 4)
-
-
 def two_step_comparison(chain, n_samples=100, seed=0):
     """Certificates for the two-step Dirichlet form E_2(f) <= 2 E(f).
 
@@ -311,15 +293,6 @@ def test_two_step_comparison(two_state, rfcw_two_valued):
     model, _ = rfcw_two_valued
     rep2 = two_step_comparison(model.chain, n_samples=50, seed=2)
     assert rep2["spectral_margin"] <= 1e-12
-
-
-def test_bl_comparison_ceiling(rfcw_two_valued):
-    model, land = rfcw_two_valued
-    order = find_minima_and_order(model, land)
-    rep = bl_comparison_report(model, land, order)
-    assert rep["cpi_M"] <= rep["ceiling"]
-    assert 2.0 * math.log(2.0) * rep["clsi_M"] <= rep["ceiling"]
-    assert rep["worst_edge_ratio"] <= rep["edge_bound"]
 
 
 def test_rho_trend_monotone_in_beta():
