@@ -66,8 +66,10 @@ class ReversibleChain:
         Time convention flag.
 
     Instances are immutable after construction and safe to share; all
-    operations on them are pure functions.  The one mutable slot is a cache:
-    ``potential`` memoises the solver of the last interior block it factored.
+    operations on them are pure functions.  Two private slots are set later:
+    ``potential`` memoises the solver of the last interior block it factored,
+    and ``rfcw`` gives its hypercube chains an elimination order of the
+    states for ``potential.sym_factor``.
     """
 
     def __init__(self, states, kernel, stationary, discrete_time=True):
@@ -81,6 +83,8 @@ class ReversibleChain:
         self._build_conductances(*self._validate())
         # (interior mask bytes, solve callable), see potential._spd_solver
         self._interior_solver = None
+        # None, or a permutation of the states, see potential.sym_factor
+        self._fill_order = None
 
     # -- construction helpers -------------------------------------------------
 

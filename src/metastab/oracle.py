@@ -165,17 +165,17 @@ def exact_cpi(chain):
 
 
 def _grounded_factor(chain):
-    """The mask of all states but the heaviest, and a SuperLU factor of the
-    Laplacian grounded there (an SPD M-matrix)."""
+    """The mask of all states but the heaviest, and the solve callable of a
+    SuperLU factor of the Laplacian grounded there (an SPD M-matrix)."""
     free = np.ones(chain.n_states, dtype=bool)
     free[np.argmax(chain.stationary)] = False
-    return free, sym_factor(chain.laplacian[free][:, free])
+    return free, sym_factor(chain.laplacian[free][:, free], chain._fill_order, free)[1]
 
 
 def _grounded_solve(chain, free, factor, f):
     """u with Lap u = mu f off the grounded state and u = 0 on it."""
     u = np.zeros_like(f)
-    u[free] = factor.solve((chain.stationary * f)[free])
+    u[free] = factor((chain.stationary * f)[free])
     return u
 
 
@@ -299,7 +299,7 @@ def _lambda3_floor(chain, upper, estimate):
     sigma = 0.5 * (upper + estimate)
     for _ in range(SIGMA_HALVINGS + 1):
         shifted.setdiag(deg - sigma * mu)
-        pivots = _ldl_pivots(shifted)
+        pivots = _ldl_pivots(chain, shifted)
         if pivots is not None:
             negative = np.count_nonzero(pivots < 0.0)
             if negative == 2:
@@ -310,17 +310,20 @@ def _lambda3_floor(chain, upper, estimate):
     return 0.0
 
 
-def _ldl_pivots(a):
-    """The pivots D of a symmetric LDL^T factorization of ``a``, or None.
+def _ldl_pivots(chain, a):
+    """The pivots D of a symmetric LDL^T factorization of ``a``, a matrix on
+    the states of ``chain``, or None.
 
     SuperLU in symmetric mode with ``diag_pivot_thresh=0`` takes each pivot
     on the diagonal while it is nonzero, so L U is L D L^T with D the
-    diagonal of U.  None if the factorization hit a zero pivot, if a pivot
-    left the diagonal (the row and column permutations differ), or if the
-    element growth max|U| / max|a| passes PIVOT_GROWTH_LIMIT.
+    diagonal of U; in the chain's elimination order it factors P a P^T,
+    which has the inertia of ``a``.  None if the factorization hit a zero
+    pivot, if a pivot left the diagonal (the row and column permutations
+    differ), or if the element growth max|U| / max|a| passes
+    PIVOT_GROWTH_LIMIT.
     """
     try:
-        lu = sym_factor(a)
+        lu, _ = sym_factor(a, chain._fill_order)
     except SolverNotConverged:  # an exactly singular factor
         return None
     u = lu.U  # each access assembles a new matrix

@@ -10,23 +10,26 @@ Every interior solve goes through ``_spd_solver``, which picks a path by
 the interior size m:
 
 * m <= DENSE_SOLVE_LIMIT: dense ``np.linalg.solve``;
-* larger: ``sym_factor``, a sparse LU in SuperLU's symmetric mode (minimum
-  degree ordering on A^T + A, diagonal pivots), which needs no pivoting
-  since the block is an SPD M-matrix.  Its fill depends on the graph, not
-  on m; memory is bounded where the chain is made (``rfcw``'s limits).
+* larger: ``sym_factor``, a sparse LU in SuperLU's symmetric mode
+  (diagonal pivots), which needs no pivoting since the block is an SPD
+  M-matrix.  Its fill depends on the graph, not on m; memory is bounded
+  where the chain is made (``rfcw``'s limits).
 
-``sym_factor`` is the package's one SuperLU call; the oracle's grounded
-factor and inertia count use it too.  The chain memoises one entry, the
-solver of the interior it saw last, so the pairs (A, B) and (B, A) reuse
-it.  Above DENSE_SOLVE_LIMIT that is one SuperLU factorization; at or below
-it the entry holds the dense block, which ``np.linalg.solve`` factors again
-on every call.  ``equilibrium_potential`` solves h_{A,B} and
-h_{B,A} together and takes e on A from h_{B,A}: at low temperature h_{A,B}
-is 1 up to tiny terms next to A, and e computed from it as (Lap h) / mu
-keeps only the digits of those terms.  Whatever the path, it still checks
-the harmonicity residual, the [0, 1] range and the agreement of sum mu e
-with the Dirichlet energy before it returns.  A block that LAPACK or
-SuperLU finds exactly singular raises ``SolverNotConverged``.
+``sym_factor`` is the package's one SuperLU factorization; the oracle's
+grounded factor and inertia count use it too.  It orders the block by the
+chain's elimination order (RFCW's cube order) or else by minimum degree on
+A^T + A.  The chain memoises one entry, the solver of the interior it saw
+last, so the pairs (A, B) and (B, A) reuse it.  Above DENSE_SOLVE_LIMIT
+that is one SuperLU factorization; at or below it the entry holds the dense
+block, which ``np.linalg.solve`` factors again on every call.
+``equilibrium_potential`` solves h_{A,B} and h_{B,A} together and takes e
+on A from h_{B,A}: at low temperature h_{A,B} is 1 up to tiny terms next to
+A, and e computed from it as (Lap h) / mu keeps only the digits of those
+terms.  Whatever the path, it still checks the harmonicity residual, the
+[0, 1] range and the agreement of sum mu e with the Dirichlet energy of
+h_{A,B} where h <= 1/2 and 1 - h_{B,A} above before it returns.  A block
+that LAPACK or SuperLU finds exactly singular raises
+``SolverNotConverged``.
 
 Subset scans (the measure-capacity constant, the capacitary integral and
 the exact metastability ratio) need up to 2^20 capacities of small pairs and
@@ -67,7 +70,6 @@ from .chains import (
     SolverNotConverged,
     ValidationError,
     _row_sums,
-    dirichlet_form,
     subset_mask,
 )
 
@@ -137,7 +139,13 @@ def equilibrium_potential(chain, A, B):
     e[a] = np.maximum(e[a], 0.0)
 
     cap = float(np.dot(mu[a], e[a]))
-    cap_energy = dirichlet_form(chain, h)
+    # the energy of the two-sided g: an edge with both ends where h > 1/2
+    # takes its difference from h_{B,A}, which keeps the digits of 1 - h
+    h_ba = np.clip(pots[:, 1], 0.0, 1.0)
+    i, j, up = chain._edge_i, chain._edge_j, h > 0.5
+    g = np.where(up, 1.0 - h_ba, h)
+    d = np.where(up[i] & up[j], h_ba[j] - h_ba[i], g[i] - g[j])
+    cap_energy = float(np.dot(chain._edge_w, d * d))
     if abs(cap - cap_energy) > CAP_AGREE_RTOL * max(cap, cap_energy, 1e-300):
         raise SolverNotConverged(
             f"capacity mismatch: sum mu e = {cap!r}, energy = {cap_energy!r}"
@@ -216,26 +224,45 @@ def _spd_solver(chain, free):
                 raise SolverNotConverged(f"singular interior block: {exc}") from None
 
     else:
-        solve = sym_factor(mat).solve
+        _, solve = sym_factor(mat, chain._fill_order, free)
     chain._interior_solver = (key, solve)
     return solve
 
 
-def sym_factor(mat):
-    """SuperLU factor of a symmetric sparse matrix in symmetric mode: minimum
-    degree on A^T + A, each pivot taken on the diagonal while it is nonzero.
+def sym_factor(mat, order=None, free=None):
+    """SuperLU factor of a symmetric sparse matrix in symmetric mode, each
+    pivot taken on the diagonal while it is nonzero.  Returns (lu, solve).
+
+    ``mat`` is the block on the states ``free`` (all if None) of a matrix
+    whose elimination order is ``order``.  With no order SuperLU orders by
+    minimum degree on A^T + A and ``solve`` is ``lu.solve``.  Otherwise
+    ``lu`` factors ``mat`` permuted to ``order`` restricted to the block,
+    with no ordering of its own, and ``solve`` undoes the permutation.
 
     An exactly singular factor raises SolverNotConverged.
     """
+    if order is not None:
+        if free is not None:
+            order = (np.cumsum(free) - 1)[order[free[order]]]
+        mat = mat[order][:, order]
     try:
-        return spla.splu(
+        lu = spla.splu(
             mat.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SolverNotConverged(f"singular interior block: {exc}") from None
+    if order is None:
+        return lu, lu.solve
+
+    def solve(rhs):
+        out = np.empty(rhs.shape)
+        out[order] = lu.solve(rhs[order])
+        return out
+
+    return lu, solve
 
 
 def capacity_scan_context(chain):

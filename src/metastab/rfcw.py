@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .chains import (
     InequalityViolation,
@@ -31,8 +32,9 @@ from .chains import (
 from .potential import equilibrium_potential
 
 # the largest N measured to run: ``metastab rfcw --materialize`` at N = 13
-# took 28 s and 0.63 GB on a 2-vCPU VM; at N = 14 the 16,382 free states of
-# the singleton rho pass ``metastable.SINGLETON_LIMIT``
+# took 21-29 s and 0.62 GB for one beta (72-74 s and 0.64 GB for three) on a
+# 2-vCPU VM; at N = 14 the 16,382 free states of the singleton rho pass
+# ``metastable.SINGLETON_LIMIT``
 MATERIALIZE_LIMIT = 13
 # bound on the mesoscopic points prod(|block| + 1), checked before they are
 # listed; one block of 16,383 spins, the slowest shape, takes 7.5 s and 83 MB
@@ -249,7 +251,29 @@ def _glauber_chain(states, flip_index, flip_probs, gibbs):
         ),
         shape=(size, size),
     )
-    return ReversibleChain(states, kernel, gibbs, discrete_time=True)
+    chain = ReversibleChain(states, kernel, gibbs, discrete_time=True)
+    chain._fill_order = _cube_order(n)
+    return chain
+
+
+@functools.lru_cache
+def _cube_order(n):
+    """A fill-reducing elimination order of the 2^n states of the n-cube.
+
+    SuperLU's minimum degree on A^T + A for (n + 1) I - adjacency, which has
+    the pattern of every Glauber chain on the cube.  It is read off an
+    incomplete factor that drops all fill: the ordering pass is that of
+    ``sym_factor``, the numeric work a small part of a full factor's.
+    Computed once per n and shared, read-only.
+    """
+    size = 1 << n
+    flips = np.arange(size)[:, None] ^ (1 << np.arange(n))
+    adjacency = sp.csc_matrix((np.ones(size * n), flips.ravel(), np.arange(0, size * n + 1, n)))
+    cube = (n + 1.0) * sp.identity(size, format="csc") - adjacency
+    ilu = spla.spilu(cube, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A")
+    order = np.argsort(ilu.perm_c)
+    order.flags.writeable = False
+    return order
 
 
 # -- coarse graining -------------------------------------------------------------

@@ -885,6 +885,9 @@ REPORT_CHAINS = {
 # eigsy of D^-1/2 Lap D^-1/2 from the chain's conductances gives
 # 0.015230389945650414144 and 0.00019986703318970569188: the new gaps are
 # within 1.5e-14 and 3.5e-16 of it, inside their Kato-Temple intervals.
+# It was frozen again when the hypercube chains took their sparse factors
+# in one cached cube order: the gaps moved to ...650648 and ...70565, within
+# 1.5e-14 and 2.1e-16 of the same mpmath values.
 REPORT_GOLDENS = {
     ("analyze", "dw11-b1"): "97efd52455b3f3a37b4dd8e37c606e8b3b6fdff0cb6e53c794be0cdfca9f3f5a",
     ("analyze", "dw11-b3"): "5c140ac2b40f2669202aca0f239b6e2a60e0916b96fa1e0206b16cbe9e1ab4bd",
@@ -897,7 +900,7 @@ REPORT_GOLDENS = {
     ("orlicz", "dw11-b3"): "4ee9aa7d737a1f0eb72a9925dbfe4023c21ec5a09dd6121fad2c85fd3c125e97",
     ("orlicz", "dw15-b0.5"): "bd11b6cdf18d54b21dd8a629245cc826a9071e951511999feaed1ba944f29113",
     ("orlicz", "rc13-v0"): "6e132543a32ca7430ce6c8b5a83543c6b0b1250afe0f21896051fff4fd98a603",
-    ("rfcw", "N8"): "c80040fde06f84d22bda9560ff297f9215b0a7433383c3f0939fb5b72c96d9a9",
+    ("rfcw", "N8"): "6efd26cc1369ade964f68d93b94bc88bd7ecda92e6f1ba4094bf0ab69b1ae181",
 }
 
 

@@ -739,18 +739,21 @@ def test_certified_gap_releases_the_grounded_factor_first(monkeypatch):
     real_factor, real_pivots = oracle_mod._grounded_factor, oracle_mod._ldl_pivots
 
     class Factor:
-        def __init__(self, lu):
-            self.solve = lu.solve
+        def __init__(self, solve):
+            self.solve = solve
+
+        def __call__(self, rhs):
+            return self.solve(rhs)
 
     def grounded_factor(chain):
-        free, lu = real_factor(chain)
-        factor = Factor(lu)
+        free, solve = real_factor(chain)
+        factor = Factor(solve)
         refs.append(weakref.ref(factor))
         return free, factor
 
-    def ldl_pivots(a):
+    def ldl_pivots(chain, a):
         alive.append(refs[-1]() is not None)
-        return real_pivots(a)
+        return real_pivots(chain, a)
 
     monkeypatch.setattr(oracle_mod, "_grounded_factor", grounded_factor)
     monkeypatch.setattr(oracle_mod, "_ldl_pivots", ldl_pivots)

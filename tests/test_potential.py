@@ -272,6 +272,36 @@ def test_capacity_keeps_digits_at_low_temperature():
         assert np.allclose(pots[0], sol.potential, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "n,beta",
+    [(11, 5.0), (11, 8.0), (11, 12.0), (11, 20.0), (11, 40.0),
+     (15, 2.0), (15, 5.0), (15, 8.0), (15, 20.0), (15, 25.0)],
+)
+def test_energy_check_passes_deep_wells_in_both_directions(n, beta):
+    # the energy of the two-sided h takes the differences inside the A-well
+    # from h_{B,A}; from h_{A,B} alone these cells failed the 1e-8 check
+    chain = double_well_chain(beta, n)
+    w = chain.conductance.toarray()
+    series, _ = path_capacity_1d(np.array([w[i, i + 1] for i in range(n - 1)]))
+    for a, b in ((0, n - 1), (n - 1, 0)):
+        sol = equilibrium_potential(chain, [a], [b])
+        assert sol.capacity == pytest.approx(series, rel=1e-13)
+        assert sol.capacity_from_energy == pytest.approx(series, rel=1e-13)
+
+
+@pytest.mark.parametrize("beta", [2.0, 20.0])
+def test_energy_check_raises_when_flux_and_energy_disagree(beta):
+    # the edge weights of the energy, and only those, scaled: a relative
+    # gap of 1e-6 raises, one of 1e-10 stays inside CAP_AGREE_RTOL
+    chain = double_well_chain(beta)
+    edge_w = chain._edge_w
+    chain._edge_w = edge_w * (1.0 + 1e-10)
+    equilibrium_potential(chain, ["x0"], ["x10"])
+    chain._edge_w = edge_w * (1.0 + 1e-6)
+    with pytest.raises(SolverNotConverged, match="capacity mismatch"):
+        equilibrium_potential(chain, ["x0"], ["x10"])
+
+
 def _capacity_loop_reference(ctx, a, b):
     """The per-pair dense capacity the scans used before the batched kernel."""
     lap, w, mu = ctx

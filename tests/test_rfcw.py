@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import metastab
+import metastab.cli
 from metastab import InequalityViolation, ValidationError, equilibrium_potential
 from metastab.coupling import hitting_lower_bound_check
 from metastab.oracle import exact_cpi
-from metastab import rfcw
+from metastab import oracle, potential, rfcw
 from metastab.rfcw import (
     barred_chain,
     bottleneck_height,
@@ -24,6 +27,7 @@ from metastab.rfcw import (
     mesoscopic_dominance,
     mesoscopic_rates_and_chain,
 )
+from metastab.sampling import random_reversible_chain
 from references import point_index
 
 
@@ -375,7 +379,13 @@ def test_fiber_range_and_point_mask_match_per_point_loop():
 
 # sha256 of the lab objects for the field "uniform:0.2", seed 7, n = 2; frozen
 # from the separate assemblies and lumpings that the shared ones replaced, so
-# they must come out bit for bit; the bits depend on numpy's exp and BLAS
+# they must come out bit for bit; the bits depend on numpy's exp and BLAS.
+# The N = 10 lumpability and hitting entries were frozen again when the
+# hypercube chains took their sparse factors in one cached cube order.  The
+# barred capacities and the hitting margin moved by at most 1.3e-15
+# relative and the hitting spreads by 9.6e-15; all stay within 7.8e-15 of a
+# dense solve refined in long double.  The lumpability spreads, rounding
+# of an exact 0, went from 2.1e-15 and 2.7e-15 to 6.7e-16 and 2.2e-15.
 LAB_GOLDENS = {
     (8, 1.5): {
         "micro": "bbf545e00abd8bd46e6aa9fdd5ed0bfc1ff2ef0f6e13763ad1f5d4901d28163a",
@@ -401,8 +411,8 @@ LAB_GOLDENS = {
         "barred": "d3468f98b913e158c3e1df48d11737df318290ffd92546ce4d6c0d604e555506",
         "lumped": "96c505ebc64edd6a982545bf2cf1f8dc0cd919a884b9871f60d3bc0a84bd69f1",
         "dominance": "2664bd9758d3b322f9a6f98aa3e6f102bcf586fe694bc91b62aa4fa9cbd0abe0",
-        "lumpability": "ab472a3e415badb4cec5d281326a95b171b805d22f8399593aeee541e48d6fee",
-        "hitting": "073a9bcdb1681e58ba4ef09a9e46dddcc7cd779c2073b1336be381c8a40130dd",
+        "lumpability": "cf9088ac41512ffdf23be0ba6b00c8059faf5529b669e2ffdc88eab284150f85",
+        "hitting": "2710553dcea6bd0745b981b2b8da2ed393d2befdae98c2b18e7f5ae17dcef039",
     },
     (10, 6.0): {
         "micro": "12c058067616f6f14fa1e6390a214b73f7abe5339e919c523662f43b9285dc44",
@@ -410,8 +420,8 @@ LAB_GOLDENS = {
         "barred": "b477348e8c07f086e85f18cf7609278012b733fb8ff28835875803106afdeb0a",
         "lumped": "b5b9713c93bfdd392eed39e01ffc064ba37f88df378fc8c91ee6043b76a5e1ae",
         "dominance": "d0c2fa3604f5d6358a49218470eea01a479ace874f6117a9b793a97d5008c0c2",
-        "lumpability": "1f39fd3f57bf7f55b6f53037668925226f33e2187c8622a495fb37ff3a969976",
-        "hitting": "a0f6c3c5aeb98872e12ea3bf76195cbb19bba1be8f484a5ad3b7e139260f947f",
+        "lumpability": "b69a93e3130ac0d56ce21b3c7ef15e2189a5a1effdd210b2e7d854d0c510715e",
+        "hitting": "d048d3de4cff86eb9c9ec50da541e546dca51d6a56c240ff9f15454c9c7ec17b",
     },
 }
 
@@ -555,3 +565,99 @@ def test_rfcw_commands_leave_scipy_optimize_unimported():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "0", "False"]
+
+
+# -- the cached cube order ----------------------------------------------------
+
+
+def _own_order_solve(mat, rhs):
+    """The SuperLU call of a chain with no elimination order."""
+    lu = spla.splu(
+        mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return lu.solve(rhs)
+
+
+@pytest.mark.parametrize("n_spins", [9, 10, 11])
+@pytest.mark.parametrize("field", ["uniform:0.2", "zero"])
+@pytest.mark.parametrize("beta", [1.5, 3.0, 6.0])
+def test_ordered_factor_solves_like_superlus_own_order(n_spins, field, beta):
+    chain = build_model(n_spins, beta, field, seed=3).chain
+    order = chain._fill_order
+    assert order is rfcw._cube_order(n_spins)
+    mu = chain.stationary
+    top = int(np.argmax(mu))
+    grounded = np.arange(chain.n_states) != top
+    interior = grounded.copy()
+    interior[top ^ (chain.n_states - 1)] = False  # the flipped configuration
+    lap = chain.laplacian
+    full = (lap + sp.diags(mu)).tocsr()  # all states; solves mu to 1
+    rng = np.random.default_rng(n_spins)
+    for mat, free in ((lap[interior][:, interior], interior),
+                      (lap[grounded][:, grounded], grounded), (full, None)):
+        m = mat.shape[0]
+        rhs = np.column_stack([mu if free is None else mu[free], rng.uniform(0.5, 1.5, m)])
+        want = _own_order_solve(mat, rhs)
+        _, solve = potential.sym_factor(mat, order, free)
+        got = solve(rhs)
+        scale = abs(mat).sum(axis=1).max() * np.abs(got).max(axis=0) + np.abs(rhs).max(axis=0)
+        assert np.all(np.abs(mat @ got - rhs).max(axis=0) <= 1e-14 * scale)
+        # grounded at beta 6, the far well's solution is fixed only to about
+        # 1e-8 by either order (against a refinement in long double), as the
+        # Schur complements there cancel; every other solve keeps 12 digits
+        if free is not grounded or beta <= 3.0:
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    assert np.allclose(got[:, 0], 1.0, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n_spins,beta", [(8, 1.5), (8, 6.0), (9, 3.0)])
+def test_ordered_pivots_count_the_eigenvalues_below_sigma(n_spins, beta):
+    chain = build_model(n_spins, beta, "uniform:0.2", seed=5).chain
+    mu = chain.stationary
+    root = np.sqrt(mu)
+    lam = np.linalg.eigvalsh(chain.laplacian.toarray() / root[:, None] / root[None, :])
+    for k in (1, 2, 3, 10, 40):
+        sigma = 0.5 * (lam[k] + lam[k + 1])
+        shifted = chain.laplacian.tocsc()
+        shifted.setdiag(shifted.diagonal() - sigma * mu)
+        pivots = oracle._ldl_pivots(chain, shifted)
+        assert pivots is not None
+        assert np.count_nonzero(pivots < 0.0) == np.count_nonzero(lam < sigma) == k + 1
+
+
+def test_multi_beta_rfcw_orders_the_cube_once(capsys):
+    rfcw._cube_order.cache_clear()
+    argv = ["rfcw", "--N", "8", "--beta", "1.5,3", "--field", "uniform:0.2", "--n", "2",
+            "--materialize", "--seed", "7"]
+    assert metastab.cli.main(argv) == 0
+    capsys.readouterr()
+    info = rfcw._cube_order.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    order = rfcw._cube_order(8)
+    assert np.array_equal(np.sort(order), np.arange(256))
+    assert not order.flags.writeable
+    # the incomplete factor orders the cube as a full one does
+    flips = np.arange(256)[:, None] ^ (1 << np.arange(8))
+    cube = 9.0 * sp.identity(256) - sp.csr_matrix(
+        (np.ones(2048), (np.repeat(np.arange(256), 8), flips.ravel())))
+    lu, _ = potential.sym_factor(cube)
+    assert np.array_equal(np.argsort(lu.perm_c), order)
+
+
+def test_built_chains_keep_superlus_own_order():
+    # a chain from build_chain has no order: every sparse factor is SuperLU's
+    # minimum degree call, bit for bit
+    chain = random_reversible_chain(np.random.default_rng(11), 600)
+    assert chain._fill_order is None
+    interior = np.ones(600, dtype=bool)
+    interior[[0, 599]] = False
+    assert interior.sum() > potential.DENSE_SOLVE_LIMIT
+    mat = chain.laplacian[interior][:, interior]
+    rhs = chain.stationary[interior]
+    want = _own_order_solve(mat, rhs)
+    assert np.array_equal(potential._spd_solver(chain, interior)(rhs), want)
+    free, solve = oracle._grounded_factor(chain)
+    grounded = chain.laplacian[free][:, free]
+    assert np.array_equal(solve(chain.stationary[free]),
+                          _own_order_solve(grounded, chain.stationary[free]))
