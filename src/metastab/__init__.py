@@ -44,9 +44,7 @@ from .orlicz import (
 from .metastable import (
     MetastableStructure,
     build_structure,
-    eta_regularity,
     mean_exit_asymptotics,
-    metastable_partition,
     pi_lsi_estimates,
     rho_metastability,
 )

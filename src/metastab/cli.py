@@ -288,7 +288,7 @@ def cmd_rfcw(args):
             sets = [land.fiber_mask([k]) for k in ordering.minima[:2]]
             cert = meta_mod.rho_metastability(model.chain, sets, mode="singleton")
             entry["rho"] = tagged(cert.rho, "bound")
-            sol = equilibrium_potential(model.chain, *sets)
+            sol = cert.solutions[0]  # the pair (M1, M2)
             entry["cap_m1_m2"] = tagged(sol.capacity, "exact")
             cert = oracle_mod.certified_gap(model.chain, sol.potential)
             entry["spectral_gap"] = tagged(cert.gap, "exact" if cert.exact else "bound")

@@ -3,11 +3,14 @@ regularity and mass constants, mean-exit asymptotics and the sharp
 Poincare / log-Sobolev main terms.
 
 All probabilistic quantities are reduced to capacities through
-P_{mu_A}[tau_B < tau_A] = cap(A, B) / mu[A].
+P_{mu_A}[tau_B < tau_A] = cap(A, B) / mu[A].  ``build_structure`` solves
+each pair of sets once, by the checked ``equilibrium_potential``, and the rho
+numerator, valleys, capacities, eta and mean exits all read those solutions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +24,7 @@ from .chains import (
     subset_mask,
 )
 from . import potential
-from .potential import (
-    _bounded_scan,
-    _solve_potentials,
-    capacity_scan_context,
-    equilibrium_potential,
-)
+from .potential import _bounded_scan, capacity_scan_context, equilibrium_potential
 
 TIE_TOL = 1e-12
 # free states of the singleton rho, whose dense Cholesky holds one 8 m^2
@@ -43,7 +41,9 @@ class RhoCertificate:
     documented |S| relaxation factor; in exact mode the denominator minimum
     runs over every nonempty subset outside the metastable sets.  When the
     sets cover the whole space the denominator family is empty and only the
-    numerator is reported.
+    numerator is reported.  ``solutions[i]`` is the checked solution of the
+    pair (M_i, U - M_i), U the union of the sets, whose capacity enters the
+    numerator.
     """
 
     rho: float
@@ -53,6 +53,7 @@ class RhoCertificate:
     worst_set: int
     argmin_subset: np.ndarray | None
     whole_space: bool
+    solutions: list
 
 
 @dataclass
@@ -74,6 +75,7 @@ class MetastableStructure:
     clsi_local: np.ndarray
     cpi_M: float
     clsi_M: float
+    solutions: dict
 
     @property
     def n_sets(self):
@@ -108,7 +110,14 @@ def rho_metastability(chain, sets, mode="auto"):
     free states) before the numerator's potentials, so that buffer is freed
     before the sparse factor of the same interior is built; a singular
     interior therefore fails in the dense Cholesky (SolverNotConverged).
+
+    The numerator takes each cap(M_i, U - M_i), U the union of the sets,
+    from ``equilibrium_potential``; the k pairs share one interior factor,
+    and the certificate carries their solutions.  An unknown ``mode``
+    raises before anything is solved.
     """
+    if mode not in ("auto", "exact", "singleton"):
+        raise ValidationError(f"unknown mode {mode!r}")
     masks = _check_sets(chain, sets)
     k = len(masks)
     union = np.zeros(chain.n_states, dtype=bool)
@@ -126,19 +135,10 @@ def rho_metastability(chain, sets, mode="auto"):
             )
         diag = _inverse_diagonal(chain.laplacian[~union][:, ~union])
 
-    # every numerator pair has the interior ~union, so one factorization
-    # serves them all and the next solve on two of the sets;
-    # cap(M_i, U - M_i) is the flux into M_i of 1 - h_i, taken as the sum of
-    # the other potentials, which keeps the digits that 1 - h_i would lose
-    pots = _solve_potentials(chain, masks)
-    num_val, worst = -np.inf, -1
-    for i, m in enumerate(masks):
-        rest = np.delete(pots, i, axis=1).sum(axis=1)
-        cap = -float((chain.laplacian @ rest)[m].sum())
-        val = cap / mu[m].sum()
-        if val > num_val:
-            num_val, worst = val, i
-    numerator = k * num_val
+    solutions = [equilibrium_potential(chain, m, union & ~m) for m in masks]
+    vals = [sol.capacity / mu[m].sum() for sol, m in zip(solutions, masks)]
+    worst = int(np.argmax(vals))  # first maximum
+    numerator = k * vals[worst]
 
     if free.size == 0:
         return RhoCertificate(
@@ -149,6 +149,7 @@ def rho_metastability(chain, sets, mode="auto"):
             worst_set=worst,
             argmin_subset=None,
             whole_space=True,
+            solutions=solutions,
         )
 
     if mode == "exact":
@@ -163,7 +164,7 @@ def rho_metastability(chain, sets, mode="auto"):
         i = int(np.argmin(vals))  # first minimum: ties go to the lowest bits
         den, arg = vals[i], masks[i]
         rho = numerator / den
-    elif mode == "singleton":
+    else:
         vals = 1.0 / (diag * mu[free])
         k_min = int(np.argmin(vals))
         den = float(vals[k_min])
@@ -171,8 +172,6 @@ def rho_metastability(chain, sets, mode="auto"):
         arg[free[k_min]] = True
         den = den / chain.n_states  # reversibility relaxation, |S| factor
         rho = numerator / den
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
     return RhoCertificate(
         rho=float(rho),
         mode=mode,
@@ -181,6 +180,7 @@ def rho_metastability(chain, sets, mode="auto"):
         worst_set=worst,
         argmin_subset=arg,
         whole_space=False,
+        solutions=solutions,
     )
 
 
@@ -205,23 +205,16 @@ def _inverse_diagonal(mat):
     return np.einsum("ij,ij->j", c_inv, c_inv)
 
 
-def metastable_partition(chain, sets):
+def _partition(chain, masks, solutions):
     """Local valleys and the induced partition of the state space.
 
     Valley membership compares the hitting probabilities
-    h_i(x) = P_x[tau_{M_i} < tau_{union minus M_i}]; contested states go to
-    the valley with the largest value, ties resolved to the lowest index.
-    Returns (valleys, partition, assignment, tie_mask).
+    h_i(x) = P_x[tau_{M_i} < tau_{union minus M_i}] of the set solutions;
+    contested states go to the valley with the largest value, ties resolved
+    to the lowest index.  Returns (valleys, partition, assignment, tie_mask).
     """
-    masks = _check_sets(chain, sets)
     k = len(masks)
-    union = np.zeros(chain.n_states, dtype=bool)
-    for m in masks:
-        union |= m
-    pots = np.empty((k, chain.n_states))
-    for i, m in enumerate(masks):
-        pots[i] = equilibrium_potential(chain, m, union & ~m).potential
-
+    pots = np.array([sol.potential for sol in solutions])
     top = pots.max(axis=0)
     valleys = [pots[i] >= top - TIE_TOL for i in range(k)]
     assignment = np.empty(chain.n_states, dtype=int)
@@ -248,16 +241,6 @@ def exit_variance(chain, sol):
     dens = sol.equilibrium_measure[a] * mass / sol.capacity
     w = chain.stationary[a] / mass
     return float(np.dot(w, (dens - 1.0) ** 2))
-
-
-def eta_regularity(chain, M_i, M_j):
-    """Smallest eta making the last-exit regularity bound an equality.
-
-    Var_{mu_{M_i}}[nu_{M_i,M_j} / mu_{M_i}] * cap(M_i, M_j) / mu[M_i]; zero
-    for singletons and whenever the escape probability is constant on M_i.
-    """
-    sol = equilibrium_potential(chain, M_i, M_j)
-    return exit_variance(chain, sol) * sol.capacity / chain.mass(sol.set_a)
 
 
 def local_pi_constant(chain, M):
@@ -323,24 +306,29 @@ def c_mass_constant(chain, partition):
 
 
 def build_structure(chain, sets, mode="auto", seed=0):
-    """Assemble the full metastable structure for the given candidate sets."""
+    """Assemble the full metastable structure for the given candidate sets.
+
+    Each pair is solved once.  The rho certificate brings the solutions of
+    (M_i, U - M_i), whose potentials give the valleys; each other ordered
+    pair (M_i, M_j) is solved here, and its solution gives eta_pairs[i, j]
+    and, for i < j, caps[i, j] = caps[j, i].  ``solutions`` keeps them all,
+    keyed by the mask bytes of (A, B), for ``mean_exit_asymptotics``.
+    """
     masks = _check_sets(chain, sets)
     k = len(masks)
     cert = rho_metastability(chain, masks, mode=mode)
-    valleys, partition, assignment, ties = metastable_partition(chain, masks)
+    sols = {(s.set_a.tobytes(), s.set_b.tobytes()): s for s in cert.solutions}
+    valleys, partition, assignment, ties = _partition(chain, masks, cert.solutions)
 
     caps = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            caps[i, j] = caps[j, i] = equilibrium_potential(
-                chain, masks[i], masks[j]
-            ).capacity
-
     eta_pairs = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                eta_pairs[i, j] = eta_regularity(chain, masks[i], masks[j])
+    for i, j in itertools.permutations(range(k), 2):
+        key = masks[i].tobytes(), masks[j].tobytes()
+        if key not in sols:
+            sols[key] = equilibrium_potential(chain, masks[i], masks[j])
+        sol = sols[key]
+        caps[i, j] = caps[j, i] if j < i else sol.capacity
+        eta_pairs[i, j] = exit_variance(chain, sol) * sol.capacity / chain.mass(masks[i])
 
     mu_sets = np.array([chain.mass(m) for m in masks])
     mu_parts = np.array([chain.mass(p) for p in partition])
@@ -366,6 +354,7 @@ def build_structure(chain, sets, mode="auto", seed=0):
         clsi_local=clsi_local,
         cpi_M=float(max(1.0, np.dot(mu_sets, cpi_local))),
         clsi_M=float(max(1.0, np.dot(mu_sets, clsi_local))),
+        solutions=sols,
     )
 
 
@@ -388,7 +377,10 @@ def mean_exit_asymptotics(chain, structure, i):
     b = np.zeros(chain.n_states, dtype=bool)
     for j in heavier:
         b |= structure.sets[j]
-    sol = equilibrium_potential(chain, structure.sets[i], b)
+    a = structure.sets[i]
+    sol = structure.solutions.get((a.tobytes(), b.tobytes()))
+    if sol is None:
+        sol = equilibrium_potential(chain, a, b)
     main = structure.mu_parts[i] / sol.capacity
     # E_{nu_{A,B}}[tau_B] = E_mu[h_{A,B}] / cap(A, B): no second solve, whose
     # Lap w = mu loses its digits at low temperature

@@ -56,7 +56,6 @@ class RFCWModel:
     field: np.ndarray
     h_inf: float
     spins: np.ndarray | None = None          # (2^N, N) in {-1, +1}
-    hamiltonian: np.ndarray | None = None
     flip_index: np.ndarray | None = None     # (2^N, N) flipped-config indices
     flip_probs: np.ndarray | None = None     # (2^N, N) single-flip probabilities
     gibbs: np.ndarray | None = None
@@ -217,7 +216,6 @@ def _materialize(model):
         # underflow fails at build time whether or not its chain is read
         raise ValidationError("stationary measure must be finite and positive")
     model.spins = spins
-    model.hamiltonian = ham
     model.flip_index = flip_index
 
 

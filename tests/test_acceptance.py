@@ -30,7 +30,6 @@ from metastab.coupling import (
     hitting_lower_bound_check,
     marginal_chi_square,
 )
-from metastab.metastable import eta_regularity
 from metastab.oracle import (
     brute_force_orlicz,
     cheeger_constant,
@@ -352,7 +351,8 @@ def test_criterion_12_coupling_n8():
 
 
 def test_criterion_13_eta_regularity(double_well, rfcw_two_valued, rfcw_spread):
-    ok_singleton = eta_regularity(double_well[2.0], ["x0"], ["x10"]) == 0.0
+    st = build_structure(double_well[2.0], [["x0"], ["x10"]], seed=0)
+    ok_singleton = st.eta_pairs[0, 1] == 0.0
     model, land = rfcw_two_valued
     order = find_minima_and_order(model, land)
     resolved = eta_from_coupling(model, land, order.minima[0], order.minima[1])

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metastab import metastable, potential
 from metastab import oracle as oracle_mod
 from metastab import rfcw as rfcw_mod
-from metastab import SolverNotConverged, build_chain, rho_metastability, save_chain
+from metastab import SolverNotConverged, build_chain, save_chain
 from metastab.chains import InequalityViolation
 from metastab.cli import build_parser, main
-from metastab.potential import equilibrium_potential
+from metastab.potential import _bounded_scan, capacity_scan_context, equilibrium_potential
 from metastab.sampling import double_well_chain, random_reversible_chain
 from references import birth_death_generator_chain
 
@@ -819,22 +820,57 @@ def test_singular_interior_block_exits_1(capsys, tmp_path, argv, make):
     assert error["kind"] == "solver" and "singular interior block" in error["message"]
 
 
-def test_non_finite_scan_capacity_exits_1_without_warning(capsys, tmp_path):
-    # the exact rho scan on dw15 at beta = 30 solves blocks to inf and NaN;
-    # the kernel raises for the NaN capacity, and nothing but the JSON error
-    # reaches stderr (a RuntimeWarning would fail the suite)
+def test_non_finite_scan_capacity_exits_1_without_warning():
+    # the exact rho scan's subsets of dw15 at beta = 30 solve blocks to inf
+    # and NaN; the kernel raises SolverNotConverged (exit 1) for the NaN
+    # capacity, unwarned (a RuntimeWarning would fail the suite)
     chain = double_well_chain(30.0, 15)
+    m = np.zeros(15, dtype=bool)
+    m[[0, 14]] = True
     with pytest.raises(SolverNotConverged, match="capacity nan of a scanned set"):
-        rho_metastability(chain, [["x0"], ["x14"]], mode="exact")
+        _bounded_scan(capacity_scan_context(chain), np.flatnonzero(~m), m,
+                      chain.stationary, lambda mass, cap: -(cap / mass))
+
+
+def test_analyze_exact_at_beta_30_exits_1_with_one_solver_line(capsys, tmp_path):
+    # the checked rho numerator finds a vanishing capacity on dw15 at
+    # beta = 30 before the scan; nothing but the JSON error reaches stderr
     path = tmp_path / "dw.json"
-    save_chain(chain, path)
+    save_chain(double_well_chain(30.0, 15), path)
     sets = tmp_path / "sets.json"
     sets.write_text(json.dumps({"sets": [["x0"], ["x14"]]}))
     code, out, err = run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets),
                                       "--exact", "--seed", "1"])
     assert code == 1 and out == "" and err.count("\n") == 1
-    error = json.loads(err)["error"]
-    assert error["kind"] == "solver" and "capacity nan" in error["message"]
+    assert json.loads(err)["error"]["kind"] == "solver"
+
+
+@pytest.mark.parametrize(
+    "sets,solves",
+    [([["x0"], ["x10"]], 2), ([["x0", "x1"], ["x9", "x10"]], 2), ([["x0"], ["x5"], ["x10"]], 9)],
+    ids=["2-singletons", "2-pairs", "3-singletons"],
+)
+def test_analyze_solves_each_pair_once(capsys, tmp_path, monkeypatch, sets, solves):
+    # k sets have k pairs (M_i, U - M_i) and k (k - 1) ordered pairs
+    # (M_i, M_j), the same k = 2 of them when k = 2; the mean exits reuse
+    # them.  Every interior solve is a call of potential._solve_potentials,
+    # counted in metastable too should a module import it by name.
+    solve, pairs = potential._solve_potentials, []
+
+    def counted(chain, masks):
+        pairs.append(tuple(m.tobytes() for m in masks))
+        return solve(chain, masks)
+
+    monkeypatch.setattr(potential, "_solve_potentials", counted)
+    monkeypatch.setattr(metastable, "_solve_potentials", counted, raising=False)
+    path = tmp_path / "dw.json"
+    save_chain(double_well_chain(2.0), path)
+    sets_path = tmp_path / "sets.json"
+    sets_path.write_text(json.dumps({"sets": sets}))
+    code, out, _ = run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets_path),
+                                    "--exact", "--seed", "1"])
+    assert code == 0 and json.loads(out)["rho"]["mode"] == "exact"
+    assert len(pairs) == len(set(pairs)) == solves
 
 
 @pytest.mark.parametrize("beta,n", [(8.0, 11), (2.0, 15)], ids=["dw11", "dw15"])
@@ -887,7 +923,11 @@ REPORT_CHAINS = {
 # within 1.5e-14 and 3.5e-16 of it, inside their Kato-Temple intervals.
 # It was frozen again when the hypercube chains took their sparse factors
 # in one cached cube order: the gaps moved to ...650648 and ...70565, within
-# 1.5e-14 and 2.1e-16 of the same mpmath values.
+# 1.5e-14 and 2.1e-16 of the same mpmath values.  It was frozen again when
+# the rho numerator took cap(M1, M2) from the checked equilibrium_potential
+# (sum mu e) instead of its own flux sum: only the beta 3 rho moved, from
+# 230.26474587600902 to 230.26474587600907; cap_m1_m2 and the gaps kept
+# their bits.
 REPORT_GOLDENS = {
     ("analyze", "dw11-b1"): "97efd52455b3f3a37b4dd8e37c606e8b3b6fdff0cb6e53c794be0cdfca9f3f5a",
     ("analyze", "dw11-b3"): "5c140ac2b40f2669202aca0f239b6e2a60e0916b96fa1e0206b16cbe9e1ab4bd",
@@ -900,7 +940,7 @@ REPORT_GOLDENS = {
     ("orlicz", "dw11-b3"): "4ee9aa7d737a1f0eb72a9925dbfe4023c21ec5a09dd6121fad2c85fd3c125e97",
     ("orlicz", "dw15-b0.5"): "bd11b6cdf18d54b21dd8a629245cc826a9071e951511999feaed1ba944f29113",
     ("orlicz", "rc13-v0"): "6e132543a32ca7430ce6c8b5a83543c6b0b1250afe0f21896051fff4fd98a603",
-    ("rfcw", "N8"): "6efd26cc1369ade964f68d93b94bc88bd7ecda92e6f1ba4094bf0ab69b1ae181",
+    ("rfcw", "N8"): "36dc695c37486822ec67bdbf160d350e92fa5beb18c30bfcfa782fdca0310450",
 }
 
 

@@ -9,10 +9,8 @@ from metastab import (
     build_structure,
     dirichlet_form,
     equilibrium_potential,
-    eta_regularity,
     log_mean,
     mean_exit_asymptotics,
-    metastable_partition,
     pi_lsi_estimates,
     rho_metastability,
     subset_mask,
@@ -25,6 +23,17 @@ from metastab.sampling import double_well_chain, random_reversible_chain
 from references import conditional_expectation, harmonic_neighborhood
 
 E2 = float(np.exp(2.0))
+
+
+def structure_partition(chain, sets):
+    """(valleys, partition, assignment, tie_mask) of the structure on ``sets``."""
+    st = build_structure(chain, sets, seed=0)
+    return st.valleys, st.partition, st.assignment, st.tie_states
+
+
+def structure_eta(chain, M_i, M_j):
+    """The structure's eta for the ordered pair (M_i, M_j) of two sets."""
+    return build_structure(chain, [M_i, M_j], seed=0).eta_pairs[0, 1]
 
 
 def test_rho_double_well_golden(double_well):
@@ -56,6 +65,17 @@ def test_rho_singleton_mode_upper_bound(double_well):
     assert single.rho >= exact.rho
 
 
+def test_rho_rejects_an_unknown_mode_before_solving(two_state, double_well, monkeypatch):
+    # {a}, {b} cover the two-state chain, so no denominator mode is ever read
+    def solve(chain, masks):
+        raise AssertionError("solved before the mode was checked")
+
+    monkeypatch.setattr(potential, "_solve_potentials", solve)
+    for chain, sets in ((two_state, [["a"], ["b"]]), (double_well[2.0], [["x0"], ["x10"]])):
+        with pytest.raises(ValidationError, match="unknown mode 'bogus'"):
+            rho_metastability(chain, sets, mode="bogus")
+
+
 def test_rho_reads_the_enumeration_limit_at_call_time(double_well, monkeypatch):
     # {x0}, {x10} leave 9 free states of the 11-state well
     monkeypatch.setattr(potential, "EXACT_ENUM_LIMIT", 8)
@@ -65,7 +85,7 @@ def test_rho_reads_the_enumeration_limit_at_call_time(double_well, monkeypatch):
 
 
 def test_partition_symmetric_tie(double_well):
-    valleys, parts, assign, ties = metastable_partition(
+    valleys, parts, assign, ties = structure_partition(
         double_well[2.0], [["x0"], ["x10"]]
     )
     # the saddle at x5 is a tie and goes to the lower index
@@ -76,7 +96,7 @@ def test_partition_symmetric_tie(double_well):
 
 
 def test_partition_whole_space(two_state):
-    _, parts, assign, _ = metastable_partition(two_state, [["a"], ["b"]])
+    _, parts, assign, _ = structure_partition(two_state, [["a"], ["b"]])
     assert list(assign) == [0, 1]
 
 
@@ -84,7 +104,7 @@ def test_partition_asymmetric_matches_brute_force():
     rng = np.random.default_rng(107)
     chain = random_reversible_chain(rng, 12)
     sets = [[0], [7]]
-    valleys, parts, assign, ties = metastable_partition(chain, sets)
+    valleys, parts, assign, ties = structure_partition(chain, sets)
     # brute-force valley definition from the two potentials
     h0 = equilibrium_potential(chain, [0], [7]).potential
     h1 = equilibrium_potential(chain, [7], [0]).potential
@@ -94,7 +114,7 @@ def test_partition_asymmetric_matches_brute_force():
 
 
 def test_eta_singleton_and_symmetric(double_well):
-    assert eta_regularity(double_well[2.0], ["x0"], ["x10"]) == 0.0
+    assert structure_eta(double_well[2.0], ["x0"], ["x10"]) == 0.0
     # two mu-equal states with symmetric exits: density is constant
     edges = [
         ("l1", "l2", 0.1),
@@ -105,11 +125,11 @@ def test_eta_singleton_and_symmetric(double_well):
         ("r", "l2", 0.05),
     ]
     sym = build_chain(["l1", "l2", "r"], edges)
-    assert eta_regularity(sym, ["l1", "l2"], ["r"]) == pytest.approx(0.0, abs=1e-15)
+    assert structure_eta(sym, ["l1", "l2"], ["r"]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_eta_generic_golden(double_well):
-    val = eta_regularity(double_well[2.0], ["x0", "x1"], ["x10"])
+    val = structure_eta(double_well[2.0], ["x0", "x1"], ["x10"])
     assert val == pytest.approx(2.804826642261082e-06, rel=1e-8)
     # direct assembly from the equilibrium solution
     chain = double_well[2.0]
@@ -306,7 +326,7 @@ def test_single_set_hitting_comparison(double_well):
     # P_{mu_A}[tau_{M_i} < tau_A] >= (1/K) P_{mu_A}[tau_{union} < tau_A]
     chain = double_well[1.0]
     sets = [["x0"], ["x10"]]
-    valleys, parts, assign, _ = metastable_partition(chain, sets)
+    valleys, parts, assign, _ = structure_partition(chain, sets)
     union = np.zeros(chain.n_states, dtype=bool)
     union[chain.index["x0"]] = True
     union[chain.index["x10"]] = True

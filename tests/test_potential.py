@@ -539,10 +539,7 @@ EXTREME_BETA_SCANS = {
     ),
     (15, 30): (
         ("ValidationError", "K = 7.38905609893065 overflows K / nu[A]"),
-        (
-            "SolverNotConverged",
-            "capacity nan of a scanned set is not positive and finite",
-        ),
+        ("SolverNotConverged", "vanishing capacity on an irreducible chain"),
     ),
 }
 

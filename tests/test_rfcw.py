@@ -52,8 +52,10 @@ def test_underflowing_gibbs_weights_fail_at_build_time():
 def test_build_model_n2_golden():
     m = build_model(2, 1.0, "zero")
     # H(++) = H(--) = -1, H(+-) = H(-+) = 0; direct 4-state enumeration
-    assert np.allclose(np.sort(m.hamiltonian), [-1.0, -1.0, 0.0, 0.0])
-    w = np.exp(-m.hamiltonian)
+    spins = m.spins.astype(float)
+    hamiltonian = -spins.sum(axis=1) ** 2 / 4.0 - spins @ m.field
+    assert np.allclose(np.sort(hamiltonian), [-1.0, -1.0, 0.0, 0.0])
+    w = np.exp(-hamiltonian)
     assert np.allclose(m.gibbs, w / w.sum(), atol=1e-14)
     i_pp = m.chain.index["++"]
     i_mp = m.chain.index["-+"]
