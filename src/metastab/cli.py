@@ -156,9 +156,10 @@ def cmd_analyze(args):
         ),
         "eta": tagged(structure.eta, "exact"),
         "c_mass": tagged(structure.c_mass, "exact"),
-        "cpi_local": [tagged(v, "exact") for v in structure.cpi_local.tolist()],
+        "cpi_local": [tagged(v, "exact" if e else "bound")
+                      for v, e in zip(structure.cpi_local.tolist(), structure.cpi_exact)],
         "clsi_local": [tagged(v, "bound") for v in structure.clsi_local.tolist()],
-        "cpi_M": tagged(structure.cpi_M, "exact"),
+        "cpi_M": tagged(structure.cpi_M, "exact" if structure.cpi_exact.all() else "bound"),
         "clsi_M": tagged(structure.clsi_M, "bound"),
         "mu_sets": structure.mu_sets.tolist(),
         "mu_parts": structure.mu_parts.tolist(),

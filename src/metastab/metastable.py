@@ -6,6 +6,8 @@ All probabilistic quantities are reduced to capacities through
 P_{mu_A}[tau_B < tau_A] = cap(A, B) / mu[A].  ``build_structure`` solves
 each pair of sets once, by the checked ``equilibrium_potential``, and the rho
 numerator, valleys, capacities, eta and mean exits all read those solutions.
+The local Poincare and log-Sobolev constants of a set come from the oracle
+(``exact_cpi``, ``estimate_clsi``) on the set's ``trace_chain``.
 """
 
 from __future__ import annotations
@@ -16,14 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
+from scipy.sparse.csgraph import connected_components
 
 from .chains import (
+    ReversibleChain,
     SolverNotConverged,
     ValidationError,
     log_mean,
     subset_mask,
 )
 from . import potential
+from .oracle import LSI_SIZE_LIMIT, estimate_clsi, exact_cpi
 from .potential import _bounded_scan, capacity_scan_context, equilibrium_potential
 
 TIE_TOL = 1e-12
@@ -73,6 +78,7 @@ class MetastableStructure:
     c_mass: float
     cpi_local: np.ndarray
     clsi_local: np.ndarray
+    cpi_exact: np.ndarray
     cpi_M: float
     clsi_M: float
     solutions: dict
@@ -205,7 +211,7 @@ def _inverse_diagonal(mat):
     return np.einsum("ij,ij->j", c_inv, c_inv)
 
 
-def _partition(chain, masks, solutions):
+def _partition(masks, solutions):
     """Local valleys and the induced partition of the state space.
 
     Valley membership compares the hitting probabilities
@@ -213,17 +219,12 @@ def _partition(chain, masks, solutions):
     contested states go to the valley with the largest value, ties resolved
     to the lowest index.  Returns (valleys, partition, assignment, tie_mask).
     """
-    k = len(masks)
     pots = np.array([sol.potential for sol in solutions])
-    top = pots.max(axis=0)
-    valleys = [pots[i] >= top - TIE_TOL for i in range(k)]
-    assignment = np.empty(chain.n_states, dtype=int)
-    ties = np.zeros(chain.n_states, dtype=bool)
-    for x in range(chain.n_states):
-        cands = np.flatnonzero(pots[:, x] >= top[x] - TIE_TOL)
-        assignment[x] = cands[0]
-        ties[x] = cands.size > 1
-    partition = [assignment == i for i in range(k)]
+    near = pots >= pots.max(axis=0) - TIE_TOL
+    valleys = list(near)
+    assignment = near.argmax(axis=0)  # the first candidate
+    ties = near.sum(axis=0) > 1
+    partition = [assignment == i for i in range(len(masks))]
     for i, m in enumerate(masks):
         if not np.all(partition[i][m]):
             raise ValidationError("partition failed to contain its metastable set")
@@ -243,55 +244,40 @@ def exit_variance(chain, sol):
     return float(np.dot(w, (dens - 1.0) ** 2))
 
 
-def local_pi_constant(chain, M):
-    """Exact C_PI,i = sup{Var_{mu_M}[f] : E(f) = 1} with the global energy.
+def trace_chain(chain, M):
+    """The chain watched on M (its trace process), reversible for mu[. | M].
 
-    Both quadratic forms kill constants, so the generalized eigenproblem is
-    solved on the mu-mean-zero subspace where the energy form is definite.
+    Its conductances c(x, y) = sum_z w(x, z) h_y(z), h_y = h_{{y}, M - {y}},
+    sums of nonnegative terms, are the Schur complement of the Laplacian onto
+    M, so its energy is the least global energy with the same values on M,
+    divided by mu[M].  One solve takes every h_y; the components of the
+    complement that touch M at y alone join y's mask (h_y = 1 there) and are
+    never solved.  The constructor checks c(x, y) against the independently
+    summed c(y, x); a failure raises SolverNotConverged.
     """
     m = subset_mask(chain, M)
-    if m.sum() <= 1:
-        return 0.0
-    n = chain.n_states
-    mu = chain.stationary
-    cond = np.zeros(n)
-    cond[m] = mu[m] / mu[m].sum()
-    v = np.diag(cond) - np.outer(cond, cond)
-    lap = chain.laplacian.toarray()
-    q = np.zeros((n, n - 1))
-    q[: n - 1, :] = np.eye(n - 1)
-    q -= np.outer(np.ones(n), mu[: n - 1])
-    a = q.T @ v @ q
-    b = q.T @ lap @ q
-    b = 0.5 * (b + b.T)
-    a = 0.5 * (a + a.T)
+    idx, free = np.flatnonzero(m), np.flatnonzero(~m)
+    n_comp, label = connected_components(chain.conductance[free][:, free], directed=False)
+    # each component's first and last neighbour in M: the same at a dead end
+    adj = chain.conductance[free][:, idx].tocoo()
+    lo, hi = np.full(n_comp, idx.size), np.full(n_comp, -1)
+    np.minimum.at(lo, label[adj.row], adj.col)
+    np.maximum.at(hi, label[adj.row], adj.col)
+    owner = np.full(chain.n_states, -1)
+    owner[idx] = np.arange(idx.size)
+    owner[free] = np.where(lo == hi, lo, -1)[label]
+    h = potential._solve_potentials(chain, [owner == a for a in range(idx.size)])
+    c = chain.conductance[idx] @ np.maximum(h, 0.0)
+    np.fill_diagonal(c, 0.0)
+    mu = chain.stationary[idx]
+    kernel = c / mu[:, None]
+    np.fill_diagonal(kernel, float(chain.discrete_time) - kernel.sum(axis=1))
     try:
-        vals = scipy.linalg.eigh(a, b, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
-        # b is the energy form on the mean-zero subspace: definite in exact
-        # arithmetic, but its Cholesky fails once rates span too many scales
-        raise SolverNotConverged(f"generalized eigensolve failed: {exc}") from None
-    return float(vals[-1])
-
-
-def local_lsi_constant(chain, M, seed=0):
-    """Ascent lower bound on C_LSI,i = sup{Ent_{mu_M}[f^2] : E(f) = 1}."""
-    from .oracle import entropy_ratio_ascent
-
-    m = subset_mask(chain, M)
-    if m.sum() <= 1:
-        return 0.0
-    weight = chain.conditional(m)
-    rng = np.random.default_rng(seed)
-    seeds = [m.astype(float), 1.0 + m, 1.0 - 0.5 * m]
-    idx = np.flatnonzero(m)
-    bump = np.zeros(chain.n_states)
-    bump[idx[0]] = 1.0
-    seeds.append(bump)
-    for _ in range(8):
-        seeds.append(rng.normal(size=chain.n_states))
-    best, _, _, _ = entropy_ratio_ascent(chain, weight, seeds, max_iter=300)
-    return max(best, 0.0)
+        return ReversibleChain(
+            [chain.states[x] for x in idx], kernel, mu / mu.sum(), chain.discrete_time
+        )
+    except ValidationError as exc:
+        raise SolverNotConverged(f"trace chain on {idx.size} states: {exc}") from None
 
 
 def c_mass_constant(chain, partition):
@@ -313,12 +299,16 @@ def build_structure(chain, sets, mode="auto", seed=0):
     pair (M_i, M_j) is solved here, and its solution gives eta_pairs[i, j]
     and, for i < j, caps[i, j] = caps[j, i].  ``solutions`` keeps them all,
     keyed by the mask bytes of (A, B), for ``mean_exit_asymptotics``.
+    C_PI,i and C_LSI,i are the oracle's on ``trace_chain(chain, M_i)`` over
+    mu[M_i], 0 for a singleton; ``cpi_exact[i]`` tells whether that trace's
+    gap certificate is exact.  A set over ``oracle.LSI_SIZE_LIMIT`` states
+    raises ValidationError before its trace is built.
     """
     masks = _check_sets(chain, sets)
     k = len(masks)
     cert = rho_metastability(chain, masks, mode=mode)
     sols = {(s.set_a.tobytes(), s.set_b.tobytes()): s for s in cert.solutions}
-    valleys, partition, assignment, ties = _partition(chain, masks, cert.solutions)
+    valleys, partition, assignment, ties = _partition(masks, cert.solutions)
 
     caps = np.zeros((k, k))
     eta_pairs = np.zeros((k, k))
@@ -333,8 +323,17 @@ def build_structure(chain, sets, mode="auto", seed=0):
     mu_sets = np.array([chain.mass(m) for m in masks])
     mu_parts = np.array([chain.mass(p) for p in partition])
 
-    cpi_local = np.array([local_pi_constant(chain, m) for m in masks])
-    clsi_local = np.array([local_lsi_constant(chain, m, seed=seed) for m in masks])
+    cpi_local, clsi_local, cpi_exact = np.zeros(k), np.zeros(k), np.ones(k, dtype=bool)
+    for i, m in enumerate(masks):
+        if m.sum() > LSI_SIZE_LIMIT:
+            raise ValidationError(f"metastable set {i} has over {LSI_SIZE_LIMIT} states")
+        if m.sum() == 1:
+            continue
+        trace = trace_chain(chain, m)
+        spec = exact_cpi(trace)
+        cpi_local[i] = spec.c_pi_exact / mu_sets[i]
+        clsi_local[i] = estimate_clsi(trace, seed).c_lsi_lower / mu_sets[i]
+        cpi_exact[i] = spec.certificate.exact
 
     return MetastableStructure(
         sets=masks,
@@ -352,6 +351,7 @@ def build_structure(chain, sets, mode="auto", seed=0):
         c_mass=c_mass_constant(chain, partition),
         cpi_local=cpi_local,
         clsi_local=clsi_local,
+        cpi_exact=cpi_exact,
         cpi_M=float(max(1.0, np.dot(mu_sets, cpi_local))),
         clsi_M=float(max(1.0, np.dot(mu_sets, clsi_local))),
         solutions=sols,

@@ -13,7 +13,8 @@ exhaustive subset enumeration.
 inverse iteration with a Kato-Temple interval, whose lambda_3 floor comes
 from an inertia count with sigma midway between the gap and a lambda_3
 estimate.  ``exact_cpi`` starts it from the dense lambda_2 vector,
-``metastab rfcw`` from an equilibrium potential.
+``metastab rfcw`` from an equilibrium potential.  ``metastable`` takes its
+local constants from ``exact_cpi`` and ``estimate_clsi`` on trace chains.
 """
 
 from __future__ import annotations

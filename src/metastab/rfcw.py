@@ -290,7 +290,6 @@ class MesoscopicLandscape:
     n_spins: int
     beta: float
     rho_of_config: np.ndarray | None = None
-    mu_meso: np.ndarray | None = None
     _entropy_tables: dict = field(default_factory=dict)
 
     @property
@@ -399,9 +398,6 @@ def coarse_grain(model, n):
     )
     if model.materialized:
         land.rho_of_config = (model.spins > 0) @ land.point_weights()
-        land.mu_meso = np.bincount(
-            land.rho_of_config, weights=model.gibbs, minlength=land.n_points
-        )
     return land
 
 
@@ -745,7 +741,8 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100):
 
 
 def mesoscopic_rates_and_chain(model, land):
-    """Aggregated mesoscopic transition probabilities, reversible for mu_meso.
+    """Aggregated mesoscopic chain, reversible for the lumped Gibbs measure
+    mu(x) = sum_{sigma in fiber x} mu(sigma), its ``stationary``.
 
     r(x, y) = (1/mu(x)) sum_{sigma in fiber x} mu(sigma) p(sigma, fiber y).
     """

@@ -17,9 +17,11 @@ from metastab import rfcw as rfcw_mod
 from metastab import SolverNotConverged, build_chain, save_chain
 from metastab.chains import InequalityViolation
 from metastab.cli import build_parser, main
+from metastab.metastable import trace_chain
+from metastab.oracle import exact_cpi
 from metastab.potential import _bounded_scan, capacity_scan_context, equilibrium_potential
 from metastab.sampling import double_well_chain, random_reversible_chain
-from references import birth_death_generator_chain
+from references import birth_death_generator_chain, local_cpi_schur
 
 # resolution of a dense symmetric eigensolve: GAP_DIGITS_FACTOR n eps max|lambda|
 GAP_DIGITS_FACTOR = 64
@@ -264,14 +266,56 @@ def _analyze_well_edges(capsys, tmp_path, beta):
     return run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets), "--seed", "1"])
 
 
-@pytest.mark.parametrize("beta", [8.0, 20.0])
-def test_local_pi_eigensolve_failure_exits_solver(capsys, tmp_path, beta):
-    # the energy form of the generalized eigenproblem is definite in exact
-    # arithmetic, but its float Cholesky fails on these wells
-    code, out, err = _analyze_well_edges(capsys, tmp_path, beta)
-    assert code == 1 and out == "" and err.count("\n") == 1
-    error = json.loads(err)["error"]
-    assert error["kind"] == "solver" and "not positive definite" in error["message"]
+def _local_cells():
+    """(id, chain maker, set, partner set) over double wells and random chains.
+
+    The middle sets of a double well are left out: with one partner set the
+    far well is a dead end of the checked equilibrium solves, which can fail
+    at low temperature before the local constants are reached.
+    """
+    for beta in (2.0, 6.0, 8.0, 12.0, 20.0, 40.0):
+        for s, p in [((0, 1), (10,)), ((9, 10), (0,)), ((0, 1, 2), (10,)),
+                     ((8, 9, 10), (0,)), ((0, 10), (5,)), ((1, 2), (10,))]:
+            yield f"dw11-b{beta:g}-{_ids(s)}", lambda b=beta: double_well_chain(b), s, p
+    for beta in (1.0, 2.0, 5.0, 12.0):
+        for s, p in [((0, 1, 2), (14,)), ((12, 13, 14), (0,)),
+                     (tuple(range(9, 15)), (0,)), ((0, 14), (7,))]:
+            yield f"dw15-b{beta:g}-{_ids(s)}", lambda b=beta: double_well_chain(b, 15), s, p
+    for n in (8, 12, 16):
+        for s, p in [((0, 1, 2), (n - 1,)), ((n - 3, n - 2, n - 1), (0,))]:
+            yield (f"rc{n}-{_ids(s)}",
+                   lambda n=n: random_reversible_chain(np.random.default_rng(n), n), s, p)
+
+
+def _ids(members):
+    return "_".join(str(i) for i in members)
+
+
+LOCAL_CELLS = list(_local_cells())
+
+
+@pytest.mark.parametrize("make,members,partner", [c[1:] for c in LOCAL_CELLS],
+                         ids=[c[0] for c in LOCAL_CELLS])
+def test_local_constants_match_mpmath(capsys, tmp_path, make, members, partner):
+    # cpi_local against a 320-digit Schur complement, tagged exact only
+    # where the trace chain's gap certificate is exact
+    chain = make()
+    path = tmp_path / "chain.json"
+    save_chain(chain, path)
+    m = [chain.states[i] for i in members]
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"sets": [m, [chain.states[i] for i in partner]]}))
+    code, out, err = run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets),
+                                      "--seed", "1"])
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    want = local_cpi_schur(chain, m)
+    got = rep["cpi_local"][0]
+    assert abs(got["value"] - want) <= 1e-12 * want
+    mode = "exact" if exact_cpi(trace_chain(chain, m)).certificate.exact else "bound"
+    assert got["mode"] == rep["cpi_M"]["mode"] == mode
+    assert rep["cpi_local"][1] == {"value": 0.0, "mode": "exact"}  # the singleton
+    assert rep["clsi_local"][0]["mode"] == "bound"
 
 
 def test_analyze_underflowed_entropy_gradient_is_quiet(capsys, tmp_path):
@@ -847,24 +891,28 @@ def test_analyze_exact_at_beta_30_exits_1_with_one_solver_line(capsys, tmp_path)
 
 @pytest.mark.parametrize(
     "sets,solves",
-    [([["x0"], ["x10"]], 2), ([["x0", "x1"], ["x9", "x10"]], 2), ([["x0"], ["x5"], ["x10"]], 9)],
+    [([["x0"], ["x10"]], 2), ([["x0", "x1"], ["x9", "x10"]], 4), ([["x0"], ["x5"], ["x10"]], 9)],
     ids=["2-singletons", "2-pairs", "3-singletons"],
 )
 def test_analyze_solves_each_pair_once(capsys, tmp_path, monkeypatch, sets, solves):
     # k sets have k pairs (M_i, U - M_i) and k (k - 1) ordered pairs
     # (M_i, M_j), the same k = 2 of them when k = 2; the mean exits reuse
-    # them.  Every interior solve is a call of potential._solve_potentials,
-    # counted in metastable too should a module import it by name.
-    solve, pairs = potential._solve_potentials, []
+    # them, and each set of two or more states adds the one solve of its
+    # trace chain.  Every interior solve is a call of
+    # potential._solve_potentials, counted in metastable too should a module
+    # import it by name; solves on the trace chains themselves (the oracle's)
+    # are not counted.
+    solve, pairs, well = potential._solve_potentials, [], double_well_chain(2.0)
 
     def counted(chain, masks):
-        pairs.append(tuple(m.tobytes() for m in masks))
+        if chain.n_states == well.n_states:  # the trace chains are smaller
+            pairs.append(tuple(m.tobytes() for m in masks))
         return solve(chain, masks)
 
     monkeypatch.setattr(potential, "_solve_potentials", counted)
     monkeypatch.setattr(metastable, "_solve_potentials", counted, raising=False)
     path = tmp_path / "dw.json"
-    save_chain(double_well_chain(2.0), path)
+    save_chain(well, path)
     sets_path = tmp_path / "sets.json"
     sets_path.write_text(json.dumps({"sets": sets}))
     code, out, _ = run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets_path),

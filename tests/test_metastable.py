@@ -16,11 +16,11 @@ from metastab import (
     subset_mask,
 )
 from metastab import metastable, potential, rfcw
-from metastab.metastable import c_mass_constant, local_lsi_constant, local_pi_constant
-from metastab.oracle import cheeger_constant, exact_cpi
+from metastab.metastable import c_mass_constant, trace_chain
+from metastab.oracle import cheeger_constant, estimate_clsi, exact_cpi
 from metastab.potential import _scan_capacities, capacity_scan_context
 from metastab.sampling import double_well_chain, random_reversible_chain
-from references import conditional_expectation, harmonic_neighborhood
+from references import conditional_expectation, harmonic_neighborhood, local_cpi_schur
 
 E2 = float(np.exp(2.0))
 
@@ -166,21 +166,44 @@ def test_c_mass_uniform_blocks():
     assert np.log1p(2.0 * E2) == pytest.approx(2.75864, abs=1e-4)
 
 
-# local_lsi_constant on multi-state sets, frozen from the per-start ascent
-# that ran each seed alone
+def local_constants(chain, M, seed=0):
+    """(C_PI,i, C_LSI,i) of M from the oracle on its trace chain, as
+    ``build_structure`` takes them."""
+    trace, mass = trace_chain(chain, M), chain.mass(subset_mask(chain, M))
+    return exact_cpi(trace).c_pi_exact / mass, estimate_clsi(trace, seed).c_lsi_lower / mass
+
+
+# C_LSI,i on multi-state sets: the second value was frozen from the ascent
+# over all states of the chain, which the ascent on the trace chain must
+# reach (it found 1.74, 1.08 and 1.001 times more); the third is the trace's
 LOCAL_LSI_GOLDEN = [
-    (lambda: double_well_chain(2.0), range(4), 21.231661094496268),
-    (lambda: double_well_chain(1.0, 15), range(9, 15), 76.96115687354757),
+    (lambda: double_well_chain(2.0), range(4), 21.231661094496268, 37.03254054295893),
+    (lambda: double_well_chain(1.0, 15), range(9, 15), 76.96115687354757, 83.48113101670127),
     (lambda: random_reversible_chain(np.random.default_rng(7), 12), [0, 2, 3, 5, 8],
-     271.6326613486908),
+     271.6326613486908, 271.98937467626786),
 ]
 
 
-@pytest.mark.parametrize("make,members,want", LOCAL_LSI_GOLDEN, ids=["dw11", "dw15", "rc12"])
-def test_local_lsi_constant_matches_per_start_ascent(make, members, want):
+@pytest.mark.parametrize("make,members,floor,want", LOCAL_LSI_GOLDEN,
+                         ids=["dw11", "dw15", "rc12"])
+def test_local_lsi_constant_matches_per_start_ascent(make, members, floor, want):
     chain = make()
-    got = local_lsi_constant(chain, [chain.states[i] for i in members], seed=0)
+    got = local_constants(chain, [chain.states[i] for i in members])[1]
+    assert got >= floor
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_trace_chain_skips_dead_ends():
+    # both wells of {x4, x5, x6} are dead ends of the complement, touching M
+    # at one state each, so no interior block is solved: the potentials are
+    # 1 there, however ill-conditioned the wells' blocks are
+    for beta in (8.0, 40.0):
+        chain = double_well_chain(beta)
+        m = ["x4", "x5", "x6"]
+        trace = trace_chain(chain, m)
+        assert trace.states == tuple(m)
+        assert local_constants(chain, m)[0] == pytest.approx(local_cpi_schur(chain, m),
+                                                             rel=1e-12)
 
 
 def test_local_pi_constant_attained():
@@ -188,7 +211,7 @@ def test_local_pi_constant_attained():
     chain = random_reversible_chain(rng, 7)
     m = np.zeros(7, dtype=bool)
     m[:3] = True
-    c = local_pi_constant(chain, m)
+    c = local_constants(chain, m)[0]
     mu_m = chain.conditional(m)
 
     def ratio(f):

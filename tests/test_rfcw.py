@@ -79,7 +79,7 @@ def test_coarse_grain_total_magnetization():
     m = build_model(5, 1.2, "zero")
     land = coarse_grain(m, 1)
     assert land.n_points == 6  # N + 1 magnetization levels
-    assert land.mu_meso.sum() == pytest.approx(1.0, abs=1e-12)
+    assert mesoscopic_rates_and_chain(m, land).stationary.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coarse_grain_two_valued_resolved(rfcw_two_valued):
@@ -90,9 +90,10 @@ def test_coarse_grain_two_valued_resolved(rfcw_two_valued):
 
 def test_induced_measure_matches_fiber_sums(rfcw_spread):
     model, land = rfcw_spread
+    mu_meso = mesoscopic_rates_and_chain(model, land).stationary
     for k in range(land.n_points):
         fiber = land.fiber_mask([k])
-        assert land.mu_meso[k] == pytest.approx(model.gibbs[fiber].sum(), rel=1e-12)
+        assert mu_meso[k] == pytest.approx(model.gibbs[fiber].sum(), rel=1e-12)
 
 
 def test_free_energy_scalar_curie_weiss():
@@ -336,7 +337,7 @@ def test_micro_meso_chain_inequality(rfcw_spread):
         sel = np.zeros(land.n_points, dtype=bool)
         sel[k] = True
         cap = equilibrium_potential(meso, sel, sel_b).capacity
-        floor = min(floor, cap / land.mu_meso[k])
+        floor = min(floor, cap / meso.stationary[k])
     rng = np.random.default_rng(11)
     mu = model.gibbs
     free = np.flatnonzero(~b_mask)
