@@ -67,7 +67,7 @@ class ReversibleChain:
 
     Instances are immutable after construction and safe to share; all
     operations on them are pure functions.  Two private slots are set later:
-    ``potential`` memoises the solver of the last interior block it factored,
+    ``potential`` memoises the last interior's component labels and solver,
     and ``rfcw`` gives its hypercube chains an elimination order of the
     states for ``potential.sym_factor``.
     """
@@ -81,7 +81,7 @@ class ReversibleChain:
         self.stationary = np.array(stationary, dtype=float)
         self.discrete_time = bool(discrete_time)
         self._build_conductances(*self._validate())
-        # (interior mask bytes, solve callable), see potential._spd_solver
+        # (mask bytes, solve, mask bytes, labels), see potential._spd_solver
         self._interior_solver = None
         # None, or a permutation of the states, see potential.sym_factor
         self._fill_order = None

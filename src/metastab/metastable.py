@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import connected_components
 
 from .chains import (
     ReversibleChain,
@@ -28,7 +27,7 @@ from .chains import (
     subset_mask,
 )
 from . import potential
-from .oracle import LSI_SIZE_LIMIT, estimate_clsi, exact_cpi
+from .oracle import LSI_SIZE_LIMIT, estimate_clsi
 from .potential import _bounded_scan, capacity_scan_context, equilibrium_potential
 
 TIE_TOL = 1e-12
@@ -55,7 +54,6 @@ class RhoCertificate:
     mode: str
     numerator: float
     denominator: float | None
-    worst_set: int
     argmin_subset: np.ndarray | None
     whole_space: bool
     solutions: list
@@ -152,7 +150,6 @@ def rho_metastability(chain, sets, mode="auto"):
             mode="numerator-only",
             numerator=float(numerator),
             denominator=None,
-            worst_set=worst,
             argmin_subset=None,
             whole_space=True,
             solutions=solutions,
@@ -183,7 +180,6 @@ def rho_metastability(chain, sets, mode="auto"):
         mode=mode,
         numerator=float(numerator),
         denominator=float(den),
-        worst_set=worst,
         argmin_subset=arg,
         whole_space=False,
         solutions=solutions,
@@ -250,23 +246,12 @@ def trace_chain(chain, M):
     Its conductances c(x, y) = sum_z w(x, z) h_y(z), h_y = h_{{y}, M - {y}},
     sums of nonnegative terms, are the Schur complement of the Laplacian onto
     M, so its energy is the least global energy with the same values on M,
-    divided by mu[M].  One solve takes every h_y; the components of the
-    complement that touch M at y alone join y's mask (h_y = 1 there) and are
-    never solved.  The constructor checks c(x, y) against the independently
-    summed c(y, x); a failure raises SolverNotConverged.
+    divided by mu[M].  One solve takes every h_y, and sets h_y = 1 on the
+    dead ends next to y alone.  The constructor checks c(x, y) against the
+    independently summed c(y, x); a failure raises SolverNotConverged.
     """
-    m = subset_mask(chain, M)
-    idx, free = np.flatnonzero(m), np.flatnonzero(~m)
-    n_comp, label = connected_components(chain.conductance[free][:, free], directed=False)
-    # each component's first and last neighbour in M: the same at a dead end
-    adj = chain.conductance[free][:, idx].tocoo()
-    lo, hi = np.full(n_comp, idx.size), np.full(n_comp, -1)
-    np.minimum.at(lo, label[adj.row], adj.col)
-    np.maximum.at(hi, label[adj.row], adj.col)
-    owner = np.full(chain.n_states, -1)
-    owner[idx] = np.arange(idx.size)
-    owner[free] = np.where(lo == hi, lo, -1)[label]
-    h = potential._solve_potentials(chain, [owner == a for a in range(idx.size)])
+    idx = np.flatnonzero(subset_mask(chain, M))
+    h = potential._solve_potentials(chain, [np.arange(chain.n_states) == x for x in idx])
     c = chain.conductance[idx] @ np.maximum(h, 0.0)
     np.fill_diagonal(c, 0.0)
     mu = chain.stationary[idx]
@@ -329,11 +314,10 @@ def build_structure(chain, sets, mode="auto", seed=0):
             raise ValidationError(f"metastable set {i} has over {LSI_SIZE_LIMIT} states")
         if m.sum() == 1:
             continue
-        trace = trace_chain(chain, m)
-        spec = exact_cpi(trace)
-        cpi_local[i] = spec.c_pi_exact / mu_sets[i]
-        clsi_local[i] = estimate_clsi(trace, seed).c_lsi_lower / mu_sets[i]
-        cpi_exact[i] = spec.certificate.exact
+        lsi = estimate_clsi(trace_chain(chain, m), seed)
+        cpi_local[i] = lsi.spectral.c_pi_exact / mu_sets[i]
+        clsi_local[i] = lsi.c_lsi_lower / mu_sets[i]
+        cpi_exact[i] = lsi.spectral.certificate.exact
 
     return MetastableStructure(
         sets=masks,

@@ -102,7 +102,7 @@ class LsiReport:
     c_lsi_lower: float
     maximizer: np.ndarray
     multistarts: int
-    best_start: int
+    spectral: SpectralReport  # exact_cpi's, whose lambda_2 vector seeds the ascent
     converged: bool
     n_converged: int
 
@@ -373,14 +373,14 @@ def estimate_clsi(chain, seed=0):
     while len(seeds) < LSI_MULTISTARTS:
         seeds.append(rng.normal(size=n))
 
-    best_val, best_f, n_conv, best_start = entropy_ratio_ascent(
+    best_val, best_f, n_conv, _ = entropy_ratio_ascent(
         chain, mu, seeds, LSI_ASCENT_STEPS
     )
     return LsiReport(
         c_lsi_lower=float(best_val),
         maximizer=best_f,
         multistarts=len(seeds),
-        best_start=best_start,
+        spectral=spec,
         converged=n_conv == len(seeds),
         n_converged=n_conv,
     )

@@ -6,8 +6,9 @@ Lap = deg - W (W the edge conductances), the interior block of Lap is
 symmetric positive definite and the system reads
 Lap[int, int] h_int = W[int, A] 1.
 
-Every interior solve goes through ``_spd_solver``, which picks a path by
-the interior size m:
+``_solve_potentials`` sets h to 0 or 1 on each dead end, a component of the
+interior next to one set alone, and solves the rest by ``_spd_solver``,
+which picks a path by the size m of the rest:
 
 * m <= DENSE_SOLVE_LIMIT: dense ``np.linalg.solve``;
 * larger: ``sym_factor``, a sparse LU in SuperLU's symmetric mode
@@ -18,10 +19,10 @@ the interior size m:
 ``sym_factor`` is the package's one SuperLU factorization; the oracle's
 grounded factor and inertia count use it too.  It orders the block by the
 chain's elimination order (RFCW's cube order) or else by minimum degree on
-A^T + A.  The chain memoises one entry, the solver of the interior it saw
-last, so the pairs (A, B) and (B, A) reuse it.  Above DENSE_SOLVE_LIMIT
-that is one SuperLU factorization; at or below it the entry holds the dense
-block, which ``np.linalg.solve`` factors again on every call.
+A^T + A.  The chain memoises one entry, the last interior's component
+labels and the solver of its solved part, so (A, B) and (B, A) reuse both.
+Above DENSE_SOLVE_LIMIT that is one SuperLU factorization; at or below it
+the entry holds the dense block, which ``np.linalg.solve`` factors again.
 ``equilibrium_potential`` solves h_{A,B} and h_{B,A} together and takes e
 on A from h_{B,A}: at low temperature h_{A,B} is 1 up to tiny terms next to
 A, and e computed from it as (Lap h) / mu keeps only the digits of those
@@ -55,8 +56,9 @@ take them from one batched kernel, ``_scan_capacities``, on a dense
   A, and masses summed like nu[mask].sum().  The capacities therefore have
   the bits of the pair solved alone (the kernel's k = 1 call), and ties
   resolve to the first subset in bit order;
-* a singular block, or a capacity that is not positive and finite, raises
-  ``SolverNotConverged`` before any caller divides by it.
+* a singular block (the scans solve their dead ends), or a capacity that
+  is not positive and finite, raises ``SolverNotConverged`` before any
+  caller divides by it.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .chains import (
     SolverNotConverged,
@@ -179,7 +182,8 @@ def _check_pair(a, b):
 def _solve_potentials(chain, masks):
     """Columns h_i = h_{M_i, U - M_i} for disjoint masks M_i with union U.
 
-    One call of the interior solver takes all right-hand sides.  The
+    The rows of a dead end next to M_i alone are e_i, never solved.  One
+    call of the interior solver takes all right-hand sides on the rest.  The
     columns sum to 1, but each is solved for itself: near M_i, where h_i is
     close to 1, the other columns hold 1 - h_i to full relative precision.
     """
@@ -195,7 +199,21 @@ def _solve_potentials(chain, masks):
         rhs[:, i] = _row_sums(w.data[sel], np.append(0, np.cumsum(sel))[w.indptr])
     interior = ~union
     if interior.any():
-        h[interior] = _spd_solver(chain, interior)(rhs[interior])
+        # the interior's component labels, memoised beside the solver; W is
+        # symmetric, so its strong components need no transpose
+        key, memo = interior.tobytes(), chain._interior_solver or (None,) * 4
+        if memo[2] != key:
+            label = connected_components(w[interior][:, interior], connection="strong")[1]
+            memo = chain._interior_solver = memo[:2] + (key, label)
+        label = memo[3]
+        # rhs[:, i] = W[int, M_i] 1 is positive exactly next to M_i
+        near = np.zeros((label.max() + 1, len(masks)), dtype=bool)
+        np.logical_or.at(near, label, rhs[interior] > 0.0)
+        dead = (near.sum(axis=1) == 1)[label]
+        h[interior] = near[label] & dead[:, None]
+        interior[interior] = ~dead
+        if interior.any():
+            h[interior] = _spd_solver(chain, interior)(rhs[interior])
     return h
 
 
@@ -204,13 +222,13 @@ def _spd_solver(chain, free):
 
     ``rhs`` is a vector or a matrix of right-hand-side columns.
 
-    The memo holds one entry keyed by the mask bytes; a new interior
-    replaces it.  The entry is an immutable tuple read once, so a thread
-    sharing the chain sees either the old or the new entry whole.
+    The memo is one tuple (key, solve, interior key, labels) keyed by mask
+    bytes, the labels ``_solve_potentials``'s.  It is read once and replaced
+    whole, so a thread sharing the chain sees the old or the new entry.
     """
     key = free.tobytes()
-    memo = chain._interior_solver
-    if memo is not None and memo[0] == key:
+    memo = chain._interior_solver or (None,) * 4
+    if memo[0] == key:
         return memo[1]
     mat = chain.laplacian[free][:, free]
     m = mat.shape[0]
@@ -225,7 +243,7 @@ def _spd_solver(chain, free):
 
     else:
         _, solve = sym_factor(mat, chain._fill_order, free)
-    chain._interior_solver = (key, solve)
+    chain._interior_solver = (key, solve) + memo[2:]
     return solve
 
 

@@ -544,9 +544,7 @@ def communication_height(land, a_points, b_points):
 
 @dataclass
 class MinimaOrdering:
-    components: list          # lists of point indices, one per local minimum
     minima: list              # representative point index per component
-    labels: list              # component order m_1, ..., m_K
     deltas: np.ndarray        # Delta_1 >= ... >= Delta_{K-1}
     phi: np.ndarray           # pairwise communication heights between minima
     degenerate: bool
@@ -621,9 +619,7 @@ def find_minima_and_order(model, land):
     deltas = np.array(deltas_rev[::-1])
     degenerate = K < 2
     return MinimaOrdering(
-        components=[components[c] for c in labels],
         minima=[reps[c] for c in labels],
-        labels=labels,
         deltas=deltas,
         phi=phi[np.ix_(labels, labels)],
         degenerate=degenerate,

@@ -21,7 +21,7 @@ from metastab.metastable import trace_chain
 from metastab.oracle import exact_cpi
 from metastab.potential import _bounded_scan, capacity_scan_context, equilibrium_potential
 from metastab.sampling import double_well_chain, random_reversible_chain
-from references import birth_death_generator_chain, local_cpi_schur
+from references import birth_death_generator_chain, local_cpi_schur, path_capacity_1d
 
 # resolution of a dense symmetric eigensolve: GAP_DIGITS_FACTOR n eps max|lambda|
 GAP_DIGITS_FACTOR = 64
@@ -49,6 +49,51 @@ def test_capacity_command(capsys, two_state_file):
     assert rep["capacity"]["value"] == pytest.approx(0.075, rel=1e-12)
     assert rep["capacity"]["mode"] == "exact"
     assert rep["provenance"]["version"]
+
+
+# (n, beta, x, y) with x < y: the pair {x_x}, {x_y} of dw_n.  Below x and
+# above y the interior has components next to one set alone; the first four
+# cells raised "singular interior block" or "potential overshoot" when those
+# were solved, and the fifth gave h(x0) = 1 - 3.2e-12.  The last two passed
+# then too: dw15 at beta 8 left h = 9.6e-62 (not 1) on x0..x8, and dw11 at
+# beta 5 has no dead end.
+DEAD_END_CELLS = [(15, 3.0, 0, 4), (15, 3.0, 4, 9), (15, 25.0, 0, 4), (15, 0.7, 0, 4),
+                  (11, 3.0, 3, 5), (15, 8.0, 9, 14), (11, 5.0, 0, 10)]
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["xy", "yx"])
+@pytest.mark.parametrize("n,beta,x,y", DEAD_END_CELLS,
+                         ids=[f"dw{n}-b{b:g}-x{x}-x{y}" for n, b, x, y in DEAD_END_CELLS])
+def test_capacity_sets_dead_ends_exactly(capsys, tmp_path, n, beta, x, y, swap):
+    chain = double_well_chain(beta, n)
+    path = tmp_path / "dw.json"
+    save_chain(chain, path)
+    a, b = (y, x) if swap else (x, y)
+    code, out, err = run_cli(capsys, ["capacity", "--chain", str(path),
+                                      "--A", f"x{a}", "--B", f"x{b}"])
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    w = chain.conductance.toarray()
+    series, _ = path_capacity_1d([w[i, i + 1] for i in range(x, y)])
+    assert rep["capacity"]["mode"] == "exact"
+    assert abs(rep["capacity"]["value"] - series) <= 1e-12 * series
+    # every path from below x meets x first, and from above y meets y first
+    h = [rep["potential"][s] for s in chain.states]
+    assert h[:x] == [float(a == x)] * x
+    assert h[y + 1:] == [float(a == y)] * (n - 1 - y)
+
+
+@pytest.mark.parametrize("beta", [0.7, 3.0])
+def test_analyze_four_wells_of_dw15(capsys, tmp_path, beta):
+    # most pairs of these sets leave dead ends, which made analyze exit 1
+    path = tmp_path / "dw.json"
+    save_chain(double_well_chain(beta, 15), path)
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"sets": [["x0"], ["x4"], ["x9"], ["x14"]]}))
+    code, out, err = run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets),
+                                      "--seed", "1"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["rho"]["mode"] == "exact"
 
 
 def test_analyze_command(capsys, tmp_path, two_state_file):
@@ -266,17 +311,26 @@ def _analyze_well_edges(capsys, tmp_path, beta):
     return run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets), "--seed", "1"])
 
 
+# the dw11 betas at which analyze with {x4, x5, x6}, {x0} exits 1 in the
+# exact rho's subset scan, whose blocks still hold the far well's dead end
+MIDDLE_SET_SCAN_BETAS = (8.0, 40.0)
+
+
 def _local_cells():
     """(id, chain maker, set, partner set) over double wells and random chains.
 
-    The middle sets of a double well are left out: with one partner set the
-    far well is a dead end of the checked equilibrium solves, which can fail
-    at low temperature before the local constants are reached.
+    The middle set {x4, x5, x6} of dw11 leaves the far well x7..x10 a dead
+    end of its pair with {x0}.  At beta 8 and 40 the exact rho's subset scan
+    still solves that well and meets a singular block, so those two cells
+    are pinned to that error (MIDDLE_SET_SCAN_BETAS).
     """
     for beta in (2.0, 6.0, 8.0, 12.0, 20.0, 40.0):
         for s, p in [((0, 1), (10,)), ((9, 10), (0,)), ((0, 1, 2), (10,)),
                      ((8, 9, 10), (0,)), ((0, 10), (5,)), ((1, 2), (10,))]:
             yield f"dw11-b{beta:g}-{_ids(s)}", lambda b=beta: double_well_chain(b), s, p
+        if beta not in MIDDLE_SET_SCAN_BETAS:
+            yield (f"dw11-b{beta:g}-4_5_6", lambda b=beta: double_well_chain(b), (4, 5, 6),
+                   (0,))
     for beta in (1.0, 2.0, 5.0, 12.0):
         for s, p in [((0, 1, 2), (14,)), ((12, 13, 14), (0,)),
                      (tuple(range(9, 15)), (0,)), ((0, 14), (7,))]:
@@ -316,6 +370,21 @@ def test_local_constants_match_mpmath(capsys, tmp_path, make, members, partner):
     assert got["mode"] == rep["cpi_M"]["mode"] == mode
     assert rep["cpi_local"][1] == {"value": 0.0, "mode": "exact"}  # the singleton
     assert rep["clsi_local"][0]["mode"] == "bound"
+
+
+@pytest.mark.parametrize("beta", MIDDLE_SET_SCAN_BETAS)
+def test_middle_set_scan_meets_a_singular_block(capsys, tmp_path, beta):
+    path = tmp_path / "chain.json"
+    save_chain(double_well_chain(beta), path)
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"sets": [["x4", "x5", "x6"], ["x0"]]}))
+    code, out, err = run_cli(capsys, ["analyze", "--chain", str(path), "--sets", str(sets),
+                                      "--seed", "1"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "solver",
+        "message": "singular interior block in a capacity scan: Singular matrix",
+    }
 
 
 def test_analyze_underflowed_entropy_gradient_is_quiet(capsys, tmp_path):

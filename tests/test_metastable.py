@@ -15,7 +15,7 @@ from metastab import (
     rho_metastability,
     subset_mask,
 )
-from metastab import metastable, potential, rfcw
+from metastab import metastable, oracle, potential, rfcw
 from metastab.metastable import c_mass_constant, trace_chain
 from metastab.oracle import cheeger_constant, estimate_clsi, exact_cpi
 from metastab.potential import _scan_capacities, capacity_scan_context
@@ -204,6 +204,25 @@ def test_trace_chain_skips_dead_ends():
         assert trace.states == tuple(m)
         assert local_constants(chain, m)[0] == pytest.approx(local_cpi_schur(chain, m),
                                                              rel=1e-12)
+
+
+def test_build_structure_runs_one_exact_cpi_per_trace(monkeypatch):
+    # the LSI report carries the trace's spectral report, so cpi_local and
+    # its tag read it instead of a second exact_cpi
+    seen = []
+    real = oracle.exact_cpi
+
+    def counted(chain):
+        seen.append(chain.states)
+        return real(chain)
+
+    monkeypatch.setattr(oracle, "exact_cpi", counted)
+    monkeypatch.setattr(metastable, "exact_cpi", counted, raising=False)
+    chain = double_well_chain(2.0)
+    structure = build_structure(chain, [["x0", "x1"], ["x5"], ["x8", "x9", "x10"]], seed=1)
+    assert seen == [("x0", "x1"), ("x8", "x9", "x10")]
+    assert structure.cpi_local[0] == pytest.approx(
+        local_cpi_schur(chain, ["x0", "x1"]), rel=1e-12)
 
 
 def test_local_pi_constant_attained():

@@ -222,6 +222,33 @@ def test_swapped_pair_shares_one_sparse_factor():
     assert again.capacity == pytest.approx(cap_ref, rel=1e-12)
 
 
+def test_swapped_pair_with_dead_ends_builds_one_factor(monkeypatch):
+    # a 1,000-state path with A = {200}, B = {800}: the ends are dead ends,
+    # set to 0 or 1 unsolved, and the 599 states between take the sparse path
+    mu = np.random.default_rng(5).uniform(0.5, 2.0, size=1000)
+    chain = birth_death_generator_chain(mu / mu.sum())
+    counts = {"factor": 0, "components": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(potential, "sym_factor", counted("factor", potential.sym_factor))
+    monkeypatch.setattr(potential, "connected_components",
+                        counted("components", potential.connected_components))
+    ab = equilibrium_potential(chain, [200], [800])
+    ba = equilibrium_potential(chain, [800], [200])
+    assert counts == {"factor": 1, "components": 1}
+    assert np.all(ab.potential[:200] == 1.0) and np.all(ab.potential[801:] == 0.0)
+    assert np.all(ba.potential[:200] == 0.0) and np.all(ba.potential[801:] == 1.0)
+    series, _ = path_capacity_1d(chain.conductance.diagonal(1)[200:800])
+    assert ab.capacity == pytest.approx(series, rel=1e-12)
+    assert ba.capacity == pytest.approx(series, rel=1e-12)
+
+
 @pytest.mark.parametrize("beta", [0.5, 5.0, 25.0])
 def test_large_interior_well_matches_series(beta):
     # a 10,500-state birth-death double well: its interior is far above
