@@ -291,7 +291,7 @@ def cmd_rfcw(args):
             entry["rho"] = tagged(cert.rho, "bound")
             sol = cert.solutions[0]  # the pair (M1, M2)
             entry["cap_m1_m2"] = tagged(sol.capacity, "exact")
-            cert = oracle_mod.certified_gap(model.chain, sol.potential)
+            cert = oracle_mod.certified_gap(model.chain, sol.potential, sol)
             entry["spectral_gap"] = tagged(cert.gap, "exact" if cert.exact else "bound")
         per_beta.append(entry)
     return {

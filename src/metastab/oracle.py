@@ -7,19 +7,23 @@ eigenvalues, and the lambda_2 vector), refined and certified by
 ``certified_gap`` on a sparse factor of its own (the Laplacian grounded at
 one state), the log-Sobolev bound from projected gradient ascent, the Orlicz
 norm from grid search with refinement, and the Cheeger constant from
-exhaustive subset enumeration.
+exhaustive subset enumeration.  The one exception is the gap of a pair of
+one-state metastable sets, which ``certified_gap`` takes from the interior
+solver of their equilibrium potential.
 
 ``certified_gap`` is the one path that refines and tags a spectral gap:
 inverse iteration with a Kato-Temple interval, whose lambda_3 floor comes
-from an inertia count with sigma midway between the gap and a lambda_3
-estimate.  ``exact_cpi`` starts it from the dense lambda_2 vector,
-``metastab rfcw`` from an equilibrium potential.  ``metastable`` takes its
-local constants from ``exact_cpi`` and ``estimate_clsi`` on trace chains.
+from the pair's mean exit time or from an inertia count with sigma midway
+between the gap and a lambda_3 estimate.  ``exact_cpi`` starts it from the
+dense lambda_2 vector, ``metastab rfcw`` from an equilibrium potential.
+``metastable`` takes its local constants from ``exact_cpi`` and
+``estimate_clsi`` on trace chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -33,7 +37,7 @@ from .chains import (
     entropy,
     entropy_gradient,
 )
-from .potential import equilibrium_potential, sym_factor
+from .potential import _spd_solver, equilibrium_potential, mean_exit_time_bound, sym_factor
 
 SPECTRAL_LIMIT = 2**14
 LSI_SIZE_LIMIT = 512
@@ -180,10 +184,30 @@ def _grounded_solve(chain, free, factor, f):
     return u
 
 
-def _inverse_iteration(chain, f, free, factor):
+def _pair_solve(chain, pair, f):
+    """u with Lap u = mu f off b and u = 0 on b, for the pair solution
+    ``pair`` of one-state sets {a}, {b}, through the interior solver that
+    computed it.
+
+    With r = mu f, h = h_{a,b} and I the interior, the grounded system
+    eliminates I to a rank-one Schur complement on a whose pivot is
+    cap(a, b): u_a = (r_a + sum_{z in I} h(z) r_z) / cap(a, b) and
+    u_I = Lap_II^{-1} r_I + h_I u_a.
+    """
+    a, interior = pair.set_a, ~(pair.set_a | pair.set_b)
+    r = chain.stationary * f
+    h = pair.potential[interior]
+    u = np.zeros_like(f)
+    u[a] = (r[a] + np.dot(h, r[interior])) / pair.capacity
+    u[interior] = _spd_solver(chain, interior)(r[interior]) + h * u[a]
+    return u
+
+
+def _inverse_iteration(chain, f, solve):
     """Inverse iteration from ``f``; returns (gap, f).
 
-    Each step solves the grounded Laplacian, which multiplies the lambda_j
+    Each step solves the grounded Laplacian (``solve(f)``, u with
+    Lap u = mu f off a ground), which multiplies the lambda_j
     component of the centred f by 1 / lambda_j, so a few steps remove what
     the start vector carries of the other eigenvectors.  The gap is
     the Rayleigh quotient E(f) / Var(f) with E summed edge by edge over
@@ -192,14 +216,15 @@ def _inverse_iteration(chain, f, free, factor):
     eps max|lambda|.  It stops when the quotient changes by at most
     REFINE_RTOL, after REFINE_STEPS quotients or at a zero quotient, and
     returns the centred f with sum mu f^2 = 1 (``_mu_normalized``) of that
-    quotient.  A vector that stops being finite raises SolverNotConverged.
+    quotient.  A vector that stops being finite, or a final quotient that
+    is not positive, raises SolverNotConverged.
     """
     mu = chain.stationary
     prev = np.inf
     with np.errstate(all="ignore"):
         for step in range(REFINE_STEPS):
             if step:
-                f = _grounded_solve(chain, free, factor, f)
+                f = solve(f)
             f = _mu_normalized(mu, f - np.dot(mu, f))
             if not np.isfinite(f).all():
                 raise SolverNotConverged("inverse iteration vector is not finite")
@@ -207,6 +232,8 @@ def _inverse_iteration(chain, f, free, factor):
             if not gap > 0.0 or abs(gap - prev) <= REFINE_RTOL * gap:
                 break
             prev = gap
+    if not gap > 0.0:
+        raise SolverNotConverged(f"Rayleigh quotient {gap!r} is not positive")
     return gap, f
 
 
@@ -221,39 +248,66 @@ def _mu_normalized(mu, f):
     return f / np.sqrt(norm2)
 
 
-def certified_gap(chain, f):
+def certified_gap(chain, f, pair=None):
     """Spectral gap by inverse iteration from ``f``, with a Kato-Temple
-    interval whose lambda_3 bound is a Sylvester inertia count.
+    interval.  Two routes differ in how they ground the Laplacian and how
+    they bound lambda_3 from below.
 
-    1. Inverse iteration (``_inverse_iteration``) from ``f`` gives the
-       centred, normalized f and rho = E(f) / Var(f) >= lambda_2.
-    2. A few solves on the same grounded factor, from a fixed-seed vector
-       kept mu-orthogonal to 1 and to f, estimate lambda_3.  An estimate
-       that is not finite gives no floor.  The grounded factor is then
-       released.
+    The pair route runs when ``pair`` is the ``EquilibriumSolution`` of two
+    one-state sets {a}, {b} on a chain of more than two states, and makes
+    no factorization of its own:
+
+    1. Inverse iteration grounded at b (``_pair_solve``) goes through the
+       interior solver that computed ``pair``.
+    2. Courant-Fischer with the two point evaluations at a and b: every
+       3-dimensional space of functions holds one that vanishes on {a, b},
+       so lambda_3 >= lambda_1 of the chain killed at {a, b}, which is at
+       least 1 / max_x E_x[tau_{a,b}] (the Dirichlet Green operator is
+       nonnegative with row sums E_x[tau]).  ``mean_exit_time_bound`` bounds
+       that maximum by max w~ / q, w~ one interior solve against mu and q
+       its residual floor, with its rounding allowance MEAN_TIME_ROUNDING;
+       sigma is the reciprocal.  A q <= 0 gives sigma = 0.
+
+    If that interval is not ``exact``, the grounded route runs from the
+    same ``f`` and its certificate is returned, as for every other caller:
+
+    1. Inverse iteration from ``f`` on a SuperLU factor of the Laplacian
+       grounded at the heaviest state (``_grounded_factor``).
+    2. A few solves on the same factor, from a fixed-seed vector kept
+       mu-orthogonal to 1 and to f, estimate lambda_3.  An estimate that is
+       not finite gives no floor.  The grounded factor is then released.
     3. ``_lambda3_floor`` certifies lambda_3 >= sigma by counting negative
        pivots of Lap - sigma diag(mu), with sigma between the upper end
        of the interval and the estimate.  Each count factors the shifted
        matrix anew, so at most one SuperLU factor of this function is alive
        at a time.
-    4. Kato-Temple: lambda_2 >= rho - eps^2 / (sigma - rho), where
-       eps^2 = sum r^2 / mu and r_x = sum_y c_xy (f_x - f_y) - rho mu_x f_x,
-       summed edge by edge: the CSR row deg_x f_x - sum_y c_xy f_y cancels
-       inside a well and can leave r too small.  Both ends of the interval
-       are widened by GAP_ROUNDING rho, the rounding of rho.
+
+    Both routes end alike.  Inverse iteration (``_inverse_iteration``)
+    gives the centred, normalized f and rho = E(f) / Var(f) >= lambda_2.
+    Kato-Temple: lambda_2 >= rho - eps^2 / (sigma - rho), where
+    eps^2 = sum r^2 / mu and r_x = sum_y c_xy (f_x - f_y) - rho mu_x f_x,
+    summed edge by edge: the CSR row deg_x f_x - sum_y c_xy f_y cancels
+    inside a well and can leave r too small.  Both ends of the interval
+    are widened by GAP_ROUNDING rho, the rounding of rho.
 
     ``exact_cpi`` starts from the dense lambda_2 vector, ``metastab rfcw``
-    from h_{M1,M2}, the lambda_2 eigenvector to leading order.  A chain of
-    at most two states has no lambda_3.  Raises SolverNotConverged if the
-    quotient is not positive or the iteration overflows.
+    from h_{M1,M2}, the lambda_2 eigenvector to leading order, and passes
+    that solution as ``pair``.  A chain of at most two states has no
+    lambda_3.  Raises SolverNotConverged if the quotient is not positive or
+    the iteration overflows.
     """
     mu = chain.stationary
     n = chain.n_states
+    f = np.asarray(f, dtype=float)
+    if pair is not None and n > 2 and pair.set_a.sum() == pair.set_b.sum() == 1:
+        gap, g = _inverse_iteration(chain, f, partial(_pair_solve, chain, pair))
+        sigma = 1.0 / mean_exit_time_bound(chain, ~(pair.set_a | pair.set_b))
+        cert = _kato_temple(chain, gap, g, sigma)
+        if cert.exact:
+            return cert
     free, factor = _grounded_factor(chain)
-    gap, f = _inverse_iteration(chain, np.asarray(f, dtype=float), free, factor)
-    if not gap > 0.0:
-        raise SolverNotConverged(f"Rayleigh quotient {gap!r} is not positive")
-    upper = gap * (1.0 + GAP_ROUNDING)
+    solve = partial(_grounded_solve, chain, free, factor)
+    gap, f = _inverse_iteration(chain, f, solve)
     sigma = np.inf
     if n > 2:
         g = np.random.default_rng(LAMBDA3_SEED).normal(size=n)
@@ -264,14 +318,23 @@ def certified_gap(chain, f):
                     g = g - np.dot(mu * f, g) * f
                 g = _mu_normalized(mu, g)
                 if k < LAMBDA3_SOLVES:
-                    g = _grounded_solve(chain, free, factor, g)
-        del factor  # one live SuperLU factor: _lambda3_floor builds its own
+                    g = solve(g)
+        del factor, solve  # one live SuperLU factor: _lambda3_floor builds its own
         sigma = 0.0
         if np.isfinite(g).all():
+            upper = gap * (1.0 + GAP_ROUNDING)
             sigma = _lambda3_floor(chain, upper, dirichlet_form(chain, g))
+    return _kato_temple(chain, gap, f, sigma)
+
+
+def _kato_temple(chain, gap, f, sigma):
+    """The certificate of the quotient ``gap`` at ``f`` given
+    lambda_3 >= ``sigma`` (``certified_gap``'s last step)."""
+    mu = chain.stationary
+    upper = gap * (1.0 + GAP_ROUNDING)
     lower = 0.0
     if sigma > upper:
-        i, j = chain._edge_i, chain._edge_j
+        i, j, n = chain._edge_i, chain._edge_j, chain.n_states
         d = chain._edge_w * (f[i] - f[j])
         r = np.bincount(i, d, n) - np.bincount(j, d, n) - gap * (mu * f)
         eps2 = np.dot(r, r / mu)

@@ -30,7 +30,8 @@ terms.  Whatever the path, it still checks the harmonicity residual, the
 [0, 1] range and the agreement of sum mu e with the Dirichlet energy of
 h_{A,B} where h <= 1/2 and 1 - h_{B,A} above before it returns.  A block
 that LAPACK or SuperLU finds exactly singular raises
-``SolverNotConverged``.
+``SolverNotConverged``.  ``mean_exit_time_bound`` takes one more solve from
+the memoised solver and bounds max_x E_x[tau] by its residual.
 
 Subset scans (the measure-capacity constant, the capacitary integral and
 the exact metastability ratio) need up to 2^20 capacities of small pairs and
@@ -76,7 +77,14 @@ from .chains import (
     subset_mask,
 )
 
-DENSE_SOLVE_LIMIT = 400
+# largest block solved by dense LAPACK.  Probe: np.linalg.solve on the
+# interior Laplacian block of a random reversible chain, with two
+# right-hand sides, gave the same bits under OPENBLAS_NUM_THREADS=1 and =2
+# at m = 32 .. 96 and different bits at m = 112, 128, 160 and 256 (2-vCPU
+# x86-64, OpenBLAS), so below the limit no report depends on the thread
+# count.  Larger blocks take SuperLU, single-threaded and no slower from
+# m ~ 150
+DENSE_SOLVE_LIMIT = 96
 RESIDUAL_TOL = 1e-10
 OVERSHOOT_TOL = 1e-9
 CAP_AGREE_RTOL = 1e-8
@@ -84,6 +92,11 @@ EXACT_ENUM_LIMIT = 20
 SCAN_BATCH_BYTES = 1 << 23
 SCAN_BLOCK = 256
 SCAN_MARGIN = 1e-6
+EPS = np.finfo(float).eps
+# relative rounding allowance of max w~ / q in ``mean_exit_time_bound``: the
+# quotient, the division by mu and the subtraction in q, and a reciprocal
+# taken of the bound each round by at most eps / 2
+MEAN_TIME_ROUNDING = 4 * EPS
 
 
 class OverlappingSets(ValidationError):
@@ -169,6 +182,37 @@ def equilibrium_potential(chain, A, B):
     )
 
 
+def mean_exit_time_bound(chain, free):
+    """Upper bound on max_x E_x[tau], tau the hitting time of the states
+    outside the mask ``free``, or inf.
+
+    w = E_.[tau] solves Lap[free, free] w = mu on ``free`` (Lap = mu (I - P)
+    in discrete time, -mu L in continuous time), and w = 0 outside.  One
+    call of the interior solver gives some w~.  Its residual
+    q = min_x (Lap w~)_x / mu_x takes each row as a sum of edge terms
+    c_xy (w~_x - w~_y), lowered by (k + 2) eps times the sum of their
+    magnitudes, a bound on the rounding of a sum of k terms.  Since
+    Lap[free, free]^{-1} >= 0 entrywise, Lap w~ >= q mu gives w~ >= q w, so
+    max w <= max w~ / q.  That quotient is raised by MEAN_TIME_ROUNDING, which
+    covers its own rounding, that of q, and that of its reciprocal.  A q that
+    is not positive (a w~ too far from w) gives inf.
+    """
+    mu, n = chain.stationary, chain.n_states
+    i, j = chain._edge_i, chain._edge_j
+    w = np.zeros(n)
+    with np.errstate(all="ignore"):  # a non-finite w~ gives q = nan
+        w[free] = _spd_solver(chain, free)(mu[free])
+        t = chain._edge_w * (w[i] - w[j])
+        row = np.bincount(i, t, n) - np.bincount(j, t, n)
+        size = np.abs(t)
+        size = np.bincount(i, size, n) + np.bincount(j, size, n)
+        terms = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+        q = ((row - (terms + 2) * EPS * size) / mu)[free].min()
+        if not q > 0.0:
+            return np.inf
+        return w[free].max() / q * (1.0 + MEAN_TIME_ROUNDING)
+
+
 # -- internals -----------------------------------------------------------------
 
 
@@ -199,11 +243,14 @@ def _solve_potentials(chain, masks):
         rhs[:, i] = _row_sums(w.data[sel], np.append(0, np.cumsum(sel))[w.indptr])
     interior = ~union
     if interior.any():
-        # the interior's component labels, memoised beside the solver; W is
-        # symmetric, so its strong components need no transpose
+        # the interior's component labels, memoised beside the solver; the
+        # Laplacian block has W's off-diagonal pattern and is symmetric, so
+        # its strong components need no transpose
         key, memo = interior.tobytes(), chain._interior_solver or (None,) * 4
+        block = None
         if memo[2] != key:
-            label = connected_components(w[interior][:, interior], connection="strong")[1]
+            block = chain.laplacian[interior][:, interior]
+            label = connected_components(block, connection="strong")[1]
             memo = chain._interior_solver = memo[:2] + (key, label)
         label = memo[3]
         # rhs[:, i] = W[int, M_i] 1 is positive exactly next to M_i
@@ -211,16 +258,19 @@ def _solve_potentials(chain, masks):
         np.logical_or.at(near, label, rhs[interior] > 0.0)
         dead = (near.sum(axis=1) == 1)[label]
         h[interior] = near[label] & dead[:, None]
+        if dead.any():
+            block = None  # the solved part is smaller than the sliced block
         interior[interior] = ~dead
         if interior.any():
-            h[interior] = _spd_solver(chain, interior)(rhs[interior])
+            h[interior] = _spd_solver(chain, interior, block)(rhs[interior])
     return h
 
 
-def _spd_solver(chain, free):
+def _spd_solver(chain, free, mat=None):
     """Solve callable for Lap[free, free] x = rhs, memoised on the chain.
 
-    ``rhs`` is a vector or a matrix of right-hand-side columns.
+    ``rhs`` is a vector or a matrix of right-hand-side columns.  ``mat`` is
+    Lap[free, free] if the caller has sliced it already, else None.
 
     The memo is one tuple (key, solve, interior key, labels) keyed by mask
     bytes, the labels ``_solve_potentials``'s.  It is read once and replaced
@@ -230,7 +280,8 @@ def _spd_solver(chain, free):
     memo = chain._interior_solver or (None,) * 4
     if memo[0] == key:
         return memo[1]
-    mat = chain.laplacian[free][:, free]
+    if mat is None:
+        mat = chain.laplacian[free][:, free]
     m = mat.shape[0]
     if m <= DENSE_SOLVE_LIMIT:
         dense = mat.toarray()

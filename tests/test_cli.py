@@ -3,6 +3,9 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import metastab
 from metastab import metastable, potential
 from metastab import oracle as oracle_mod
 from metastab import rfcw as rfcw_mod
@@ -1044,20 +1048,31 @@ REPORT_CHAINS = {
 # the rho numerator took cap(M1, M2) from the checked equilibrium_potential
 # (sum mu e) instead of its own flux sum: only the beta 3 rho moved, from
 # 230.26474587600902 to 230.26474587600907; cap_m1_m2 and the gaps kept
-# their bits.
+# their bits.  The couple and rfcw entries were frozen again when
+# interiors above 96 states left the threaded dense solve for SuperLU.
+# Against a long-double dense solve (rfcw rho: a long-double diag of
+# Lap_ff^{-1}): couple eta_exact 2.0331388932512374e-4 -> ...2434e-4
+# (3.2e-15 -> 2.7e-16 from it), var_exact 1.2585625109442274e-3 ->
+# ...2311e-3 (3.5e-15 -> 5.2e-16), max_fiber_spread 0.030483730497406103 ->
+# ...40627 (7.3e-15 -> 1.8e-15), worst_margin 0.10391835988562434 -> ...435
+# (1.3e-16 -> 0); rfcw cap_m1_m2 at beta 1.5 0.0026390733647885896 ->
+# ...8591 (3.3e-16 -> 1.6e-16), rho 230.26474587600907 -> ...916 (2.5e-16 ->
+# 1.2e-16), and at beta 3 rho 0.6290170665889271 -> ...268 (7.1e-16 ->
+# 1.8e-16).  The beta 3 gap, now from the pair route of certified_gap,
+# moved 0.00019986703318970565 -> ...568, 6.3e-17 from the 40-digit value.
 REPORT_GOLDENS = {
     ("analyze", "dw11-b1"): "97efd52455b3f3a37b4dd8e37c606e8b3b6fdff0cb6e53c794be0cdfca9f3f5a",
     ("analyze", "dw11-b3"): "5c140ac2b40f2669202aca0f239b6e2a60e0916b96fa1e0206b16cbe9e1ab4bd",
     ("analyze", "dw15-b0.5"): "8f332915371330450662467e789b81aa597245f514ad125ea360e37f70334765",
     ("analyze", "rc13-v0"): "7003fd046de95b1f4bc9fb1ad10cd758abf02fb3db56416fba77321aee9350f3",
     ("capineq", "5"): "4166dfaf8a827d3dc2732e93cafe2f6ab3fc15e878a7596e4335f5e2f3b4590d",
-    ("couple", "N8"): "bf7ba8fc905bdf64e412459e0eac6a2657c7a3abeb3b1346eba6582518172ccf",
+    ("couple", "N8"): "faecfe8ad8f96c9c6988648fe3719b1cc4a8ebf9c826dcaab0bd7fb951b5bd99",
     ("oracle", "dw11-b2"): "e9b9b0a9ae9829f5a593c4752ed5d191ffdfba1e2ad92e160ae95894fd65fe26",
     ("orlicz", "dw11-b1"): "7f3ac1bd1096d1327a7b0b37e7e99cfb343fa61159943c469184583d306f56f7",
     ("orlicz", "dw11-b3"): "4ee9aa7d737a1f0eb72a9925dbfe4023c21ec5a09dd6121fad2c85fd3c125e97",
     ("orlicz", "dw15-b0.5"): "bd11b6cdf18d54b21dd8a629245cc826a9071e951511999feaed1ba944f29113",
     ("orlicz", "rc13-v0"): "6e132543a32ca7430ce6c8b5a83543c6b0b1250afe0f21896051fff4fd98a603",
-    ("rfcw", "N8"): "36dc695c37486822ec67bdbf160d350e92fa5beb18c30bfcfa782fdca0310450",
+    ("rfcw", "N8"): "94eb96825fd19d91dfcdf205283036040fd61fd35e7a1b905edda5995b661d2f",
 }
 
 
@@ -1097,6 +1112,60 @@ def test_rfcw_gap_needs_no_dense_eigensolve(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, _report_argv(tmp_path, "rfcw", "N8"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDENS[("rfcw", "N8")]
+
+
+def test_couple_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # every interior of the N = 8 micro chain is above DENSE_SOLVE_LIMIT, so
+    # no dense solve of the couple report reaches a threaded LAPACK kernel
+    src = str(Path(metastab.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "metastab.cli", *_report_argv(tmp_path, "couple", "N8")],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_point_set_rfcw_gap_reuses_the_pair_factor(capsys, monkeypatch):
+    # the minima fibers are single states: the gap goes through the interior
+    # factor of cap(M1, M2); the grounded route would add two factorizations
+    sizes = []
+    real = potential.sym_factor
+
+    def counted(mat, *args):
+        sizes.append(mat.shape[0])
+        return real(mat, *args)
+
+    monkeypatch.setattr(potential, "sym_factor", counted)
+    monkeypatch.setattr(oracle_mod, "sym_factor", counted)
+    code, out, _ = run_cli(capsys, ["rfcw", "--N", "10", "--beta", "3", "--field", "uniform:0.2",
+                                    "--n", "2", "--materialize", "--seed", "1"])
+    assert code == 0
+    assert json.loads(out)["runs"][0]["spectral_gap"]["mode"] == "exact"
+    assert sizes == [2**10 - 2]
+
+
+# gaps of the grounded route at beta 20, where the pair route's interval is
+# not exact and certified_gap returns the grounded certificate unchanged
+BETA20_GAPS = {
+    ("uniform:0.2", "0"): 4.019166488152728e-34,
+    ("uniform:0.2", "1"): 9.139346294512795e-36,
+    ("zero", ""): 4.5619655166625614e-42,
+}
+
+
+@pytest.mark.parametrize("field,seed", sorted(BETA20_GAPS))
+def test_rfcw_gap_falls_back_at_low_temperature(capsys, field, seed):
+    argv = ["rfcw", "--N", "10", "--beta", "20", "--field", field, "--n", "2", "--materialize"]
+    code, out, _ = run_cli(capsys, argv + (["--seed", seed] if seed else []))
+    assert code == 0
+    gap = json.loads(out)["runs"][0]["spectral_gap"]
+    assert gap == {"value": BETA20_GAPS[(field, seed)], "mode": "bound"}
 
 
 def test_rfcw_gap_uncertified_at_low_temperature(capsys):

@@ -24,7 +24,7 @@ from metastab import oracle as oracle_mod
 from metastab import rfcw as rfcw_mod
 from metastab.chains import entropy_gradient
 from metastab.orlicz import entropy_pair, l1_pair
-from metastab.potential import equilibrium_potential
+from metastab.potential import equilibrium_potential, mean_exit_time_bound
 from metastab.sampling import (
     double_well_chain,
     random_probability,
@@ -607,6 +607,58 @@ def test_certified_gap_agrees_with_the_dense_oracle(n_spins):
             assert cert.gap == pytest.approx(gap, rel=1e-12), where
             assert cert.lower <= gap + res and gap - res <= cert.upper, where
             assert 0.0 < cert.lambda3_floor <= lam3 + res, where
+
+
+def _point_pair_cell(n_spins, beta, field, seed):
+    """(chain, solution of (M1, M2)) of a materialized RFCW cell whose two
+    minima fibers are single states, None otherwise."""
+    model = rfcw_mod.build_model(n_spins, beta, field, seed=seed, materialize=True)
+    land = rfcw_mod.coarse_grain(model, 2)
+    order = rfcw_mod.find_minima_and_order(model, land)
+    if order.degenerate:
+        return None
+    sets = [land.fiber_mask([k]) for k in order.minima[:2]]
+    if any(m.sum() != 1 for m in sets):
+        return None
+    return model.chain, equilibrium_potential(model.chain, *sets)
+
+
+def _point_pair_cells(n_spins):
+    for beta in (2.5, 3.0, 4.5, 6.0):
+        for field, seed in RFCW_GRID_FIELDS:
+            cell = _point_pair_cell(n_spins, beta, field, seed)
+            if cell is not None:
+                yield (n_spins, beta, field, seed), cell
+
+
+@pytest.mark.parametrize("n_spins", [6, 8, 9, 10, 11])
+def test_pair_route_agrees_with_the_grounded_route(n_spins):
+    cells = 0
+    for where, (chain, sol) in _point_pair_cells(n_spins):
+        grounded = oracle_mod.certified_gap(chain, sol.potential)
+        pair = oracle_mod.certified_gap(chain, sol.potential, sol)
+        sigma = 1.0 / mean_exit_time_bound(chain, ~(sol.set_a | sol.set_b))
+        assert pair.lambda3_floor == sigma, where  # the pair route's own floor
+        assert grounded.lower <= pair.gap <= grounded.upper, where
+        assert pair.lower <= grounded.gap <= pair.upper, where
+        assert pair.exact == grounded.exact, where
+        cells += 1
+    assert cells
+
+
+@pytest.mark.parametrize("n_spins", [6, 8])
+def test_pair_route_floor_is_below_lambda3(n_spins):
+    # sigma <= lambda_1 of the chain killed at {a, b} <= lambda_3
+    for where, (chain, sol) in _point_pair_cells(n_spins):
+        floor = oracle_mod.certified_gap(chain, sol.potential, sol).lambda3_floor
+        _, lam3, res = _dense_gaps(chain)
+        free = ~(sol.set_a | sol.set_b)
+        root = np.sqrt(chain.stationary[free])
+        killed = chain.laplacian[free][:, free].toarray() / root[:, None] / root[None, :]
+        vals = scipy.linalg.eigvalsh(killed)
+        killed_res = GAP_DIGITS_FACTOR * free.sum() * np.finfo(float).eps * vals[-1]
+        assert 0.0 < floor <= vals[0] + killed_res, where
+        assert floor <= lam3 + res, where
 
 
 def _mp_spectrum(chain, dps=40):

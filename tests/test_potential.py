@@ -249,6 +249,54 @@ def test_swapped_pair_with_dead_ends_builds_one_factor(monkeypatch):
     assert ba.capacity == pytest.approx(series, rel=1e-12)
 
 
+def test_mean_exit_time_bound_holds_the_dense_maximum():
+    # max_x E_x[tau] from a dense solve of Lap_ff w = mu_f lies at or below
+    # the bound, and the bound gives away no more than a few digits
+    rng = np.random.default_rng(41)
+    chains = [random_reversible_chain(rng, n) for n in (3, 8, 20, 60, 150)]
+    chains += [double_well_chain(beta) for beta in (1.0, 4.0, 8.0)]
+    for chain in chains:
+        n = chain.n_states
+        free = np.ones(n, dtype=bool)
+        free[[0, n - 1]] = False
+        lap = chain.laplacian.toarray()[np.ix_(free, free)]
+        want = np.linalg.solve(lap, chain.stationary[free]).max()
+        bound = potential.mean_exit_time_bound(chain, free)
+        assert want * (1.0 - 1e-12) <= bound <= want * (1.0 + 1e-9), n
+
+
+def test_mean_exit_time_bound_without_a_residual_floor(monkeypatch):
+    # a solve far from w leaves no positive q: no bound
+    chain = double_well_chain(2.0)
+    free = np.ones(chain.n_states, dtype=bool)
+    free[[0, 10]] = False
+    monkeypatch.setattr(potential, "_spd_solver", lambda chain, free: lambda rhs: -rhs)
+    assert potential.mean_exit_time_bound(chain, free) == np.inf
+
+
+@pytest.mark.parametrize("n", [11, 600])
+def test_memo_miss_slices_one_block(monkeypatch, n):
+    # a miss slices the interior's Laplacian block once (two csr getitem
+    # calls); it labels the components and, with no dead end cut, goes to
+    # the dense (n = 11) or sparse (n = 600) solver as it is.  The swapped
+    # pair slices nothing
+    mu = np.random.default_rng(n).uniform(0.5, 2.0, size=n)
+    chain = birth_death_generator_chain(mu / mu.sum())
+    cls = type(chain.laplacian)
+    real, calls = cls.__getitem__, []
+
+    def getitem(self, key):
+        calls.append(self.shape)
+        return real(self, key)
+
+    monkeypatch.setattr(cls, "__getitem__", getitem)
+    ab = equilibrium_potential(chain, [0], [n - 1])
+    assert np.all((ab.potential[1:-1] > 0.0) & (ab.potential[1:-1] < 1.0))  # no dead end
+    assert calls == [(n, n), (n - 2, n)]
+    equilibrium_potential(chain, [n - 1], [0])
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("beta", [0.5, 5.0, 25.0])
 def test_large_interior_well_matches_series(beta):
     # a 10,500-state birth-death double well: its interior is far above
