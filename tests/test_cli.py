@@ -1020,6 +1020,10 @@ REPORT_CHAINS = {
     "dw15-b0.5": lambda: double_well_chain(0.5, 15),
     "rc13-v0": lambda: random_reversible_chain(np.random.default_rng((20170515, 13, 0)), 13),
     "dw11-b2": lambda: double_well_chain(2.0),
+    "dw11-b12": lambda: double_well_chain(12.0),
+    "dw11-b40": lambda: double_well_chain(40.0),
+    "dw15-b3": lambda: double_well_chain(3.0, 15),
+    "rc23": lambda: random_reversible_chain(np.random.default_rng(3), 23),
 }
 
 # sha256 of the stdout of each command.  The analyze, capineq and orlicz
@@ -1073,6 +1077,16 @@ REPORT_GOLDENS = {
     ("orlicz", "dw15-b0.5"): "bd11b6cdf18d54b21dd8a629245cc826a9071e951511999feaed1ba944f29113",
     ("orlicz", "rc13-v0"): "6e132543a32ca7430ce6c8b5a83543c6b0b1250afe0f21896051fff4fd98a603",
     ("rfcw", "N8"): "94eb96825fd19d91dfcdf205283036040fd61fd35e7a1b905edda5995b661d2f",
+    # one entry for each tag path that the entries above leave unpinned
+    ("capacity", "dw15-b3/x0/x4"): "f9b827516591ceab5343f87fb84d639b9ff0448b0984b43ba6d1d912bc9cecf4",
+    ("oracle", "dw11-b2/cpi"): "e7dbf69d0658fb54464826b76ffd507ef230ef8c22ffd7f3ac1d680d6b30b38b",  # c_pi exact
+    ("oracle", "dw11-b12/cpi"): "5e5ba78389204ca5913d5950f0de2f3e23216676df55fff61f54cb155f6b35cc",  # c_pi bound
+    ("oracle", "dw11-b2/cheeger"): "72fe0b7f3d9b516043b40216f2ad0c380c7a7d5cc387cf830982e5ff046cc909",
+    ("analyze", "dw11-b12/x0,x1/x9,x10"): "18d9f9f29ab7ebed881a47a2760ec35ce2f031b7ff9adf7749bf63c13c0654a2",  # cpi_local exact
+    ("analyze", "dw11-b40/x0,x1,x2/x8,x9,x10"): "1f41a7c830b9a239ac3497e1492f42180bec6de5b3e49c7ab33c5b604feb6390",  # cpi_local bound
+    ("analyze", "dw11-b2/x0,x1,x2,x3,x4,x5/x6,x7,x8,x9,x10"): "892d941be887d7f5f3ec7b268b0c36e7dd23762d2775184e262bb9ac53ea0192",  # rho numerator-only
+    ("analyze", "rc23/s0/s22"): "9833a9320ce4a4a99555e6012c77e149151401ffda44e0430b7d1614f8636444",  # rho singleton
+    ("orlicz", "rc23"): "20540dd15b357c071a66e6037891783fc9452ce3547d5cd64dde1c00a694bf75",  # c_psi lower_bound
 }
 
 
@@ -1085,14 +1099,23 @@ def _report_argv(tmp_path, cmd, name):
     if cmd == "rfcw":
         return ["rfcw", "--N", "8", "--beta", "1.5,3", "--field", "uniform:0.2", "--n", "2",
                 "--materialize", "--seed", "7"]
-    chain = REPORT_CHAINS[name]()
+    # a name is a chain, then after "/" the oracle, the capacity's A and B,
+    # or the analyze sets; a bare chain runs the default arguments
+    chain_name, *rest = name.split("/")
+    chain = REPORT_CHAINS[chain_name]()
     path = tmp_path / "chain.json"
     save_chain(chain, path)
+    if cmd == "capacity":
+        return ["capacity", "--chain", str(path), "--A", rest[0], "--B", rest[1]]
     if cmd == "orlicz":
         return ["orlicz", "--chain", str(path), "--B", chain.states[-1]]
     if cmd == "oracle":
-        return ["oracle", "--chain", str(path), "--what", "clsi", "--seed", "1"]
+        what = rest[0] if rest else "clsi"
+        return ["oracle", "--chain", str(path), "--what", what, "--seed", "1"]
     sets = tmp_path / "sets.json"
+    if rest:
+        sets.write_text(json.dumps({"sets": [s.split(",") for s in rest]}))
+        return ["analyze", "--chain", str(path), "--sets", str(sets), "--seed", "1"]
     sets.write_text(json.dumps({"sets": [[chain.states[0]], [chain.states[-1]]]}))
     return ["analyze", "--chain", str(path), "--sets", str(sets), "--exact", "--seed", "1"]
 
