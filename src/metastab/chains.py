@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +21,8 @@ ROW_TOL = 1e-12
 MASS_TOL = 1e-12
 BALANCE_RTOL = 1e-10
 DENSE_STATIONARY_LIMIT = 4096
+# the one tolerance that decides a report tag (``Certified.mode``)
+EXACT_RTOL = 1e-12
 
 
 class MetastabError(Exception):
@@ -48,6 +51,26 @@ class NotIrreducible(ValidationError):
 
 class SolverNotConverged(MetastabError):
     pass
+
+
+@dataclass(frozen=True)
+class Certified:
+    """A value and an interval [lower, upper] certified to hold what it
+    computes (one-sided: an infinite end).  ``mode`` is its report tag:
+    ``exact`` when the interval is at most EXACT_RTOL |value| wide."""
+
+    value: float
+    lower: float
+    upper: float
+
+    @property
+    def mode(self):
+        if self.upper - self.lower <= EXACT_RTOL * abs(self.value) < math.inf:
+            return "exact"
+        return "bound"
+
+    def __truediv__(self, scale):
+        return Certified(self.value / scale, self.lower / scale, self.upper / scale)
 
 
 class ReversibleChain:
@@ -177,16 +200,6 @@ class ReversibleChain:
     def mass(self, mask):
         """Total stationary mass of a subset."""
         return float(self.stationary[np.asarray(mask, dtype=bool)].sum())
-
-    def conditional(self, mask):
-        """Conditional measure mu[. | mask] as a full-length vector."""
-        mask = np.asarray(mask, dtype=bool)
-        out = np.zeros(self.n_states)
-        m = self.mass(mask)
-        if m <= 0.0:
-            raise ValidationError("conditioning on a zero-mass set")
-        out[mask] = self.stationary[mask] / m
-        return out
 
 
 def _row_sums(data, indptr):

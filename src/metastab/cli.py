@@ -1,9 +1,10 @@
 """Command-line surface: reproducible experiments over the library modules.
 
 Reports are JSON with a provenance block (version, seed, mode, tolerances)
-and deterministic byte-for-byte given the same arguments and seed.  Exit
-codes: 0 success, 1 bad input (error kind ``validation``) or a solve that
-failed its checks (kind ``solver``), 2 failed theorem-backed inequalities.
+and deterministic byte-for-byte given the same arguments and seed.  One rule,
+``tagged``, tags every number; ``chains.EXACT_RTOL`` alone decides ``exact``.
+Exit codes: 0 success, 1 bad input (error kind ``validation``) or a solve
+that failed its checks (kind ``solver``), 2 failed theorem-backed inequalities.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .chains import (
+    Certified,
     InequalityViolation,
     MetastabError,
     SolverNotConverged,
@@ -35,12 +37,18 @@ from .potential import equilibrium_potential
 from .sampling import random_reversible_chain, random_state_function
 
 
-def tagged(value, mode, sigma=None):
-    """Report numeric tagged with its evaluation mode (exact | bound | mc)."""
-    out = {"value": value, "mode": mode}
+def tagged(x, sigma=None):
+    """Report number ``x`` with its tag: ``mc`` when a sampling ``sigma``
+    is given; for a ``chains.Certified``, its mode (``exact`` when its
+    interval is at most ``chains.EXACT_RTOL`` |value| wide, else ``bound``);
+    ``exact`` for a plain float, the closed form of checked solves
+    (capacity, eta, c_mass, the main terms, free energy, max_ratio,
+    c_cheeger, p_A_theory)."""
     if sigma is not None:
-        out["sigma"] = sigma
-    return out
+        return {"value": x, "mode": "mc", "sigma": sigma}
+    if isinstance(x, Certified):
+        return {"value": x.value, "mode": x.mode}
+    return {"value": x, "mode": "exact"}
 
 
 def _provenance(args, mode=None, tolerances=None):
@@ -117,8 +125,8 @@ def cmd_capacity(args):
         "provenance": _provenance(args, mode="exact"),
         "A": _mask_to_ids(chain, a),
         "B": _mask_to_ids(chain, b),
-        "capacity": tagged(sol.capacity, "exact"),
-        "capacity_from_energy": tagged(sol.capacity_from_energy, "exact"),
+        "capacity": tagged(sol.capacity),
+        "capacity_from_energy": tagged(sol.capacity_from_energy),
         "potential": dict(zip(chain.states, sol.potential.tolist())),
         "equilibrium_measure": {
             s: float(v)
@@ -137,8 +145,7 @@ def cmd_analyze(args):
     chain = load_chain(args.chain)
     sets = _sets_from_file(chain, args.sets)
     _need_seed(args)
-    mode = "exact" if args.exact else "auto"
-    structure = meta_mod.build_structure(chain, sets, mode=mode, seed=args.seed)
+    structure = meta_mod.build_structure(chain, sets, mode=args.rho_mode, seed=args.seed)
     estimates = meta_mod.pi_lsi_estimates(chain, structure)
     exits = {}
     for i in range(structure.n_sets):
@@ -147,28 +154,24 @@ def cmd_analyze(args):
         except MetastabError:
             exits[str(i)] = None
     report = {
-        "provenance": _provenance(args, mode=structure.rho_certificate.mode),
+        "provenance": _provenance(args, mode=structure.rho_certificate.method),
         "sets": [_mask_to_ids(chain, m) for m in structure.sets],
         "partition": [_mask_to_ids(chain, p) for p in structure.partition],
-        "rho": tagged(
-            structure.rho,
-            "exact" if structure.rho_certificate.mode == "exact" else "bound",
-        ),
-        "eta": tagged(structure.eta, "exact"),
-        "c_mass": tagged(structure.c_mass, "exact"),
-        "cpi_local": [tagged(v, "exact" if e else "bound")
-                      for v, e in zip(structure.cpi_local.tolist(), structure.cpi_exact)],
-        "clsi_local": [tagged(v, "bound") for v in structure.clsi_local.tolist()],
-        "cpi_M": tagged(structure.cpi_M, "exact" if structure.cpi_exact.all() else "bound"),
-        "clsi_M": tagged(structure.clsi_M, "bound"),
+        "rho": tagged(structure.rho_certificate),
+        "eta": tagged(structure.eta),
+        "c_mass": tagged(structure.c_mass),
+        "cpi_local": [tagged(c) for c in structure.cpi_local],
+        "clsi_local": [tagged(c) for c in structure.clsi_local],
+        "cpi_M": tagged(structure.cpi_M),
+        "clsi_M": tagged(structure.clsi_M),
         "mu_sets": structure.mu_sets.tolist(),
         "mu_parts": structure.mu_parts.tolist(),
         "capacities": structure.caps.tolist(),
         "pi_lsi": {
-            "pi_lower": tagged(estimates["pi_lower"], "exact"),
-            "pi_upper": tagged(estimates["pi_upper"], "exact"),
-            "lsi_lower": tagged(estimates["lsi_lower"], "exact"),
-            "lsi_upper": tagged(estimates["lsi_upper"], "exact"),
+            "pi_lower": tagged(estimates["pi_lower"]),
+            "pi_upper": tagged(estimates["pi_upper"]),
+            "lsi_lower": tagged(estimates["lsi_lower"]),
+            "lsi_upper": tagged(estimates["lsi_upper"]),
             "diag_pi_error_factor": estimates["diag_pi_error_factor"],
             "diag_lsi_error_factor": estimates["diag_lsi_error_factor"],
             "k2_point_estimates": estimates.get("k2_point_estimates"),
@@ -191,9 +194,7 @@ def cmd_orlicz(args):
         "pair": pair.name,
         "K": k_val,
         "B": _mask_to_ids(chain, b),
-        "c_psi": tagged(
-            scan["c_psi"], "exact" if scan["mode"] == "exact" else "bound"
-        ),
+        "c_psi": tagged(scan["c_psi"]),
         "argmax": _mask_to_ids(chain, scan["argmax"]),
     }
 
@@ -219,7 +220,7 @@ def cmd_capineq(args):
         ),
         "samples": args.samples,
         "violations": 0,  # capacitary_integral raises on one: exit 2
-        "max_ratio": tagged(worst, "exact"),
+        "max_ratio": tagged(worst),
     }
 
 
@@ -227,19 +228,18 @@ def cmd_oracle(args):
     chain = load_chain(args.chain)
     if args.what == "cpi":
         rep = oracle_mod.exact_cpi(chain)
-        mode = "exact" if rep.certificate.exact else "bound"
         return {
-            "provenance": _provenance(args, mode=mode),
-            "c_pi": tagged(rep.c_pi_exact, mode),
-            "spectral_gap": tagged(rep.spectral_gap, mode),
+            "provenance": _provenance(args, mode=rep.certificate.mode),
+            "c_pi": tagged(rep.c_pi),
+            "spectral_gap": tagged(rep.certificate),
             "eigenvalues": rep.eigenvalues.tolist(),
         }
     if args.what == "clsi":
         _need_seed(args)
         rep = oracle_mod.estimate_clsi(chain, seed=args.seed)
         return {
-            "provenance": _provenance(args, mode="bound"),
-            "c_lsi_lower": tagged(rep.c_lsi_lower, "bound"),
+            "provenance": _provenance(args, mode=rep.c_lsi.mode),
+            "c_lsi_lower": tagged(rep.c_lsi),
             "multistarts": rep.multistarts,
             "converged": rep.converged,
         }
@@ -247,7 +247,7 @@ def cmd_oracle(args):
         val, mask = oracle_mod.cheeger_constant(chain)
         return {
             "provenance": _provenance(args, mode="exact"),
-            "c_cheeger": tagged(val, "exact"),
+            "c_cheeger": tagged(val),
             "argmax": _mask_to_ids(chain, mask),
         }
     raise ValidationError(f"unknown oracle {args.what!r}")
@@ -271,7 +271,7 @@ def cmd_rfcw(args):
             "deltas": ordering.deltas.tolist(),
             "degenerate": ordering.degenerate,
             "free_energy": {
-                land.point_ids[k]: tagged(float(land.free_energy[k]), "exact")
+                land.point_ids[k]: tagged(float(land.free_energy[k]))
                 for k in range(land.n_points)
             },
             "refined_minima": [
@@ -288,11 +288,12 @@ def cmd_rfcw(args):
         if model.materialized and not ordering.degenerate:
             sets = [land.fiber_mask([k]) for k in ordering.minima[:2]]
             cert = meta_mod.rho_metastability(model.chain, sets, mode="singleton")
-            entry["rho"] = tagged(cert.rho, "bound")
+            entry["rho"] = tagged(cert)
             sol = cert.solutions[0]  # the pair (M1, M2)
-            entry["cap_m1_m2"] = tagged(sol.capacity, "exact")
-            cert = oracle_mod.certified_gap(model.chain, sol.potential, sol)
-            entry["spectral_gap"] = tagged(cert.gap, "exact" if cert.exact else "bound")
+            entry["cap_m1_m2"] = tagged(sol.capacity)
+            entry["spectral_gap"] = tagged(
+                oracle_mod.certified_gap(model.chain, sol.potential, sol)
+            )
         per_beta.append(entry)
     return {
         "provenance": _provenance(args, mode="exact"),
@@ -345,10 +346,8 @@ def cmd_couple(args):
                 for k, v in report.items()
                 if k not in ("p_A_empirical", "p_A_theory")
             },
-            "p_A_empirical": tagged(
-                report["p_A_empirical"], "mc", sigma=report["p_A_sigma"]
-            ),
-            "p_A_theory": tagged(report["p_A_theory"], "exact"),
+            "p_A_empirical": tagged(report["p_A_empirical"], sigma=report["p_A_sigma"]),
+            "p_A_theory": tagged(report["p_A_theory"]),
         },
         "tail_bound": tail,
     }
@@ -447,7 +446,8 @@ def build_parser():
     p = sub.add_parser("analyze")
     p.add_argument("--chain", required=True)
     p.add_argument("--sets", required=True)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", dest="rho_mode", action="store_const", const="exact",
+                   default="auto")
     common(p)
 
     p = sub.add_parser("orlicz")

@@ -20,6 +20,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .chains import (
+    Certified,
     ReversibleChain,
     SolverNotConverged,
     ValidationError,
@@ -37,32 +38,30 @@ TIE_TOL = 1e-12
 SINGLETON_LIMIT = 15_000
 
 
-@dataclass
-class RhoCertificate:
-    """Witnessed evaluation of the metastability ratio.
+@dataclass(frozen=True)
+class RhoCertificate(Certified):
+    """Witnessed evaluation of the metastability ratio by ``method``.
 
-    In singleton mode the value is an upper bound on the ratio carrying the
-    documented |S| relaxation factor; in exact mode the denominator minimum
-    runs over every nonempty subset outside the metastable sets.  When the
-    sets cover the whole space the denominator family is empty and only the
-    numerator is reported.  ``solutions[i]`` is the checked solution of the
-    pair (M_i, U - M_i), U the union of the sets, whose capacity enters the
-    numerator.
+    In ``exact`` the denominator minimum runs over every nonempty subset
+    outside the metastable sets, and the interval is [rho, rho].  In
+    ``singleton`` the value is an upper bound on the ratio carrying the
+    documented |S| relaxation factor, on [0, rho].  When the sets cover the
+    whole space the denominator family is empty and only the numerator is
+    reported (``numerator-only``, on [numerator, inf]).  ``solutions[i]``
+    is the checked solution of the pair (M_i, U - M_i), U the union of the
+    sets, whose capacity enters the numerator.
     """
 
-    rho: float
-    mode: str
+    method: str
     numerator: float
     denominator: float | None
     argmin_subset: np.ndarray | None
-    whole_space: bool
     solutions: list
 
 
 @dataclass
 class MetastableStructure:
     sets: list
-    rho: float
     rho_certificate: RhoCertificate
     valleys: list
     partition: list
@@ -74,11 +73,10 @@ class MetastableStructure:
     eta: float
     eta_pairs: np.ndarray
     c_mass: float
-    cpi_local: np.ndarray
-    clsi_local: np.ndarray
-    cpi_exact: np.ndarray
-    cpi_M: float
-    clsi_M: float
+    cpi_local: list
+    clsi_local: list
+    cpi_M: Certified
+    clsi_M: Certified
     solutions: dict
 
     @property
@@ -130,7 +128,7 @@ def rho_metastability(chain, sets, mode="auto"):
     mu = chain.stationary
     free = np.flatnonzero(~union)
     if mode == "auto":
-        mode = "exact" if free.size <= potential.EXACT_ENUM_LIMIT else "singleton"
+        mode = "singleton" if free.size > potential.EXACT_ENUM_LIMIT else "exact"
     if mode == "singleton" and free.size:
         # cap({y}, M) = 1 / (Lap_ff^{-1})_{yy} on the killed interior
         if free.size > SINGLETON_LIMIT:
@@ -145,15 +143,8 @@ def rho_metastability(chain, sets, mode="auto"):
     numerator = k * vals[worst]
 
     if free.size == 0:
-        return RhoCertificate(
-            rho=float(numerator),
-            mode="numerator-only",
-            numerator=float(numerator),
-            denominator=None,
-            argmin_subset=None,
-            whole_space=True,
-            solutions=solutions,
-        )
+        num = float(numerator)
+        return RhoCertificate(num, num, np.inf, "numerator-only", num, None, None, solutions)
 
     if mode == "exact":
         if free.size > potential.EXACT_ENUM_LIMIT:
@@ -175,14 +166,10 @@ def rho_metastability(chain, sets, mode="auto"):
         arg[free[k_min]] = True
         den = den / chain.n_states  # reversibility relaxation, |S| factor
         rho = numerator / den
+    rho = float(rho)
     return RhoCertificate(
-        rho=float(rho),
-        mode=mode,
-        numerator=float(numerator),
-        denominator=float(den),
-        argmin_subset=arg,
-        whole_space=False,
-        solutions=solutions,
+        rho, rho if mode == "exact" else 0.0, rho, mode, float(numerator), float(den), arg,
+        solutions,
     )
 
 
@@ -284,10 +271,11 @@ def build_structure(chain, sets, mode="auto", seed=0):
     pair (M_i, M_j) is solved here, and its solution gives eta_pairs[i, j]
     and, for i < j, caps[i, j] = caps[j, i].  ``solutions`` keeps them all,
     keyed by the mask bytes of (A, B), for ``mean_exit_asymptotics``.
-    C_PI,i and C_LSI,i are the oracle's on ``trace_chain(chain, M_i)`` over
-    mu[M_i], 0 for a singleton; ``cpi_exact[i]`` tells whether that trace's
-    gap certificate is exact.  A set over ``oracle.LSI_SIZE_LIMIT`` states
-    raises ValidationError before its trace is built.
+    C_PI,i and C_LSI,i are the oracle's intervals on ``trace_chain(chain,
+    M_i)`` over mu[M_i]; a singleton has C_PI,i = 0 and C_LSI,i in
+    [0, inf].  C_PI(M) and C_LSI(M) take max(1, sum_i mu[M_i] C_i) end by
+    end.  A set over ``oracle.LSI_SIZE_LIMIT`` states raises
+    ValidationError before its trace is built.
     """
     masks = _check_sets(chain, sets)
     k = len(masks)
@@ -308,20 +296,20 @@ def build_structure(chain, sets, mode="auto", seed=0):
     mu_sets = np.array([chain.mass(m) for m in masks])
     mu_parts = np.array([chain.mass(p) for p in partition])
 
-    cpi_local, clsi_local, cpi_exact = np.zeros(k), np.zeros(k), np.ones(k, dtype=bool)
+    cpi_local, clsi_local = [Certified(0.0, 0.0, 0.0)] * k, [Certified(0.0, 0.0, np.inf)] * k
     for i, m in enumerate(masks):
         if m.sum() > LSI_SIZE_LIMIT:
             raise ValidationError(f"metastable set {i} has over {LSI_SIZE_LIMIT} states")
-        if m.sum() == 1:
-            continue
-        lsi = estimate_clsi(trace_chain(chain, m), seed)
-        cpi_local[i] = lsi.spectral.c_pi_exact / mu_sets[i]
-        clsi_local[i] = lsi.c_lsi_lower / mu_sets[i]
-        cpi_exact[i] = lsi.spectral.certificate.exact
+        if m.sum() > 1:
+            lsi = estimate_clsi(trace_chain(chain, m), seed)
+            cpi_local[i], clsi_local[i] = lsi.spectral.c_pi / mu_sets[i], lsi.c_lsi / mu_sets[i]
+
+    def global_constant(local):
+        return Certified(*(float(max(1.0, np.dot(mu_sets, [getattr(c, end) for c in local])))
+                           for end in ("value", "lower", "upper")))
 
     return MetastableStructure(
         sets=masks,
-        rho=cert.rho,
         rho_certificate=cert,
         valleys=valleys,
         partition=partition,
@@ -335,9 +323,8 @@ def build_structure(chain, sets, mode="auto", seed=0):
         c_mass=c_mass_constant(chain, partition),
         cpi_local=cpi_local,
         clsi_local=clsi_local,
-        cpi_exact=cpi_exact,
-        cpi_M=float(max(1.0, np.dot(mu_sets, cpi_local))),
-        clsi_M=float(max(1.0, np.dot(mu_sets, clsi_local))),
+        cpi_M=global_constant(cpi_local),
+        clsi_M=global_constant(clsi_local),
         solutions=sols,
     )
 
@@ -375,7 +362,7 @@ def mean_exit_asymptotics(chain, structure, i):
         default=0.0,
     )
     c_ratio = max(structure.mu_parts[j] / structure.mu_parts[i] for j in heavier)
-    rho = structure.rho
+    rho = structure.rho_certificate.value
     # rho ln(C_ratio / rho) is the error term only while 0 < rho < C_ratio
     err = float(delta + rho * np.log(c_ratio / rho)) if 0.0 < rho < c_ratio else None
     return {
@@ -409,15 +396,15 @@ def pi_lsi_estimates(chain, structure):
             )
     pi_terms = np.asarray(pi_terms)
     lsi_terms = np.asarray(lsi_terms)
-    rho, eta = structure.rho, structure.eta
+    rho, eta = structure.rho_certificate.value, structure.eta
     out = {
         "pi_lower": float(pi_terms.max()),
         "pi_upper": float(pi_terms.sum()),
         "lsi_lower": float(lsi_terms.max()),
         "lsi_upper": float(lsi_terms.sum()),
-        "diag_pi_error_factor": float(np.sqrt(structure.cpi_M * (rho + eta))),
+        "diag_pi_error_factor": float(np.sqrt(structure.cpi_M.value * (rho + eta))),
         "diag_lsi_error_factor": float(
-            np.sqrt(structure.c_mass * structure.clsi_M * (rho + eta))
+            np.sqrt(structure.c_mass * structure.clsi_M.value * (rho + eta))
         ),
     }
     if k == 2:

@@ -29,6 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .chains import (
+    Certified,
     MetastabError,
     SolverNotConverged,
     ValidationError,
@@ -70,40 +71,35 @@ GAP_ROUNDING = 64 * np.finfo(float).eps
 
 @dataclass
 class SpectralReport:
-    """Dense spectrum of the mu-symmetrized kernel and its certified gap."""
+    """Dense spectrum of the mu-symmetrized kernel and its certified gap;
+    ``c_pi`` is 1 / gap on the reciprocal interval of the gap's."""
 
     eigenvalues: np.ndarray
-    c_pi_exact: float
-    spectral_gap: float
-    maximizer: np.ndarray
+    c_pi: Certified
     discrete_time: bool
     certificate: GapCertificate
 
 
-@dataclass
-class GapCertificate:
-    """Spectral gap as a Rayleigh quotient with its Kato-Temple interval.
-
-    ``lower <= lambda_2 <= upper`` and ``lambda_3 >= lambda3_floor``, where
-    ``upper`` is ``gap`` plus its rounding allowance, and ``f`` the centred,
-    normalized vector whose Rayleigh quotient is ``gap``.  A failed step
-    leaves ``lower`` (and, for the lambda_3 floor, ``lambda3_floor``) at 0.
-    ``exact`` holds when the interval is at most REFINE_RTOL ``gap`` wide.
+@dataclass(frozen=True)
+class GapCertificate(Certified):
+    """Spectral gap ``value``, a Rayleigh quotient, in its Kato-Temple
+    interval ``lower <= lambda_2 <= upper``, with ``lambda_3 >=
+    lambda3_floor``.  ``upper`` is ``value`` plus its rounding allowance,
+    and ``f`` the centred, normalized vector whose quotient is ``value``.
+    A failed step leaves ``lower`` (and, for the lambda_3 floor,
+    ``lambda3_floor``) at 0.
     """
 
-    gap: float
-    lower: float
-    upper: float
     lambda3_floor: float
-    exact: bool
     f: np.ndarray
 
 
 @dataclass
 class LsiReport:
-    """Certified lower bound on the log-Sobolev constant from ascent."""
+    """Certified lower bound on the log-Sobolev constant from ascent: the
+    interval of ``c_lsi`` is [value, inf]."""
 
-    c_lsi_lower: float
+    c_lsi: Certified
     maximizer: np.ndarray
     multistarts: int
     spectral: SpectralReport  # exact_cpi's, whose lambda_2 vector seeds the ascent
@@ -120,8 +116,8 @@ def exact_cpi(chain):
     ``eigh`` calls give all eigenvalues and the eigenvector of the
     second-largest, the lambda_2 vector in both conventions.  The dense
     eigenvalues resolve only about n eps max|lambda|, so the gap, its
-    ``certificate`` and the maximizer come from ``certified_gap`` started
-    at that vector.
+    ``certificate`` and C_PI come from ``certified_gap`` started at that
+    vector.
     """
     n = chain.n_states
     if n > SPECTRAL_LIMIT:
@@ -158,12 +154,12 @@ def exact_cpi(chain):
     if n > 1:
         cert = certified_gap(chain, vec / root)
     else:
-        cert = GapCertificate(1.0, 1.0, 1.0, np.inf, True, np.zeros(n))
+        cert = GapCertificate(1.0, 1.0, 1.0, np.inf, np.zeros(n))
+    with np.errstate(divide="ignore"):  # a lower end of 0 leaves C_PI one-sided
+        c_pi = Certified(1.0 / cert.value, *np.reciprocal([cert.upper, cert.lower]))
     return SpectralReport(
         eigenvalues=vals,
-        c_pi_exact=1.0 / cert.gap,
-        spectral_gap=float(cert.gap),
-        maximizer=cert.f,
+        c_pi=c_pi,
         discrete_time=chain.discrete_time,
         certificate=cert,
     )
@@ -303,7 +299,7 @@ def certified_gap(chain, f, pair=None):
         gap, g = _inverse_iteration(chain, f, partial(_pair_solve, chain, pair))
         sigma = 1.0 / mean_exit_time_bound(chain, ~(pair.set_a | pair.set_b))
         cert = _kato_temple(chain, gap, g, sigma)
-        if cert.exact:
+        if cert.mode == "exact":
             return cert
     free, factor = _grounded_factor(chain)
     solve = partial(_grounded_solve, chain, free, factor)
@@ -339,8 +335,7 @@ def _kato_temple(chain, gap, f, sigma):
         r = np.bincount(i, d, n) - np.bincount(j, d, n) - gap * (mu * f)
         eps2 = np.dot(r, r / mu)
         lower = max(gap * (1.0 - GAP_ROUNDING) - eps2 / (sigma - upper), 0.0)
-    exact = bool(upper - lower <= REFINE_RTOL * gap)
-    return GapCertificate(gap, lower, upper, sigma, exact, f)
+    return GapCertificate(gap, lower, upper, sigma, f)
 
 
 def _lambda3_floor(chain, upper, estimate):
@@ -416,7 +411,7 @@ def estimate_clsi(chain, seed=0):
         raise ValidationError(f"{n} states exceeds the LSI ascent limit")
     mu = chain.stationary
     spec = exact_cpi(chain)
-    v2 = spec.maximizer
+    v2 = spec.certificate.f
     v2 = v2 / max(np.max(np.abs(v2)), 1e-300)
 
     seeds = [v2]
@@ -439,8 +434,9 @@ def estimate_clsi(chain, seed=0):
     best_val, best_f, n_conv, _ = entropy_ratio_ascent(
         chain, mu, seeds, LSI_ASCENT_STEPS
     )
+    best_val = float(best_val)
     return LsiReport(
-        c_lsi_lower=float(best_val),
+        c_lsi=Certified(best_val, best_val, np.inf),
         maximizer=best_f,
         multistarts=len(seeds),
         spectral=spec,

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .chains import (
+    Certified,
     InequalityViolation,
     ValidationError,
     dirichlet_form,
@@ -247,8 +248,9 @@ def measure_capacity_constant(chain, nu, B, pair, K):
     and rules out the rest unsolved, so a singular block there does not
     raise.  Beyond the limit, a restricted scan over singletons and super
     level-sets of the equilibrium potential seeded at the best singleton,
-    labeled as a lower bound.  Ties go to the first candidate: in bit
-    order, singletons before level sets.
+    labeled as a lower bound.  ``c_psi`` is on [c, c] in exact mode and on
+    [c, inf] in ``lower_bound`` mode.  Ties go to the first candidate: in
+    bit order, singletons before level sets.
     """
     b = subset_mask(chain, B)
     if b.all():
@@ -300,7 +302,8 @@ def measure_capacity_constant(chain, nu, B, pair, K):
         scan((h >= np.unique(h[h > 0.0])[:, None]) & ~b)
     if best_mask is None:
         raise ValidationError("no candidate set carries nu-mass")
-    return {"c_psi": float(best), "argmax": best_mask, "mode": mode}
+    c_psi = Certified(float(best), float(best), float(best) if mode == "exact" else np.inf)
+    return {"c_psi": c_psi, "argmax": best_mask, "mode": mode}
 
 
 def _measure(chain, nu):

@@ -362,7 +362,7 @@ def harmonic_neighborhood(chain, structure, a_indices, b_indices, delta):
             f"capacity ratio {ratio!r} outside [1 - 2 delta, 1]"
         )
 
-    rho = structure.rho
+    rho = structure.rho_certificate.value
     mass_bounds = []
     for i in a_indices:
         h_i = equilibrium_potential(chain, structure.sets[i], b).potential

@@ -157,7 +157,7 @@ def test_criterion_04_orlicz_machinery():
         k_val = E2 if trial % 2 else 1.0
         nu = chain.stationary
         scan = measure_capacity_constant(chain, nu, b, pair, k_val)
-        c_psi = scan["c_psi"]
+        c_psi = scan["c_psi"].value
         best = 0.0
         seeds = [equilibrium_potential(chain, scan["argmax"], b).potential]
         for _ in range(30):
@@ -183,13 +183,13 @@ def test_criterion_05_two_state_exactness(two_state):
     spec = exact_cpi(two_state)
     cap = equilibrium_potential(two_state, ["a"], ["b"]).capacity
     ok = (
-        abs(spec.c_pi_exact - 2.5) <= 1e-12
+        abs(spec.c_pi.value - 2.5) <= 1e-12
         and abs(1.0 / (0.3 + 0.1) - 2.5) <= 1e-12
         and abs(0.25 * 0.75 / cap - 2.5) <= 1e-12
     )
     sym = build_chain(["a", "b"], [("a", "b", 0.2), ("b", "a", 0.2)])
-    lb = estimate_clsi(sym, seed=5).c_lsi_lower
-    target = 2.0 * exact_cpi(sym).c_pi_exact
+    lb = estimate_clsi(sym, seed=5).c_lsi.value
+    target = 2.0 * exact_cpi(sym).c_pi.value
     ok_lsi = abs(lb - target) <= 1e-4
     report(
         5,
@@ -205,11 +205,11 @@ def test_criterion_06_trend(double_well):
         chain = double_well[beta]
         st = build_structure(chain, [["x0"], ["x10"]], mode="exact", seed=0)
         est = pi_lsi_estimates(chain, st)
-        c_pi = exact_cpi(chain).c_pi_exact
+        c_pi = exact_cpi(chain).c_pi.value
         pi_errs.append(
             abs(c_pi * st.caps[0, 1] / (st.mu_parts[0] * st.mu_parts[1]) - 1.0)
         )
-        lb = estimate_clsi(chain, seed=0).c_lsi_lower
+        lb = estimate_clsi(chain, seed=0).c_lsi.value
         if est["lsi_lower"] < lb * (1.0 - 1e-9):
             lsi_ok = False
     elapsed = time.time() - t0
@@ -234,7 +234,7 @@ def test_criterion_07_cheeger_sandwich(two_state, path3, double_well):
     violations = 0
     for chain in instances:
         ch, _ = cheeger_constant(chain)
-        cpi = exact_cpi(chain).c_pi_exact
+        cpi = exact_cpi(chain).c_pi.value
         if not (ch <= cpi * (1 + 1e-10) and cpi <= 8.0 * ch * ch * (1 + 1e-10)):
             violations += 1
     report(7, violations == 0, f"Cheeger sandwich: {violations} violations")

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import importlib
 import json
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from metastab import (
     entropy,
     log_mean,
 )
-from metastab.chains import BALANCE_RTOL, MASS_TOL, ROW_TOL
+from metastab.chains import BALANCE_RTOL, EXACT_RTOL, MASS_TOL, ROW_TOL, Certified
 from metastab.rfcw import build_model, coarse_grain, mesoscopic_rates_and_chain
 from metastab.sampling import double_well_chain, random_reversible_chain
 from references import birth_death_generator_chain, conditional_expectation, variance
@@ -216,6 +217,18 @@ def test_package_sources_are_ascii():
         path.read_bytes().decode("ascii")
 
 
+def _walk(tree):
+    """(node, names of the enclosing definitions) of every node of ``tree``."""
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        yield node, inside
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, inside)
+
+    return visit(tree, frozenset())
+
+
 def _loads(tree):
     """(name, names of the enclosing definitions) of every ``ast.Name`` load
     and of every attribute read off a metastab module alias in ``tree``."""
@@ -229,18 +242,12 @@ def _loads(tree):
             aliases |= {a.asname or "metastab" for a in node.names
                         if a.name.split(".")[0] == "metastab"}
 
-    def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            inside = inside | {node.name}
+    for node, inside in _walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, inside
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in aliases):
             yield node.attr, inside
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, inside)
-
-    return visit(tree, frozenset())
 
 
 def test_every_export_has_a_caller():
@@ -249,7 +256,8 @@ def test_every_export_has_a_caller():
     # the benchmark; tests do not count.  ``cli.main`` dispatches through
     # globals(), so cmd_<name> is called when <name> is a subcommand.
     src = Path(metastab.__file__).parent
-    files = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    package = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    files = list(package)
     defined = [f"{path.stem}.{node.name}" for path in files
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
@@ -263,6 +271,41 @@ def test_every_export_has_a_caller():
     # the rule goes by bare name, so no two modules may define the same one
     assert len(files) > 10 and len(set(names)) == len(names) > 100
     assert [d for d, name in zip(defined, names) if name not in called] == []
+
+    # every public method and property of a package class needs an attribute
+    # read of its name outside its own definition, unless it overrides a
+    # method of a base class (argparse calls ``_Parser.error``)
+    methods = []
+    for path in package:
+        module = importlib.import_module(f"metastab.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                bases = getattr(module, node.name).__mro__[1:]
+                methods += [f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")
+                            and not any(hasattr(base, item.name) for base in bases)]
+    read = {node.attr for path in files for node, inside in _walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr not in inside}
+    assert len(methods) > 10
+    assert [m for m in methods if m.rsplit(".", 1)[1] not in read] == []
+
+
+@pytest.mark.parametrize("value,lower,upper,mode", [
+    (1e12, 1e12 - 0.5, 1e12 + 0.5, "exact"),  # a width of EXACT_RTOL |value| = 1.0
+    (1e12, 1e12 - 0.5, np.nextafter(1e12 + 0.5, np.inf), "bound"),  # one ulp wider
+    (-1e12, -1e12 - 0.5, -1e12 + 0.5, "exact"),  # the width goes by |value|
+    (2.0, 2.0, np.inf, "bound"),  # a one-sided interval
+    (0.0, -np.inf, 0.0, "bound"),
+    (np.inf, np.inf, np.inf, "bound"),  # an infinite value carries no digits
+    (0.0, 0.0, 0.0, "exact"),
+    (0.0, 0.0, 5e-324, "bound"),
+])
+def test_certified_mode_is_the_one_tag_rule(value, lower, upper, mode):
+    assert EXACT_RTOL == 1e-12
+    assert Certified(value, lower, upper).mode == mode
+    assert (Certified(value, lower, upper) / 0.5).mode == mode  # as by a mass
 
 
 def _reference_assembly(states, kernel, mu, discrete_time=True):

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import metastab
-from metastab import metastable, potential
+from metastab import cli, metastable, potential
 from metastab import oracle as oracle_mod
 from metastab import rfcw as rfcw_mod
 from metastab import SolverNotConverged, build_chain, save_chain
-from metastab.chains import InequalityViolation
+from metastab.chains import Certified, InequalityViolation
 from metastab.cli import build_parser, main
 from metastab.metastable import trace_chain
 from metastab.oracle import exact_cpi
@@ -282,9 +282,9 @@ def test_oracle_cpi_takes_its_tags_from_the_certificate(capsys, tmp_path, n, bet
     assert code == 0
     rep = json.loads(out)
     cert = oracle_mod.exact_cpi(chain).certificate
-    assert cert.exact == (mode == "exact")
-    assert rep["c_pi"] == {"value": 1.0 / cert.gap, "mode": mode}
-    assert rep["spectral_gap"] == {"value": cert.gap, "mode": mode}
+    assert cert.mode == mode
+    assert rep["c_pi"] == {"value": 1.0 / cert.value, "mode": mode}
+    assert rep["spectral_gap"] == {"value": cert.value, "mode": mode}
     assert rep["provenance"]["mode"] == mode
 
 
@@ -370,7 +370,7 @@ def test_local_constants_match_mpmath(capsys, tmp_path, make, members, partner):
     want = local_cpi_schur(chain, m)
     got = rep["cpi_local"][0]
     assert abs(got["value"] - want) <= 1e-12 * want
-    mode = "exact" if exact_cpi(trace_chain(chain, m)).certificate.exact else "bound"
+    mode = exact_cpi(trace_chain(chain, m)).certificate.mode
     assert got["mode"] == rep["cpi_M"]["mode"] == mode
     assert rep["cpi_local"][1] == {"value": 0.0, "mode": "exact"}  # the singleton
     assert rep["clsi_local"][0]["mode"] == "bound"
@@ -1127,6 +1127,56 @@ def test_scan_reports_match_frozen_hashes(capsys, tmp_path, cmd, name):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDENS[(cmd, name)]
 
 
+# the report keys whose numbers are closed forms of checked solves, plain
+# floats that ``tagged`` tags exact; every other tag comes from a Certified
+PLAIN_FLOAT_KEYS = {"capacity", "capacity_from_energy", "eta", "c_mass", "pi_lower",
+                    "pi_upper", "lsi_lower", "lsi_upper", "free_energy", "max_ratio",
+                    "c_cheeger", "cap_m1_m2", "p_A_theory"}
+
+
+def _tagged_numbers(node, key=None):
+    """(key, tag) of every tagged number ({"value", "mode", ...}) of a
+    report; a list item or a free_energy entry goes by its parent's key."""
+    if isinstance(node, dict) and {"value", "mode"} <= node.keys():
+        yield key, node
+    elif isinstance(node, dict):
+        for k, child in node.items():
+            yield from _tagged_numbers(child, key if key == "free_energy" else k)
+    elif isinstance(node, list):
+        for child in node:
+            yield from _tagged_numbers(child, key)
+
+
+@pytest.mark.parametrize("cmd,name", sorted(REPORT_GOLDENS))
+def test_report_tags_come_from_the_library(capsys, tmp_path, monkeypatch, cmd, name):
+    # each tagged number of a golden report is the output of one ``tagged``
+    # call, and its mode is the mode of the library object passed in: a
+    # Certified's own, mc for a sampled value, exact for a plain float
+    calls, reports = {}, []
+    real = cli.tagged
+
+    def recorded(x, sigma=None):
+        out = real(x, sigma)
+        calls[id(out)] = x, sigma
+        return out
+
+    monkeypatch.setattr(cli, "tagged", recorded)
+    monkeypatch.setattr(cli, "_emit", lambda args, report: reports.append(report))
+    code, _, _ = run_cli(capsys, _report_argv(tmp_path, cmd, name))
+    assert code == 0 and len(reports) == 1
+    tags = list(_tagged_numbers(reports[0]))
+    assert tags and len(tags) == len(calls)
+    for key, tag in tags:
+        x, sigma = calls[id(tag)]
+        if sigma is not None:
+            assert tag == {"value": x, "mode": "mc", "sigma": sigma}
+        elif isinstance(x, Certified):
+            assert key not in PLAIN_FLOAT_KEYS and tag == {"value": x.value, "mode": x.mode}
+        else:
+            assert key in PLAIN_FLOAT_KEYS and isinstance(x, float), key
+            assert tag == {"value": x, "mode": "exact"}
+
+
 def test_rfcw_gap_needs_no_dense_eigensolve(capsys, tmp_path, monkeypatch):
     def dense(chain):
         raise RuntimeError("the rfcw gap called the dense eigensolve")
@@ -1202,4 +1252,4 @@ def test_rfcw_gap_uncertified_at_low_temperature(capsys):
     chain = rfcw_mod.build_model(10, 20.0, "zero", materialize=True).chain
     dense = oracle_mod.exact_cpi(chain)
     res = GAP_DIGITS_FACTOR * chain.n_states * np.finfo(float).eps * np.abs(dense.eigenvalues).max()
-    assert gap["value"] >= dense.spectral_gap - res
+    assert gap["value"] >= dense.certificate.value - res

@@ -38,17 +38,17 @@ def structure_eta(chain, M_i, M_j):
 
 def test_rho_double_well_golden(double_well):
     cert = rho_metastability(double_well[2.0], [["x0"], ["x10"]], mode="exact")
-    assert cert.mode == "exact"
+    assert cert.method == "exact"
     # frozen after the first exhaustive-denominator run
-    assert cert.rho == pytest.approx(3.376453052253705e-06, rel=1e-9)
-    assert cert.rho < 1e-3
+    assert cert.value == pytest.approx(3.376453052253705e-06, rel=1e-9)
+    assert cert.value < 1e-3
 
 
 def test_rho_whole_space_flag(two_state):
     cert = rho_metastability(two_state, [["a"], ["b"]])
-    assert cert.whole_space
+    assert cert.method == "numerator-only"
     assert cert.denominator is None
-    assert cert.rho == pytest.approx(cert.numerator)
+    assert cert.value == pytest.approx(cert.numerator)
 
 
 def test_rho_overlap_error(path3):
@@ -61,8 +61,8 @@ def test_rho_overlap_error(path3):
 def test_rho_singleton_mode_upper_bound(double_well):
     exact = rho_metastability(double_well[1.0], [["x0"], ["x10"]], mode="exact")
     single = rho_metastability(double_well[1.0], [["x0"], ["x10"]], mode="singleton")
-    assert single.mode == "singleton"
-    assert single.rho >= exact.rho
+    assert single.method == "singleton"
+    assert single.value >= exact.value
 
 
 def test_rho_rejects_an_unknown_mode_before_solving(two_state, double_well, monkeypatch):
@@ -79,7 +79,7 @@ def test_rho_rejects_an_unknown_mode_before_solving(two_state, double_well, monk
 def test_rho_reads_the_enumeration_limit_at_call_time(double_well, monkeypatch):
     # {x0}, {x10} leave 9 free states of the 11-state well
     monkeypatch.setattr(potential, "EXACT_ENUM_LIMIT", 8)
-    assert rho_metastability(double_well[1.0], [["x0"], ["x10"]]).mode == "singleton"
+    assert rho_metastability(double_well[1.0], [["x0"], ["x10"]]).method == "singleton"
     with pytest.raises(ValidationError, match="enumeration limit"):
         rho_metastability(double_well[1.0], [["x0"], ["x10"]], mode="exact")
 
@@ -144,7 +144,7 @@ def test_eta_generic_golden(double_well):
 
 def test_structure_and_constants_singletons(double_well):
     st = build_structure(double_well[2.0], [["x0"], ["x10"]], mode="exact", seed=0)
-    assert st.cpi_M == 1.0 and st.clsi_M == 1.0
+    assert st.cpi_M.value == 1.0 and st.clsi_M.value == 1.0
     assert st.eta == 0.0
     assert st.c_mass >= np.log1p(E2)
 
@@ -170,7 +170,7 @@ def local_constants(chain, M, seed=0):
     """(C_PI,i, C_LSI,i) of M from the oracle on its trace chain, as
     ``build_structure`` takes them."""
     trace, mass = trace_chain(chain, M), chain.mass(subset_mask(chain, M))
-    return exact_cpi(trace).c_pi_exact / mass, estimate_clsi(trace, seed).c_lsi_lower / mass
+    return exact_cpi(trace).c_pi.value / mass, estimate_clsi(trace, seed).c_lsi.value / mass
 
 
 # C_LSI,i on multi-state sets: the second value was frozen from the ascent
@@ -221,7 +221,7 @@ def test_build_structure_runs_one_exact_cpi_per_trace(monkeypatch):
     chain = double_well_chain(2.0)
     structure = build_structure(chain, [["x0", "x1"], ["x5"], ["x8", "x9", "x10"]], seed=1)
     assert seen == [("x0", "x1"), ("x8", "x9", "x10")]
-    assert structure.cpi_local[0] == pytest.approx(
+    assert structure.cpi_local[0].value == pytest.approx(
         local_cpi_schur(chain, ["x0", "x1"]), rel=1e-12)
 
 
@@ -231,7 +231,7 @@ def test_local_pi_constant_attained():
     m = np.zeros(7, dtype=bool)
     m[:3] = True
     c = local_constants(chain, m)[0]
-    mu_m = chain.conditional(m)
+    mu_m = np.where(m, chain.stationary, 0.0) / chain.mass(m)
 
     def ratio(f):
         e = dirichlet_form(chain, f)
@@ -329,7 +329,7 @@ def test_pi_lsi_two_state(two_state):
     assert est["pi_lower"] == pytest.approx(2.5, rel=1e-10)
     assert est["pi_upper"] == pytest.approx(2.5, rel=1e-10)
     assert est["pi_lower"] == pytest.approx(
-        exact_cpi(two_state).c_pi_exact, rel=1e-10
+        exact_cpi(two_state).c_pi.value, rel=1e-10
     )
     assert est["k2_point_estimates"]["c_pi"] == est["pi_lower"]
 
@@ -391,9 +391,9 @@ def test_lp_norm_estimate(double_well):
     for beta in (1.0, 2.0):
         chain = double_well[beta]
         st = build_structure(chain, [["x0"], ["x10"]], mode="exact", seed=0)
-        rho = st.rho
+        rho = st.rho_certificate.value
         h = equilibrium_potential(chain, st.sets[1], st.sets[0]).potential
-        mu0 = chain.conditional(st.partition[0])
+        mu0 = np.where(st.partition[0], chain.stationary, 0.0) / chain.mass(st.partition[0])
         ratio = min(1.0, st.mu_parts[1] / st.mu_parts[0])
         for p in (2.0, 3.0):
             lhs = float(np.dot(mu0, h**p))
@@ -416,10 +416,11 @@ def test_local_pi_projection_inequality(double_well):
         f = rng.normal(size=chain.n_states)
         proj = conditional_expectation(chain, parts, f)
         for i in range(2):
-            mu_i = chain.conditional(st.partition[i])
+            mu_i = np.where(st.partition[i], chain.stationary, 0.0) / chain.mass(st.partition[i])
             mean = float(np.dot(mu_i, proj))
             var = float(np.dot(mu_i, (proj - mean) ** 2))
-            ref = float(np.dot(chain.conditional(st.sets[i]), f))
+            mu_set = np.where(st.sets[i], chain.stationary, 0.0) / chain.mass(st.sets[i])
+            ref = float(np.dot(mu_set, f))
             assert var <= float(np.dot(mu_i, (proj - ref) ** 2)) + 1e-12
 
 
@@ -440,15 +441,15 @@ def test_mean_difference_full(double_well):
     chain = double_well[2.0]
     st = build_structure(chain, [["x0"], ["x10"]], mode="exact", seed=0)
     rng = np.random.default_rng(137)
-    kappa_max = np.sqrt(st.cpi_M * (st.rho + st.eta))
+    kappa_max = np.sqrt(st.cpi_M.value * (st.rho_certificate.value + st.eta))
+    mu_parts = [np.where(p, chain.stationary, 0.0) / chain.mass(p) for p in st.partition[:2]]
     worst = 0.0
     for _ in range(200):
         f = rng.normal(size=chain.n_states)
         e = dirichlet_form(chain, f)
         if e < 1e-14:
             continue
-        mi = float(np.dot(chain.conditional(st.partition[0]), f))
-        mj = float(np.dot(chain.conditional(st.partition[1]), f))
+        mi, mj = (float(np.dot(mu_p, f)) for mu_p in mu_parts)
         worst = max(worst, (mi - mj) ** 2 * st.caps[0, 1] / e)
     # the measured excess stays within the reported error form
     assert worst <= 1.0 + 100.0 * kappa_max
@@ -457,7 +458,7 @@ def test_mean_difference_full(double_well):
 def test_cheeger_sandwich_exact_instances(two_state, path3, double_well):
     for chain in (two_state, path3, double_well[1.0], double_well[2.0]):
         ch, _ = cheeger_constant(chain)
-        cpi = exact_cpi(chain).c_pi_exact
+        cpi = exact_cpi(chain).c_pi.value
         assert ch <= cpi * (1.0 + 1e-10)
         assert cpi <= 8.0 * ch * ch * (1.0 + 1e-10)
 
@@ -509,7 +510,7 @@ def test_singleton_rho_matches_dense_inverse(double_well):
         num, den = _singleton_rho_reference(chain, masks)
         assert cert.numerator == pytest.approx(num, rel=1e-12)
         assert cert.denominator == pytest.approx(den, rel=1e-12)
-        assert cert.rho == pytest.approx(num / den, rel=1e-12)
+        assert cert.value == pytest.approx(num / den, rel=1e-12)
 
 
 def test_singleton_rho_holds_one_dense_copy():
@@ -551,7 +552,7 @@ def test_mean_exit_error_form_undefined_outside_regime():
     chain = double_well_chain(1.0)
     st = build_structure(chain, [["x0"], ["x1"]], mode="exact", seed=1)
     rep = mean_exit_asymptotics(chain, st, 1)
-    assert st.rho >= rep["c_ratio"]
+    assert st.rho_certificate.value >= rep["c_ratio"]
     assert rep["error_form"] is None
 
 

@@ -38,7 +38,7 @@ GAP_DIGITS_FACTOR = 64
 
 def test_exact_cpi_two_state(two_state):
     rep = exact_cpi(two_state)
-    assert rep.c_pi_exact == pytest.approx(2.5, abs=1e-12)
+    assert rep.c_pi.value == pytest.approx(2.5, abs=1e-12)
     assert rep.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(rep.eigenvalues <= 1.0 + 1e-9)
     assert np.all(rep.eigenvalues >= -1.0 - 1e-9)
@@ -51,7 +51,7 @@ def test_exact_cpi_complete_kernel():
     ]
     chain = build_chain([f"s{i}" for i in range(n)], edges)
     rep = exact_cpi(chain)
-    assert rep.c_pi_exact == pytest.approx(1.0, abs=1e-10)
+    assert rep.c_pi.value == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(np.sort(rep.eigenvalues)[:-1], 0.0, atol=1e-10)
 
 
@@ -64,20 +64,20 @@ def test_exact_cpi_matches_variational_bound():
         f = rng.normal(size=12)
         if k % 2:
             # mix in the spectral direction so the sup is actually approached
-            f = rep.maximizer + 0.05 * f
+            f = rep.certificate.f + 0.05 * f
         e = dirichlet_form(chain, f)
         if e > 1e-12:
             best = max(best, variance(chain.stationary, f) / e)
-    assert best <= rep.c_pi_exact * (1.0 + 1e-10)
-    assert best >= rep.c_pi_exact * 0.98
+    assert best <= rep.c_pi.value * (1.0 + 1e-10)
+    assert best >= rep.c_pi.value * 0.98
 
 
 def test_clsi_two_state_symmetric():
     chain = build_chain(["a", "b"], [("a", "b", 0.2), ("b", "a", 0.2)])
     rep_pi = exact_cpi(chain)
     rep = estimate_clsi(chain, seed=3)
-    assert rep.c_lsi_lower == pytest.approx(2.0 * rep_pi.c_pi_exact, abs=1e-6)
-    assert rep.c_lsi_lower == pytest.approx(1.0 / 0.2, abs=1e-6)
+    assert rep.c_lsi.value == pytest.approx(2.0 * rep_pi.c_pi.value, abs=1e-6)
+    assert rep.c_lsi.value == pytest.approx(1.0 / 0.2, abs=1e-6)
 
 
 def test_clsi_two_state_asymmetric_closed_form(two_state):
@@ -85,16 +85,16 @@ def test_clsi_two_state_asymmetric_closed_form(two_state):
     cap = equilibrium_potential(two_state, ["a"], ["b"]).capacity
     target = 0.25 * 0.75 / (log_mean(0.25, 0.75) * cap)
     rep = estimate_clsi(two_state, seed=5)
-    assert rep.c_lsi_lower == pytest.approx(target, rel=1e-6)
-    assert rep.c_lsi_lower <= target * (1.0 + 1e-9)
+    assert rep.c_lsi.value == pytest.approx(target, rel=1e-6)
+    assert rep.c_lsi.value <= target * (1.0 + 1e-9)
 
 
 def test_clsi_above_twice_cpi():
     rng = np.random.default_rng(83)
     for k in range(8):
         chain = random_reversible_chain(rng, int(rng.integers(3, 12)))
-        lb = estimate_clsi(chain, seed=k).c_lsi_lower
-        cpi = exact_cpi(chain).c_pi_exact
+        lb = estimate_clsi(chain, seed=k).c_lsi.value
+        cpi = exact_cpi(chain).c_pi.value
         assert lb >= 2.0 * cpi - 1e-8
 
 
@@ -102,7 +102,7 @@ def test_constant_function_never_optimal():
     rng = np.random.default_rng(89)
     chain = random_reversible_chain(rng, 6)
     rep = estimate_clsi(chain, seed=1)
-    assert rep.c_lsi_lower > 0.0
+    assert rep.c_lsi.value > 0.0
 
 
 def test_brute_force_orlicz_indicator():
@@ -137,7 +137,7 @@ def test_cheeger_sandwich_random():
     for _ in range(10):
         chain = random_reversible_chain(rng, 8)
         ch, _ = cheeger_constant(chain)
-        cpi = exact_cpi(chain).c_pi_exact
+        cpi = exact_cpi(chain).c_pi.value
         assert ch <= cpi * (1.0 + 1e-10)
         assert cpi <= 8.0 * ch * ch * (1.0 + 1e-10)
 
@@ -289,13 +289,13 @@ def test_exact_cpi_spectrum_and_lambda2_vector(kind):
     if kind == "continuous":
         want = -want
     assert np.allclose(rep.eigenvalues, want, rtol=0.0, atol=1e-12)
-    # maximizer / sqrt(mu)-weighting is a unit eigenvector of sym for the
+    # the certificate's f, sqrt(mu)-weighted, is a unit eigenvector of sym for the
     # second-largest eigenvalue, whatever its sign
-    v = rep.maximizer * root
-    lam2 = 1.0 - rep.spectral_gap if kind == "discrete" else -rep.spectral_gap
+    v = rep.certificate.f * root
+    lam2 = 1.0 - rep.certificate.value if kind == "discrete" else -rep.certificate.value
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
     assert np.linalg.norm(sym @ v - lam2 * v) <= 1e-10
-    assert rep.c_pi_exact == pytest.approx(1.0 / rep.spectral_gap, rel=1e-15)
+    assert rep.c_pi.value == pytest.approx(1.0 / rep.certificate.value, rel=1e-15)
 
 
 # spectral gaps of the 11-state well, from a 60-digit symmetric eigensolve of
@@ -312,15 +312,15 @@ def test_exact_cpi_resolves_metastable_gaps():
         sym, _ = _symmetrized(chain)
         want = 1.0 - np.linalg.eigvalsh(sym)[-2]
         rep = exact_cpi(chain)
-        assert rep.spectral_gap > GAP_DIGITS_FACTOR * chain.n_states * eps
-        assert rep.spectral_gap == pytest.approx(want, rel=1e-9, abs=1e-14)
+        assert rep.certificate.value > GAP_DIGITS_FACTOR * chain.n_states * eps
+        assert rep.certificate.value == pytest.approx(want, rel=1e-9, abs=1e-14)
     # below the dense resolution the refined gap keeps its relative digits
     for beta, want in WELL_GAP_GOLDEN.items():
         chain = double_well_chain(beta)
         rep = exact_cpi(chain)
-        assert rep.spectral_gap < GAP_DIGITS_FACTOR * chain.n_states * eps
-        assert rep.spectral_gap == pytest.approx(want, rel=1e-12)
-        assert rep.c_pi_exact == pytest.approx(1.0 / want, rel=1e-12)
+        assert rep.certificate.value < GAP_DIGITS_FACTOR * chain.n_states * eps
+        assert rep.certificate.value == pytest.approx(want, rel=1e-12)
+        assert rep.c_pi.value == pytest.approx(1.0 / want, rel=1e-12)
 
 
 def test_exact_cpi_refinement_guards(monkeypatch):
@@ -332,10 +332,10 @@ def test_exact_cpi_refinement_guards(monkeypatch):
     for beta in (10.0, 12.0):
         chain = double_well_chain(beta)
         cert = exact_cpi(chain).certificate
-        assert not cert.exact
+        assert cert.mode == "bound"
         assert cert.lower <= _mp_line_gap(chain) <= cert.upper
         # the certified f is the vector of the reported quotient
-        assert cert.gap == dirichlet_form(chain, cert.f)
+        assert cert.value == dirichlet_form(chain, cert.f)
         assert np.dot(chain.stationary, cert.f**2) == pytest.approx(1.0, rel=1e-14)
     # where the dense vector is already the eigenvector, its quotient certifies
     chain = double_well_chain(2.0)
@@ -343,7 +343,7 @@ def test_exact_cpi_refinement_guards(monkeypatch):
     sym, _ = _symmetrized(chain)
     dense_gap = 1.0 - np.linalg.eigvalsh(sym)[-2]
     res = GAP_DIGITS_FACTOR * chain.n_states * np.finfo(float).eps
-    assert rep.certificate.exact
+    assert rep.certificate.mode == "exact"
     assert rep.certificate.lower <= dense_gap + res and dense_gap - res <= rep.certificate.upper
 
 
@@ -370,8 +370,8 @@ def test_sym_spectrum_keeps_eigh_bits(name):
     if name.endswith("x1e-200"):
         # the first solve returns |f| near 1e200, whose squares overflow
         # unless the norm is taken after scaling by max|f|
-        gap = 1e-200 * exact_cpi(_bd_generator()).spectral_gap
-        assert rep.spectral_gap == pytest.approx(gap, rel=1e-12)
+        gap = 1e-200 * exact_cpi(_bd_generator()).certificate.value
+        assert rep.certificate.value == pytest.approx(gap, rel=1e-12)
         assert rep.certificate.lower <= gap <= rep.certificate.upper
 
 
@@ -446,13 +446,13 @@ def test_clsi_pool_golden():
         for v in range(8)
     ]
     for chain, want in zip(chains, CLSI_POOL_GOLDEN):
-        got = estimate_clsi(chain, seed=1).c_lsi_lower
+        got = estimate_clsi(chain, seed=1).c_lsi.value
         assert got == pytest.approx(want, rel=1e-6)
 
 
 def _ascent_seeds(chain):
     rng = np.random.default_rng(3)
-    v2 = exact_cpi(chain).maximizer
+    v2 = exact_cpi(chain).certificate.f
     seeds = [v2, 1.0 + 1e-3 * v2, 1.0 - 0.1 * v2]
     return np.array(seeds + [rng.normal(size=chain.n_states) for _ in range(13)])
 
@@ -542,8 +542,9 @@ def test_ascent_value_is_the_ratio_at_its_function(name):
     chain = ASCENT_CHAINS[name]()
     rep = estimate_clsi(chain, seed=1)
     f = rep.maximizer
-    assert rep.c_lsi_lower == entropy(chain.stationary, f * f) / dirichlet_form(chain, f)
-    weight = chain.conditional(np.arange(chain.n_states) < 5)
+    assert rep.c_lsi.value == entropy(chain.stationary, f * f) / dirichlet_form(chain, f)
+    low = np.arange(chain.n_states) < 5
+    weight = np.where(low, chain.stationary, 0.0) / chain.mass(low)
     val, f, _, _ = oracle_mod.entropy_ratio_ascent(chain, weight, _ascent_seeds(chain), 300)
     assert val == entropy(weight, f * f) / dirichlet_form(chain, f)
 
@@ -555,7 +556,8 @@ def test_batched_line_search_trials_keep_the_bits(name, trials, monkeypatch):
     # steps that one trial per tick takes, including the stop at the floor
     chain = ASCENT_CHAINS[name]()
     seeds = np.insert(_ascent_seeds(chain), 1, np.full(chain.n_states, 2.0), axis=0)
-    weight = chain.conditional(np.arange(chain.n_states) < 5)
+    low = np.arange(chain.n_states) < 5
+    weight = np.where(low, chain.stationary, 0.0) / chain.mass(low)
     want = [oracle_mod._lockstep_ascent(chain, w, seeds.copy(), 400)
             for w in (chain.stationary, weight)]
     monkeypatch.setattr(oracle_mod, "ASCENT_TRIALS", trials)
@@ -585,7 +587,7 @@ def _dense_gaps(chain):
     rep = exact_cpi(chain)
     vals = 1.0 - rep.eigenvalues if rep.discrete_time else rep.eigenvalues
     floor = GAP_DIGITS_FACTOR * chain.n_states * np.finfo(float).eps
-    return rep.spectral_gap, vals[2], floor * np.max(np.abs(rep.eigenvalues))
+    return rep.certificate.value, vals[2], floor * np.max(np.abs(rep.eigenvalues))
 
 
 RFCW_GRID_FIELDS = [("uniform:0.2", s) for s in (0, 1, 2)] + [("zero", 0)]
@@ -603,8 +605,8 @@ def test_certified_gap_agrees_with_the_dense_oracle(n_spins):
             cert = oracle_mod.certified_gap(chain, h)
             gap, lam3, res = _dense_gaps(chain)
             where = (n_spins, beta, field, seed)
-            assert cert.exact, where
-            assert cert.gap == pytest.approx(gap, rel=1e-12), where
+            assert cert.mode == "exact", where
+            assert cert.value == pytest.approx(gap, rel=1e-12), where
             assert cert.lower <= gap + res and gap - res <= cert.upper, where
             assert 0.0 < cert.lambda3_floor <= lam3 + res, where
 
@@ -639,9 +641,9 @@ def test_pair_route_agrees_with_the_grounded_route(n_spins):
         pair = oracle_mod.certified_gap(chain, sol.potential, sol)
         sigma = 1.0 / mean_exit_time_bound(chain, ~(sol.set_a | sol.set_b))
         assert pair.lambda3_floor == sigma, where  # the pair route's own floor
-        assert grounded.lower <= pair.gap <= grounded.upper, where
-        assert pair.lower <= grounded.gap <= pair.upper, where
-        assert pair.exact == grounded.exact, where
+        assert grounded.lower <= pair.value <= grounded.upper, where
+        assert pair.lower <= grounded.value <= pair.upper, where
+        assert pair.mode == grounded.mode, where
         cells += 1
     assert cells
 
@@ -723,10 +725,10 @@ def test_exact_cpi_tag_holds_against_mpmath(n, beta):
     rep = exact_cpi(chain)
     cert = rep.certificate
     want = _mp_line_gap(chain)
-    assert rep.spectral_gap == cert.gap and rep.c_pi_exact == 1.0 / cert.gap
-    if cert.exact:
-        assert abs(cert.gap - want) <= 1e-12 * want
-        assert abs(rep.c_pi_exact * want - 1) <= 1e-12
+    assert rep.certificate.value == cert.value and rep.c_pi.value == 1.0 / cert.value
+    if cert.mode == "exact":
+        assert abs(cert.value - want) <= 1e-12 * want
+        assert abs(rep.c_pi.value * want - 1) <= 1e-12
     else:
         assert cert.lower <= want <= cert.upper
 
@@ -738,7 +740,7 @@ def test_edgewise_residual_certifies_well_gaps(n, beta):
     chain = double_well_chain(beta, n)
     cert = exact_cpi(chain).certificate
     want = _mp_line_gap(chain)
-    assert cert.exact
+    assert cert.mode == "exact"
     assert cert.lower <= want <= cert.upper
 
 
@@ -751,7 +753,7 @@ def test_mp_line_gap_matches_eigsy():
 def test_exact_cpi_certifies_random_chains(seed):
     for n in range(3, 41):
         chain = random_reversible_chain(np.random.default_rng((20170515, n, seed)), n)
-        assert exact_cpi(chain).certificate.exact, n
+        assert exact_cpi(chain).certificate.mode == "exact", n
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -763,7 +765,7 @@ def test_nonfinite_lambda3_estimate_gives_no_floor(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_lambda3_floor", count)
     chain = double_well_chain(25.0, 15)
     cert = exact_cpi(chain).certificate
-    assert cert.lambda3_floor == 0.0 and cert.lower == 0.0 and not cert.exact
+    assert cert.lambda3_floor == 0.0 and cert.lower == 0.0 and cert.mode == "bound"
     assert cert.lower <= _mp_line_gap(chain) <= cert.upper
 
 
@@ -778,8 +780,8 @@ def test_certified_gap_matches_mpmath(beta):
     chain, h = _rfcw_cell(6, beta, "uniform:0.2")
     cert = oracle_mod.certified_gap(chain, h)
     lam = _mp_spectrum(chain)
-    assert cert.exact
-    assert abs(cert.gap - lam[1]) <= 1e-12 * lam[1]
+    assert cert.mode == "exact"
+    assert abs(cert.value - lam[1]) <= 1e-12 * lam[1]
     assert cert.lower <= lam[1] <= cert.upper
     assert cert.lambda3_floor <= lam[2]
 
@@ -810,7 +812,7 @@ def test_certified_gap_releases_the_grounded_factor_first(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_grounded_factor", grounded_factor)
     monkeypatch.setattr(oracle_mod, "_ldl_pivots", ldl_pivots)
     chain, h = _rfcw_cell(8, 1.5, "uniform:0.2", seed=7)
-    assert oracle_mod.certified_gap(chain, h).exact
+    assert oracle_mod.certified_gap(chain, h).mode == "exact"
     assert alive and not any(alive)
 
 
@@ -821,7 +823,7 @@ def test_certified_gap_interval_holds_off_convergence(monkeypatch):
     gap, lam3, res = _dense_gaps(chain)
     monkeypatch.setattr(oracle_mod, "REFINE_RTOL", 1e-4)
     cert = oracle_mod.certified_gap(chain, h)
-    assert cert.gap > gap * (1.0 + 1e-8)
+    assert cert.value > gap * (1.0 + 1e-8)
     assert gap * (1.0 - 1e-5) < cert.lower <= gap - res
     assert cert.lambda3_floor <= lam3
 
@@ -832,9 +834,9 @@ def test_certified_gap_bound_when_the_count_fails(monkeypatch):
     # every LDL^T distrusted: no lambda_3 floor, so no lower bound
     monkeypatch.setattr(oracle_mod, "PIVOT_GROWTH_LIMIT", 0.0)
     cert = oracle_mod.certified_gap(chain, h)
-    assert not cert.exact
+    assert cert.mode == "bound"
     assert cert.lower == 0.0 and cert.lambda3_floor == 0.0
-    assert cert.gap >= gap - res
+    assert cert.value >= gap - res
 
 
 def test_lambda3_floor_counts_pivots():
@@ -856,6 +858,6 @@ def test_lambda3_floor_counts_pivots():
 
 def test_certified_gap_two_states(two_state):
     cert = oracle_mod.certified_gap(two_state, np.array([1.0, 0.0]))
-    assert cert.exact and cert.lambda3_floor == np.inf
-    assert cert.gap == pytest.approx(0.4, rel=1e-14)
+    assert cert.mode == "exact" and cert.lambda3_floor == np.inf
+    assert cert.value == pytest.approx(0.4, rel=1e-14)
     assert cert.lower <= 0.4 <= cert.upper

@@ -206,13 +206,13 @@ def test_measure_capacity_two_state(two_state):
     res = measure_capacity_constant(
         two_state, two_state.stationary, ["b"], l1_pair(), 1.0
     )
-    assert res["c_psi"] == pytest.approx(10.0 / 3.0, rel=1e-10)
+    assert res["c_psi"].value == pytest.approx(10.0 / 3.0, rel=1e-10)
     assert res["mode"] == "exact"
     res_ent = measure_capacity_constant(
         two_state, two_state.stationary, ["b"], entropy_pair(), E2
     )
     # 0.25 ln(1 + e^2/0.25) / 0.075, frozen from direct evaluation
-    assert res_ent["c_psi"] == pytest.approx(11.398561364684474, rel=1e-10)
+    assert res_ent["c_psi"].value == pytest.approx(11.398561364684474, rel=1e-10)
 
 
 def test_measure_capacity_restricted_scan(monkeypatch):
@@ -224,7 +224,7 @@ def test_measure_capacity_restricted_scan(monkeypatch):
     monkeypatch.setattr(potential, "EXACT_ENUM_LIMIT", 3)
     lower = measure_capacity_constant(chain, chain.stationary, b, l1_pair(), 1.0)
     assert lower["mode"] == "lower_bound"
-    assert lower["c_psi"] <= exact["c_psi"] + 1e-12
+    assert lower["c_psi"].value <= exact["c_psi"].value + 1e-12
 
 
 def test_muckenhoupt_examples():
@@ -294,7 +294,7 @@ def test_measure_capacity_constant_takes_the_first_maximum(monkeypatch, ring4, b
     ties = [a for v, a in vals if v == best]
     assert len(ties) > 1
     res = measure_capacity_constant(ring4, ring4.stationary, b, entropy_pair(), E2)
-    assert res["c_psi"] == best
+    assert res["c_psi"].value == best
     assert np.array_equal(res["argmax"], ties[0])
 
 
@@ -307,7 +307,7 @@ def test_measure_capacity_constant_keeps_the_scalar_norm_bits():
     vals = _scalar_scan(chain, b, p_pair(2.5), 1.5)
     best = max(v for v, _ in vals)
     res = measure_capacity_constant(chain, chain.stationary, b, p_pair(2.5), 1.5)
-    assert res["c_psi"] == best
+    assert res["c_psi"].value == best
     assert np.array_equal(res["argmax"], next(a for v, a in vals if v == best))
 
 
@@ -336,7 +336,7 @@ def test_lower_bound_scan_matches_the_candidate_loop(ring4, monkeypatch):
                 best, arg = ratio(m), m
         res = measure_capacity_constant(chain, nu, b, pair, k_val)
         assert res["mode"] == "lower_bound"
-        assert res["c_psi"] == best and np.array_equal(res["argmax"], arg)
+        assert res["c_psi"].value == best and np.array_equal(res["argmax"], arg)
 
 
 def test_capacitary_integral_matches_the_level_loop():

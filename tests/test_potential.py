@@ -518,7 +518,7 @@ def test_bounded_scan_matches_full_enumeration(monkeypatch, block):
             val, arg = _full_orlicz(chain, nu, b, pair, k_val)
             res = measure_capacity_constant(chain, nu, b, pair, k_val)
             assert res["mode"] == "exact"
-            assert res["c_psi"] == val, (case, name)
+            assert res["c_psi"].value == val, (case, name)
             assert np.array_equal(res["argmax"], arg), (case, name)
 
         order = rng.permutation(n)
@@ -635,11 +635,11 @@ def test_bounded_scans_at_extreme_beta(n, beta):
 
     def orlicz():
         res = measure_capacity_constant(chain, chain.stationary, b, entropy_pair(), E2)
-        return res["c_psi"], res["argmax"]
+        return res["c_psi"].value, res["argmax"]
 
     def rho():
         cert = rho_metastability(chain, [["x0"], [f"x{n - 1}"]], mode="exact")
-        return cert.rho, cert.argmin_subset
+        return cert.value, cert.argmin_subset
 
     assert (_outcome(orlicz), _outcome(rho)) == EXTREME_BETA_SCANS[n, beta]
 
@@ -653,13 +653,13 @@ def test_bounded_scans_at_the_enumeration_limit():
     b[-1] = True
     res = measure_capacity_constant(chain, chain.stationary, b, entropy_pair(), E2)
     assert res["mode"] == "exact"
-    assert res["c_psi"] == 3127.455671095346
+    assert res["c_psi"].value == 3127.455671095346
     assert np.flatnonzero(res["argmax"]).tolist() == [6, 10, 11, 18, 19]
 
     chain = random_reversible_chain(np.random.default_rng(3), 22)
     sets = [[chain.states[0]], [chain.states[-1]]]
     cert = rho_metastability(chain, sets, mode="exact")
-    assert cert.rho == 26.390442787871827
+    assert cert.value == 26.390442787871827
     assert cert.denominator == 0.002860768627261901
     assert np.flatnonzero(cert.argmin_subset).tolist() == [5, 17]
 
@@ -668,4 +668,4 @@ def test_bounded_scans_at_the_enumeration_limit():
     res = measure_capacity_constant(chain, chain.stationary, b, entropy_pair(), E2)
     assert res["mode"] == "lower_bound"
     chain = random_reversible_chain(np.random.default_rng(3), 23)
-    assert rho_metastability(chain, [[chain.states[0]], [chain.states[-1]]]).mode == "singleton"
+    assert rho_metastability(chain, [[chain.states[0]], [chain.states[-1]]]).method == "singleton"

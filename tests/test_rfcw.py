@@ -313,7 +313,7 @@ def test_rho_trend_monotone_in_beta():
         order = find_minima_and_order(m, land)
         sets = [land.fiber_mask([k]) for k in order.minima[:2]]
         cert = rho_metastability(m.chain, sets, mode="singleton")
-        ratios.append(cert.rho)
+        ratios.append(cert.value)
     assert ratios[0] > ratios[1] > ratios[2]
 
 
