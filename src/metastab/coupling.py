@@ -9,12 +9,13 @@ front, independent of everything else, so P[all gates pass] is exactly
 delta^M with delta = exp(-4 beta eps(n)).
 
 All Monte Carlo runs R replicas in lockstep.  ``_coupled_steps`` advances R
-coupled pairs at once on (R, N) int8 spins, with per-row magnetizations,
-mesoscopic point indices, gate counters and phase masks; every step reads
-flip probabilities from the model's one table of ``flip_probability``
-(``RFCWModel.flip_table``, built on first use).  It is the only trajectory
-path, and each op calls it once: it takes a list of row groups, each with
-its own gate array and streams, and steps all of their rows together.
+coupled pairs at once on (R, N) int8 spins, with per-row configuration
+codes (bit i set where site i is +1), mesoscopic point indices, gate
+counters and phase masks; every step reads its accept probabilities from
+the materialized chain's own flip probabilities, ``RFCWModel.flip_probs``
+times N at ``[code * N + site]``.  It is the only trajectory path, and each
+op calls it once: it takes a list of row groups, each with its own gate
+array and streams, and steps all of their rows together.
 ``coupling_experiment`` stacks the dynamics replicas and the conditional
 probe into one call; ``marginal_chi_square`` makes a one-group call whose
 transition counts are keyed by an integer code of the pre-state, bins them
@@ -59,20 +60,15 @@ def gate_probability(model, land):
     return math.exp(-4.0 * model.beta * land.eps_n)
 
 
-def _accept(table, s, m, sites):
-    """Flip probability of ``sites`` carrying spins ``s`` at magnetizations ``m``."""
-    return table[sites, s + 1, m + (table.shape[2] >> 1)]
+def _accept_table(model):
+    """N P(sigma, sigma^i) of the micro chain, flat at [code(sigma) * N + i].
 
-
-def _flip_rows(table, codes):
-    """P(flip site i) = accept / N in each state of ``codes``, one row per state.
-
-    Bit i of a code is set where site i carries spin +1, as in the kernel's
-    transition counts.
+    Bit i of a code is set where site i carries spin +1, as in the model's
+    configuration order.
     """
-    n = table.shape[0]
-    spins = np.where((codes[:, None] >> np.arange(n)) & 1, 1, -1)
-    return _accept(table, spins, spins.sum(axis=1, keepdims=True), np.arange(n)) / n
+    if not model.materialized:
+        raise ValidationError("the Monte Carlo needs a materialized model")
+    return model.flip_probs.ravel() * model.n_spins
 
 
 def _streams(key, k):
@@ -97,7 +93,9 @@ def _coupled_steps(model, land, groups, T, counts=None):
     that need a mismatched partner draw uniform keys over the sites from
     their group's partner stream, in row order, and take the argmax over the
     eligible ones.  Block sums are carried as the index of their mesoscopic
-    point.  ``counts``, a pair of lists, collects one array of
+    point, and each configuration also as its code (bit i set where site i
+    is +1): the accept probability of site i sits at ``[code * N + i]`` of
+    ``_accept_table``.  ``counts``, a pair of lists, collects one array of
     ``pre-state code * (N + 1) + flipped site + 1`` (0 = hold) per step and
     path, over all rows in group order; the loop records only the flips and
     their sites, and the codes are rebuilt after it.  Returns one dict of
@@ -129,31 +127,24 @@ def _coupled_steps(model, land, groups, T, counts=None):
     pt_var = (var > 0) @ w
     if np.any(pt_sig != pt_var):
         raise ValidationError("starting configurations differ mesoscopically")
-    # the flip table with spins innermost: entry [i, s + 1, m + N] sits at
-    # 3 (i (2N + 1) + m + N) + 1 + s, the sum of a site part (``ai_blk``,
-    # drawn ahead), a magnetization part (``at_sig``, carried per row) and s
-    table = model.flip_table.transpose(0, 2, 1).ravel()
-    stride = 3 * (2 * n + 1)
+    accept = _accept_table(model)
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    code_sig = (sig > 0) @ bits
+    code_var = (var > 0) @ bits
     delta = gate_probability(model, land)
     blk = land.site_block()
     steppers = [rng for *_, (rng, _) in groups]
     partners = [rng for *_, (_, rng) in groups]
     if counts is not None:
-        bits = np.int64(1) << np.arange(n, dtype=np.int64)
-        starts = ((sig > 0) @ bits, (var > 0) @ bits)
-        # per step and row: did each path flip, and at which flat site
+        starts = (code_sig.copy(), code_var.copy())
+        # per step and row: did each path flip, and at which site
         flips = np.zeros((2, T, R), dtype=bool)
         sites = np.zeros((2, T, R), dtype=np.intp)
 
     off = np.arange(R) * n  # row offsets into the flattened (R, N) arrays
     w_f = np.tile(w, R)  # the point weight of every flattened site
     sig_f, var_f = sig.ravel(), var.ravel()
-    # each row as one opaque N-byte value: one comparison tells merged rows
-    sig_row, var_row = (x.view(np.dtype((np.void, n))).ravel() for x in (sig, var))
-    at_sig = 3 * (sig.sum(axis=1, dtype=np.int64) + n)
-    at_var = 3 * (var.sum(axis=1, dtype=np.int64) + n)
-    first_flip = np.full((R, n), -1, dtype=np.int64)
-    first_f = first_flip.ravel()
+    pending = np.ones(R * n, dtype=bool)  # sites sigma has not flipped yet
     n_first = np.zeros(R, dtype=np.int64)
     attempts = np.zeros(R, dtype=np.int64)
     gates_used = np.zeros(R, dtype=np.int64)
@@ -164,11 +155,11 @@ def _coupled_steps(model, land, groups, T, counts=None):
     # merged pairs step synchronously and stay merged, so counting the steps
     # that begin merged gives the merge time
     n_merged = np.zeros(R, dtype=np.int64)
-    merged_at_start = sig_row == var_row
+    merged_at_start = code_sig == code_var
     sync = np.zeros(R, dtype=np.int64)
 
-    # a block of steps holds 4 uniforms and 6 site indices per row and step
-    block = max(1, STEP_BLOCK_BYTES // (80 * max(R, 1)))
+    # a block of steps holds 4 uniforms and 3 site indices per row and step
+    block = max(1, STEP_BLOCK_BYTES // (56 * max(R, 1)))
     for t0 in range(0, T, block):
         steps = min(block, T - t0)
         u_blk = np.concatenate(
@@ -176,26 +167,24 @@ def _coupled_steps(model, land, groups, T, counts=None):
         )
         i_blk = (u_blk[:, :, 0] * n).astype(np.intp)
         j_blk = (u_blk[:, :, 2] * n).astype(np.intp)
-        fi_blk, fj_blk = i_blk + off, j_blk + off
-        ai_blk, aj_blk = stride * i_blk + 1, stride * j_blk + 1
+        fi_blk = i_blk + off
         if counts is not None:
-            sites[0, t0:t0 + steps] = fi_blk
+            sites[0, t0:t0 + steps] = i_blk
         for t in range(t0, t0 + steps):
             k = t - t0
             u, i, fi = u_blk[k], i_blk[k], fi_blk[k]
-            merged = sig_row == var_row
+            merged = code_sig == code_var
             n_merged += merged
             # gated or merged rows step together; the rest run independently
             coupled = merged | gated
             si = sig_f[fi]
             vi = var_f[fi]
-            a = table[ai_blk[k] + at_sig + si]
+            a = accept[code_sig * n + i]
             fs = u[:, 1] < a
-            fj = np.where(coupled, fi, fj_blk[k])
-            vj = var_f[fj]
+            j = np.where(coupled, i, j_blk[k])
             # a coupled row copies sigma's flip: its entry read at the free
             # site is a valid probability that goes unused
-            fv = np.where(coupled, fs, u[:, 3] < table[aj_blk[k] + at_var + vj])
+            fv = np.where(coupled, fs, u[:, 3] < accept[code_var * n + j])
             pair = (coupled & (vi != si)).nonzero()[0]
             if pair.size:
                 # partner: a mismatched site of the same block carrying sigma_i
@@ -210,13 +199,11 @@ def _coupled_steps(model, land, groups, T, counts=None):
                     rng.random((hi - lo, n))
                     for rng, lo, hi in zip(partners, [0, *cuts[:-1]], cuts)
                 ])
-                jp = np.where(elig, keys, -1.0).argmax(axis=1)
-                fj[pair] = fjp = off[pair] + jp
-                vj[pair] = vjp = var_f[fjp]
+                j[pair] = jp = np.where(elig, keys, -1.0).argmax(axis=1)
                 gate = gates[pair, gates_used[pair]]
                 fs[pair], fv[pair] = _gated_draw(
                     a[pair],
-                    table[stride * jp + 1 + at_var[pair] + vjp],
+                    accept[code_var[pair] * n + jp],
                     delta,
                     gate,
                     u[pair, 1],
@@ -226,33 +213,32 @@ def _coupled_steps(model, land, groups, T, counts=None):
                 xi[pair] |= ~gate
                 gated[pair] = ~xi[pair] & (gates_used[pair] < M[pair])
             if counts is not None:
-                flips[0, t], flips[1, t], sites[1, t] = fs, fv, fj
+                flips[0, t], flips[1, t], sites[1, t] = fs, fv, j
 
-            fresh = first_f[fi] < 0
+            fresh = pending[fi]
             attempts += fresh
             new = (fresh & fs).nonzero()[0]
             if new.size:
-                first_f[fi[new]] = t
+                pending[fi[new]] = False
                 n_first[new] += 1
                 done = new[n_first[new] == n]
                 frak_t[done] = t
                 matched[done] = merged[done]
 
+            fj = off + j
+            vj = var_f[fj]
             sig_f[fi] = np.where(fs, -si, si)
             var_f[fj] = np.where(fv, -vj, vj)
-            d = si * fs
-            at_sig -= 6 * d
-            pt_sig -= d * w_f[fi]
-            d = vj * fv
-            at_var -= 6 * d
-            pt_var -= d * w_f[fj]
+            np.bitwise_xor(code_sig, bits[i], out=code_sig, where=fs)
+            np.bitwise_xor(code_var, bits[j], out=code_var, where=fv)
+            pt_sig -= si * fs * w_f[fi]
+            pt_var -= vj * fv * w_f[fj]
 
             # synchrony is the invariant of the gated phase: a coupled step
             # whose gate passed (or a merged step) must keep the block sums equal
             sync += coupled & ~xi & (pt_sig != pt_var)
 
     if counts is not None:
-        sites -= off
         for side in (0, 1):
             f, j = flips[side], sites[side]
             # the code before step t: the start code XOR every flip before t
@@ -261,12 +247,10 @@ def _coupled_steps(model, land, groups, T, counts=None):
             counts[side].extend(code * (n + 1) + np.where(f, j + 1, 0))
 
     out = {
-        "first_flip": first_flip,
         "frak_t": frak_t,
         "attempts": attempts,
         "matched": matched,
         "merge_time": np.where(n_merged > 0, T - n_merged, np.where(merged_at_start, 0, -1)),
-        "xi": xi,
         "gates_used": gates_used,
         "sync_violations": sync,
         "sigma": sig,
@@ -421,7 +405,7 @@ def marginal_chi_square(model, land, runs, steps, seed):
         codes = (outcomes.sum(axis=1) >= 50).nonzero()[0]
         # outcome slot: flipped site i in slot i, a hold in the last slot
         obs = np.roll(outcomes[codes], -1, axis=1).astype(float)
-        stats, dofs = _pearson_statistics(obs, _flip_rows(model.flip_table, codes))
+        stats, dofs = _pearson_statistics(obs, model.flip_probs[codes])
         n_tested = stats.size
         # one survival-function call for every tested state
         pvals = chdtrc(dofs, stats)
@@ -516,7 +500,10 @@ def _tail_rate(model):
 def tail_bound_check(model, samples=2000, seed=0):
     """Monte-Carlo check of P[N_attempts > s N] <= exp(-I_alpha(s-1) N).
 
-    Every replica starts from the all-up configuration.
+    Every replica starts from the all-up configuration and is carried as
+    its configuration code, which indexes the materialized chain's accept
+    probabilities as in ``_coupled_steps``; a landscape-only model is a
+    ValidationError.
 
     Each replica also runs the negative-binomial comparison process on
     shared uniforms: a first attempt at a site succeeds in the comparison
@@ -528,16 +515,15 @@ def tail_bound_check(model, samples=2000, seed=0):
     n = model.n_spins
     alpha, s, rate, bound = _tail_rate(model)
     rng = np.random.default_rng((seed, 37))
-    # the flip table with spins innermost, read as in ``_coupled_steps``
-    table = model.flip_table.transpose(0, 2, 1).ravel()
-    stride = 3 * (2 * n + 1)
+    accept = _accept_table(model)
     # a comparison success that does not flip needs an accept probability
-    # below alpha; with none in the table, no uniform can produce one
-    can_miss = bool(np.nanmin(table) < alpha)
-    # flat (R, N) spins and first-flip flags of the live rows, in row order
-    sig = np.ones(samples * n, dtype=np.int64)
+    # below alpha; with none in the chain, no uniform can produce one
+    can_miss = bool(accept.min() < alpha)
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    # configuration codes and flat (R, N) first-flip flags of the live rows,
+    # in row order
+    code = np.full(samples, (1 << n) - 1, dtype=np.int64)  # all up
     pending = np.ones(samples * n, dtype=bool)
-    at = np.full(samples, 6 * n, dtype=np.int64)  # 3 (m + N), m = N all up
     left = np.full(samples, n, dtype=np.int64)  # sites not yet flipped
     att = np.zeros(samples, dtype=np.int64)
     off = np.arange(samples) * n
@@ -555,15 +541,13 @@ def tail_bound_check(model, samples=2000, seed=0):
             block = min(max(2 * block, 128 * samples), STEP_BLOCK_BYTES // 8)
             buf = np.concatenate([buf[2 * pos:], rng.random(max(block, 2 * r))])
             site = (buf[0::2] * n).astype(np.intp)
-            ai, u1, pos = stride * site + 1, buf[1::2].copy(), 0
+            u1, pos = buf[1::2].copy(), 0
         k = slice(pos, pos + r)
         pos += r
-        fi = off[:r] + site[k]
-        spin = sig[fi]
-        flip = u1[k] < table[ai[k] + at + spin]
-        np.subtract(at, 6 * spin, out=at, where=flip)
-        np.negative(spin, out=spin, where=flip)
-        sig[fi] = spin
+        i = site[k]
+        flip = u1[k] < accept[code * n + i]
+        np.bitwise_xor(code, bits[i], out=code, where=flip)
+        fi = off[:r] + i
         first = pending[fi]
         att += first
         if can_miss:
@@ -574,8 +558,7 @@ def tail_bound_check(model, samples=2000, seed=0):
         if np.count_nonzero(left) < r:
             keep = left > 0
             attempts[live] = att
-            live, at, left, att = live[keep], at[keep], left[keep], att[keep]
-            sig = sig.reshape(r, n)[keep].ravel()
+            live, code, left, att = live[keep], code[keep], left[keep], att[keep]
             pending = pending.reshape(r, n)[keep].ravel()
     emp = int(np.sum(attempts > s * n)) / samples
     sigma = math.sqrt(max(bound * (1.0 - bound), emp * (1.0 - emp), 1e-12) / samples)

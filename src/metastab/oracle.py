@@ -104,7 +104,6 @@ class LsiReport:
     multistarts: int
     spectral: SpectralReport  # exact_cpi's, whose lambda_2 vector seeds the ascent
     converged: bool
-    n_converged: int
 
 
 def exact_cpi(chain):
@@ -441,7 +440,6 @@ def estimate_clsi(chain, seed=0):
         multistarts=len(seeds),
         spectral=spec,
         converged=n_conv == len(seeds),
-        n_converged=n_conv,
     )
 
 

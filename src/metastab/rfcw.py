@@ -51,6 +51,14 @@ LN2 = math.log(2.0)
 
 @dataclass
 class RFCWModel:
+    """The RFCW model and, when materialized, its micro Glauber chain's arrays.
+
+    Configuration c has spin +1 at site i where bit i of c is set.
+    ``flip_probs[c, i]`` is the chain's P(sigma, sigma^i), formed once by
+    ``_glauber_rates``: the exact certificates read it through ``chain``,
+    and the Monte Carlo samples it directly.
+    """
+
     n_spins: int
     beta: float
     field: np.ndarray
@@ -79,38 +87,6 @@ class RFCWModel:
         chars = np.where(self.spins > 0, ord("+"), ord("-")).astype(np.uint8)
         states = chars.view(f"S{n}").ravel().astype(str).tolist()
         return _glauber_chain(states, self.flip_index, self.flip_probs, self.gibbs)
-
-    def flip_probability(self, sigma, m, i):
-        """nu_{i,sigma}[-sigma_i], the accept probability of flipping site i.
-
-        ``m`` is the current integer magnetization sum(sigma).
-        """
-        dh = (2.0 * sigma[i] * m - 2.0) / self.n_spins
-        dh += 2.0 * self.field[i] * sigma[i]
-        return math.exp(-self.beta * max(dh, 0.0))
-
-    @functools.cached_property
-    def flip_table(self):
-        """``flip_probability`` at every (site, spin, magnetization).
-
-        Entry [i, s + 1, m + N] is the accept probability of flipping site i
-        carrying spin s at magnetization m, evaluated by the scalar formula
-        above, so lookups reproduce it bit for bit (numpy's vectorized
-        ``exp`` differs from ``math.exp`` in the last bit on some arguments).
-        Entries of a magnetization without the parity of N stay NaN.  Built
-        on first use and kept, read-only, for every later caller;
-        ``build_model`` never builds it, since a landscape-only model of N
-        spins would hold 3 N (2N + 1) doubles.
-        """
-        n = self.n_spins
-        table = np.full((n, 3, 2 * n + 1), np.nan)
-        for s in (-1, 1):
-            sigma = np.full(n, s, dtype=np.int8)
-            for i in range(n):
-                for m in range(-n, n + 1, 2):
-                    table[i, s + 1, m + n] = self.flip_probability(sigma, m, i)
-        table.flags.writeable = False
-        return table
 
 
 def parse_field_spec(spec):
@@ -411,19 +387,15 @@ def _block_dual_entropy(land, l, y):
 
     Newton on the strictly increasing slope map from the artanh guess, with a
     bisection safeguard; endpoints use the analytic limit ln 2 (the block
-    fluctuations average to zero).
+    fluctuations average to zero).  Block l is nonempty and |y| <= 1:
+    ``free_energy_continuous`` skips empty blocks and clamps y.
     """
     key = (l, float(y))
     hit = land._entropy_tables.get(key)
     if hit is not None:
         return hit
-    b = land.blocks[l]
-    if b.size == 0:
-        return 0.0
-    th = land.beta * land.h_tilde[b]
+    th = land.beta * land.h_tilde[land.blocks[l]]
     if abs(y) >= 1.0:
-        if abs(y) > 1.0 + 1e-12:
-            raise ValidationError(f"entropy argument {y!r} outside [-1, 1]")
         val = LN2
         land._entropy_tables[key] = val
         return val

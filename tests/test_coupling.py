@@ -15,10 +15,9 @@ from metastab import coupling as coupling_mod
 from metastab.chains import MetastabError
 from metastab.coupling import (
     BoundOutOfRange,
-    _accept,
+    _accept_table,
     _coupled_steps,
     _event_b,
-    _flip_rows,
     _gated_draw,
     _streams,
     coupling_experiment,
@@ -33,7 +32,7 @@ from metastab.coupling import (
 )
 from metastab import rfcw as rfcw_mod
 from metastab.cli import main as cli_main
-from metastab.rfcw import RFCWModel, build_model, coarse_grain, find_minima_and_order
+from metastab.rfcw import build_model, coarse_grain, find_minima_and_order
 from references import TwoPointCoupling, point_index
 
 
@@ -101,41 +100,48 @@ def test_marginal_chi_square(small_pair):
         assert rep["states_tested"] > 10
 
 
-def test_flip_rows_match_the_per_state_loop(small_pair):
-    # the expected rows of the chi-square test, against flip_probability
-    # called per state and site
-    rng = np.random.default_rng(19)
-    models = [small_pair[0]] + [
-        build_model(n, beta, "uniform:0.2", seed=v)
-        for n, beta, v in ((8, 0.8, 0), (10, 1.5, 3))
-    ]
-    for model in models:
-        n = model.n_spins
-        codes = np.unique(rng.integers(0, 1 << n, size=200))
-        got = _flip_rows(model.flip_table, codes)
-        for code, row in zip(codes, got):
-            sigma = np.where((code >> np.arange(n)) & 1, 1, -1).astype(np.int8)
-            m = int(sigma.sum())
-            want = [model.flip_probability(sigma, m, i) / n for i in range(n)]
-            assert row.tolist() == want  # bit for bit
+def _chain_flip_rows(model):
+    """P(sigma, sigma^i) of the assembled micro chain, one row per code."""
+    n = model.n_spins
+    codes = np.arange(1 << n)
+    kernel = model.chain.kernel
+    return np.column_stack(
+        [np.asarray(kernel[codes, codes ^ (1 << i)]).ravel() for i in range(n)]
+    )
 
 
-def test_flip_table_agrees_with_the_micro_chain_rates():
-    # the sampler reads flip_table; every exact certificate reads the chain
-    # built from flip_probs: both must give the same rates on every state and
-    # site (beta times the two ways of forming the energy step amplifies
-    # their rounding, most at beta = 20)
-    worst = 0.0
-    for n in (1, 2, 6, 8, 10):
-        for beta in (0.0, 0.5, 1.5, 6.0, 20.0):
-            for field in ("zero", "uniform:0.2", "uniform:3", "discrete:-0.4,0.4"):
-                model = build_model(n, beta, field, seed=7)
-                spins = model.spins.astype(np.int64)
-                m = spins.sum(axis=1, keepdims=True)
-                table = model.flip_table[np.arange(n), spins + 1, m + n] / n
-                rel = np.abs(table - model.flip_probs) / model.flip_probs
-                worst = max(worst, float(rel.max()))
-    assert worst <= 1e-12, worst
+@pytest.mark.parametrize("beta", [0.0, 0.7, 2.5, 20.0])
+def test_sampler_accepts_with_the_chains_own_flip_probabilities(beta):
+    # the kernel and the tail check read their accept probabilities from
+    # ``_accept_table``: N P(sigma, sigma^i) of the micro chain, bit for bit
+    for n, field in ((1, "zero"), (6, "uniform:0.2"), (8, "uniform:0.3"), (8, "discrete:-0.4,0.4")):
+        model = build_model(n, beta, field, seed=4)
+        accept = _accept_table(model).reshape(-1, n)
+        assert accept.tolist() == (n * _chain_flip_rows(model)).tolist()
+
+
+def test_chi_square_rows_are_the_chains_rows(monkeypatch):
+    # the expected rows of every tested state are the chain's own rows
+    model = build_model(8, 1.5, "uniform:0.2", seed=2)
+    land = coarse_grain(model, 2)
+    seen = []
+    real = coupling_mod._pearson_statistics
+    monkeypatch.setattr(coupling_mod, "_pearson_statistics",
+                        lambda obs, flip: seen.append(flip) or real(obs, flip))
+    marginal_chi_square(model, land, runs=150, steps=100, seed=2)
+    rows = _chain_flip_rows(model)
+    n = model.n_spins
+    for parts, flip in zip(_chi_counts(model, land, 150, 100, 2), seen, strict=True):
+        visits = np.bincount(np.concatenate(parts) // (n + 1), minlength=1 << n)
+        codes = (visits >= 50).nonzero()[0]
+        assert codes.size > 10
+        assert flip.tolist() == rows[codes].tolist()  # bit for bit
+
+
+def test_tail_check_needs_a_materialized_model():
+    model = build_model(8, 1.5, "uniform:0.2", seed=3, materialize=False)
+    with pytest.raises(ValidationError, match="materialized"):
+        tail_bound_check(model, samples=20, seed=0)
 
 
 def test_chi_square_op_never_computes_the_free_energy(monkeypatch):
@@ -148,25 +154,6 @@ def test_chi_square_op_never_computes_the_free_energy(monkeypatch):
     marginal_chi_square(model, land, runs=50, steps=20, seed=1)
     assert calls == []
     assert land.free_energy.shape == (land.n_points,) and calls  # the counter sees a read
-
-
-def test_flip_table_is_built_once_per_op(monkeypatch, capsys):
-    # one build of the table is 2N(N + 1) scalar flip_probability calls
-    calls = []
-    real = RFCWModel.flip_probability
-    monkeypatch.setattr(RFCWModel, "flip_probability",
-                        lambda self, *a: calls.append(1) or real(self, *a))
-    model = build_model(6, 1.0, "uniform:0.2", seed=3)
-    assert "flip_table" not in vars(model)  # build_model leaves it unbuilt
-    marginal_chi_square(model, coarse_grain(model, 2), runs=50, steps=20, seed=1)
-    assert len(calls) == 2 * 6 * 7
-    calls.clear()
-    # a couple op: the kernel and the tail-bound check share one table
-    code = cli_main(["couple", "--N", "6", "--beta", "1.0", "--field", "uniform:0.2",
-                     "--n", "2", "--runs", "200", "--dynamics-runs", "20", "--seed", "5"])
-    capsys.readouterr()
-    assert code == 0
-    assert len(calls) == 2 * 6 * 7
 
 
 def test_negative_binomial_rate_values():
@@ -216,7 +203,7 @@ def test_tail_bound_domination_detects_a_false_floor(monkeypatch):
     # claimed floor of 0.9 has comparison successes that do not flip
     from metastab import coupling
 
-    model = build_model(8, 1.5, "uniform:0.2", seed=3, materialize=False)
+    model = build_model(8, 1.5, "uniform:0.2", seed=3)
     assert tail_bound_check(model, samples=200, seed=0)["domination_ok"]
     monkeypatch.setattr(coupling, "flip_rate_floor", lambda model: 0.9)
     assert not tail_bound_check(model, samples=200, seed=0)["domination_ok"]
@@ -227,9 +214,9 @@ def _tail_reference(model, samples, seed):
     n = model.n_spins
     alpha, s, rate, bound = coupling_mod._tail_rate(model)
     rng = np.random.default_rng((seed, 37))
-    table = model.flip_table
+    accept = model.flip_probs * n
+    bits = 1 << np.arange(n)
     sig = np.ones((samples, n), dtype=np.int8)
-    m = sig.sum(axis=1, dtype=np.int64)
     pending = np.ones((samples, n), dtype=bool)
     live = np.arange(samples)
     attempts = np.zeros(samples, dtype=np.int64)
@@ -239,10 +226,9 @@ def _tail_reference(model, samples, seed):
         rows = np.arange(live.size)
         i = (u[:, 0] * n).astype(np.intp)
         spin = sig[rows, i]
-        flip = u[:, 1] < _accept(table, spin, m, i)
+        flip = u[:, 1] < accept[(sig > 0) @ bits, i]
         r = flip.nonzero()[0]
         sig[r, i[r]] = -spin[r]
-        m -= 2 * spin * flip
         first = pending[rows, i]
         attempts[live] += first
         missed += int(np.count_nonzero(first & (u[:, 1] < alpha) & ~flip))
@@ -250,7 +236,7 @@ def _tail_reference(model, samples, seed):
         pending[rows[new], i[new]] = False
         keep = pending.any(axis=1)
         if not keep.all():
-            live, sig, m, pending = live[keep], sig[keep], m[keep], pending[keep]
+            live, sig, pending = live[keep], sig[keep], pending[keep]
     emp = int(np.sum(attempts > s * n)) / samples
     sigma = math.sqrt(max(bound * (1.0 - bound), emp * (1.0 - emp), 1e-12) / samples)
     return {
@@ -271,7 +257,7 @@ def _tail_reference(model, samples, seed):
 def test_tail_check_matches_the_per_step_reference(n_spins, beta):
     # the uniforms drawn ahead are the values the per-step loop draws, so
     # every report keeps its bits; each cell runs all three sample sizes
-    model = build_model(n_spins, beta, "uniform:0.2", seed=n_spins, materialize=False)
+    model = build_model(n_spins, beta, "uniform:0.2", seed=n_spins)
     for seed, samples in zip((0, 5, 11), (100, 500, 2000)):
         want = _tail_reference(model, samples, seed)
         assert tail_bound_check(model, samples=samples, seed=seed) == want
@@ -281,7 +267,7 @@ def test_tail_check_refills_its_buffer_bit_for_bit(monkeypatch):
     # a 4 KiB budget holds 512 doubles, fewer than a step of all 300 rows
     # takes: the buffer is refilled every step or few, each time carrying over
     # the remainder of the last block
-    model = build_model(8, 1.5, "uniform:0.2", seed=3, materialize=False)
+    model = build_model(8, 1.5, "uniform:0.2", seed=3)
     monkeypatch.setattr(coupling_mod, "STEP_BLOCK_BYTES", 4096)
     want = _tail_reference(model, 300, 2)
 
@@ -303,7 +289,7 @@ def test_tail_check_refills_its_buffer_bit_for_bit(monkeypatch):
 def test_tail_check_matches_the_reference_on_a_false_floor(monkeypatch):
     # with a claimed floor above some accept probabilities the per-step miss
     # count runs, and finds the misses the reference finds
-    model = build_model(8, 1.5, "uniform:0.2", seed=3, materialize=False)
+    model = build_model(8, 1.5, "uniform:0.2", seed=3)
     monkeypatch.setattr(coupling_mod, "flip_rate_floor", lambda model: 0.9)
     for samples, seed in ((200, 0), (500, 4)):
         got = tail_bound_check(model, samples=samples, seed=seed)
@@ -369,23 +355,6 @@ def test_eta_from_coupling_spread(rfcw_spread):
 # -- the lockstep kernel -------------------------------------------------------
 
 
-def test_accept_matches_flip_probability(small_pair):
-    rng = np.random.default_rng(3)
-    models = [small_pair[0]] + [
-        build_model(8, beta, "uniform:0.3", seed=4) for beta in (0.0, 0.7, 2.5)
-    ]
-    for model in models:
-        n = model.n_spins
-        table = model.flip_table
-        spins = np.where(rng.random((400, n)) < 0.5, 1, -1).astype(np.int8)
-        m = spins.sum(axis=1, dtype=np.int64)
-        for i in range(n):
-            sites = np.full(400, i)
-            got = _accept(table, spins[:, i], m, sites)
-            want = [model.flip_probability(s, int(k), i) for s, k in zip(spins, m)]
-            assert got.tolist() == want  # bit for bit
-
-
 @pytest.fixture(scope="module")
 def law_pair():
     # blocks {0, 1, 2, 3} and {4, 5, 6, 7}; sigma and varsigma disagree on
@@ -403,6 +372,8 @@ def _one_step_law(model, land, sig, var, gate):
     n = model.n_spins
     delta = gate_probability(model, land)
     blk = land.site_block()
+    accept = model.flip_probs * n
+    code_sig, code_var = ((x > 0) @ (1 << np.arange(n)) for x in (sig, var))
     law = {}
 
     def add(p, i, fs, j, fv):
@@ -415,10 +386,10 @@ def _one_step_law(model, land, sig, var, gate):
         law[key] = law.get(key, 0.0) + p / n
 
     for i in range(n):
-        a = model.flip_probability(sig, int(sig.sum()), i)
+        a = accept[code_sig, i]
         if gate is None:  # no gate left: independent Glauber steps
             for k in range(n):
-                b = model.flip_probability(var, int(var.sum()), k)
+                b = accept[code_var, k]
                 for fs, fv in itertools.product((0, 1), repeat=2):
                     p = (a if fs else 1 - a) * (b if fv else 1 - b) / n
                     add(p, i, fs, k, fv)
@@ -432,7 +403,7 @@ def _one_step_law(model, land, sig, var, gate):
             if blk[j] == blk[i] and var[j] != sig[j] and var[j] == sig[i]
         ]
         for j in cands:
-            b = model.flip_probability(var, int(var.sum()), j)
+            b = accept[code_var, j]
             hi, lo = max(a, b), min(a, b)
             nu = np.array([1.0 - hi, hi])  # [hold, flip] of the driving side
             c = TwoPointCoupling(nu, [1.0 - lo, lo], delta)
@@ -497,7 +468,7 @@ def test_stacked_kernel_matches_per_group_calls(law_pair, monkeypatch, block_ste
     # steps of all 75 rows gives each call its own blocking of T = 120, each
     # with a partial last block
     if block_steps:
-        monkeypatch.setattr(coupling_mod, "STEP_BLOCK_BYTES", 80 * 75 * block_steps)
+        monkeypatch.setattr(coupling_mod, "STEP_BLOCK_BYTES", 56 * 75 * block_steps)
     model, land, _, _ = law_pair
     rng = np.random.default_rng(21)
     delta = gate_probability(model, land)
@@ -585,7 +556,6 @@ def _chi_square_reference(model, land, runs, steps, seed, kinds=None):
 
     n = model.n_spins
     counts = _chi_counts(model, land, runs, steps, seed)
-    table = model.flip_table
     found = []
     for parts in counts:
         keys = np.concatenate(parts)
@@ -595,7 +565,7 @@ def _chi_square_reference(model, land, runs, steps, seed, kinds=None):
         outcomes = outcomes.reshape(codes.size, n + 1).astype(float)
         busy = outcomes.sum(axis=1) >= 50
         n_tested, min_p = 0, 1.0
-        for obs, flip in zip(outcomes[busy], _flip_rows(table, codes[busy])):
+        for obs, flip in zip(outcomes[busy], model.flip_probs[codes[busy]]):
             exp = int(obs.sum()) * np.concatenate([flip, [1.0 - flip.sum()]])
             keep = exp >= 5.0
             if keep.sum() < 2:
