@@ -441,7 +441,7 @@ def build_parser():
     p.add_argument("--chain", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    common(p)
+    common(p, seed=False)
 
     p = sub.add_parser("analyze")
     p.add_argument("--chain", required=True)
@@ -455,7 +455,7 @@ def build_parser():
     p.add_argument("--pair", default="ent")
     p.add_argument("--K", default="e2")
     p.add_argument("--B", required=True)
-    common(p)
+    common(p, seed=False)
 
     p = sub.add_parser("capineq")
     p.add_argument("--samples", type=int, default=1000)
@@ -489,7 +489,6 @@ def build_parser():
     p.add_argument("--report", required=True)
     p.add_argument("--what", required=True)
     p.add_argument("--out", required=True)
-    common(p, out=False)
     return parser
 
 

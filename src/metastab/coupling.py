@@ -8,14 +8,15 @@ sigma_i's value in the same block.  Gates are an i.i.d. family drawn up
 front, independent of everything else, so P[all gates pass] is exactly
 delta^M with delta = exp(-4 beta eps(n)).
 
-All Monte Carlo runs R replicas in lockstep.  ``_coupled_steps`` advances R
-coupled pairs at once on (R, N) int8 spins, with per-row configuration
-codes (bit i set where site i is +1), mesoscopic point indices, gate
-counters and phase masks; every step reads its accept probabilities from
-the materialized chain's own flip probabilities, ``RFCWModel.flip_probs``
-times N at ``[code * N + site]``.  It is the only trajectory path, and each
-op calls it once: it takes a list of row groups, each with its own gate
-array and streams, and steps all of their rows together.
+All Monte Carlo runs R replicas in lockstep, each path one int64 code per
+row: the model's configuration index, bit i set where site i is +1.
+``_coupled_steps`` advances R coupled pairs at once on their codes, gate
+counters, phase masks and a bitmask of the sites sigma has not flipped;
+every step reads its accept probabilities from the materialized chain's
+own flip probabilities, ``RFCWModel.flip_probs`` times N at ``[code * N +
+site]``.  It is the only trajectory path, and each op calls it once: it
+takes a list of row groups, each with its own gate array and streams, and
+steps all of their rows together.
 ``coupling_experiment`` stacks the dynamics replicas and the conditional
 probe into one call; ``marginal_chi_square`` makes a one-group call whose
 transition counts are keyed by an integer code of the pre-state, bins them
@@ -81,8 +82,8 @@ def _coupled_steps(model, land, groups, T, counts=None):
     """Advance R coupled pairs of Glauber paths T steps in lockstep.
 
     ``groups`` lists row groups ``(sig0, var0, gates, rngs)``: ``sig0``/
-    ``var0`` are (R_g, N) starting configurations, each pair inside one
-    fiber; ``gates`` is the (R_g, M_g) pre-tossed gate array, so a row's gate
+    ``var0`` are the (R_g,) starting codes, each pair inside one fiber;
+    ``gates`` is the (R_g, M_g) pre-tossed gate array, so a row's gate
     budget is its group's width; ``rngs`` is the group's pair (step stream,
     partner stream).  All rows step together, and each group draws from its
     own streams exactly what a call on that group alone would draw.  Every
@@ -92,45 +93,42 @@ def _coupled_steps(model, land, groups, T, counts=None):
     blocks are drawn many steps at a time, up to ``STEP_BLOCK_BYTES``.  Rows
     that need a mismatched partner draw uniform keys over the sites from
     their group's partner stream, in row order, and take the argmax over the
-    eligible ones.  Block sums are carried as the index of their mesoscopic
-    point, and each configuration also as its code (bit i set where site i
-    is +1): the accept probability of site i sits at ``[code * N + i]`` of
-    ``_accept_table``.  ``counts``, a pair of lists, collects one array of
-    ``pre-state code * (N + 1) + flipped site + 1`` (0 = hold) per step and
-    path, over all rows in group order; the loop records only the flips and
-    their sites, and the codes are rebuilt after it.  Returns one dict of
-    per-row arrays per group; -1 stands for a time that did not occur.
+    eligible ones.  A path is its code alone: site i's spin is bit i, its
+    point is ``land.rho_of_config[code]`` and its accept probability at site
+    i is ``[code * N + i]`` of ``_accept_table``.  ``counts``, a pair of
+    lists, collects one array of ``pre-state code * (N + 1) + flipped site +
+    1`` (0 = hold) per step and path, over all rows in group order; the loop
+    records only the flips and their sites, and the codes are rebuilt after
+    it.  Returns one dict of per-row arrays per group, with the final codes
+    in ``sigma``/``varsigma``; -1 stands for a time that did not occur.
     """
     n = model.n_spins
+    accept = _accept_table(model)
     sig, var, gate_arrays = [], [], []
     for sig0, var0, g, _ in groups:
-        s = np.array(sig0, dtype=np.int8)
-        v = np.array(var0, dtype=np.int8)
-        r, k = s.shape
-        if k != n or v.shape != (r, n):
-            raise ValidationError("configurations must have one spin per site")
+        s = np.array(sig0, dtype=np.int64)
+        v = np.array(var0, dtype=np.int64)
+        # a negative code or one of 2^N or more keeps bits at or above N
+        if s.ndim != 1 or v.shape != s.shape or np.any(np.concatenate([s, v]) >> n):
+            raise ValidationError("configurations must be one code in [0, 2^N) per row")
         sig.append(s)
         var.append(v)
         gate_arrays.append(np.asarray(g, dtype=bool))
     sizes = [s.shape[0] for s in sig]
     ends = np.cumsum(sizes)
-    sig = np.concatenate(sig)
-    var = np.concatenate(var)
-    R = sig.shape[0]
+    code_sig = np.concatenate(sig)
+    code_var = np.concatenate(var)
+    R = code_sig.size
     widths = [g.shape[1] for g in gate_arrays]
     M = np.repeat(widths, sizes)
     gates = np.zeros((R, max(widths)), dtype=bool)
     for g, e in zip(gate_arrays, ends):
         gates[e - g.shape[0]:e, : g.shape[1]] = g
-    w = land.point_weights()
-    pt_sig = (sig > 0) @ w
-    pt_var = (var > 0) @ w
-    if np.any(pt_sig != pt_var):
+    rho = land.rho_of_config
+    if np.any(rho[code_sig] != rho[code_var]):
         raise ValidationError("starting configurations differ mesoscopically")
-    accept = _accept_table(model)
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    code_sig = (sig > 0) @ bits
-    code_var = (var > 0) @ bits
+    site_ids = np.arange(n, dtype=np.int64)
+    bits = np.int64(1) << site_ids
     delta = gate_probability(model, land)
     blk = land.site_block()
     steppers = [rng for *_, (rng, _) in groups]
@@ -141,11 +139,7 @@ def _coupled_steps(model, land, groups, T, counts=None):
         flips = np.zeros((2, T, R), dtype=bool)
         sites = np.zeros((2, T, R), dtype=np.intp)
 
-    off = np.arange(R) * n  # row offsets into the flattened (R, N) arrays
-    w_f = np.tile(w, R)  # the point weight of every flattened site
-    sig_f, var_f = sig.ravel(), var.ravel()
-    pending = np.ones(R * n, dtype=bool)  # sites sigma has not flipped yet
-    n_first = np.zeros(R, dtype=np.int64)
+    todo = np.full(R, (1 << n) - 1, dtype=np.int64)  # sites sigma has not flipped
     attempts = np.zeros(R, dtype=np.int64)
     gates_used = np.zeros(R, dtype=np.int64)
     gated = M > 0
@@ -167,28 +161,27 @@ def _coupled_steps(model, land, groups, T, counts=None):
         )
         i_blk = (u_blk[:, :, 0] * n).astype(np.intp)
         j_blk = (u_blk[:, :, 2] * n).astype(np.intp)
-        fi_blk = i_blk + off
         if counts is not None:
             sites[0, t0:t0 + steps] = i_blk
         for t in range(t0, t0 + steps):
             k = t - t0
-            u, i, fi = u_blk[k], i_blk[k], fi_blk[k]
+            u, i = u_blk[k], i_blk[k]
             merged = code_sig == code_var
             n_merged += merged
             # gated or merged rows step together; the rest run independently
             coupled = merged | gated
-            si = sig_f[fi]
-            vi = var_f[fi]
+            si = (code_sig >> i) & 1
             a = accept[code_sig * n + i]
             fs = u[:, 1] < a
             j = np.where(coupled, i, j_blk[k])
             # a coupled row copies sigma's flip: its entry read at the free
             # site is a valid probability that goes unused
             fv = np.where(coupled, fs, u[:, 3] < accept[code_var * n + j])
-            pair = (coupled & (vi != si)).nonzero()[0]
+            pair = (coupled & (((code_var >> i) & 1) != si)).nonzero()[0]
             if pair.size:
                 # partner: a mismatched site of the same block carrying sigma_i
-                sp, vp = sig[pair], var[pair]
+                sp = (code_sig[pair, None] >> site_ids) & 1
+                vp = (code_var[pair, None] >> site_ids) & 1
                 elig = (blk == blk[i[pair], None]) & (vp != sp) & (vp == si[pair, None])
                 if not elig.any(axis=1).all():
                     raise MetastabError("empty partner set despite mesoscopic agreement")
@@ -215,28 +208,21 @@ def _coupled_steps(model, land, groups, T, counts=None):
             if counts is not None:
                 flips[0, t], flips[1, t], sites[1, t] = fs, fv, j
 
-            fresh = pending[fi]
+            fresh = ((todo >> i) & 1).astype(bool)
             attempts += fresh
             new = (fresh & fs).nonzero()[0]
             if new.size:
-                pending[fi[new]] = False
-                n_first[new] += 1
-                done = new[n_first[new] == n]
+                todo[new] ^= bits[i[new]]
+                done = new[todo[new] == 0]
                 frak_t[done] = t
                 matched[done] = merged[done]
 
-            fj = off + j
-            vj = var_f[fj]
-            sig_f[fi] = np.where(fs, -si, si)
-            var_f[fj] = np.where(fv, -vj, vj)
             np.bitwise_xor(code_sig, bits[i], out=code_sig, where=fs)
             np.bitwise_xor(code_var, bits[j], out=code_var, where=fv)
-            pt_sig -= si * fs * w_f[fi]
-            pt_var -= vj * fv * w_f[fj]
 
             # synchrony is the invariant of the gated phase: a coupled step
             # whose gate passed (or a merged step) must keep the block sums equal
-            sync += coupled & ~xi & (pt_sig != pt_var)
+            sync += coupled & ~xi & (rho[code_sig] != rho[code_var])
 
     if counts is not None:
         for side in (0, 1):
@@ -253,8 +239,8 @@ def _coupled_steps(model, land, groups, T, counts=None):
         "merge_time": np.where(n_merged > 0, T - n_merged, np.where(merged_at_start, 0, -1)),
         "gates_used": gates_used,
         "sync_violations": sync,
-        "sigma": sig,
-        "varsigma": var,
+        "sigma": code_sig,
+        "varsigma": code_var,
     }
     return [{k: v[e - r:e] for k, v in out.items()} for r, e in zip(sizes, ends)]
 
@@ -298,9 +284,10 @@ def _event_b(out, M):
 
 
 def mismatched_pair_in_fiber(model, land, rng, size):
-    """Two (size, N) arrays of independent pairs of distinct configurations.
+    """Codes of ``size`` independent pairs of distinct configurations.
 
-    Both rows of a pair lie in the fiber of ``richest_fiber(land)``.
+    Returns two (size,) int64 arrays of configuration indices; both codes of
+    a pair lie in the fiber of ``richest_fiber(land)``.
     """
     fiber = np.flatnonzero(land.fiber_mask([richest_fiber(land)]))
     if fiber.size < 2:
@@ -308,7 +295,7 @@ def mismatched_pair_in_fiber(model, land, rng, size):
     a = rng.integers(fiber.size, size=size)
     b = rng.integers(fiber.size - 1, size=size)
     b += b >= a
-    return model.spins[fiber[a]], model.spins[fiber[b]]
+    return fiber[a], fiber[b]
 
 
 def richest_fiber(land):
@@ -502,8 +489,8 @@ def tail_bound_check(model, samples=2000, seed=0):
 
     Every replica starts from the all-up configuration and is carried as
     its configuration code, which indexes the materialized chain's accept
-    probabilities as in ``_coupled_steps``; a landscape-only model is a
-    ValidationError.
+    probabilities as in ``_coupled_steps``, and a bitmask of the sites it
+    has not flipped yet; a landscape-only model is a ValidationError.
 
     Each replica also runs the negative-binomial comparison process on
     shared uniforms: a first attempt at a site succeeds in the comparison
@@ -520,13 +507,11 @@ def tail_bound_check(model, samples=2000, seed=0):
     # below alpha; with none in the chain, no uniform can produce one
     can_miss = bool(accept.min() < alpha)
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    # configuration codes and flat (R, N) first-flip flags of the live rows,
-    # in row order
+    # configuration codes and bitmasks of the sites not yet flipped of the
+    # live rows, in row order
     code = np.full(samples, (1 << n) - 1, dtype=np.int64)  # all up
-    pending = np.ones(samples * n, dtype=bool)
-    left = np.full(samples, n, dtype=np.int64)  # sites not yet flipped
+    todo = code.copy()  # every site: the all-up code has every bit set
     att = np.zeros(samples, dtype=np.int64)
-    off = np.arange(samples) * n
     live = np.arange(samples)
     attempts = np.zeros(samples, dtype=np.int64)
     missed = 0
@@ -547,19 +532,15 @@ def tail_bound_check(model, samples=2000, seed=0):
         i = site[k]
         flip = u1[k] < accept[code * n + i]
         np.bitwise_xor(code, bits[i], out=code, where=flip)
-        fi = off[:r] + i
-        first = pending[fi]
+        first = ((todo >> i) & 1).astype(bool)
         att += first
         if can_miss:
             missed += int(np.count_nonzero(first & (u1[k] < alpha) & ~flip))
-        new = first & flip
-        pending[fi] = first ^ new
-        left -= new
-        if np.count_nonzero(left) < r:
-            keep = left > 0
+        np.bitwise_xor(todo, bits[i], out=todo, where=first & flip)
+        if np.count_nonzero(todo) < r:
+            keep = todo > 0
             attempts[live] = att
-            live, code, left, att = live[keep], code[keep], left[keep], att[keep]
-            pending = pending.reshape(r, n)[keep].ravel()
+            live, code, todo, att = live[keep], code[keep], todo[keep], att[keep]
     emp = int(np.sum(attempts > s * n)) / samples
     sigma = math.sqrt(max(bound * (1.0 - bound), emp * (1.0 - emp), 1e-12) / samples)
     ok = emp <= bound + 3.0 * sigma

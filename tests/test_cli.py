@@ -542,6 +542,7 @@ def test_analyze_without_error_term(capsys, tmp_path):
 SETS_DOC = ["analyze", "--chain", "{chain}", "--sets", "{doc}", "--seed", "1"]
 LANDSCAPE_DOC = ["export", "--report", "{doc}", "--what", "landscape", "--out", "{dir}/x.csv"]
 TREND_DOC = LANDSCAPE_DOC[:4] + ["trend"] + LANDSCAPE_DOC[5:]
+CAPACITY = ["capacity", "--chain", "{chain}", "--A", "a", "--B", "b"]
 
 
 @pytest.mark.parametrize(
@@ -605,6 +606,24 @@ def test_malformed_arguments_exit_1(capsys, tmp_path, two_state_file, argv, doc,
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "validation" and names in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [CAPACITY, ["orlicz", "--chain", "{chain}", "--B", "b"], LANDSCAPE_DOC],
+    ids=["capacity", "orlicz", "export"],
+)
+def test_commands_that_draw_nothing_reject_seed(capsys, tmp_path, two_state_file, argv):
+    # their provenance seed is null, and a --seed is a usage error
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(REPORT_SPEC))
+    argv = [a.format(chain=two_state_file, doc=path, dir=tmp_path) for a in argv]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["provenance"]["seed"] is None
+    code, out, err = run_cli(capsys, argv + ["--seed", "1"])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and "--seed" in error["message"]
 
 
 @pytest.mark.parametrize(
@@ -707,9 +726,6 @@ def _assert_exit_contract(code, out, err):
     else:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["kind"] in ("validation", "solver")
-
-
-CAPACITY = ["capacity", "--chain", "{chain}", "--A", "a", "--B", "b"]
 
 
 @pytest.mark.parametrize(
@@ -866,6 +882,7 @@ ARGV_FLAGS = {
                "--what": (["landscape", "trend"], ["bogus", ""])},
 }
 SEEDS = ([str(k) for k in range(6)], ["-1", "-3", str(2**70), str(-(2**70)), "nan", "x", ""])
+UNSEEDED = {"capacity", "orlicz", "export"}  # commands without --seed
 OUT = ([], ["{dir}/missing/out.json"])  # a report file in place of stdout only as bad input
 
 
@@ -874,7 +891,9 @@ def _argvs(draw):
     """A valid ``metastab`` argv with up to two flags spoilt: given a bad
     value or left out."""
     command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
-    flags = {"--out": OUT, **ARGV_FLAGS[command], "--seed": SEEDS}
+    flags = {"--out": OUT, **ARGV_FLAGS[command]}
+    if command not in UNSEEDED:
+        flags["--seed"] = SEEDS
     spoilt = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
     argv = [command]
     for flag, values in flags.items():

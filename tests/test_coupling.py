@@ -367,13 +367,18 @@ def law_pair():
     return model, land, sig, var
 
 
+def _code(spins):
+    """The configuration code of a spin row: bit i set where site i is +1."""
+    return int((spins > 0) @ (1 << np.arange(spins.size)))
+
+
 def _one_step_law(model, land, sig, var, gate):
-    """Exact law of (sigma', varsigma') after one kernel step, by enumeration."""
+    """Exact law of the codes (sigma', varsigma') after one kernel step, by enumeration."""
     n = model.n_spins
     delta = gate_probability(model, land)
     blk = land.site_block()
     accept = model.flip_probs * n
-    code_sig, code_var = ((x > 0) @ (1 << np.arange(n)) for x in (sig, var))
+    code_sig, code_var = _code(sig), _code(var)
     law = {}
 
     def add(p, i, fs, j, fv):
@@ -382,7 +387,7 @@ def _one_step_law(model, land, sig, var, gate):
             s[i] = -s[i]
         if fv:
             v[j] = -v[j]
-        key = (s.tobytes(), v.tobytes())
+        key = (_code(s), _code(v))
         law[key] = law.get(key, 0.0) + p / n
 
     for i in range(n):
@@ -424,12 +429,11 @@ def test_kernel_one_step_joint_law(law_pair, case):
     gates = np.full((R, 0 if gate is None else 1), bool(gate))
     (out,) = _coupled_steps(
         model, land,
-        [(np.tile(sig, (R, 1)), np.tile(var, (R, 1)), gates, _streams((5, len(case)), 2))],
+        [(np.full(R, _code(sig)), np.full(R, _code(var)), gates, _streams((5, len(case)), 2))],
         1,
     )
     seen = {}
-    for s, v in zip(out["sigma"], out["varsigma"]):
-        key = (s.tobytes(), v.tobytes())
+    for key in zip(out["sigma"].tolist(), out["varsigma"].tolist()):
         seen[key] = seen.get(key, 0) + 1
     law = _one_step_law(model, land, sig, var, gate)
     assert set(seen) <= {k for k, p in law.items() if p > 0.0}
@@ -653,7 +657,7 @@ def test_monte_carlo_leaves_scipy_stats_unimported():
 
 def test_kernel_merged_at_zero(small_pair):
     model, land = small_pair
-    sigma = model.spins[17][None]
+    sigma = np.array([17])
     (out,) = _coupled_steps(
         model, land, [(sigma, sigma.copy(), np.ones((1, 6), dtype=bool), _streams((2,), 2))], 30
     )
@@ -664,11 +668,34 @@ def test_kernel_merged_at_zero(small_pair):
 def test_run_coupling_rejects_meso_mismatch(small_pair):
     # all up against all down: different magnetizations, so no coupled run
     model, land = small_pair
-    up = np.ones((1, 6), dtype=np.int8)
+    up, down = np.array([(1 << 6) - 1]), np.array([0])
     with pytest.raises(ValidationError, match="mesoscopically"):
         _coupled_steps(
-            model, land, [(up, -up, np.ones((1, 4), dtype=bool), _streams((3,), 2))], 10
+            model, land, [(up, down, np.ones((1, 4), dtype=bool), _streams((3,), 2))], 10
         )
+
+
+@pytest.mark.parametrize("sig0,var0", [
+    ([-1], [0]),  # a negative code
+    ([1 << 6], [1 << 6]),  # a code of 2^N
+    ([[1, 1, -1, -1, 1, -1]], [[-1, 1, 1, -1, 1, -1]]),  # a spin row
+    ([3, 5], [3]),  # codes of different lengths
+])
+def test_kernel_rejects_codes_out_of_range_or_shape(small_pair, sig0, var0):
+    model, land = small_pair
+    with pytest.raises(ValidationError, match="code"):
+        _coupled_steps(
+            model, land, [(sig0, var0, np.ones((1, 4), dtype=bool), _streams((4,), 2))], 10
+        )
+
+
+def test_mismatched_pairs_are_distinct_codes_of_the_richest_fiber(small_pair):
+    model, land = small_pair
+    s0, v0 = mismatched_pair_in_fiber(model, land, np.random.default_rng(3), 500)
+    assert s0.shape == v0.shape == (500,) and s0.dtype == v0.dtype == np.int64
+    assert (s0 != v0).all()
+    rho = land.rho_of_config
+    assert (rho[s0] == richest_fiber(land)).all() and (rho[v0] == richest_fiber(land)).all()
 
 
 def test_kernel_rejects_meso_mismatch_and_failed_domination(small_pair):
@@ -676,14 +703,13 @@ def test_kernel_rejects_meso_mismatch_and_failed_domination(small_pair):
     (s0,), _ = mismatched_pair_in_fiber(model, land, np.random.default_rng(1), 1)
     # move one up spin to another block: same magnetization, other point
     blk = land.site_block()
-    i = int(np.flatnonzero(s0 == 1)[0])
-    k = next(j for j in range(6) if blk[j] != blk[i] and s0[j] == -1)
-    moved = s0.copy()
-    moved[i], moved[k] = -1, 1
+    i = next(j for j in range(6) if s0 >> j & 1)
+    k = next(j for j in range(6) if blk[j] != blk[i] and not s0 >> j & 1)
+    moved = s0 ^ (1 << i) ^ (1 << k)
     with pytest.raises(ValidationError, match="mesoscopically"):
         _coupled_steps(
             model, land,
-            [(s0[None], moved[None], np.ones((1, 1), dtype=bool), _streams((1,), 2))],
+            [([s0], [moved], np.ones((1, 1), dtype=bool), _streams((1,), 2))],
             1,
         )
     # a follower flipping far less often than delta times the driver

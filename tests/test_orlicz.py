@@ -15,8 +15,9 @@ from metastab import (
     orlicz_norm,
     p_pair,
 )
+from metastab import orlicz as orlicz_mod
 from metastab import potential
-from metastab.orlicz import builtin_pairs
+from metastab.orlicz import LOWER_BOUND_SCAN_LIMIT, builtin_pairs
 from metastab.oracle import brute_force_orlicz
 from metastab.potential import _scan_capacities, capacity_scan_context
 from metastab.sampling import random_probability, random_reversible_chain
@@ -225,6 +226,27 @@ def test_measure_capacity_restricted_scan(monkeypatch):
     lower = measure_capacity_constant(chain, chain.stationary, b, l1_pair(), 1.0)
     assert lower["mode"] == "lower_bound"
     assert lower["c_psi"].value <= exact["c_psi"].value + 1e-12
+
+
+class ScanBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_lower_bound_scan_size_is_checked_before_the_scan_context(monkeypatch, extra):
+    # one state past the limit raises before the dense n x n context is
+    # built; a chain at the limit goes on to build it
+    def refuse(chain):
+        raise ScanBuilt
+
+    monkeypatch.setattr(orlicz_mod, "capacity_scan_context", refuse)
+    n = LOWER_BOUND_SCAN_LIMIT + extra
+    chain = birth_death_generator_chain(np.full(n, 1.0 / n))
+    b = np.zeros(n, dtype=bool)
+    b[0] = True
+    error, match = (ValidationError, "scan limit") if extra else (ScanBuilt, None)
+    with pytest.raises(error, match=match):
+        measure_capacity_constant(chain, chain.stationary, b, entropy_pair(), E2)
 
 
 def test_muckenhoupt_examples():
