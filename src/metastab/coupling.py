@@ -130,7 +130,7 @@ def _coupled_steps(model, land, groups, T, counts=None):
     site_ids = np.arange(n, dtype=np.int64)
     bits = np.int64(1) << site_ids
     delta = gate_probability(model, land)
-    blk = land.site_block()
+    blk = land.site_block
     steppers = [rng for *_, (rng, _) in groups]
     partners = [rng for *_, (_, rng) in groups]
     if counts is not None:

@@ -40,6 +40,10 @@ from .chains import (
 )
 from .potential import _spd_solver, equilibrium_potential, mean_exit_time_bound, sym_factor
 
+# states of the dense eigensolve: ``metastab oracle --what cpi`` on a
+# birth-death well took 2.2 s and 133 MB at 2,048 states, 83 s and 1.1 GB at
+# 8,192 and 655 s and 4.2 GB at 16,384 (default BLAS threads, 2-vCPU VM, each
+# run alone under a 6 GiB ``ulimit -v``)
 SPECTRAL_LIMIT = 2**14
 LSI_SIZE_LIMIT = 512
 BRUTE_FORCE_LIMIT = 6

@@ -36,7 +36,7 @@ the memoised solver and bounds max_x E_x[tau] by its residual.
 Subset scans (the measure-capacity constant, the capacitary integral and
 the exact metastability ratio) need up to 2^20 capacities of small pairs and
 take them from one batched kernel, ``_scan_capacities``, on a dense
-``capacity_scan_context``:
+``capacity_scan_context`` of at most SCAN_CONTEXT_LIMIT states:
 
 * pairs are grouped by (|A|, |interior|), and each group gathers its
   interior blocks into one stack for one ``np.linalg.solve`` call, at most
@@ -92,6 +92,10 @@ EXACT_ENUM_LIMIT = 20
 SCAN_BATCH_BYTES = 1 << 23
 SCAN_BLOCK = 256
 SCAN_MARGIN = 1e-6
+# states of a ``capacity_scan_context`` (16 n^2 bytes): ``metastab orlicz`` with 5
+# free states of the CI's double well took 0.53, 1.22 and 3.09 s and 130, 326 and
+# 1,100 MB at 2,048, 4,096 and 8,192 states (one BLAS thread, 2-vCPU VM)
+SCAN_CONTEXT_LIMIT = 8192
 EPS = np.finfo(float).eps
 # relative rounding allowance of max w~ / q in ``mean_exit_time_bound``: the
 # quotient, the division by mu and the subtraction in q, and a reciprocal
@@ -336,6 +340,9 @@ def sym_factor(mat, order=None, free=None):
 
 def capacity_scan_context(chain):
     """Dense precomputation for repeated capacity queries on small chains."""
+    if chain.n_states > SCAN_CONTEXT_LIMIT:
+        raise ValidationError(f"{chain.n_states} states exceed the dense scan context "
+                              f"limit {SCAN_CONTEXT_LIMIT}")
     lap = chain.laplacian.toarray()
     w = chain.conductance.toarray()
     return lap, w, chain.stationary

@@ -18,7 +18,7 @@ import functools
 import itertools
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -255,6 +255,10 @@ def _cube_order(n):
 
 @dataclass
 class MesoscopicLandscape:
+    """The lattice of block spin sums of a coarse-grained model, and F on it.
+
+    Points are listed in mixed radix, last block fastest, so index order is
+    lexicographic; minima, plateaus and paths read only ``neighbors``."""
     n_blocks: int
     blocks: list
     block_sizes: np.ndarray
@@ -263,10 +267,10 @@ class MesoscopicLandscape:
     eps_n: float
     points: np.ndarray          # (P, n_blocks) integer block spin sums
     point_ids: list
+    site_block: np.ndarray      # (N,) block index of every site
     n_spins: int
     beta: float
     rho_of_config: np.ndarray | None = None
-    _entropy_tables: dict = field(default_factory=dict)
 
     @property
     def n_points(self):
@@ -274,14 +278,23 @@ class MesoscopicLandscape:
 
     @functools.cached_property
     def free_energy(self):
-        """F at every mesoscopic point, None at beta = 0.
+        """F at every mesoscopic point, None at beta = 0; computed on first read.
 
-        Computed on first read and kept: each block value costs a Newton
-        solve (``_block_dual_entropy``), which the Monte Carlo ops never need.
+        E per point plus, block by block, (|L_l|/N)/beta I_l from a table of
+        one Newton solve (``_block_dual_entropy``) per value of the block's
+        sum: the float operations of ``free_energy_continuous``.
         """
         if self.beta <= 0.0:
             return None
-        return np.array([free_energy_continuous(self, k / self.n_spins) for k in self.points])
+        n = self.n_spins
+        total = np.array([meso_energy(self, k / n) for k in self.points])
+        for l, s in enumerate(self.block_sizes):
+            if s:
+                th = self.beta * self.h_tilde[self.blocks[l]]
+                y = np.clip(n * (np.arange(-s, s + 1, 2) / n) / s, -1.0, 1.0)
+                table = np.array([_block_dual_entropy(th, v) for v in y])
+                total += (s / n) / self.beta * table[(self.points[:, l] + s) // 2]
+        return total
 
     def point_mask(self, point_indices):
         """Mask over the mesoscopic points selecting ``point_indices``."""
@@ -302,26 +315,22 @@ class MesoscopicLandscape:
         np.maximum.at(hi, self.rho_of_config, values)
         return lo, hi
 
-    def site_block(self):
-        """Block index of every site."""
-        blk = np.zeros(self.n_spins, dtype=np.intp)
-        for l, b in enumerate(self.blocks):
-            blk[b] = l
-        return blk
-
     @functools.cached_property
     def strides(self):
-        """The index step of one more up spin in each block.
-
-        The points list the block sums in mixed radix, last block fastest,
-        and the digit of block l is its number of up spins.
-        """
+        """The index step of one more up spin in each block, whose digit
+        k // strides[l] % (|L_l| + 1) is its number of up spins."""
         radix = self.block_sizes + 1
         return np.append(np.cumprod(radix[:0:-1])[::-1], 1)
 
-    def point_weights(self):
-        """Site weights w such that ``(spins > 0) @ w`` indexes ``points``."""
-        return self.strides[self.site_block()].astype(np.int64)
+    @functools.cached_property
+    def neighbors(self):
+        """(P, 2 n_blocks) lattice neighbours, -1 where none: columns 2l and
+        2l + 1 step block l's sum by -2 and +2, the index by ``strides[l]``."""
+        k = np.arange(self.n_points)[:, None]
+        digit = k // self.strides % (self.block_sizes + 1)
+        down = np.where(digit > 0, k - self.strides, -1)
+        up = np.where(digit < self.block_sizes, k + self.strides, -1)
+        return np.stack([down, up], axis=2).reshape(self.n_points, -1)
 
 
 def coarse_grain(model, n):
@@ -369,11 +378,12 @@ def coarse_grain(model, n):
         eps_n=eps,
         points=points,
         point_ids=ids,
+        site_block=idx,
         n_spins=model.n_spins,
         beta=model.beta,
     )
     if model.materialized:
-        land.rho_of_config = (model.spins > 0) @ land.point_weights()
+        land.rho_of_config = (model.spins > 0) @ land.strides[idx]
     return land
 
 
@@ -382,23 +392,17 @@ def _log_cosh(t):
     return t + np.log1p(np.exp(-2.0 * t)) - LN2
 
 
-def _block_dual_entropy(land, l, y):
-    """I_l(y): Legendre dual of t -> mean_{i in block} ln cosh(t + beta htilde_i).
+def _block_dual_entropy(th, y):
+    """I_l(y): Legendre dual of t -> mean_{i in block} ln cosh(t + th_i).
 
-    Newton on the strictly increasing slope map from the artanh guess, with a
+    ``th`` holds beta htilde_i over the sites of a nonempty block and
+    |y| <= 1: both free energies skip empty blocks and clamp y.  Newton on
+    the strictly increasing slope map from the artanh guess, with a
     bisection safeguard; endpoints use the analytic limit ln 2 (the block
-    fluctuations average to zero).  Block l is nonempty and |y| <= 1:
-    ``free_energy_continuous`` skips empty blocks and clamps y.
+    fluctuations average to zero).
     """
-    key = (l, float(y))
-    hit = land._entropy_tables.get(key)
-    if hit is not None:
-        return hit
-    th = land.beta * land.h_tilde[land.blocks[l]]
     if abs(y) >= 1.0:
-        val = LN2
-        land._entropy_tables[key] = val
-        return val
+        return LN2
 
     t = math.atanh(max(min(y, 1.0 - 1e-15), -1.0 + 1e-15))
     span = float(np.max(np.abs(th))) + 2.0 + abs(t)
@@ -418,9 +422,7 @@ def _block_dual_entropy(land, l, y):
         if not lo < t_new < hi:
             t_new = 0.5 * (lo + hi)
         t = t_new
-    val = t * y - float(np.mean(_log_cosh(t + th)))
-    land._entropy_tables[key] = val
-    return val
+    return t * y - float(np.mean(_log_cosh(t + th)))
 
 
 def meso_energy(land, x):
@@ -452,28 +454,12 @@ def free_energy_continuous(land, x):
         y = n * x[l] / s
         if abs(y) > 1.0 + 1e-12:
             raise ValidationError(f"coordinate {x[l]!r} outside block range")
-        total += (s / n) / land.beta * _block_dual_entropy(land, l, min(max(y, -1.0), 1.0))
+        th = land.beta * land.h_tilde[land.blocks[l]]
+        total += (s / n) / land.beta * _block_dual_entropy(th, min(max(y, -1.0), 1.0))
     return float(total)
 
 
 # -- minima and communication heights --------------------------------------------
-
-
-def lattice_neighbors(land, k):
-    """Indices of the single-flip lattice neighbors of point index k.
-
-    A step of -2 or +2 in block l's sum moves its digit by one and the index
-    by ``land.strides[l]``; an empty block has no neighbors.
-    """
-    out = []
-    for v, s, stride in zip(
-        land.points[k].tolist(), land.block_sizes.tolist(), land.strides.tolist()
-    ):
-        if v > -s:
-            out.append(k - stride)
-        if v < s:
-            out.append(k + stride)
-    return out
 
 
 def bottleneck_height(values, neighbors, sources, targets):
@@ -509,8 +495,9 @@ def bottleneck_height(values, neighbors, sources, targets):
 
 def communication_height(land, a_points, b_points):
     """Minimax free energy over lattice paths connecting the two sets."""
+    rows = land.neighbors.tolist()
     return bottleneck_height(
-        land.free_energy, lambda k: lattice_neighbors(land, k), a_points, b_points
+        land.free_energy, lambda k: [nb for nb in rows[k] if nb >= 0], a_points, b_points
     )
 
 
@@ -526,8 +513,9 @@ class MinimaOrdering:
 def find_minima_and_order(model, land):
     """Local minima of F on the lattice, ordered by decreasing depth.
 
-    Strict neighbor comparison with plateau components grouped by flood
-    fill; the labels satisfy the greedy depth recursion
+    Plateaus join points by steps of ``land.neighbors`` that move F by at
+    most 1e-12 (1 + max|F|), labelled by their least point; a minimum is a
+    plateau with no lower step.  The labels satisfy the greedy recursion
     Delta_{k-1} = Phi(m_k, M_{k-1}) - F(m_k), picked smallest-first from the
     top label downward, ties broken by lexicographic state order.  Every
     minimum also gets its continuous critical-point refinement.
@@ -536,35 +524,18 @@ def find_minima_and_order(model, land):
         raise ValidationError("free energy unavailable (beta = 0?)")
     F = land.free_energy
     P = land.n_points
-    scale = 1e-12 * (1.0 + np.max(np.abs(F)))
-    visited = np.zeros(P, dtype=bool)
-    components = []
-    for start in range(P):
-        if visited[start]:
-            continue
-        comp = [start]
-        visited[start] = True
-        stack = [start]
-        is_min = True
-        while stack:
-            node = stack.pop()
-            for nb in lattice_neighbors(land, node):
-                df = F[nb] - F[node]
-                if abs(df) <= scale:
-                    if not visited[nb]:
-                        visited[nb] = True
-                        comp.append(nb)
-                        stack.append(nb)
-                elif df < 0.0:
-                    is_min = False
-        if is_min:
-            components.append(sorted(comp))
-    reps = [
-        min(comp, key=lambda k: tuple(land.points[k])) for comp in components
-    ]
-    order0 = sorted(range(len(reps)), key=lambda c: tuple(land.points[reps[c]]))
-    components = [components[c] for c in order0]
-    reps = [reps[c] for c in order0]
+    table = land.neighbors
+    df = np.where(table >= 0, F[table] - F[:, None], np.inf)
+    flat = np.abs(df) <= 1e-12 * (1.0 + np.max(np.abs(F)))
+    label, prev = np.arange(P), None
+    while not np.array_equal(label, prev):  # min-label propagation with pointer jumps
+        prev = label
+        label = np.where(flat, label[table], label[:, None]).min(axis=1)
+        label = label[label]
+    lower = np.zeros(P, dtype=bool)
+    lower[label[np.any(~flat & (df < 0.0), axis=1)]] = True
+    reps = np.flatnonzero((label == np.arange(P)) & ~lower).tolist()
+    components = [np.flatnonzero(label == r) for r in reps]
 
     K = len(components)
     phi = np.zeros((K, K))
@@ -582,7 +553,7 @@ def find_minima_and_order(model, land):
         for c in remaining:
             others = [o for o in remaining if o != c]
             depth = min(phi[c][o] for o in others) - F[reps[c]]
-            scored.append((depth, tuple(land.points[reps[c]]), c))
+            scored.append((depth, reps[c], c))
         depth, _, chosen = min(scored)
         labels_rev.append(chosen)
         deltas_rev.append(depth)

@@ -5,8 +5,9 @@ brute-force oracles (the birth-death path, the weighted Hardy constant and
 its Muckenhoupt sandwich, exact piecewise-linear Young conjugates, the gated
 two-point coupling law), the harmonic-neighbourhood lemma checked against
 the package's capacities, the projection onto a partition, the local
-Poincare constant from a high-precision Schur complement, and the tuple
-lookup of mesoscopic points.
+Poincare constant from a high-precision Schur complement, the tuple
+lookup of mesoscopic points, and the per-point flood fill that found the
+RFCW minima before the neighbour table.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import scipy.linalg
 
 from metastab import InequalityViolation, ValidationError, build_chain, equilibrium_potential
 from metastab.chains import _as_state_function, subset_mask
+from metastab.rfcw import MinimaOrdering, _refine_minimum, bottleneck_height
 
 
 # -- chains ----------------------------------------------------------------------
@@ -388,3 +390,103 @@ def harmonic_neighborhood(chain, structure, a_indices, b_indices, delta):
 def point_index(land):
     """The landscape's points as a dictionary from block-sum tuples to indices."""
     return {tuple(int(v) for v in row): k for k, row in enumerate(land.points)}
+
+
+def lattice_neighbors(land, k):
+    """Indices of the single-flip lattice neighbors of point index k.
+
+    A step of -2 or +2 in block l's sum moves its digit by one and the index
+    by ``land.strides[l]``; an empty block has no neighbors.
+    """
+    out = []
+    for v, s, stride in zip(
+        land.points[k].tolist(), land.block_sizes.tolist(), land.strides.tolist()
+    ):
+        if v > -s:
+            out.append(k - stride)
+        if v < s:
+            out.append(k + stride)
+    return out
+
+
+def communication_height(land, a_points, b_points):
+    """Minimax free energy over lattice paths connecting the two sets."""
+    return bottleneck_height(
+        land.free_energy, lambda k: lattice_neighbors(land, k), a_points, b_points
+    )
+
+
+def flood_fill_minima(model, land):
+    """``rfcw.find_minima_and_order`` by a per-point flood fill of the plateaus.
+
+    Strict neighbor comparison with plateau components grouped by flood
+    fill; the labels satisfy the greedy depth recursion
+    Delta_{k-1} = Phi(m_k, M_{k-1}) - F(m_k), picked smallest-first from the
+    top label downward, ties broken by lexicographic state order.  Every
+    minimum also gets its continuous critical-point refinement.
+    """
+    if land.free_energy is None:
+        raise ValidationError("free energy unavailable (beta = 0?)")
+    F = land.free_energy
+    P = land.n_points
+    scale = 1e-12 * (1.0 + np.max(np.abs(F)))
+    visited = np.zeros(P, dtype=bool)
+    components = []
+    for start in range(P):
+        if visited[start]:
+            continue
+        comp = [start]
+        visited[start] = True
+        stack = [start]
+        is_min = True
+        while stack:
+            node = stack.pop()
+            for nb in lattice_neighbors(land, node):
+                df = F[nb] - F[node]
+                if abs(df) <= scale:
+                    if not visited[nb]:
+                        visited[nb] = True
+                        comp.append(nb)
+                        stack.append(nb)
+                elif df < 0.0:
+                    is_min = False
+        if is_min:
+            components.append(sorted(comp))
+    reps = [
+        min(comp, key=lambda k: tuple(land.points[k])) for comp in components
+    ]
+    order0 = sorted(range(len(reps)), key=lambda c: tuple(land.points[reps[c]]))
+    components = [components[c] for c in order0]
+    reps = [reps[c] for c in order0]
+
+    K = len(components)
+    phi = np.zeros((K, K))
+    for i in range(K):
+        for j in range(i + 1, K):
+            phi[i, j] = phi[j, i] = communication_height(
+                land, components[i], components[j]
+            )
+
+    remaining = list(range(K))
+    labels_rev = []
+    deltas_rev = []
+    while len(remaining) > 1:
+        scored = []
+        for c in remaining:
+            others = [o for o in remaining if o != c]
+            depth = min(phi[c][o] for o in others) - F[reps[c]]
+            scored.append((depth, tuple(land.points[reps[c]]), c))
+        depth, _, chosen = min(scored)
+        labels_rev.append(chosen)
+        deltas_rev.append(depth)
+        remaining.remove(chosen)
+    labels = remaining + labels_rev[::-1]
+    deltas = np.array(deltas_rev[::-1])
+    degenerate = K < 2
+    return MinimaOrdering(
+        minima=[reps[c] for c in labels],
+        deltas=deltas,
+        phi=phi[np.ix_(labels, labels)],
+        degenerate=degenerate,
+        refined=[_refine_minimum(model, land, reps[c]) for c in labels],
+    )

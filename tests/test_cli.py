@@ -684,6 +684,33 @@ def test_singleton_rho_limit_exits_1_before_allocating(capsys, tmp_path):
     assert peak < 1 << 27
 
 
+@pytest.mark.parametrize("command", ["orlicz", "analyze"])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_scan_context_limit_exits_1_before_allocating(capsys, tmp_path, monkeypatch,
+                                                      command, extra):
+    # the exact Orlicz scan and the exact rho take their subset capacities
+    # from two dense n x n arrays; one state over the limit exits 1 before
+    # they exist, a chain at the limit runs
+    monkeypatch.setattr(potential, "SCAN_CONTEXT_LIMIT", 15)
+    n = 15 + extra
+    chain, sets = tmp_path / "dw.json", tmp_path / "sets.json"
+    save_chain(double_well_chain(1.0, n), chain)
+    sets.write_text(json.dumps({"sets": [["x0"], [f"x{n - 1}"]]}))
+    argv = {
+        "orlicz": ["orlicz", "--chain", str(chain), "--B", "x0"],
+        "analyze": ["analyze", "--chain", str(chain), "--sets", str(sets), "--exact",
+                    "--seed", "1"],
+    }[command]
+    code, out, err = run_cli(capsys, argv)
+    if not extra:
+        assert code == 0 and json.loads(out) and err == ""
+        return
+    assert code == 1 and out == "" and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"] == "16 states exceed the dense scan context limit 15"
+
+
 def test_threads_variable_is_ignored(capsys, monkeypatch):
     # the command runs serially; a thread-count variable in the environment,
     # even a malformed one, changes nothing in the report

@@ -376,7 +376,7 @@ def _one_step_law(model, land, sig, var, gate):
     """Exact law of the codes (sigma', varsigma') after one kernel step, by enumeration."""
     n = model.n_spins
     delta = gate_probability(model, land)
-    blk = land.site_block()
+    blk = land.site_block
     accept = model.flip_probs * n
     code_sig, code_var = _code(sig), _code(var)
     law = {}
@@ -702,7 +702,7 @@ def test_kernel_rejects_meso_mismatch_and_failed_domination(small_pair):
     model, land = small_pair
     (s0,), _ = mismatched_pair_in_fiber(model, land, np.random.default_rng(1), 1)
     # move one up spin to another block: same magnetization, other point
-    blk = land.site_block()
+    blk = land.site_block
     i = next(j for j in range(6) if s0 >> j & 1)
     k = next(j for j in range(6) if blk[j] != blk[i] and not s0 >> j & 1)
     moved = s0 ^ (1 << i) ^ (1 << k)

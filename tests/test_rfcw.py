@@ -28,7 +28,7 @@ from metastab.rfcw import (
     mesoscopic_rates_and_chain,
 )
 from metastab.sampling import random_reversible_chain
-from references import point_index
+from references import flood_fill_minima, point_index
 
 
 def test_micro_chain_is_built_on_first_read(monkeypatch):
@@ -134,6 +134,7 @@ def test_lattice_neighbors_step_by_the_point_strides(field, n):
     # field puts every site in block 0, so n = 2 leaves block 1 empty
     land = coarse_grain(build_model(8, 1.0, field, seed=5, materialize=False), n)
     assert (field == "zero") == (0 in land.block_sizes)
+    assert land.neighbors.shape == (land.n_points, 2 * n) and land.neighbors is land.neighbors
     index = point_index(land)
     for k, base in enumerate(land.points):
         want = []
@@ -143,7 +144,54 @@ def test_lattice_neighbors_step_by_the_point_strides(field, n):
                     nb = base.copy()
                     nb[l] += d
                     want.append(index[tuple(int(v) for v in nb)])
-        assert rfcw.lattice_neighbors(land, k) == want
+        row = land.neighbors[k]
+        assert sorted(row[row >= 0].tolist()) == sorted(want)
+        assert np.all(row[row < 0] == -1)
+
+
+def _same_ordering(model, land):
+    got, want = find_minima_and_order(model, land), flood_fill_minima(model, land)
+    assert got.minima == want.minima
+    assert got.deltas.tobytes() == want.deltas.tobytes()
+    assert got.phi.tobytes() == want.phi.tobytes()
+    assert got.degenerate == want.degenerate
+    return got
+
+
+@pytest.mark.parametrize("field", ["zero", "uniform:0.2", "discrete:-0.3,0.3"])
+@pytest.mark.parametrize("n_spins", [4, 10, 20, 60])
+def test_minima_match_the_flood_fill_bit_for_bit(n_spins, field):
+    # seed 1 at N = 10, n = 2, discrete, beta 0.5 and 1.5 has flat steps
+    for n in (1, 2, 3):
+        for beta in (0.5, 1.5, 3.0, 8.0):
+            model = build_model(n_spins, beta, field, seed=1, materialize=False)
+            _same_ordering(model, coarse_grain(model, n))
+
+
+def test_minima_match_the_flood_fill_on_10185_points():
+    model = build_model(200, 1.5, "discrete:-0.2,0.2", seed=1, materialize=False)
+    land = coarse_grain(model, 2)
+    assert land.n_points == 10185
+    order = _same_ordering(model, land)
+    assert len(order.minima) == 4 and not order.degenerate
+
+
+def test_flat_plateaus_and_shelves_on_a_hand_set_free_energy():
+    # points -6, -4, ..., 6: a flat minimum {0, 1}, a flat shelf {3, 4} that
+    # steps down to the minimum 5, and 6 above it
+    model = build_model(6, 1.0, "zero", materialize=False)
+    land = coarse_grain(model, 1)
+    land.__dict__["free_energy"] = np.array([0.0, 0.0, 1.0, 0.5, 0.5, 0.2, 1.0])
+    order = _same_ordering(model, land)
+    assert order.minima == [0, 5]
+    assert order.deltas.tolist() == [0.8]
+    # random ties on a 3-block lattice: plateaus of every shape
+    model = build_model(8, 1.0, "uniform:0.2", seed=5, materialize=False)
+    land = coarse_grain(model, 3)
+    for seed in range(20):
+        values = np.random.default_rng(seed).integers(0, 4, size=land.n_points)
+        land.__dict__["free_energy"] = values.astype(float)
+        _same_ordering(model, land)
 
 
 def test_bottleneck_height_toy_path():
@@ -362,7 +410,7 @@ def test_point_index_matches_block_sums():
             index = point_index(land)
             ref = [index[tuple(int(v) for v in row)] for row in sums]
             assert land.rho_of_config.tolist() == ref
-            assert land.site_block().tolist() == [
+            assert land.site_block.tolist() == [
                 next(l for l, b in enumerate(land.blocks) if i in b) for i in range(8)
             ]
 
