@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse.csgraph import connected_components
 
 from .chains import (
     Certified,
@@ -32,10 +34,16 @@ from .oracle import LSI_SIZE_LIMIT, estimate_clsi
 from .potential import _bounded_scan, capacity_scan_context, equilibrium_potential
 
 TIE_TOL = 1e-12
-# free states of the singleton rho, whose dense Cholesky holds one 8 m^2
-# buffer (1.8 GB at the limit, 35 s on a 2-vCPU VM); the threaded dpotrf of
-# scipy's OpenBLAS 0.3.30 segfaulted there at 15,800 states and above
+# free states m of the singleton rho; its dense Cholesky holds one 8 s^2
+# buffer, s the states left by the red-black reduction: s = m / 2 on cube
+# and birth-death chains (0.45 GB at the limit; the singleton rho of a
+# 15,002-state path took 3.4 s and 542 MB peak RSS on a 2-vCPU VM), s = m
+# with no bipartite component (1.8 GB, 35 s); the threaded dpotrf of
+# scipy's OpenBLAS 0.3.30 segfaulted on whole blocks of 15,800 states and up
 SINGLETON_LIMIT = 15_000
+# rows of the eliminated class per sparse-times-dense block in
+# ``_inverse_diagonal``: a block holds 8 ROW_BLOCK s bytes
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -108,10 +116,11 @@ def rho_metastability(chain, sets, mode="auto"):
     unsolved, so a singular block there does not raise.  Singleton mode
     uses the reversibility relaxation and is an upper bound up to the |S|
     factor.  It takes every singleton capacity from diag(Lap_ff^{-1})
-    (``_inverse_diagonal``, one dense m x m buffer, at most SINGLETON_LIMIT
-    free states) before the numerator's potentials, so that buffer is freed
-    before the sparse factor of the same interior is built; a singular
-    interior therefore fails in the dense Cholesky (SolverNotConverged).
+    (``_inverse_diagonal``, at most SINGLETON_LIMIT free states: one dense
+    s x s buffer after the red-black reduction, s = m / 2 on the cube)
+    before the numerator's potentials, so that buffer is freed before the
+    sparse factor of the same interior is built; a singular interior
+    therefore fails in the reduction's dense Cholesky (SolverNotConverged).
 
     The numerator takes each cap(M_i, U - M_i), U the union of the sets,
     from ``equilibrium_potential``; the k pairs share one interior factor,
@@ -173,25 +182,67 @@ def rho_metastability(chain, sets, mode="auto"):
     )
 
 
-def _inverse_diagonal(mat):
-    """diag(mat^{-1}) of a sparse SPD matrix from its dense Cholesky factor.
+def _colour_class(mat):
+    """Mask of one colour class of each bipartite component of mat's graph.
 
-    With mat = C C^T, (mat^{-1})_yy is the squared norm of column y of C^{-1}.
-    The dense block is Fortran-ordered, so ``potrf`` and ``dtrtri`` both
-    overwrite it: one m x m buffer holds the matrix, C and C^{-1} in turn.
-    It skips scipy's finiteness scan, whose boolean copy would add m^2
-    bytes; the Laplacian of a validated chain is finite.
+    In the double cover [[0, P], [P, 0]], P the off-diagonal pattern of the
+    m x m matrix, u is in the class when its component is labelled before
+    that of its copy u + m.  Labels follow the lowest state of a component,
+    so the class holds the lowest state of each bipartite component.  A
+    non-bipartite component's double cover is connected, so it gives the
+    class nothing.
     """
-    try:
-        c = scipy.linalg.cholesky(
-            mat.toarray(order="F"), lower=True, overwrite_a=True, check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SolverNotConverged(f"interior Laplacian not positive definite: {exc}")
-    c_inv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
-    if info != 0:
-        raise SolverNotConverged(f"triangular inverse failed with info={info}")
-    return np.einsum("ij,ij->j", c_inv, c_inv)
+    m = mat.shape[0]
+    coo = mat.tocoo()
+    off = coo.row != coo.col
+    r, c = coo.row[off], coo.col[off]
+    cover = sp.coo_matrix(
+        (np.ones(2 * r.size), (np.r_[r, r + m], np.r_[c + m, c])), shape=(2 * m, 2 * m)
+    )
+    lab = connected_components(cover, directed=False)[1]
+    return lab[:m] < lab[m:]
+
+
+def _inverse_diagonal(mat):
+    """diag(mat^{-1}) of a sparse SPD matrix by one red-black reduction.
+
+    I (``_colour_class``) is an independent set of mat's graph.  With
+    d = diag(mat)_I and E the other states, eliminating I leaves the sparse
+    Schur complement S = mat_EE - mat_EI D^-1 mat_IE, made dense in one
+    Fortran-ordered s x s buffer that ``potrf`` and ``dtrtri`` overwrite in
+    turn: S = C C^T, then C^{-1}.  For y in E, (mat^{-1})_yy is the squared
+    norm of column y of C^{-1}; for y in I it is 1/d_y + |C^{-1} a_y|^2,
+    a_y = mat_Ey / d_y, taken ROW_BLOCK rows at a time from the sparse
+    (D^-1 mat_IE) C^{-T}, never from a dense s x |I| product.  On a
+    single-flip cube or a birth-death chain s = m / 2, so the factor takes
+    1/8 of the flops and 1/4 of the memory of the whole block; with no
+    bipartite component I is empty and the arithmetic is that of the whole
+    block's factor.  It skips scipy's finiteness scan, whose boolean copy
+    would add s^2 bytes; the Laplacian of a validated chain is finite.
+    """
+    ind = _colour_class(mat)
+    ext = ~ind
+    diag_i = 1.0 / mat.diagonal()[ind]
+    a_ie = mat[ind][:, ext]
+    g = sp.diags(diag_i) @ a_ie
+    out = np.empty(mat.shape[0])
+    if ext.any():  # else mat is diagonal, and LAPACK rejects an empty matrix
+        try:
+            c = scipy.linalg.cholesky(
+                (mat[ext][:, ext] - a_ie.T @ g).toarray(order="F"), lower=True,
+                overwrite_a=True, check_finite=False,
+            )
+        except np.linalg.LinAlgError as exc:
+            raise SolverNotConverged(f"interior Laplacian not positive definite: {exc}")
+        c_inv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
+        if info != 0:
+            raise SolverNotConverged(f"triangular inverse failed with info={info}")
+        out[ext] = np.einsum("ij,ij->j", c_inv, c_inv)
+        for lo in range(0, diag_i.size, ROW_BLOCK):
+            w = g[lo:lo + ROW_BLOCK] @ c_inv.T
+            diag_i[lo:lo + ROW_BLOCK] += np.einsum("ij,ij->i", w, w)
+    out[ind] = diag_i
+    return out
 
 
 def _partition(masks, solutions):
@@ -275,10 +326,13 @@ def build_structure(chain, sets, mode="auto", seed=0):
     M_i)`` over mu[M_i]; a singleton has C_PI,i = 0 and C_LSI,i in
     [0, inf].  C_PI(M) and C_LSI(M) take max(1, sum_i mu[M_i] C_i) end by
     end.  A set over ``oracle.LSI_SIZE_LIMIT`` states raises
-    ValidationError before its trace is built.
+    ValidationError before anything is solved.
     """
     masks = _check_sets(chain, sets)
     k = len(masks)
+    for i, m in enumerate(masks):
+        if m.sum() > LSI_SIZE_LIMIT:
+            raise ValidationError(f"metastable set {i} has over {LSI_SIZE_LIMIT} states")
     cert = rho_metastability(chain, masks, mode=mode)
     sols = {(s.set_a.tobytes(), s.set_b.tobytes()): s for s in cert.solutions}
     valleys, partition, assignment, ties = _partition(masks, cert.solutions)
@@ -298,8 +352,6 @@ def build_structure(chain, sets, mode="auto", seed=0):
 
     cpi_local, clsi_local = [Certified(0.0, 0.0, 0.0)] * k, [Certified(0.0, 0.0, np.inf)] * k
     for i, m in enumerate(masks):
-        if m.sum() > LSI_SIZE_LIMIT:
-            raise ValidationError(f"metastable set {i} has over {LSI_SIZE_LIMIT} states")
         if m.sum() > 1:
             lsi = estimate_clsi(trace_chain(chain, m), seed)
             cpi_local[i], clsi_local[i] = lsi.spectral.c_pi / mu_sets[i], lsi.c_lsi / mu_sets[i]

@@ -31,10 +31,11 @@ from .chains import (
 )
 from .potential import equilibrium_potential
 
-# the largest N measured to run: ``metastab rfcw --materialize`` at N = 13
-# took 21-29 s and 0.62 GB for one beta (72-74 s and 0.64 GB for three) on a
-# 2-vCPU VM; at N = 14 the 16,382 free states of the singleton rho pass
-# ``metastable.SINGLETON_LIMIT``
+# the largest N measured to run: ``metastab rfcw --N 13 --beta B --field
+# uniform:0.2 --n 2 --materialize --seed 1`` took 3.8-4.3 s and 254 MB at
+# B = 2, 15.8 s and 0.60 GB at B = 1.5 (the gap's inertia-count factors) and
+# 23 s and 0.60 GB at B = 1.5,2,3 on a 2-vCPU VM; at N = 14 the 16,382 free
+# states of the singleton rho pass ``metastable.SINGLETON_LIMIT``
 MATERIALIZE_LIMIT = 13
 # bound on the mesoscopic points prod(|block| + 1), checked before they are
 # listed; one block of 16,383 spins, the slowest shape, takes 7.5 s and 83 MB

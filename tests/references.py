@@ -6,8 +6,9 @@ its Muckenhoupt sandwich, exact piecewise-linear Young conjugates, the gated
 two-point coupling law), the harmonic-neighbourhood lemma checked against
 the package's capacities, the projection onto a partition, the local
 Poincare constant from a high-precision Schur complement, the tuple
-lookup of mesoscopic points, and the per-point flood fill that found the
-RFCW minima before the neighbour table.
+lookup of mesoscopic points, the per-point flood fill that found the
+RFCW minima before the neighbour table, and the inverse diagonal from the
+dense Cholesky factor of the whole block, before the red-black reduction.
 """
 
 from __future__ import annotations
@@ -17,13 +18,35 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from metastab import InequalityViolation, ValidationError, build_chain, equilibrium_potential
-from metastab.chains import _as_state_function, subset_mask
+from metastab.chains import SolverNotConverged, _as_state_function, subset_mask
 from metastab.rfcw import MinimaOrdering, _refine_minimum, bottleneck_height
 
 
 # -- chains ----------------------------------------------------------------------
+
+
+def inverse_diagonal_dense(mat):
+    """diag(mat^{-1}) of a sparse SPD matrix from its dense Cholesky factor.
+
+    With mat = C C^T, (mat^{-1})_yy is the squared norm of column y of C^{-1}.
+    The dense block is Fortran-ordered, so ``potrf`` and ``dtrtri`` both
+    overwrite it: one m x m buffer holds the matrix, C and C^{-1} in turn.
+    It skips scipy's finiteness scan, whose boolean copy would add m^2
+    bytes; the Laplacian of a validated chain is finite.
+    """
+    try:
+        c = scipy.linalg.cholesky(
+            mat.toarray(order="F"), lower=True, overwrite_a=True, check_finite=False
+        )
+    except np.linalg.LinAlgError as exc:
+        raise SolverNotConverged(f"interior Laplacian not positive definite: {exc}")
+    c_inv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SolverNotConverged(f"triangular inverse failed with info={info}")
+    return np.einsum("ij,ij->j", c_inv, c_inv)
 
 
 def variance(mu, f):

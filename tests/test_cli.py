@@ -711,6 +711,26 @@ def test_scan_context_limit_exits_1_before_allocating(capsys, tmp_path, monkeypa
     assert error["message"] == "16 states exceed the dense scan context limit 15"
 
 
+def test_lsi_set_limit_exits_1_before_the_rho_scan(capsys, tmp_path, monkeypatch):
+    # a metastable set over the LSI limit exits 1 before the exact rho
+    # builds its dense scan context
+    def scan_context(chain):
+        raise AssertionError("the scan context was built")
+
+    monkeypatch.setattr(metastable, "LSI_SIZE_LIMIT", 2)
+    monkeypatch.setattr(metastable, "capacity_scan_context", scan_context)
+    chain, sets = tmp_path / "dw.json", tmp_path / "sets.json"
+    save_chain(double_well_chain(1.0, 15), chain)
+    sets.write_text(json.dumps({"sets": [["x0"], ["x12", "x13", "x14"]]}))
+    code, out, err = run_cli(
+        capsys, ["analyze", "--chain", str(chain), "--sets", str(sets), "--exact", "--seed", "1"]
+    )
+    assert code == 1 and out == "" and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"] == "metastable set 1 has over 2 states"
+
+
 def test_threads_variable_is_ignored(capsys, monkeypatch):
     # the command runs serially; a thread-count variable in the environment,
     # even a malformed one, changes nothing in the report
@@ -1110,6 +1130,13 @@ REPORT_CHAINS = {
 # 1.2e-16), and at beta 3 rho 0.6290170665889271 -> ...268 (7.1e-16 ->
 # 1.8e-16).  The beta 3 gap, now from the pair route of certified_gap,
 # moved 0.00019986703318970565 -> ...568, 6.3e-17 from the 40-digit value.
+# The rfcw entry was frozen again when the singleton rho eliminated one
+# colour class of the cube before its dense Cholesky: only the beta 3 rho
+# moved, 0.6290170665889268 -> ...264.  A 40-digit mpmath solve of Lap_ff
+# at the arg-min state gives (Lap_ff^{-1})_yy = 587.90865770188612707 and
+# rho = 0.62901706658892640547: the old diagonal 587.9086577018865 was
+# 5.6e-16 from it, the new ...8861 is 2.3e-17.  The new report has the
+# same bytes under 1 and 2 BLAS threads; the old one did not.
 REPORT_GOLDENS = {
     ("analyze", "dw11-b1"): "97efd52455b3f3a37b4dd8e37c606e8b3b6fdff0cb6e53c794be0cdfca9f3f5a",
     ("analyze", "dw11-b3"): "5c140ac2b40f2669202aca0f239b6e2a60e0916b96fa1e0206b16cbe9e1ab4bd",
@@ -1122,7 +1149,7 @@ REPORT_GOLDENS = {
     ("orlicz", "dw11-b3"): "4ee9aa7d737a1f0eb72a9925dbfe4023c21ec5a09dd6121fad2c85fd3c125e97",
     ("orlicz", "dw15-b0.5"): "bd11b6cdf18d54b21dd8a629245cc826a9071e951511999feaed1ba944f29113",
     ("orlicz", "rc13-v0"): "6e132543a32ca7430ce6c8b5a83543c6b0b1250afe0f21896051fff4fd98a603",
-    ("rfcw", "N8"): "94eb96825fd19d91dfcdf205283036040fd61fd35e7a1b905edda5995b661d2f",
+    ("rfcw", "N8"): "691453ff13f735ed6054a740508307dd5f1ea6556748d88c7a214121711c0d98",
     # one entry for each tag path that the entries above leave unpinned
     ("capacity", "dw15-b3/x0/x4"): "f9b827516591ceab5343f87fb84d639b9ff0448b0984b43ba6d1d912bc9cecf4",
     ("oracle", "dw11-b2/cpi"): "e7dbf69d0658fb54464826b76ffd507ef230ef8c22ffd7f3ac1d680d6b30b38b",  # c_pi exact
@@ -1233,20 +1260,37 @@ def test_rfcw_gap_needs_no_dense_eigensolve(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDENS[("rfcw", "N8")]
 
 
-def test_couple_report_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # every interior of the N = 8 micro chain is above DENSE_SOLVE_LIMIT, so
-    # no dense solve of the couple report reaches a threaded LAPACK kernel
+def _stdout_under_blas_threads(argv):
+    """The command's stdout in a fresh process under 1 and under 2 BLAS threads."""
     src = str(Path(metastab.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run(
-            [sys.executable, "-m", "metastab.cli", *_report_argv(tmp_path, "couple", "N8")],
+            [sys.executable, "-m", "metastab.cli", *argv],
             env=env, capture_output=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         outs.append(done.stdout)
+    return outs
+
+
+def test_couple_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # every interior of the N = 8 micro chain is above DENSE_SOLVE_LIMIT, so
+    # no dense solve of the couple report reaches a threaded LAPACK kernel
+    outs = _stdout_under_blas_threads(_report_argv(tmp_path, "couple", "N8"))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    None,  # the golden N = 8 report
+    ["rfcw", "--N", "10", "--beta", "20", "--field", "zero", "--n", "2", "--materialize"],
+], ids=["N8", "N10-b20"])
+def test_rfcw_report_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
+    # the singleton rho's dense factor holds half the cube after the
+    # red-black reduction and gives the same bits under either count
+    outs = _stdout_under_blas_threads(argv or _report_argv(tmp_path, "rfcw", "N8"))
     assert outs[0] == outs[1]
 
 

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from metastab import (
+    SolverNotConverged,
     ValidationError,
     build_chain,
     build_structure,
@@ -20,7 +22,12 @@ from metastab.metastable import c_mass_constant, trace_chain
 from metastab.oracle import cheeger_constant, estimate_clsi, exact_cpi
 from metastab.potential import _scan_capacities, capacity_scan_context
 from metastab.sampling import double_well_chain, random_reversible_chain
-from references import conditional_expectation, harmonic_neighborhood, local_cpi_schur
+from references import (
+    conditional_expectation,
+    harmonic_neighborhood,
+    inverse_diagonal_dense,
+    local_cpi_schur,
+)
 
 E2 = float(np.exp(2.0))
 
@@ -513,22 +520,115 @@ def test_singleton_rho_matches_dense_inverse(double_well):
         assert cert.value == pytest.approx(num / den, rel=1e-12)
 
 
-def test_singleton_rho_holds_one_dense_copy():
-    model = rfcw.build_model(10, 2.0, "uniform:0.2", seed=3, materialize=True)
+def _cube_interior(n, beta, field, seed=1):
+    """The RFCW chain on {-1, +1}^n and the mask of its free states: the
+    cube without the fibers of its first two ordered minima, as ``rfcw``
+    takes them for the singleton rho."""
+    model = rfcw.build_model(n, beta, field, seed=seed, materialize=True)
     land = rfcw.coarse_grain(model, 2)
-    minima = rfcw.find_minima_and_order(model, land).minima
-    sets = [land.fiber_mask([k]) for k in minima[:2]]
-    m = model.chain.n_states - np.count_nonzero(sets[0] | sets[1])
-    rho_metastability(model.chain, sets, mode="singleton")
+    ordering = rfcw.find_minima_and_order(model, land)
+    assert not ordering.degenerate
+    sets = [land.fiber_mask([k]) for k in ordering.minima[:2]]
+    return model.chain, ~(sets[0] | sets[1])
+
+
+def test_singleton_rho_holds_one_dense_copy():
+    chain, free = _cube_interior(10, 2.0, "uniform:0.2", seed=3)
+    mat = chain.laplacian[free][:, free]
+    m = mat.shape[0]
+    s = m - np.count_nonzero(metastable._colour_class(mat))
+    assert abs(2 * s - m) <= 2  # one parity class of the cube is eliminated
+    metastable._inverse_diagonal(mat)
     tracemalloc.start()
     try:
-        rho_metastability(model.chain, sets, mode="singleton")
+        metastable._inverse_diagonal(mat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Lap_ff, overwritten by its Cholesky factor and then by the factor's
-    # inverse, plus 64 doubles a state of other work
-    assert peak <= 8 * m * m + 64 * 8 * m
+    # the Schur complement, overwritten by its Cholesky factor and then by
+    # the factor's inverse, plus 128 doubles a state of other work: the
+    # sparse complement (about N^2 / 2 entries a row), the colouring and a
+    # block of ROW_BLOCK rows
+    assert peak <= 8 * s * s + 128 * 8 * m
+
+
+def _two_component_chain():
+    """a - path p0..p3 - z and a - triangle t0, t1, t2 - z, uniform mu: with
+    {a}, {z} removed, one bipartite and one odd-cycle interior component."""
+    states = ["a", "z", "p0", "p1", "p2", "p3", "t0", "t1", "t2"]
+    pairs = [("a", "p0"), ("p0", "p1"), ("p1", "p2"), ("p2", "p3"), ("p3", "z"),
+             ("a", "t0"), ("t0", "t1"), ("t1", "t2"), ("t2", "t0"), ("t2", "z")]
+    edges = [e for x, y in pairs for e in ((x, y, 0.2), (y, x, 0.2))]
+    return build_chain(states, edges, stationary=np.full(len(states), 1 / len(states)))
+
+
+def _interior(chain, sets):
+    union = np.logical_or.reduce([subset_mask(chain, m) for m in sets])
+    return chain.laplacian[~union][:, ~union]
+
+
+INVERSE_DIAGONAL_CASES = [
+    pytest.param(n, beta, field, id=f"cube-N{n}-b{beta}-{field}")
+    for n in (6, 8, 10) for beta in (1.5, 6.0, 20.0) for field in ("zero", "uniform:0.2")
+] + [pytest.param(None, None, name, id=name)
+      for name in ("dw11-3sets", "dw11-one-free", "two-components")]
+
+
+@pytest.mark.parametrize("n,beta,field", INVERSE_DIAGONAL_CASES)
+def test_inverse_diagonal_matches_the_whole_block(double_well, n, beta, field):
+    # the red-black reduction gives the whole block's dense-Cholesky diagonal
+    # and the dense inverse's, to rounding, and eliminates an independent set
+    if n is not None:
+        chain, free = _cube_interior(n, beta, field)
+        mat = chain.laplacian[free][:, free]
+    elif field == "dw11-3sets":  # two path components between the sets
+        mat = _interior(double_well[2.0], [["x0"], ["x5"], ["x10"]])
+    elif field == "dw11-one-free":  # {x5} alone: I is everything, E is empty
+        wells = [f"x{i}" for i in range(5)], [f"x{i}" for i in range(6, 11)]
+        mat = _interior(double_well[2.0], wells)
+    else:
+        mat = _interior(_two_component_chain(), [["a"], ["z"]])
+    got = metastable._inverse_diagonal(mat)
+    np.testing.assert_allclose(got, inverse_diagonal_dense(mat), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got, np.diag(np.linalg.inv(mat.toarray())), rtol=1e-13, atol=0)
+    ind = metastable._colour_class(mat)
+    block = mat[ind][:, ind]
+    assert ind.any() and block.nnz == np.count_nonzero(block.diagonal())
+    if n is not None:
+        # on the cube I is the parity class of each interior component's
+        # lowest state
+        parity = np.array([bin(x).count("1") % 2 for x in np.flatnonzero(free)])
+        comps = connected_components(mat, directed=False)[1]
+        for c in np.unique(comps):
+            members = comps == c
+            assert np.array_equal(ind[members], parity[members] == parity[members][0])
+    elif field == "two-components":
+        # I is {p0, p2}: the path's class of its lowest state, nothing of the triangle
+        assert ind.tolist() == [True, False, True, False, False, False, False]
+
+
+def test_inverse_diagonal_without_a_bipartite_component_keeps_its_bits():
+    # every interior component of this random chain has an odd cycle: I is
+    # empty and the arithmetic is the whole block's dense Cholesky
+    chain = random_reversible_chain(np.random.default_rng(3), 23, extra_edges=23)
+    mat = _interior(chain, [["s0"], ["s22"]])
+    assert not metastable._colour_class(mat).any()
+    assert np.array_equal(metastable._inverse_diagonal(mat), inverse_diagonal_dense(mat))
+
+
+def test_singular_interior_raises_in_the_reduction():
+    # {x0} and {x3} hang on by 1e-20: in float the interior {x1, x2} is a
+    # closed edge whose Laplacian is singular, and its Schur complement is 0
+    s = [f"x{i}" for i in range(4)]
+    p = [1e-20, 0.25, 1e-20]
+    edges = [e for i in range(3) for e in ((s[i], s[i + 1], p[i]), (s[i + 1], s[i], p[i]))]
+    chain = build_chain(s, edges, stationary=np.full(4, 0.25))
+    mat = _interior(chain, [["x0"], ["x3"]])
+    assert metastable._colour_class(mat).tolist() == [True, False]
+    with pytest.raises(SolverNotConverged):
+        inverse_diagonal_dense(mat)
+    with pytest.raises(SolverNotConverged, match="not positive definite"):
+        rho_metastability(chain, [["x0"], ["x3"]], mode="singleton")
 
 
 def test_singleton_rho_inverts_before_the_numerator_solve(monkeypatch):
