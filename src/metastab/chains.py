@@ -414,12 +414,10 @@ def entropy_gradient(mu, f):
     f = np.asarray(f, dtype=float)
     fsq = f * f
     m = (mu * fsq).sum(axis=-1, keepdims=True)
-    out = np.zeros_like(f)
     ratio = fsq / np.where(m > 0.0, m, 1.0)
     # f ln f^2 -> 0: an entry whose ratio underflows to 0 keeps gradient 0
     nz = (ratio > 0.0) & (m > 0.0)
-    out[nz] = (2.0 * mu * f)[nz] * np.log(ratio[nz])
-    return out
+    return 2.0 * mu * f * np.log(np.where(nz, ratio, 1.0))
 
 
 def log_mean(alpha, beta):

@@ -100,8 +100,8 @@ class GapCertificate(Certified):
 
 @dataclass
 class LsiReport:
-    """Certified lower bound on the log-Sobolev constant from ascent: the
-    interval of ``c_lsi`` is [value, inf]."""
+    """Lower bound on the log-Sobolev constant from ascent, true in exact
+    arithmetic (``estimate_clsi``): the interval of ``c_lsi`` is [value, inf]."""
 
     c_lsi: Certified
     maximizer: np.ndarray
@@ -401,13 +401,16 @@ def _ldl_pivots(chain, a):
 
 
 def estimate_clsi(chain, seed=0):
-    """Certified lower bound on C_LSI by ascent of Ent_mu[f^2] / E(f).
+    """Lower bound on C_LSI by ascent of Ent_mu[f^2] / E(f).
 
     Seeds include the spectral-gap eigenvector, near-constant perturbations
     1 + eps v2 in both signs (whose ratio approaches 2 C_PI), equilibrium
     potentials between the extreme states of v2, and deterministic Gaussian
     multistarts.  Every reported value is the ratio at an explicit function,
-    hence a true lower bound on the supremum.
+    computed in floating point, so it is a true lower bound on the supremum
+    in exact arithmetic only: the trace of the beta 40 double well on
+    {x0, x1, x2} reports 7.30e22, where its witness gives 3.99999 at 80
+    digits (ROADMAP item 16).
     """
     n = chain.n_states
     if n > LSI_SIZE_LIMIT:
@@ -476,71 +479,69 @@ def _lockstep_ascent(chain, weight, F, max_iter):
     the step by 1.5 on success and halves it on failure, and stops at a
     flat projected gradient, at a step below 1e-14 or after ``max_iter``
     gradients; a row with E = 0 has value -inf and counts as converged.
-    All rows step in lockstep: each tick takes the gradient of the rows that
-    just moved and tries the next ``ASCENT_TRIALS`` steps of every live
-    row's line search as one batch, keeping the first accepted one, so a
-    row takes the steps it would take trying one per tick.  Every reduction
-    is a row-wise sum over a C-ordered array, which numpy sums pairwise
-    within the row, so a row follows the same arithmetic whichever other
-    rows are in the batch.  F is updated in place.
+    All rows step in lockstep: each tick takes the gradient of every live
+    row (a row that did not move gets the bits it had) and tries the next
+    ``ASCENT_TRIALS`` steps of every live row's line search as one batch,
+    keeping the first accepted one, so a row takes the steps it would take
+    trying one per tick.  Every reduction is a row-wise sum over a C-ordered
+    array, which numpy sums pairwise within the row, so a row follows the
+    same arithmetic whichever other rows are in the batch.  The live rows
+    are kept packed, and a row is written back to F when it stops.
+
+    A value is the ratio at its row's function in floating point, a true
+    lower bound in exact arithmetic only: Ent has a rounding floor of order
+    E_weight[f^2] eps^2, which a row can climb where E is tiny (ROADMAP
+    item 16).
     """
     S, n = F.shape
     halvings = 0.5 ** np.arange(ASCENT_TRIALS)
-    val = np.full(S, -np.inf)
     e = _energy_rows(chain, F)
+    val = np.full(S, -np.inf)
     live = e > 0.0
     converged = ~live  # E = 0: the ratio is -inf, nothing to ascend
-    F[live] /= np.sqrt(e[live])[:, None]
-    val[live] = _entropy_rows(weight, F[live] * F[live])
-    step = np.full(S, 0.5)
-    grads = np.zeros(S, dtype=int)
-    moved = live.copy()
-    G = np.zeros_like(F)
-    while live.any():
-        idx = np.flatnonzero(moved)
-        spent = grads[idx] >= max_iter
-        live[idx[spent]] = moved[idx[spent]] = False
-        idx = idx[~spent]
-        if idx.size:
-            f = F[idx]
-            g = entropy_gradient(weight, f)
-            ge = 2.0 * np.ascontiguousarray((chain.laplacian @ f.T).T)
-            denom = (ge * ge).sum(axis=1)
-            coef = np.zeros(idx.size)
-            np.divide((g * ge).sum(axis=1), denom, out=coef, where=denom > 0.0)
-            g = g - coef[:, None] * ge
-            gnorm = np.sqrt((g * g).sum(axis=1))
-            flat = idx[gnorm <= 1e-13 * np.maximum(1.0, np.abs(val[idx]))]
-            converged[flat], live[flat], moved[idx] = True, False, False
-            G[idx] = g
-            grads[idx] += 1
-
-        idx = np.flatnonzero(live)
-        stuck = idx[step[idx] <= 1e-14]
-        converged[stuck], live[stuck] = True, False
-        idx = np.flatnonzero(live)
+    ids = np.flatnonzero(live)
+    f = F[ids] / np.sqrt(e[ids])[:, None]
+    v = _entropy_rows(weight, f * f)
+    step = np.full(ids.size, 0.5)
+    grads = np.zeros(ids.size, dtype=int)
+    moved = np.ones(ids.size, dtype=bool)
+    while ids.size:
+        g = entropy_gradient(weight, f)
+        ge = 2.0 * np.ascontiguousarray((chain.laplacian @ f.T).T)
+        denom = (ge * ge).sum(axis=1)
+        coef = np.zeros(ids.size)
+        np.divide((g * ge).sum(axis=1), denom, out=coef, where=denom > 0.0)
+        g -= coef[:, None] * ge
+        flat = np.sqrt((g * g).sum(axis=1)) <= 1e-13 * np.maximum(1.0, np.abs(v))
+        spent = moved & (grads >= max_iter)
+        grads += moved
+        # only a row that moved can be flat or spent; a row whose step fell
+        # to the floor in the last tick's batch is stuck
+        stop = flat | spent | (step <= 1e-14)
+        if stop.any():
+            out = ids[stop]
+            F[out], val[out], converged[out] = f[stop], v[stop], ~spent[stop]
+            keep = ~stop
+            ids, f, g, v = ids[keep], f[keep], g[keep], v[keep]
+            step, grads = step[keep], grads[keep]
+            if not ids.size:
+                break
         # the next ASCENT_TRIALS steps of each row's line search at once;
         # halving is exact, so trial k has the bits of the step after k
         # rejections, and a trial at or below the step floor never counts
-        trial = step[idx, None] * halvings
-        cand = (F[idx, None, :] + trial[:, :, None] * G[idx, None, :]).reshape(-1, n)
-        ec = _energy_rows(chain, cand)
-        cval = np.full(len(cand), -np.inf)
+        trial = step[:, None] * halvings
+        cand = f[:, None, :] + trial[:, :, None] * g[:, None, :]
+        rows = cand.reshape(-1, n)  # a view: normalizing rows normalizes cand
+        ec = _energy_rows(chain, rows)
         pos = ec > 0.0
-        cand[pos] /= np.sqrt(ec[pos])[:, None]
-        cval[pos] = _entropy_rows(weight, cand[pos] * cand[pos])
-        up = (cval.reshape(trial.shape) > val[idx, None] + 1e-16) & (trial > 1e-14)
-        hit = up.any(axis=1)
-        first = up.argmax(axis=1)[hit]
-        pick = np.flatnonzero(hit) * ASCENT_TRIALS + first
-        F[idx[hit]] = cand[pick]
-        val[idx[hit]] = cval[pick]
-        step[idx[hit]] = trial[hit, first] * 1.5
-        moved[idx[hit]] = True
-        miss = idx[~hit]
-        floor = miss[trial[~hit, -1] <= 1e-14]  # every trial above the floor failed
-        converged[floor], live[floor] = True, False
-        step[miss] *= 0.5**ASCENT_TRIALS
+        rows /= np.sqrt(np.where(pos, ec, 1.0))[:, None]
+        cval = np.where(pos, _entropy_rows(weight, rows * rows), -np.inf).reshape(trial.shape)
+        up = (cval > v[:, None] + 1e-16) & (trial > 1e-14)
+        moved = up.any(axis=1)
+        pick = np.arange(ids.size), up.argmax(axis=1)
+        f = np.where(moved[:, None], cand[pick], f)
+        v = np.where(moved, cval[pick], v)
+        step = np.where(moved, trial[pick] * 1.5, step * 0.5**ASCENT_TRIALS)
     return F, val, converged
 
 
@@ -559,9 +560,8 @@ def _entropy_rows(weight, fsq):
     row-wise sums."""
     m = (weight * fsq).sum(axis=1)
     pos = m > 0.0
-    out = np.zeros(len(fsq))
-    mp = m[pos]
-    out[pos] = mp * (weight * _phi_xlogx(fsq[pos] / mp[:, None])).sum(axis=1)
+    mm = np.where(pos, m, 1.0)
+    out = np.where(pos, m * (weight * _phi_xlogx(fsq / mm[:, None])).sum(axis=1), 0.0)
     return np.maximum(out, 0.0)
 
 

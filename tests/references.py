@@ -7,8 +7,10 @@ two-point coupling law), the harmonic-neighbourhood lemma checked against
 the package's capacities, the projection onto a partition, the local
 Poincare constant from a high-precision Schur complement, the tuple
 lookup of mesoscopic points, the per-point flood fill that found the
-RFCW minima before the neighbour table, and the inverse diagonal from the
-dense Cholesky factor of the whole block, before the red-black reduction.
+RFCW minima before the neighbour table, the inverse diagonal from the
+dense Cholesky factor of the whole block, before the red-black reduction,
+and the lockstep LSI ascent with its row kernels as they were before the
+live rows were packed and the unmasked forms taken.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from metastab import InequalityViolation, ValidationError, build_chain, equilibrium_potential
-from metastab.chains import SolverNotConverged, _as_state_function, subset_mask
+from metastab.chains import SolverNotConverged, _as_state_function, _phi_xlogx, subset_mask
+from metastab.oracle import ASCENT_TRIALS
 from metastab.rfcw import MinimaOrdering, _refine_minimum, bottleneck_height
 
 
@@ -513,3 +516,121 @@ def flood_fill_minima(model, land):
         degenerate=degenerate,
         refined=[_refine_minimum(model, land, reps[c]) for c in labels],
     )
+
+
+# -- the lockstep LSI ascent before its live rows were packed -------------------
+
+
+def entropy_gradient(mu, f):
+    """Gradient of f -> Ent_mu[f^2]: entrywise 2 mu f ln(f^2 / E_mu[f^2]).
+
+    ``f`` may also stack functions as the rows of a 2-d array; E_mu[f^2] is
+    then a row-wise sum, so each row's gradient ignores the other rows.
+    """
+    mu = np.asarray(mu, dtype=float)
+    f = np.asarray(f, dtype=float)
+    fsq = f * f
+    m = (mu * fsq).sum(axis=-1, keepdims=True)
+    out = np.zeros_like(f)
+    ratio = fsq / np.where(m > 0.0, m, 1.0)
+    # f ln f^2 -> 0: an entry whose ratio underflows to 0 keeps gradient 0
+    nz = (ratio > 0.0) & (m > 0.0)
+    out[nz] = (2.0 * mu * f)[nz] * np.log(ratio[nz])
+    return out
+
+
+def lockstep_ascent(chain, weight, F, max_iter):
+    """Projected gradient ascent of Ent_weight[f^2] on E(f) = 1 from each
+    row of F; returns the final rows, their values and converged flags.
+
+    Each row keeps its own step in a backtracking line search that grows
+    the step by 1.5 on success and halves it on failure, and stops at a
+    flat projected gradient, at a step below 1e-14 or after ``max_iter``
+    gradients; a row with E = 0 has value -inf and counts as converged.
+    All rows step in lockstep: each tick takes the gradient of the rows that
+    just moved and tries the next ``ASCENT_TRIALS`` steps of every live
+    row's line search as one batch, keeping the first accepted one, so a
+    row takes the steps it would take trying one per tick.  Every reduction
+    is a row-wise sum over a C-ordered array, which numpy sums pairwise
+    within the row, so a row follows the same arithmetic whichever other
+    rows are in the batch.  F is updated in place.
+    """
+    S, n = F.shape
+    halvings = 0.5 ** np.arange(ASCENT_TRIALS)
+    val = np.full(S, -np.inf)
+    e = energy_rows(chain, F)
+    live = e > 0.0
+    converged = ~live  # E = 0: the ratio is -inf, nothing to ascend
+    F[live] /= np.sqrt(e[live])[:, None]
+    val[live] = entropy_rows(weight, F[live] * F[live])
+    step = np.full(S, 0.5)
+    grads = np.zeros(S, dtype=int)
+    moved = live.copy()
+    G = np.zeros_like(F)
+    while live.any():
+        idx = np.flatnonzero(moved)
+        spent = grads[idx] >= max_iter
+        live[idx[spent]] = moved[idx[spent]] = False
+        idx = idx[~spent]
+        if idx.size:
+            f = F[idx]
+            g = entropy_gradient(weight, f)
+            ge = 2.0 * np.ascontiguousarray((chain.laplacian @ f.T).T)
+            denom = (ge * ge).sum(axis=1)
+            coef = np.zeros(idx.size)
+            np.divide((g * ge).sum(axis=1), denom, out=coef, where=denom > 0.0)
+            g = g - coef[:, None] * ge
+            gnorm = np.sqrt((g * g).sum(axis=1))
+            flat = idx[gnorm <= 1e-13 * np.maximum(1.0, np.abs(val[idx]))]
+            converged[flat], live[flat], moved[idx] = True, False, False
+            G[idx] = g
+            grads[idx] += 1
+
+        idx = np.flatnonzero(live)
+        stuck = idx[step[idx] <= 1e-14]
+        converged[stuck], live[stuck] = True, False
+        idx = np.flatnonzero(live)
+        # the next ASCENT_TRIALS steps of each row's line search at once;
+        # halving is exact, so trial k has the bits of the step after k
+        # rejections, and a trial at or below the step floor never counts
+        trial = step[idx, None] * halvings
+        cand = (F[idx, None, :] + trial[:, :, None] * G[idx, None, :]).reshape(-1, n)
+        ec = energy_rows(chain, cand)
+        cval = np.full(len(cand), -np.inf)
+        pos = ec > 0.0
+        cand[pos] /= np.sqrt(ec[pos])[:, None]
+        cval[pos] = entropy_rows(weight, cand[pos] * cand[pos])
+        up = (cval.reshape(trial.shape) > val[idx, None] + 1e-16) & (trial > 1e-14)
+        hit = up.any(axis=1)
+        first = up.argmax(axis=1)[hit]
+        pick = np.flatnonzero(hit) * ASCENT_TRIALS + first
+        F[idx[hit]] = cand[pick]
+        val[idx[hit]] = cval[pick]
+        step[idx[hit]] = trial[hit, first] * 1.5
+        moved[idx[hit]] = True
+        miss = idx[~hit]
+        floor = miss[trial[~hit, -1] <= 1e-14]  # every trial above the floor failed
+        converged[floor], live[floor] = True, False
+        step[miss] *= 0.5**ASCENT_TRIALS
+    return F, val, converged
+
+
+def energy_rows(chain, F):
+    """dirichlet_form of each row of F, by row-wise sums.
+
+    The public one-vector forms keep their dot products, whose bits the
+    spectral-gap and report goldens pin.
+    """
+    d = F.take(chain._edge_i, axis=1) - F.take(chain._edge_j, axis=1)  # C order
+    return (chain._edge_w * (d * d)).sum(axis=1)
+
+
+def entropy_rows(weight, fsq):
+    """entropy(weight, row) of each row of fsq (rows of squares), by
+    row-wise sums."""
+    m = (weight * fsq).sum(axis=1)
+    pos = m > 0.0
+    out = np.zeros(len(fsq))
+    mp = m[pos]
+    out[pos] = mp * (weight * _phi_xlogx(fsq[pos] / mp[:, None])).sum(axis=1)
+    return np.maximum(out, 0.0)

@@ -23,6 +23,7 @@ from metastab.oracle import (
 from metastab import oracle as oracle_mod
 from metastab import rfcw as rfcw_mod
 from metastab.chains import entropy_gradient
+from metastab.metastable import trace_chain
 from metastab.orlicz import entropy_pair, l1_pair
 from metastab.potential import equilibrium_potential, mean_exit_time_bound
 from metastab.sampling import (
@@ -30,7 +31,8 @@ from metastab.sampling import (
     random_probability,
     random_reversible_chain,
 )
-from references import hardy_exact_constant, muckenhoupt_constant, variance
+import references
+from references import hardy_exact_constant, lockstep_ascent, muckenhoupt_constant, variance
 
 # resolution of a dense symmetric eigensolve: GAP_DIGITS_FACTOR n eps max|lambda|
 GAP_DIGITS_FACTOR = 64
@@ -566,6 +568,126 @@ def test_batched_line_search_trials_keep_the_bits(name, trials, monkeypatch):
         assert_array_equal(got[0], F)
         assert_array_equal(got[1], val)
         assert_array_equal(got[2], conv)
+
+
+def _clsi_case(chain):
+    """(chain, weight, seed block) of the ascent that ``estimate_clsi(chain, 1)`` runs."""
+    calls = []
+    ascend = oracle_mod._lockstep_ascent
+
+    def record(chain, weight, F, max_iter):
+        calls.append((chain, weight, F.copy()))
+        return ascend(chain, weight, F, max_iter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "_lockstep_ascent", record)
+        estimate_clsi(chain, seed=1)
+    (case,) = calls
+    return case
+
+
+def _rc12(v):
+    return random_reversible_chain(np.random.default_rng((20170515, 12, v)), 12)
+
+
+def _constant_row_case():
+    chain = _rc12(3)
+    seeds = np.insert(_ascent_seeds(chain), 2, np.full(12, 3.0), axis=0)
+    return chain, chain.stationary, seeds
+
+
+def _fast_case():
+    # six states at rates near 100: ratios near 4e-3, where the 1e-16
+    # acceptance margin is many ulps
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.5, 2.0, size=(6, 6))
+    w = 40.0 * (w + w.T)
+    s = [f"s{i}" for i in range(6)]
+    edges = [(s[i], s[j], w[i, j]) for i in range(6) for j in range(6) if i != j]
+    chain = build_chain(s, edges, stationary=np.full(6, 1 / 6), time="continuous")
+    return chain, chain.stationary, rng.normal(size=(8, 6))
+
+
+def _five_state_case():
+    # one row vanishes on the weight's support: its entropy and gradient are 0
+    chain = double_well_chain(2.0)
+    low = np.arange(chain.n_states) < 5
+    weight = np.where(low, chain.stationary, 0.0) / chain.mass(low)
+    return chain, weight, np.insert(_ascent_seeds(chain), 4, ~low, axis=0)
+
+
+# (chain, weight, seed block): the clsi cells of ``certify_small``, the trace
+# chains whose rows climb the entropy's rounding floor (ROADMAP item 16), a
+# block with a constant row, two states (a row with a zero entry), a fast
+# chain and a weight on five states
+PACKED_ASCENT_CASES = {
+    "dw11-b2": lambda: _clsi_case(double_well_chain(2.0, 11)),
+    **{f"rc12-v{v}": lambda v=v: _clsi_case(_rc12(v)) for v in range(8)},
+    "trace-dw11-b40": lambda: _clsi_case(
+        trace_chain(double_well_chain(40.0), ["x0", "x1", "x2"])
+    ),
+    "trace-dw15-b12": lambda: _clsi_case(
+        trace_chain(double_well_chain(12.0, 15), ["x0", "x1", "x2"])
+    ),
+    "constant-row": _constant_row_case,
+    "two-state": lambda: (
+        build_chain(["a", "b"], [("a", "b", 0.3), ("b", "a", 0.1)]),
+        np.array([0.25, 0.75]),
+        np.array([[1.0, -2.0], [3.0, 3.0], [0.5, 1e-3], [1.0, 0.0]]),
+    ),
+    "fast-continuous": _fast_case,
+    "five-state-weight": _five_state_case,
+}
+
+
+@pytest.mark.parametrize("max_iter", [1, 7, 400])
+@pytest.mark.parametrize("name", list(PACKED_ASCENT_CASES))
+def test_packed_ascent_keeps_the_bits_of_the_reference(name, max_iter):
+    chain, weight, seeds = PACKED_ASCENT_CASES[name]()
+    want = lockstep_ascent(chain, weight, seeds.copy(), max_iter)
+    got = oracle_mod._lockstep_ascent(chain, weight, seeds.copy(), max_iter)
+    for g, w in zip(got, want):
+        assert_array_equal(g, w)
+    assert not np.array_equal(want[0], seeds)  # the ascent wrote its rows
+
+
+@pytest.mark.parametrize("name", ["dw11-b2", "rc12-v1", "two-state", "five-state-weight"])
+def test_zero_energy_candidates_keep_the_bits_of_the_reference(name, monkeypatch):
+    # E = 0 is forced on about one row in eight, chosen by the row's bits so
+    # that both ascents see it on the same rows; such a candidate is never
+    # accepted, and such a seed row is converged at -inf
+    def zeroed(energy):
+        def rows(chain, F):
+            e = energy(chain, F)
+            return np.where(F[:, 0].view(np.int64) % 8 == 3, 0.0, e)
+
+        return rows
+
+    chain, weight, seeds = PACKED_ASCENT_CASES[name]()
+    monkeypatch.setattr(references, "energy_rows", zeroed(references.energy_rows))
+    monkeypatch.setattr(oracle_mod, "_energy_rows", zeroed(oracle_mod._energy_rows))
+    want = lockstep_ascent(chain, weight, seeds.copy(), 400)
+    got = oracle_mod._lockstep_ascent(chain, weight, seeds.copy(), 400)
+    for g, w in zip(got, want):
+        assert_array_equal(g, w)
+
+
+def test_degenerate_entropy_rows_and_gradients_keep_the_bits_of_the_reference():
+    # rows with E_weight[f^2] = 0, entries with f = 0 or f^2 underflowing to
+    # 0, and entries outside the weight's support
+    weight = np.array([0.5, 0.5, 0.0, 0.0])
+    f = np.array(
+        [
+            [1.0, -2.0, 3.0, -4.0],
+            [0.0, 0.0, 5.0, -6.0],
+            [0.0, -1.0, 0.0, 2.0],
+            [1e-170, -1e-170, 1.0, 0.0],
+            [-1e-170, 2.0, 0.0, -0.0],
+        ]
+    )
+    assert_array_equal(entropy_gradient(weight, f), references.entropy_gradient(weight, f))
+    fsq = f * f
+    assert_array_equal(oracle_mod._entropy_rows(weight, fsq), references.entropy_rows(weight, fsq))
 
 
 # -- the certified sparse gap of ``metastab rfcw`` ------------------------------
