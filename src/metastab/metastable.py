@@ -29,8 +29,8 @@ from .chains import (
     log_mean,
     subset_mask,
 )
-from . import potential
-from .oracle import LSI_SIZE_LIMIT, estimate_clsi
+from . import oracle, potential
+from .oracle import estimate_clsi
 from .potential import _bounded_scan, capacity_scan_context, equilibrium_potential
 
 TIE_TOL = 1e-12
@@ -331,8 +331,8 @@ def build_structure(chain, sets, mode="auto", seed=0):
     masks = _check_sets(chain, sets)
     k = len(masks)
     for i, m in enumerate(masks):
-        if m.sum() > LSI_SIZE_LIMIT:
-            raise ValidationError(f"metastable set {i} has over {LSI_SIZE_LIMIT} states")
+        if m.sum() > oracle.LSI_SIZE_LIMIT:
+            raise ValidationError(f"metastable set {i} has over {oracle.LSI_SIZE_LIMIT} states")
     cert = rho_metastability(chain, masks, mode=mode)
     sols = {(s.set_a.tobytes(), s.set_b.tobytes()): s for s in cert.solutions}
     valleys, partition, assignment, ties = _partition(masks, cert.solutions)

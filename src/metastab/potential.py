@@ -8,30 +8,31 @@ Lap[int, int] h_int = W[int, A] 1.
 
 ``_solve_potentials`` sets h to 0 or 1 on each dead end, a component of the
 interior next to one set alone, and solves the rest by ``_spd_solver``,
-which picks a path by the size m of the rest:
-
-* m <= DENSE_SOLVE_LIMIT: dense ``np.linalg.solve``;
-* larger: ``sym_factor``, a sparse LU in SuperLU's symmetric mode
-  (diagonal pivots), which needs no pivoting since the block is an SPD
-  M-matrix.  Its fill depends on the graph, not on m; memory is bounded
-  where the chain is made (``rfcw``'s limits).
+which factors it by ``sym_factor``: a sparse LU in SuperLU's symmetric mode
+(diagonal pivots), which needs no pivoting since the block is an SPD
+M-matrix.  Its fill depends on the graph, not on the size of the block;
+memory is bounded where the chain is made (``rfcw``'s limits).
 
 ``sym_factor`` is the package's one SuperLU factorization; the oracle's
 grounded factor and inertia count use it too.  It orders the block by the
 chain's elimination order (RFCW's cube order) or else by minimum degree on
 A^T + A.  The chain memoises one entry, the last interior's component
-labels and the solver of its solved part, so (A, B) and (B, A) reuse both.
-Above DENSE_SOLVE_LIMIT that is one SuperLU factorization; at or below it
-the entry holds the dense block, which ``np.linalg.solve`` factors again.
-``equilibrium_potential`` solves h_{A,B} and h_{B,A} together and takes e
-on A from h_{B,A}: at low temperature h_{A,B} is 1 up to tiny terms next to
-A, and e computed from it as (Lap h) / mu keeps only the digits of those
-terms.  Whatever the path, it still checks the harmonicity residual, the
-[0, 1] range and the agreement of sum mu e with the Dirichlet energy of
-h_{A,B} where h <= 1/2 and 1 - h_{B,A} above before it returns.  A block
-that LAPACK or SuperLU finds exactly singular raises
-``SolverNotConverged``.  ``mean_exit_time_bound`` takes one more solve from
-the memoised solver and bounds max_x E_x[tau] by its residual.
+labels and the SuperLU solver of its solved part, so (A, B) and (B, A)
+reuse both.  ``equilibrium_potential`` solves h_{A,B} and h_{B,A} together
+and takes e on A from h_{B,A}: at low temperature h_{A,B} is 1 up to tiny
+terms next to A, and e computed from it as (Lap h) / mu keeps only the
+digits of those terms.
+
+A block whose factor has an exactly zero pivot raises
+``SolverNotConverged``, but a block that is singular only in floating
+point (a row deg - sum W that has lost its small grounding conductance)
+may factor and give a solution with huge or negative entries.  So the
+callers' checks are what fail loudly: ``equilibrium_potential`` checks the
+harmonicity residual, the [0, 1] range and the agreement of sum mu e with
+the Dirichlet energy of h_{A,B} where h <= 1/2 and 1 - h_{B,A} above;
+``trace_chain`` validates the chain it builds; ``mean_exit_time_bound``,
+one more solve from the memoised solver, bounds max_x E_x[tau] by its
+residual and returns inf when that residual is not positive.
 
 Subset scans (the measure-capacity constant, the capacitary integral and
 the exact metastability ratio) need up to 2^20 capacities of small pairs and
@@ -77,14 +78,6 @@ from .chains import (
     subset_mask,
 )
 
-# largest block solved by dense LAPACK.  Probe: np.linalg.solve on the
-# interior Laplacian block of a random reversible chain, with two
-# right-hand sides, gave the same bits under OPENBLAS_NUM_THREADS=1 and =2
-# at m = 32 .. 96 and different bits at m = 112, 128, 160 and 256 (2-vCPU
-# x86-64, OpenBLAS), so below the limit no report depends on the thread
-# count.  Larger blocks take SuperLU, single-threaded and no slower from
-# m ~ 150
-DENSE_SOLVE_LIMIT = 96
 RESIDUAL_TOL = 1e-10
 OVERSHOOT_TOL = 1e-9
 CAP_AGREE_RTOL = 1e-8
@@ -271,10 +264,13 @@ def _solve_potentials(chain, masks):
 
 
 def _spd_solver(chain, free, mat=None):
-    """Solve callable for Lap[free, free] x = rhs, memoised on the chain.
+    """Solve callable for Lap[free, free] x = rhs from ``sym_factor``,
+    memoised on the chain.
 
     ``rhs`` is a vector or a matrix of right-hand-side columns.  ``mat`` is
-    Lap[free, free] if the caller has sliced it already, else None.
+    Lap[free, free] if the caller has sliced it already, else None.  A zero
+    pivot raises SolverNotConverged; a block singular only in floating point
+    may give a huge or negative solution, which the callers' checks catch.
 
     The memo is one tuple (key, solve, interior key, labels) keyed by mask
     bytes, the labels ``_solve_potentials``'s.  It is read once and replaced
@@ -286,18 +282,7 @@ def _spd_solver(chain, free, mat=None):
         return memo[1]
     if mat is None:
         mat = chain.laplacian[free][:, free]
-    m = mat.shape[0]
-    if m <= DENSE_SOLVE_LIMIT:
-        dense = mat.toarray()
-
-        def solve(rhs):
-            try:
-                return np.linalg.solve(dense, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SolverNotConverged(f"singular interior block: {exc}") from None
-
-    else:
-        _, solve = sym_factor(mat, chain._fill_order, free)
+    solve = sym_factor(mat, chain._fill_order, free)[1]
     chain._interior_solver = (key, solve) + memo[2:]
     return solve
 
@@ -312,7 +297,9 @@ def sym_factor(mat, order=None, free=None):
     ``lu`` factors ``mat`` permuted to ``order`` restricted to the block,
     with no ordering of its own, and ``solve`` undoes the permutation.
 
-    An exactly singular factor raises SolverNotConverged.
+    An exactly zero pivot raises SolverNotConverged.  Diagonal pivots do not
+    flag every block that is singular in floating point: such a block may
+    factor, and its solve is then not to be trusted unchecked.
     """
     if order is not None:
         if free is not None:

@@ -717,7 +717,7 @@ def test_lsi_set_limit_exits_1_before_the_rho_scan(capsys, tmp_path, monkeypatch
     def scan_context(chain):
         raise AssertionError("the scan context was built")
 
-    monkeypatch.setattr(metastable, "LSI_SIZE_LIMIT", 2)
+    monkeypatch.setattr(oracle_mod, "LSI_SIZE_LIMIT", 2)
     monkeypatch.setattr(metastable, "capacity_scan_context", scan_context)
     chain, sets = tmp_path / "dw.json", tmp_path / "sets.json"
     save_chain(double_well_chain(1.0, 15), chain)
@@ -1137,10 +1137,21 @@ REPORT_CHAINS = {
 # rho = 0.62901706658892640547: the old diagonal 587.9086577018865 was
 # 5.6e-16 from it, the new ...8861 is 2.3e-17.  The new report has the
 # same bytes under 1 and 2 BLAS threads; the old one did not.
+# The analyze dw11-b1, dw11-b3, dw15-b0.5, dw11-b12/x0,x1/x9,x10 and
+# rc23/s0/s22 entries and the capacity entry were frozen again when every
+# interior went through SuperLU, not a dense solve up to 96 states.  Only
+# values from pair solves moved, none by more than 1.2e-15 relative; the
+# scans keep their bits.  Against the same report with its interior solves
+# in 60-digit mpmath: the capacity of dw11-b1 6.2e-16 -> 0, dw11-b3 1.5e-16
+# -> 6.2e-16, dw15-b0.5 1.8e-16 -> 0, dw11-b12 3.8e-16 both; the mean exit
+# times 6.3e-16 -> 0, 3.2e-16 -> 6.4e-16, 2.7e-16 -> 1.3e-16, 3.8e-16 both,
+# and rc23 0 -> 3.5e-16; rho 2.4e-16 -> 0, 1.3e-16 -> 5.0e-16, 3.0e-16 -> 0,
+# 2.6e-16 -> 3.8e-16, and rc23 4.4e-16 -> 0; the dw15-b3 potential at x2 and
+# x3 1.1e-16 -> 0 and 0 -> 1.1e-16.
 REPORT_GOLDENS = {
-    ("analyze", "dw11-b1"): "97efd52455b3f3a37b4dd8e37c606e8b3b6fdff0cb6e53c794be0cdfca9f3f5a",
-    ("analyze", "dw11-b3"): "5c140ac2b40f2669202aca0f239b6e2a60e0916b96fa1e0206b16cbe9e1ab4bd",
-    ("analyze", "dw15-b0.5"): "8f332915371330450662467e789b81aa597245f514ad125ea360e37f70334765",
+    ("analyze", "dw11-b1"): "5b038b798e0935deb88ed45a1aa7b50a44bf8518f2d83f11e9f191f3b8f81b30",
+    ("analyze", "dw11-b3"): "f6cb6db33587b95769d3a9e4647738e8b4f01240092ab192af669d9d282b9685",
+    ("analyze", "dw15-b0.5"): "f5855e3eb60ef82c3f7d013b36e3a876b5e8a6dfc767ddd61e85dc86920ec830",
     ("analyze", "rc13-v0"): "7003fd046de95b1f4bc9fb1ad10cd758abf02fb3db56416fba77321aee9350f3",
     ("capineq", "5"): "4166dfaf8a827d3dc2732e93cafe2f6ab3fc15e878a7596e4335f5e2f3b4590d",
     ("couple", "N8"): "faecfe8ad8f96c9c6988648fe3719b1cc4a8ebf9c826dcaab0bd7fb951b5bd99",
@@ -1151,14 +1162,14 @@ REPORT_GOLDENS = {
     ("orlicz", "rc13-v0"): "6e132543a32ca7430ce6c8b5a83543c6b0b1250afe0f21896051fff4fd98a603",
     ("rfcw", "N8"): "691453ff13f735ed6054a740508307dd5f1ea6556748d88c7a214121711c0d98",
     # one entry for each tag path that the entries above leave unpinned
-    ("capacity", "dw15-b3/x0/x4"): "f9b827516591ceab5343f87fb84d639b9ff0448b0984b43ba6d1d912bc9cecf4",
+    ("capacity", "dw15-b3/x0/x4"): "aed8f3403e2f49bcc1415ef05d2ecb3b63b718fab5b4df0984b5b0ef79ef15f6",
     ("oracle", "dw11-b2/cpi"): "e7dbf69d0658fb54464826b76ffd507ef230ef8c22ffd7f3ac1d680d6b30b38b",  # c_pi exact
     ("oracle", "dw11-b12/cpi"): "5e5ba78389204ca5913d5950f0de2f3e23216676df55fff61f54cb155f6b35cc",  # c_pi bound
     ("oracle", "dw11-b2/cheeger"): "72fe0b7f3d9b516043b40216f2ad0c380c7a7d5cc387cf830982e5ff046cc909",
-    ("analyze", "dw11-b12/x0,x1/x9,x10"): "18d9f9f29ab7ebed881a47a2760ec35ce2f031b7ff9adf7749bf63c13c0654a2",  # cpi_local exact
+    ("analyze", "dw11-b12/x0,x1/x9,x10"): "a33d570e9f9c9bf611b68a0159ea36f9eefa32ffdde1544ba523af887355f838",  # cpi_local exact
     ("analyze", "dw11-b40/x0,x1,x2/x8,x9,x10"): "1f41a7c830b9a239ac3497e1492f42180bec6de5b3e49c7ab33c5b604feb6390",  # cpi_local bound
     ("analyze", "dw11-b2/x0,x1,x2,x3,x4,x5/x6,x7,x8,x9,x10"): "892d941be887d7f5f3ec7b268b0c36e7dd23762d2775184e262bb9ac53ea0192",  # rho numerator-only
-    ("analyze", "rc23/s0/s22"): "9833a9320ce4a4a99555e6012c77e149151401ffda44e0430b7d1614f8636444",  # rho singleton
+    ("analyze", "rc23/s0/s22"): "023d91c21549ef9947adc870c45383eb45c7db64e08741b78233f7492c42e11e",  # rho singleton
     ("orlicz", "rc23"): "20540dd15b357c071a66e6037891783fc9452ce3547d5cd64dde1c00a694bf75",  # c_psi lower_bound
 }
 
@@ -1260,26 +1271,52 @@ def test_rfcw_gap_needs_no_dense_eigensolve(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDENS[("rfcw", "N8")]
 
 
-def _stdout_under_blas_threads(argv):
-    """The command's stdout in a fresh process under 1 and under 2 BLAS threads."""
+def _stdout_under_blas_threads(args):
+    """The stdout of ``python *args`` in a fresh process under 1 and under 2
+    BLAS threads."""
     src = str(Path(metastab.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run(
-            [sys.executable, "-m", "metastab.cli", *argv],
-            env=env, capture_output=True, timeout=300,
+            [sys.executable, *args], env=env, capture_output=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         outs.append(done.stdout)
     return outs
 
 
+# runs each argv of the JSON list in argv[1] through ``main`` in one process
+# and prints its exit code and the sha256 of its stdout
+REPORT_HASHES = """
+import contextlib, hashlib, io, json, sys
+from metastab.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_report_goldens_do_not_depend_on_blas_threads(tmp_path):
+    # every golden command prints its frozen bytes under 1 and 2 threads
+    keys = sorted(REPORT_GOLDENS)
+    argvs = []
+    for i, (cmd, name) in enumerate(keys):
+        (tmp_path / str(i)).mkdir()
+        argvs.append(_report_argv(tmp_path / str(i), cmd, name))
+    outs = _stdout_under_blas_threads(["-c", REPORT_HASHES, json.dumps(argvs)])
+    want = [f"0 {REPORT_GOLDENS[key]}" for key in keys]
+    assert [out.decode().splitlines() for out in outs] == [want, want]
+
+
 def test_couple_report_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # every interior of the N = 8 micro chain is above DENSE_SOLVE_LIMIT, so
-    # no dense solve of the couple report reaches a threaded LAPACK kernel
-    outs = _stdout_under_blas_threads(_report_argv(tmp_path, "couple", "N8"))
+    # every interior of the N = 8 micro chain goes through SuperLU, so no
+    # solve of the couple report reaches a threaded LAPACK kernel
+    argv = _report_argv(tmp_path, "couple", "N8")
+    outs = _stdout_under_blas_threads(["-m", "metastab.cli", *argv])
     assert outs[0] == outs[1]
 
 
@@ -1290,7 +1327,8 @@ def test_couple_report_bytes_do_not_depend_on_blas_threads(tmp_path):
 def test_rfcw_report_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
     # the singleton rho's dense factor holds half the cube after the
     # red-black reduction and gives the same bits under either count
-    outs = _stdout_under_blas_threads(argv or _report_argv(tmp_path, "rfcw", "N8"))
+    argv = argv or _report_argv(tmp_path, "rfcw", "N8")
+    outs = _stdout_under_blas_threads(["-m", "metastab.cli", *argv])
     assert outs[0] == outs[1]
 
 

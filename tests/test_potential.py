@@ -18,7 +18,6 @@ from metastab import (
 )
 from metastab import potential
 from metastab.potential import (
-    DENSE_SOLVE_LIMIT,
     EmptySet,
     OverlappingSets,
     _masses,
@@ -26,6 +25,7 @@ from metastab.potential import (
     _solve_potentials,
     _spd_solver,
     capacity_scan_context,
+    sym_factor,
 )
 from metastab.sampling import (
     double_well_chain,
@@ -186,8 +186,7 @@ def _dense_potential(chain, a, b):
 
 
 def test_swapped_pair_shares_one_sparse_factor():
-    # 512 states with two singleton boundaries: a 510-state interior, which
-    # takes the sparse symmetric-mode LU path
+    # 512 states with two singleton boundaries: a 510-state interior
     chain = _rfcw9_chain()
     n = chain.n_states
     a = np.zeros(n, dtype=bool)
@@ -195,7 +194,6 @@ def test_swapped_pair_shares_one_sparse_factor():
     b = np.zeros(n, dtype=bool)
     b[n - 1] = True
     interior = ~(a | b)
-    assert interior.sum() > DENSE_SOLVE_LIMIT
 
     ab = equilibrium_potential(chain, a, b)
     solve = _spd_solver(chain, interior)
@@ -224,7 +222,7 @@ def test_swapped_pair_shares_one_sparse_factor():
 
 def test_swapped_pair_with_dead_ends_builds_one_factor(monkeypatch):
     # a 1,000-state path with A = {200}, B = {800}: the ends are dead ends,
-    # set to 0 or 1 unsolved, and the 599 states between take the sparse path
+    # set to 0 or 1 unsolved, and the 599 states between are factored once
     mu = np.random.default_rng(5).uniform(0.5, 2.0, size=1000)
     chain = birth_death_generator_chain(mu / mu.sum())
     counts = {"factor": 0, "components": 0}
@@ -277,9 +275,8 @@ def test_mean_exit_time_bound_without_a_residual_floor(monkeypatch):
 @pytest.mark.parametrize("n", [11, 600])
 def test_memo_miss_slices_one_block(monkeypatch, n):
     # a miss slices the interior's Laplacian block once (two csr getitem
-    # calls); it labels the components and, with no dead end cut, goes to
-    # the dense (n = 11) or sparse (n = 600) solver as it is.  The swapped
-    # pair slices nothing
+    # calls); it labels the components and, with no dead end cut, factors
+    # the block as it is.  The swapped pair slices nothing
     mu = np.random.default_rng(n).uniform(0.5, 2.0, size=n)
     chain = birth_death_generator_chain(mu / mu.sum())
     cls = type(chain.laplacian)
@@ -299,14 +296,12 @@ def test_memo_miss_slices_one_block(monkeypatch, n):
 
 @pytest.mark.parametrize("beta", [0.5, 5.0, 25.0])
 def test_large_interior_well_matches_series(beta):
-    # a 10,500-state birth-death double well: its interior is far above
-    # DENSE_SOLVE_LIMIT and goes to SuperLU at every temperature
+    # a 10,500-state birth-death double well at every temperature
     n = 10_500
     y = np.linspace(-1.0, 1.0, n)
     mu = np.exp(-beta * (y * y - 1.0) ** 2)
     mu /= mu.sum()
     chain = birth_death_generator_chain(mu)
-    assert n - 2 > DENSE_SOLVE_LIMIT
     cap = equilibrium_potential(chain, [n - 1], [0]).capacity
     # rates p(y, y+1) = 1 give edge conductances mu(y), y < n - 1
     want = 1.0 / math.fsum(1.0 / mu[:-1])
@@ -324,9 +319,9 @@ def test_potential_right_hand_sides_keep_the_column_sum_bits():
         interior = ~(a | b)
         w = chain.conductance[interior]
         rhs = np.column_stack([np.asarray(w[:, m].sum(axis=1)).ravel() for m in (a, b)])
-        block = chain.laplacian[interior][:, interior].toarray()
+        block = chain.laplacian[interior][:, interior]
         got = _solve_potentials(chain, [a, b])[interior]
-        assert np.array_equal(got, np.linalg.solve(block, rhs))
+        assert np.array_equal(got, sym_factor(block)[1](rhs))
 
 
 def test_capacity_keeps_digits_at_low_temperature():
@@ -457,13 +452,56 @@ def test_scan_kernel_raises_instead_of_dividing():
         _scan_capacities((lap, np.zeros_like(w), mu), masks, b)
 
 
-def test_dense_interior_solve_maps_singular_blocks():
-    # the well's mean hitting times of x0 at beta = 8, Lap w = mu off x0,
-    # meet an exactly singular block in the dense path
-    chain = double_well_chain(8.0)
-    free = np.arange(11) != 0
-    with pytest.raises(SolverNotConverged, match="singular interior block"):
-        _spd_solver(chain, free)(chain.stationary[free])
+def _exit_time_series(chain, targets):
+    """max_x E_x[tau] of a birth-death chain, tau the hitting time of the
+    sorted ``targets``, at 60 digits from the chain's float mu and
+    conductances: w = sum_y G(x, y) mu(y) on each stretch (a, b) between
+    targets, G(x, y) = R(a, min) R(max, b) / R(a, b) with R the series
+    resistance and min, max those of x and y, and R(max, b) or R(a, min)
+    on an end stretch."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        n = chain.n_states
+        mu = [mp.mpf(float(x)) for x in chain.stationary]
+        w = chain.conductance.toarray()
+        # r[k] = R(0, k)
+        r = [mp.mpf(0)]
+        for k in range(n - 1):
+            r.append(r[-1] + 1 / mp.mpf(float(w[k, k + 1])))
+        best = mp.mpf(0)
+        for a, b in zip([None, *targets], [*targets, None]):
+            lo, hi = (0 if a is None else a + 1), (n if b is None else b)
+            for x in range(lo, hi):
+                total = mp.mpf(0)
+                for y in range(lo, hi):
+                    left, right = min(x, y), max(x, y)
+                    if a is None:
+                        g = r[b] - r[right]
+                    elif b is None:
+                        g = r[left] - r[a]
+                    else:
+                        g = (r[left] - r[a]) * (r[b] - r[right]) / (r[b] - r[a])
+                    total += g * mu[y]
+                best = max(best, total)
+        return best
+
+
+@pytest.mark.parametrize("n, beta, targets", [
+    (11, 8.0, [0]), (15, 3.0, [0, 10]), (15, 5.0, [0, 10]), (11, 40.0, [0, 8]),
+], ids=["dw11-b8/x0", "dw15-b3/x0,x10", "dw15-b5/x0,x10", "dw11-b40/x0,x8"])
+def test_singular_interior_blocks_give_no_low_mean_exit_bound(n, beta, targets):
+    # Lap w = mu on these wells' dead-end stretches is singular in floating
+    # point.  SuperLU's diagonal pivots flag only an exactly zero pivot, so
+    # the solve may return w~ down to -3e19; the bound must then be inf or
+    # raise, and a finite bound must hold the 60-digit series
+    chain = double_well_chain(beta, n)
+    free = ~np.isin(np.arange(n), targets)
+    want = _exit_time_series(chain, targets)
+    try:
+        bound = potential.mean_exit_time_bound(chain, free)
+    except SolverNotConverged:
+        return
+    assert bound == np.inf or bound >= want
 
 
 # -- bounded subset scans ------------------------------------------------------
@@ -588,11 +626,17 @@ def test_bounded_scan_needs_nu_mass_off_b():
 
 # Orlicz (ent, K = e^2, B = the last state) and exact rho ({x0}, {x_last}) on
 # the double wells, as the exhaustive scans reported them: c_psi or rho with
-# the argmax or argmin, or the exception type and message
+# the argmax or argmin, or the exception type and message.  Five rho strings
+# were frozen again when every interior went through SuperLU: the numerator's
+# cap(x0, x_last) moved.  Against a 60-digit birth-death series, dw11 b8
+# 1.5e-17 -> 3.8e-16, b12 3.4e-16 -> 8.5e-16, dw15 b5 1.2e-16 -> 2.5e-16, b8
+# 8.6e-17 -> 3.4e-17, b12 3.3e-16 -> 2.4e-17.  The dw15 b30 cap(x0, x14) is
+# 1.9e-314 by the series; the dense solve returned 0 (vanishing capacity),
+# SuperLU an infinite potential (overshoot), both SolverNotConverged
 EXTREME_BETA_SCANS = {
     (11, 5): (("454930530290706.9", [0, 1, 2]), ("2.5772913328728364e-14", [4, 5, 6])),
-    (11, 8): (("5.8435241302837514e+22", [0, 1, 2]), ("1.9100260570405824e-22", [4, 5, 6])),
-    (11, 12): (("4.1312050125700574e+33", [0, 1, 2]), ("2.674904532033821e-33", [4, 5, 6])),
+    (11, 8): (("5.8435241302837514e+22", [0, 1, 2]), ("1.910026057040583e-22", [4, 5, 6])),
+    (11, 12): (("4.1312050125700574e+33", [0, 1, 2]), ("2.6749045320338223e-33", [4, 5, 6])),
     (11, 20): (("2.1359289891515108e+55", [0, 1]), ("5.166277397646515e-55", [4, 5, 6])),
     (11, 30): (
         ("SolverNotConverged", "singular interior block in a capacity scan: Singular matrix"),
@@ -602,11 +646,11 @@ EXTREME_BETA_SCANS = {
         ("SolverNotConverged", "singular interior block in a capacity scan: Singular matrix"),
         ("2.6691902114375945e-109", [4, 5, 6]),
     ),
-    (15, 5): (("1.5250513760025172e+53", [0, 1, 2, 3]), ("7.265371632542418e-53", [6, 7, 8])),
-    (15, 8): (("2.8988269241014728e+84", [0, 1]), ("3.8073547306609866e-84", [6, 7, 8])),
+    (15, 5): (("1.5250513760025172e+53", [0, 1, 2, 3]), ("7.265371632542419e-53", [6, 7, 8])),
+    (15, 8): (("2.8988269241014728e+84", [0, 1]), ("3.807354730660986e-84", [6, 7, 8])),
     (15, 12): (
         ("SolverNotConverged", "singular interior block in a capacity scan: Singular matrix"),
-        ("7.431422648385155e-126", [6, 7, 8]),
+        ("7.431422648385153e-126", [6, 7, 8]),
     ),
     (15, 20): (
         ("SolverNotConverged", "singular interior block in a capacity scan: Singular matrix"),
@@ -614,7 +658,7 @@ EXTREME_BETA_SCANS = {
     ),
     (15, 30): (
         ("ValidationError", "K = 7.38905609893065 overflows K / nu[A]"),
-        ("SolverNotConverged", "vanishing capacity on an irreducible chain"),
+        ("SolverNotConverged", "potential overshoot: range [0.0, inf]"),
     ),
 }
 
